@@ -4,8 +4,8 @@ clients, plus the client-side Markov prediction library it evaluates."""
 from .errors import (ConfigError, DataError, EmptyTraceError, FogrepError,
                      TopologyError, TraceFormatError, TraceOverlapError,
                      UndefinedMetricError)
-from .markov import (EOT, FommModel, MommModel, Prediction, VommModel,
-                     bucketize, dynamic_topn, model_memory_bytes)
+from .markov import (EOT, KINDS, MarkovPredictor, Prediction, bucketize,
+                     dynamic_topn, make_model)
 from .metrics import (MetricsReport, availability, availability_series,
                       compute_report, excess_data)
 from .policies import (Delete, PolicyConfig, Replicate, ReplicaPolicy, Retain,

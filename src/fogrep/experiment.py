@@ -10,16 +10,14 @@ archivable.
 from __future__ import annotations
 
 import concurrent.futures
-import dataclasses
 import json
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
 
 from .errors import ConfigError, DataError
-from .metrics import MetricsReport, compute_report, write_report_csv
+from .metrics import compute_report, write_report_csv
 from .policies import PolicyConfig
 from .simengine import run as run_simulation
 from .simengine import snapshot_memory, write_event_log_csv
@@ -63,6 +61,80 @@ def load_yaml_with_lines(text: str, source="<config>"):
     return doc, lines
 
 
+def _strict(types, what, cast=None):
+    """Converter accepting only values of ``types`` (never a bool in place
+    of a number or a string)."""
+    def convert(v):
+        if not isinstance(v, types) or (isinstance(v, bool) and bool not in types):
+            raise ValueError(f"expected {what}, got {v!r}")
+        return cast(v) if cast else v
+    return convert
+
+
+_integer = _strict((int,), "an integer")
+_number = _strict((int, float), "a number", float)
+_boolean = _strict((bool,), "true or false")
+_text = _strict((str, int, float), "a string", str)
+
+
+def _list_of(convert, length=None):
+    def convert_list(v):
+        if not isinstance(v, list) or length not in (None, len(v)):
+            raise ValueError(f"expected a list{f' of {length} items' if length else ''}, got {v!r}")
+        return tuple(convert(x) for x in v)
+    return convert_list
+
+
+def _one_of(*choices):
+    def convert(v):
+        if v not in choices:
+            raise ValueError(f"unknown value {v!r}; expected one of {choices}")
+        return v
+    return convert
+
+
+def _anchored(message, lines) -> ConfigError:
+    """ConfigError for a message that starts with its full key path, pointing
+    at the YAML line of the deepest key on that path the file has."""
+    path = message.split(":", 1)[0]
+    while path and path not in lines:
+        path = path.rpartition(".")[0]
+    return ConfigError(f"{message} (line {lines[path]})" if path else message)
+
+
+def read_fields(doc, table, lines, where="") -> dict:
+    """Keyword arguments from a YAML mapping, driven by a table of key path
+    (``topn.threshold``, relative to ``where``) -> (field name, converter).
+    A path that is also a section (``predictor``) takes a scalar or a
+    mapping; a null value leaves the field at its default. An unknown key
+    or a value its converter rejects raises ConfigError naming the full key
+    path and its line."""
+    out = {}
+    pending = [("", doc)]
+    while pending:
+        rel, node = pending.pop()
+        if not isinstance(node, dict):
+            raise _anchored(f"{'.'.join(filter(None, (where, rel))) or 'config'}: "
+                            f"expected a mapping, got {node!r}", lines)
+        for key, value in node.items():
+            path = f"{rel}.{key}" if rel else str(key)
+            full = f"{where}.{path}" if where else path
+            section = any(p.startswith(path + ".") for p in table)
+            if not section and path not in table:
+                raise _anchored(f"{full}: unknown key", lines)
+            if value is None:
+                continue
+            if section and (isinstance(value, dict) or path not in table):
+                pending.append((path, value))
+                continue
+            name, convert = table[path]
+            try:
+                out[name] = convert(value)
+            except (TypeError, ValueError) as exc:
+                raise _anchored(f"{full}: {exc}", lines) from None
+    return out
+
+
 @dataclass
 class TopologySpec:
     name: str
@@ -88,38 +160,60 @@ class TopologySpec:
             return topo, FlowGraph(topo, self.data_size_gb * 8e9)
         raise ConfigError(f"topology.kind: unknown kind {self.kind!r}")
 
-    @staticmethod
-    def from_dict(doc: dict, default_name) -> "TopologySpec":
-        doc = dict(doc)
-        spec = TopologySpec(
-            name=str(doc.pop("name", default_name)),
-            kind=str(doc.pop("kind", "grid")),
-            rows=int(doc.pop("rows", 10)),
-            cols=int(doc.pop("cols", 10)),
-            bbox=tuple(float(x) for x in doc.pop("bbox", BEIJING_BBOX)),
-            transfer_delay=float(doc.pop("transfer_delay", 300.0)),
-            data_size_gb=float(doc.pop("data_size_gb", 1.0)),
-            edge_rate=float(doc.pop("edge_rate", DEFAULT_EDGE_RATE)),
-            uplink_rate=float(doc.pop("uplink_rate", DEFAULT_UPLINK_RATE)),
-            neighborhood=int(doc.pop("neighborhood", 4)),
-        )
-        if doc:
-            raise ConfigError(f"topology: unknown keys {sorted(doc)}")
-        if len(spec.bbox) != 4:
-            raise ConfigError("topology.bbox: expected [lat_min, lat_max, lon_min, lon_max]")
-        return spec
+
+TOPOLOGY_FIELDS = {key: (key, convert) for key, convert in dict(
+    name=_text, kind=_one_of("grid", "complex"), rows=_integer, cols=_integer,
+    bbox=_list_of(_number, 4),  # lat_min, lat_max, lon_min, lon_max
+    transfer_delay=_number, data_size_gb=_number, edge_rate=_number, uplink_rate=_number,
+    neighborhood=_integer).items()}
+
+POLICY_FIELDS = {
+    "name": ("name", _text),
+    "predictor": ("predictor", _text),
+    "predictor.type": ("predictor", _text),
+    "predictor.k": ("k", _integer),
+    "predictor.day_splits": ("day_splits", _list_of(_integer)),
+    "predictor.time_splits": ("time_splits", _list_of(_integer)),
+    "eot": ("eot", _boolean),
+    "topn.type": ("topn_mode", _text),
+    "topn.n": ("topn_n", _integer),
+    "topn.threshold": ("topn_threshold", _number),
+    "topn.include_eot": ("topn_include_eot", _boolean),
+    "preload_buffer": ("preload_buffer", _number),
+    "startup": ("startup_mode", _text),
+    "startup.type": ("startup_mode", _text),
+    "startup.mode": ("short_pause_mode", _text),
+    "startup.duration": ("short_pause_duration", _number),
+    "startup.max": ("short_pause_max", _number),
+    "startup.threshold": ("plmm_threshold", _number),
+    "startup.factor": ("retention_factor", _number),
+    "startup.min_samples": ("min_samples", _integer),
+}
+
+# the scalar keys of the top level and of the metrics section
+EXPERIMENT_FIELDS = {
+    "experiment": ("experiment", _text),
+    "output": ("output", lambda v: Path(_text(v))),
+    "seed": ("seed", _integer),
+    "jobs": ("jobs", _integer),
+    "plot": ("plot", _text),
+    "dump_events": ("dump_events", _boolean),
+    "metrics.series_clients": ("series_clients", _list_of(_text)),
+    "metrics.series_bucket": ("series_bucket", _number),
+    "metrics.window": ("window", _list_of(_number, 2)),
+}
 
 
 @dataclass
 class ExperimentConfig:
-    experiment: str
     trace: dict
     topologies: list[TopologySpec]
     policies: list[PolicyConfig]
-    output: Path
+    experiment: str = "experiment"
+    output: Path = Path("out")
     seed: int | None = None
     jobs: int = 1
-    series_clients: list[str] = field(default_factory=list)
+    series_clients: tuple[str, ...] = ()
     series_bucket: float = 86400.0
     window: tuple[float, float] | None = None
     plot: str | None = None
@@ -127,12 +221,15 @@ class ExperimentConfig:
     config_dir: Path = Path(".")
 
 
-def _anchored(exc: ConfigError, path_prefix, lines) -> ConfigError:
-    msg = str(exc)
-    field_token = msg.split(":", 1)[0].strip()
-    line = lines.get(f"{path_prefix}.{field_token}") or lines.get(path_prefix)
-    suffix = f" (line {line})" if line else ""
-    return ConfigError(f"{path_prefix}.{msg}{suffix}")
+def parse_policy(doc, lines=None, where="", **defaults) -> PolicyConfig:
+    """One policy mapping of an experiment file, validated; ``defaults``
+    holds field values the mapping does not set."""
+    lines = lines or {}
+    fields = {**defaults, **read_fields(doc or {}, POLICY_FIELDS, lines, where)}
+    try:
+        return PolicyConfig(**fields).validate()
+    except ConfigError as exc:
+        raise _anchored(f"{where}.{exc}" if where else str(exc), lines) from None
 
 
 def parse_experiment_config(text: str, source="<config>", config_dir=Path(".")) -> ExperimentConfig:
@@ -140,61 +237,32 @@ def parse_experiment_config(text: str, source="<config>", config_dir=Path(".")) 
     if not isinstance(doc, dict):
         raise ConfigError(f"{source}: config must be a mapping")
     doc = dict(doc)
-    name = str(doc.pop("experiment", "experiment"))
     trace = doc.pop("trace", None)
     if not isinstance(trace, dict):
         raise ConfigError(f"trace: section is required (line {lines.get('trace', '?')})")
-    topo_docs = doc.pop("topologies", None)
-    if topo_docs is None:
-        single = doc.pop("topology", None)
-        topo_docs = [single] if single is not None else [{}]
-    if not topo_docs:
-        raise ConfigError("topologies: sweep list must be non-empty")
-    topologies = []
-    for i, td in enumerate(topo_docs):
-        try:
-            topologies.append(TopologySpec.from_dict(td or {}, default_name=f"topo{i}"))
-        except ConfigError as exc:
-            raise _anchored(exc, f"topologies[{i}]", lines) from exc
+    single = "topologies" not in doc
+    topo_docs = [doc.pop("topology", None)] if single else doc.pop("topologies")
+    if not isinstance(topo_docs, list) or not topo_docs:
+        raise _anchored("topologies: sweep list must be non-empty", lines)
+    topologies = [TopologySpec(**{"name": f"topo{i}", **read_fields(
+                      td or {}, TOPOLOGY_FIELDS, lines, "topology" if single else f"topologies[{i}]")})
+                  for i, td in enumerate(topo_docs)]
     pol_docs = doc.pop("policies", None)
-    if not pol_docs:
-        raise ConfigError(f"policies: sweep list must be non-empty (line {lines.get('policies', '?')})")
-    tz_default = float(trace.get("tz_offset",
-                                 GEOLIFE_TZ_OFFSET if trace.get("source") == "geolife" else 0.0))
-    policies = []
-    for i, pd in enumerate(pol_docs):
-        try:
-            cfg = PolicyConfig.from_dict(pd or {}, name=(pd or {}).get("name", f"policy{i}"))
-        except ConfigError as exc:
-            raise _anchored(exc, f"policies[{i}]", lines) from exc
-        if cfg.tz_offset == 0.0 and tz_default != 0.0:
-            cfg = replace(cfg, tz_offset=tz_default)
-        policies.append(cfg)
+    if not isinstance(pol_docs, list) or not pol_docs:
+        raise _anchored("policies: sweep list must be non-empty", lines)
+    # the trace's local time zone drives every predictor's day/time buckets
+    try:
+        tz_offset = _number(trace.get("tz_offset", GEOLIFE_TZ_OFFSET
+                                      if trace.get("source") == "geolife" else 0.0))
+    except ValueError as exc:
+        raise _anchored(f"trace.tz_offset: {exc}", lines) from None
+    policies = [parse_policy(pd, lines, f"policies[{i}]", name=f"policy{i}", tz_offset=tz_offset)
+                for i, pd in enumerate(pol_docs)]
     names = [p.name for p in policies]
     if len(set(names)) != len(names):
         raise ConfigError("policies: names must be unique")
-    metrics_doc = dict(doc.pop("metrics", {}) or {})
-    window = metrics_doc.pop("window", None)
-    cfg = ExperimentConfig(
-        experiment=name,
-        trace=dict(trace),
-        topologies=topologies,
-        policies=policies,
-        output=Path(doc.pop("output", "out")),
-        seed=doc.pop("seed", None),
-        jobs=int(doc.pop("jobs", 1)),
-        series_clients=[str(c) for c in metrics_doc.pop("series_clients", [])],
-        series_bucket=float(metrics_doc.pop("series_bucket", 86400.0)),
-        window=tuple(float(x) for x in window) if window else None,
-        plot=doc.pop("plot", None),
-        dump_events=bool(doc.pop("dump_events", False)),
-        config_dir=config_dir,
-    )
-    if metrics_doc:
-        raise ConfigError(f"metrics: unknown keys {sorted(metrics_doc)}")
-    if doc:
-        raise ConfigError(f"unknown top-level keys {sorted(doc)}")
-    return cfg
+    return ExperimentConfig(trace=dict(trace), topologies=topologies, policies=policies,
+                            config_dir=config_dir, **read_fields(doc, EXPERIMENT_FIELDS, lines))
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -258,9 +326,8 @@ def load_traces(cfg: ExperimentConfig, topo: Topology, topo_name: str):
     return timelines
 
 
-def _run_point(topo_spec: TopologySpec, policy: PolicyConfig, timelines,
+def _run_point(topo, network, policy: PolicyConfig, timelines,
                window, series_clients, series_bucket, dump_events):
-    topo, network = topo_spec.build()
     result = run_simulation(timelines, topo, network, policy, record_log=dump_events)
     memory, _, _ = snapshot_memory(result.policies)
     report = compute_report(result.ledger, timelines, memory_by_client=memory,
@@ -269,30 +336,25 @@ def _run_point(topo_spec: TopologySpec, policy: PolicyConfig, timelines,
     return report, (result.event_log if dump_events else None)
 
 
-def _point_args(cfg, topo_spec, timelines, policy):
-    return (topo_spec, policy, timelines, cfg.window, cfg.series_clients,
-            cfg.series_bucket, cfg.dump_events)
-
-
 def run_experiment(cfg: ExperimentConfig) -> list[dict]:
     """Execute the sweep and write all artifacts; returns the result rows."""
     cfg.output.mkdir(parents=True, exist_ok=True)
     points = []
     for topo_spec in cfg.topologies:
-        topo, _ = topo_spec.build()
+        topo, network = topo_spec.build()
         timelines = load_traces(cfg, topo, topo_spec.name)
         for policy in cfg.policies:
-            points.append((topo_spec, policy, timelines))
+            points.append((topo_spec, (topo, network, policy, timelines)))
+    shared = (cfg.window, cfg.series_clients, cfg.series_bucket, cfg.dump_events)
     if cfg.jobs > 1 and len(points) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = [pool.submit(_run_point, *_point_args(cfg, ts, tls, pol))
-                       for ts, pol, tls in points]
+            futures = [pool.submit(_run_point, *args, *shared) for _, args in points]
             outcomes = [f.result() for f in futures]
     else:
-        outcomes = [_run_point(*_point_args(cfg, ts, tls, pol)) for ts, pol, tls in points]
+        outcomes = [_run_point(*args, *shared) for _, args in points]
 
     rows = []
-    for (topo_spec, policy, timelines), (report, event_log) in zip(points, outcomes):
+    for (topo_spec, (_, _, policy, _)), (report, event_log) in zip(points, outcomes):
         rows.append({
             "experiment": cfg.experiment,
             "topology": topo_spec.name,

@@ -1,19 +1,21 @@
 """Online-trainable Markov predictors over node-visit sequences.
 
-Three query strategies share one table structure:
+A model is a list of sub-models and a fuse rule. Every sub-model is one
+table keyed on (history, day bucket, time bucket), trained with a fixed
+history length (order) and fixed day-of-week and time-of-day splits; the
+buckets derive from the trip start time. Each (context, target) record
+carries a transition count plus stay-duration statistics for the node the
+history ends at, so predictions can report an expected stay. An end-of-trip
+pseudo-target (``EOT``) records trip termination when enabled.
 
-* fixed-order model: predicts only from exactly the last ``k`` nodes;
-* variable-order model: queries orders ``k_max`` down to 1 and returns the
-  highest-order hit;
-* fusion model: trains the cartesian product of history sizes, day-of-week
-  splits and time-of-day splits, then merges all sub-model distributions by
-  weighted sum and normalizes.
+The three predictors of the paper differ only in which sub-models they train
+and how the answers are fused (``KINDS``):
 
-Tables key on (history, day bucket, time bucket), where buckets derive from
-the trip start time. Each (context, target) record carries a transition count
-plus stay-duration statistics for the node the history ends at, so predictions
-can report an expected stay. An end-of-trip pseudo-target (``EOT``) records
-trip termination when enabled.
+* ``momm``: order ``k`` alone, by backoff over that one sub-model;
+* ``vomm``: orders ``1..k``, by backoff: the highest order that knows the
+  context answers, lower orders are not queried;
+* ``fomm``: orders ``1..k`` x day splits x time splits, by blend: the
+  weighted sum of every answering sub-model's distribution, normalized.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ TIME_SPLITS = (1, 4, 24)
 _MAGIC = b"FGMK1\n"
 _TARGET_STRUCT = struct.Struct("<iIdI")  # id, count, stay_sum, stay_count
 TARGET_BYTES = _TARGET_STRUCT.size  # 20
+MAX_NODE_ID = 0xFFFF  # histories are stored as unsigned 16-bit ids
 
 
 def bucketize(t, day_split, time_split, tz_offset=0.0) -> tuple[int, int]:
@@ -129,12 +132,83 @@ def momm_predict(table: TransitionTable, history, buckets) -> list[Prediction] |
     return preds
 
 
+def backoff(model: "MarkovPredictor", history, trip_start):
+    """The highest-order sub-model that knows the context answers alone;
+    lower orders are not queried once one has answered."""
+    for sm in reversed(model.submodels):
+        preds = model.query(sm, history, trip_start)
+        if preds is not None:
+            return preds
+    return None
+
+
+def blend(model: "MarkovPredictor", history, trip_start):
+    """Weighted sum of every answering sub-model's distribution, normalized
+    once; stays fuse as weight-weighted averages over the sub-models that
+    report one."""
+    raw: dict[int, float] = {}
+    stay_num: dict[int, float] = {}
+    stay_den: dict[int, float] = {}
+    for sm in model.submodels:
+        preds = model.query(sm, history, trip_start)
+        if preds is None:
+            continue
+        w = sm.spec.weight
+        for p in preds:
+            raw[p.target] = raw.get(p.target, 0.0) + p.probability * w
+            if p.expected_stay is not None:
+                stay_num[p.target] = stay_num.get(p.target, 0.0) + w * p.expected_stay
+                stay_den[p.target] = stay_den.get(p.target, 0.0) + w
+    if not raw:
+        return None
+    total = sum(raw.values())
+    return [Prediction(t, raw[t] / total,
+                       stay_num[t] / stay_den[t] if t in stay_den else None)
+            for t in sorted(raw, key=lambda t: (t == EOT, t))]
+
+
+# kind -> (orders trained for a maximum order k, whether sub-models split by
+# day and time of day, fuse rule)
+KINDS = {
+    "momm": (lambda k: (k,), False, backoff),
+    "vomm": (lambda k: range(1, k + 1), False, backoff),
+    "fomm": (lambda k: range(1, k + 1), True, blend),
+}
+
+
+def check_kind(kind, k=1, day_splits=(1,), time_splits=(1,)):
+    """The ``KINDS`` row of ``kind``; ConfigError naming the predictor key
+    when the kind is unknown or cannot take these parameters."""
+    if kind not in KINDS:
+        raise ConfigError(f"predictor: unknown kind {kind!r}; expected one of {tuple(KINDS)}")
+    if k < 1:
+        raise ConfigError("predictor.k: must be >= 1")
+    for key, given, allowed in (("day_splits", day_splits, DAY_SPLITS),
+                                ("time_splits", time_splits, TIME_SPLITS)):
+        if not KINDS[kind][1] and tuple(given) != (1,):
+            raise ConfigError(f"predictor.{key}: {kind} does not split its sub-models")
+        for s in given:
+            if s not in allowed:
+                raise ConfigError(f"predictor.{key}: unsupported split {s}; expected one of {allowed}")
+    return KINDS[kind]
+
+
+def make_model(kind, k, day_splits=(1,), time_splits=(1,), eot=True,
+               tz_offset=0.0) -> "MarkovPredictor":
+    """A fresh model of ``kind`` with maximum order ``k``."""
+    orders = check_kind(kind, k, day_splits, time_splits)[0]
+    submodels = [SubModel(SubModelSpec(o, d, t, default_weight(o, d, t)))
+                 for o in orders(k) for d in sorted(day_splits) for t in sorted(time_splits)]
+    return MarkovPredictor(kind, submodels, eot=eot, tz_offset=tz_offset)
+
+
 class MarkovPredictor:
-    """Shared training/bookkeeping over a list of sub-models."""
+    """Sub-models over one table layout, queried and combined by the fuse
+    rule of the model's kind."""
 
-    kind = "base"
-
-    def __init__(self, submodels, eot=True, tz_offset=0.0):
+    def __init__(self, kind, submodels, eot=True, tz_offset=0.0):
+        self.kind = kind
+        self.fuse = check_kind(kind)[2]
         self.submodels: list[SubModel] = list(submodels)
         self.eot = eot
         self.tz_offset = tz_offset
@@ -148,6 +222,10 @@ class MarkovPredictor:
         if not visits:
             raise DataError("cannot train on an empty visit sequence")
         nodes = [v.node for v in visits]
+        top = max(nodes)
+        if top > MAX_NODE_ID:
+            raise DataError(f"node id {top} does not fit the predictor's 16-bit node ids "
+                            f"(at most {MAX_NODE_ID})")
         for sm in self.submodels:
             k = sm.spec.order
             day, tod = self._buckets(sm.spec, trip_start)
@@ -158,15 +236,20 @@ class MarkovPredictor:
                 sm.table.add((tuple(nodes[-k:]), day, tod), EOT)
 
     def predict(self, history, trip_start):
-        raise NotImplementedError
+        """Fused next-target distribution, or None when no sub-model knows
+        the context."""
+        return self.fuse(self, history, trip_start)
 
-    def _query(self, sm: SubModel, history, trip_start):
+    def query(self, sm: SubModel, history, trip_start):
         k = sm.spec.order
         if len(history) < k:
             return None
         return momm_predict(sm.table, tuple(history[-k:]), self._buckets(sm.spec, trip_start))
 
     def memory_bytes(self) -> int:
+        """Size of the canonical table serialization: per entry 2 bytes per
+        history element plus 2 bytes per bucket, then 20 bytes per target
+        (4 id + 4 count + 8 stay_sum + 4 stay_count)."""
         return sum(_table_bytes(sm.spec.order, sm.table) for sm in self.submodels)
 
     # -- persistence -------------------------------------------------------
@@ -202,132 +285,15 @@ class MarkovPredictor:
     def load_bytes(data: bytes) -> "MarkovPredictor":
         if not data.startswith(_MAGIC):
             raise DataError("not a predictor file")
-        off = len(_MAGIC)
-        (hlen,) = struct.unpack_from("<I", data, off)
-        off += 4
-        cfg = json.loads(data[off:off + hlen])
-        off += hlen
-        cls = {"momm": MommModel, "vomm": VommModel, "fomm": FommModel}.get(cfg["kind"])
-        if cls is None:
-            raise DataError(f"unknown predictor kind {cfg['kind']!r}")
-        model = cls.__new__(cls)
-        MarkovPredictor.__init__(
-            model,
-            [SubModel(SubModelSpec(o, d, t, w)) for o, d, t, w in cfg["submodels"]],
-            eot=cfg["eot"], tz_offset=cfg["tz_offset"])
-        for sm in model.submodels:
-            (n_entries,) = struct.unpack_from("<I", data, off)
-            off += 4
-            counts = struct.unpack_from(f"<{n_entries}H", data, off)
-            off += 2 * n_entries
-            for n_targets in counts:
-                context, targets, off = _decode_entry(data, off, sm.spec.order, n_targets)
-                sm.table.entries[context] = targets
-        if off != len(data):
-            raise DataError("trailing bytes in predictor file")
-        return model
+        try:
+            return _decode(data, len(_MAGIC))
+        except (struct.error, ValueError, KeyError, TypeError, ConfigError) as exc:
+            raise DataError(f"corrupt predictor file: {exc}") from exc
 
     @staticmethod
     def load(path) -> "MarkovPredictor":
         with open(path, "rb") as fh:
             return MarkovPredictor.load_bytes(fh.read())
-
-
-class MommModel(MarkovPredictor):
-    """Fixed order k; no prediction when the history is shorter or unseen."""
-
-    kind = "momm"
-
-    def __init__(self, k, day_split=1, time_split=1, eot=True, tz_offset=0.0, weight=None):
-        if k < 1:
-            raise ConfigError("order must be >= 1")
-        w = default_weight(k, day_split, time_split) if weight is None else weight
-        super().__init__([SubModel(SubModelSpec(k, day_split, time_split, w))],
-                         eot=eot, tz_offset=tz_offset)
-        self.k = k
-
-    def predict(self, history, trip_start):
-        return self._query(self.submodels[0], history, trip_start)
-
-
-class VommModel(MarkovPredictor):
-    """Orders k_max..1, returning the highest-order distribution that exists."""
-
-    kind = "vomm"
-
-    def __init__(self, k_max, day_split=1, time_split=1, eot=True, tz_offset=0.0):
-        if k_max < 1:
-            raise ConfigError("k_max must be >= 1")
-        subs = [SubModel(SubModelSpec(k, day_split, time_split,
-                                      default_weight(k, day_split, time_split)))
-                for k in range(1, k_max + 1)]
-        super().__init__(subs, eot=eot, tz_offset=tz_offset)
-        self.k_max = k_max
-
-    def predict(self, history, trip_start):
-        for sm in reversed(self.submodels):
-            preds = self._query(sm, history, trip_start)
-            if preds is not None:
-                return preds
-        return None
-
-
-class FommModel(MarkovPredictor):
-    """Cartesian product of orders x day splits x time splits, fused by
-    weighted sum and normalization; stays fuse as weight-weighted averages
-    over the sub-models that report one."""
-
-    kind = "fomm"
-
-    def __init__(self, k_max=2, day_splits=(1,), time_splits=(1,), eot=True,
-                 tz_offset=0.0, weight_fn=default_weight, submodels=None):
-        if submodels is None:
-            if k_max < 1:
-                raise ConfigError("k_max must be >= 1")
-            for d in day_splits:
-                if d not in DAY_SPLITS:
-                    raise ConfigError(f"unsupported day split {d}")
-            for t in time_splits:
-                if t not in TIME_SPLITS:
-                    raise ConfigError(f"unsupported time split {t}")
-            submodels = [SubModel(SubModelSpec(k, d, t, weight_fn(k, d, t)))
-                         for k in range(1, k_max + 1)
-                         for d in sorted(day_splits)
-                         for t in sorted(time_splits)]
-            self.k_max = k_max
-        else:
-            submodels = list(submodels)
-            self.k_max = max(sm.spec.order for sm in submodels)
-        super().__init__(submodels, eot=eot, tz_offset=tz_offset)
-
-    def predict(self, history, trip_start):
-        raw: dict[int, float] = {}
-        stay_num: dict[int, float] = {}
-        stay_den: dict[int, float] = {}
-        for sm in self.submodels:
-            preds = self._query(sm, history, trip_start)
-            if preds is None:
-                continue
-            w = sm.spec.weight
-            for p in preds:
-                raw[p.target] = raw.get(p.target, 0.0) + p.probability * w
-                if p.expected_stay is not None:
-                    stay_num[p.target] = stay_num.get(p.target, 0.0) + w * p.expected_stay
-                    stay_den[p.target] = stay_den.get(p.target, 0.0) + w
-        if not raw:
-            return None
-        total = sum(raw.values())
-        return [Prediction(t, raw[t] / total,
-                           stay_num[t] / stay_den[t] if t in stay_den else None)
-                for t in sorted(raw, key=lambda t: (t == EOT, t))]
-
-
-def vomm_predict(model: VommModel, history, trip_start):
-    return model.predict(history, trip_start)
-
-
-def fomm_predict(model: FommModel, history, trip_start):
-    return model.predict(history, trip_start)
 
 
 def dynamic_topn(preds, threshold=None, fixed_n=None, include_eot=True) -> list[int]:
@@ -358,13 +324,6 @@ def dynamic_topn(preds, threshold=None, fixed_n=None, include_eot=True) -> list[
     return selected
 
 
-def model_memory_bytes(model: MarkovPredictor) -> int:
-    """Size of the canonical table serialization: per entry 2 bytes per
-    history element plus 2 bytes per bucket, then 20 bytes per target
-    (4 id + 4 count + 8 stay_sum + 4 stay_count)."""
-    return model.memory_bytes()
-
-
 def _table_bytes(order, table: TransitionTable) -> int:
     per_entry = 2 * order + 4
     return sum(per_entry + TARGET_BYTES * len(t) for t in table.entries.values())
@@ -376,6 +335,27 @@ def _encode_entry(context, targets) -> bytes:
     for target, rec in sorted(targets.items(), key=lambda kv: (kv[0] == EOT, kv[0])):
         parts.append(_TARGET_STRUCT.pack(target, rec.count, rec.stay_sum, rec.stay_count))
     return b"".join(parts)
+
+
+def _decode(data, off) -> MarkovPredictor:
+    (hlen,) = struct.unpack_from("<I", data, off)
+    off += 4
+    cfg = json.loads(data[off:off + hlen])
+    off += hlen
+    model = MarkovPredictor(
+        cfg["kind"], [SubModel(SubModelSpec(o, d, t, w)) for o, d, t, w in cfg["submodels"]],
+        eot=cfg["eot"], tz_offset=cfg["tz_offset"])
+    for sm in model.submodels:
+        (n_entries,) = struct.unpack_from("<I", data, off)
+        off += 4
+        counts = struct.unpack_from(f"<{n_entries}H", data, off)
+        off += 2 * n_entries
+        for n_targets in counts:
+            context, targets, off = _decode_entry(data, off, sm.spec.order, n_targets)
+            sm.table.entries[context] = targets
+    if off != len(data):
+        raise DataError("trailing bytes in predictor file")
+    return model
 
 
 def _decode_entry(data, off, order, n_targets):

@@ -10,17 +10,17 @@ retention policy at session ends.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .errors import ConfigError
-from .markov import (EOT, FommModel, MommModel, VommModel, dynamic_topn)
+from .markov import EOT, KINDS, check_kind, dynamic_topn, make_model
 from .startup import (DEFAULT_MIN_SAMPLES, DEFAULT_PLMM_THRESHOLD,
                       DEFAULT_RETENTION_FACTOR, FIXED, RETENTION_MODES,
                       PauseStats, PlmmModel, RetentionDecision, plmm_retention,
                       record_pause, short_pause_retention)
 from .traces import NodeVisit
 
-PREDICTORS = ("baseline", "momm", "vomm", "fomm")
+PREDICTORS = ("baseline", *KINDS)
 STARTUP_MODES = ("none", "short_pause", "plmm")
 
 IMMEDIATE_BUFFER = 86400.0  # larger than any stay: replicate right away
@@ -35,7 +35,6 @@ class Replicate:
 @dataclass(frozen=True)
 class Delete:
     node: int
-    at: float
 
 
 @dataclass(frozen=True)
@@ -67,13 +66,13 @@ class PolicyConfig:
     plmm_threshold: float = DEFAULT_PLMM_THRESHOLD
     retention_factor: float = DEFAULT_RETENTION_FACTOR
     min_samples: int = DEFAULT_MIN_SAMPLES
-    tz_offset: float = 0.0
+    tz_offset: float = 0.0            # local time of the trace; set from trace.tz_offset
 
     def validate(self):
         if self.predictor not in PREDICTORS:
             raise ConfigError(f"predictor: unknown predictor {self.predictor!r}; expected one of {PREDICTORS}")
-        if self.predictor != "baseline" and self.k < 1:
-            raise ConfigError("predictor.k: must be >= 1")
+        if self.predictor != "baseline":
+            check_kind(self.predictor, self.k, self.day_splits, self.time_splits)
         if self.topn_mode not in ("fixed", "dynamic"):
             raise ConfigError(f"topn.type: unknown mode {self.topn_mode!r}")
         if self.topn_mode == "dynamic" and not 0.0 < self.topn_threshold <= 1.0:
@@ -88,86 +87,12 @@ class PolicyConfig:
             raise ConfigError("preload_buffer: must be >= 0")
         return self
 
-    @staticmethod
-    def from_dict(doc: dict, name=None) -> "PolicyConfig":
-        doc = dict(doc)
-        kwargs = {}
-        doc_name = doc.pop("name", None)
-        if name is not None:
-            kwargs["name"] = str(name)
-        elif doc_name is not None:
-            kwargs["name"] = str(doc_name)
-        pred = doc.pop("predictor", "baseline")
-        if isinstance(pred, str):
-            kwargs["predictor"] = pred
-        else:
-            pred = dict(pred)
-            kwargs["predictor"] = pred.pop("type", "baseline")
-            if "k" in pred:
-                kwargs["k"] = int(pred.pop("k"))
-            if "day_splits" in pred:
-                kwargs["day_splits"] = tuple(int(x) for x in pred.pop("day_splits"))
-            if "time_splits" in pred:
-                kwargs["time_splits"] = tuple(int(x) for x in pred.pop("time_splits"))
-            if pred:
-                raise ConfigError(f"predictor: unknown keys {sorted(pred)}")
-        if "k" in doc:
-            kwargs["k"] = int(doc.pop("k"))
-        if "eot" in doc:
-            kwargs["eot"] = bool(doc.pop("eot"))
-        topn = doc.pop("topn", None)
-        if topn is not None:
-            topn = dict(topn)
-            kwargs["topn_mode"] = topn.pop("type", "fixed")
-            if "n" in topn:
-                kwargs["topn_n"] = int(topn.pop("n"))
-            if "threshold" in topn:
-                kwargs["topn_threshold"] = float(topn.pop("threshold"))
-            if "include_eot" in topn:
-                kwargs["topn_include_eot"] = bool(topn.pop("include_eot"))
-            if topn:
-                raise ConfigError(f"topn: unknown keys {sorted(topn)}")
-        if "preload_buffer" in doc:
-            kwargs["preload_buffer"] = float(doc.pop("preload_buffer"))
-        startup = doc.pop("startup", None)
-        if startup is not None:
-            if isinstance(startup, str):
-                kwargs["startup_mode"] = startup
-            else:
-                startup = dict(startup)
-                kwargs["startup_mode"] = startup.pop("type", "none")
-                if "mode" in startup:
-                    kwargs["short_pause_mode"] = str(startup.pop("mode"))
-                if "duration" in startup:
-                    kwargs["short_pause_duration"] = float(startup.pop("duration"))
-                if "max" in startup:
-                    kwargs["short_pause_max"] = float(startup.pop("max"))
-                if "threshold" in startup:
-                    kwargs["plmm_threshold"] = float(startup.pop("threshold"))
-                if "factor" in startup:
-                    kwargs["retention_factor"] = float(startup.pop("factor"))
-                if "min_samples" in startup:
-                    kwargs["min_samples"] = int(startup.pop("min_samples"))
-                if startup:
-                    raise ConfigError(f"startup: unknown keys {sorted(startup)}")
-        if "tz_offset" in doc:
-            kwargs["tz_offset"] = float(doc.pop("tz_offset"))
-        if doc:
-            raise ConfigError(f"policy: unknown keys {sorted(doc)}")
-        return PolicyConfig(**kwargs).validate()
-
 
 def build_predictor(config: PolicyConfig):
     if config.predictor == "baseline":
         return None
-    if config.predictor == "momm":
-        return MommModel(config.k, eot=config.eot, tz_offset=config.tz_offset)
-    if config.predictor == "vomm":
-        return VommModel(config.k, eot=config.eot, tz_offset=config.tz_offset)
-    if config.predictor == "fomm":
-        return FommModel(config.k, config.day_splits, config.time_splits,
-                         eot=config.eot, tz_offset=config.tz_offset)
-    raise ConfigError(f"unknown predictor {config.predictor!r}")
+    return make_model(config.predictor, config.k, config.day_splits, config.time_splits,
+                      eot=config.eot, tz_offset=config.tz_offset)
 
 
 class ReplicaView:
@@ -223,12 +148,12 @@ class ReplicaPolicy:
         actions: list[PlacementAction] = []
         for other in sorted(view.tracked()):
             if other != node:
-                actions.append(Delete(other, t))
+                actions.append(Delete(other))
         decision = self._retention_decision(node, t)
         if decision.keep and decision.until > t:
             actions.append(Retain(node, decision.until))
         elif node in view.tracked():
-            actions.append(Delete(node, t))
+            actions.append(Delete(node))
         self._train(t)
         self.last_shutdown = (node, t)
         self.trip_start = None
@@ -269,7 +194,7 @@ class ReplicaPolicy:
         justified = {node} | set(selected)
         for other in sorted(view.tracked()):
             if other not in justified:
-                actions.append(Delete(other, t))
+                actions.append(Delete(other))
         if not view.present(node):
             actions.append(Replicate(node, t))
         for target in selected:

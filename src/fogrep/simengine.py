@@ -11,7 +11,7 @@ generation counter instead of being removed from the heap.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError, EngineInvariantError
 from .policies import (Delete, PolicyConfig, Replicate, ReplicaPolicy,
@@ -63,10 +63,6 @@ class ReplicaLedger:
 
     def clients(self) -> list[str]:
         return sorted({c for c, _ in self._intervals})
-
-    def total_presence(self, client) -> float:
-        return sum(b - a for (c, _), ivs in self._intervals.items() if c == client
-                   for a, b in ivs)
 
     def items(self):
         return self._intervals.items()
@@ -262,14 +258,12 @@ class SimulationEngine:
         return True
 
     def _apply(self, now, client, action):
-        if isinstance(action, Replicate):
-            node, at = action.node, action.at
-        elif isinstance(action, (Delete, Retain)):
-            node = action.node
+        node = action.node
         if node not in self._edge_ids:
             raise ConfigError(f"action references unknown node id {node}")
         st = self._state(client, node)
         if isinstance(action, Replicate):
+            at = action.at
             if at < now:
                 raise EngineInvariantError(f"replicate scheduled in the past: {at} < {now}")
             if st.status in (_PRESENT, _RETAINED, _IN_FLIGHT):

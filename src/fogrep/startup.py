@@ -4,7 +4,7 @@ one) that predicts the startup node and expected pause duration.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError, DataError
 

@@ -12,11 +12,8 @@ from __future__ import annotations
 
 import calendar
 import csv
-import io
 import time
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import ConfigError, EmptyTraceError, TraceFormatError, TraceOverlapError
 from .topology import Topology, nearest_nodes
@@ -283,7 +280,6 @@ class SchedulePattern:
     days: list[int]              # 0 = Monday
     start_clock: float           # seconds past local midnight
     path: list[tuple[int, float]]  # (node id, stay seconds)
-    min_pause: float = 0.0       # validation only: required gap after this trip
 
 
 @dataclass
@@ -361,7 +357,6 @@ def synth_from_dict(doc: dict) -> list[ClientTimeline]:
                 days=[parse_day(d) for d in pat["days"]],
                 start_clock=parse_clock(str(pat["start"])),
                 path=[(int(n), float(s)) for n, s in pat["path"]],
-                min_pause=float(pat.get("min_pause", 0.0)),
             ))
         anchor = entry.get("anchor", doc.get("anchor", 0.0))
         spec = SyntheticSpec(

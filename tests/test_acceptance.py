@@ -9,9 +9,9 @@ from contextlib import contextmanager
 
 import pytest
 
-from fogrep.markov import (FommModel, MommModel, SubModel, SubModelSpec,
-                           TargetRecord, TransitionTable, VommModel,
-                           dynamic_topn)
+from fogrep.markov import (MarkovPredictor, SubModel, SubModelSpec,
+                           TargetRecord, TransitionTable, dynamic_topn,
+                           make_model)
 from fogrep.metrics import availability, compute_report, excess_data
 from fogrep.policies import PolicyConfig
 from fogrep.simengine import run
@@ -51,7 +51,7 @@ def test_criterion_1_fusion_correctness():
         # (weight 2) sees A->B only: raw {B: 2.5, C: 0.5} -> {B: 5/6, C: 1/6}
         t1 = table_of({((0,), 1): (1, 100.0, 1), ((0,), 2): (1, 100.0, 1)})
         t2 = table_of({((0,), 1): (3, 300.0, 3)})
-        model = FommModel(submodels=[
+        model = MarkovPredictor("fomm", [
             SubModel(SubModelSpec(1, 1, 1, 1.0), t1),
             SubModel(SubModelSpec(1, 1, 4, 2.0), t2),
         ])
@@ -68,7 +68,7 @@ def test_criterion_1_fusion_correctness():
                     rows[((0,), target)] = (rng.randint(1, 9), float(rng.randint(60, 900)), 1)
                 subs.append(SubModel(SubModelSpec(1, 1, 1, rng.uniform(0.05, 20.0)),
                                      table_of(rows)))
-            preds = FommModel(submodels=subs).predict([0], 0.0)
+            preds = MarkovPredictor("fomm", subs).predict([0], 0.0)
             assert abs(sum(p.probability for p in preds) - 1.0) <= 1e-9
 
 
@@ -130,7 +130,7 @@ def test_criterion_4_periodic_trace_convergence():
 
         # top-1 accuracy over week 2 onward is perfect (same plain
         # configuration as the simulated policy: no end-of-trip extension)
-        model = VommModel(2, eot=False)
+        model = make_model("vomm", 2, eot=False)
         checked = wrong = 0
         for visits in tl.sessions:
             trip_start = visits[0].arrival
@@ -238,9 +238,9 @@ def test_criterion_7_model_properties_on_1000_tables():
                                             rng.randint(1, 9))
                 subs.append((rng.uniform(0.1, 10.0), table_of(rows)))
             scale = rng.uniform(0.01, 100.0)
-            m1 = FommModel(submodels=[SubModel(SubModelSpec(1, 1, 1, w), t) for w, t in subs])
-            m2 = FommModel(submodels=[SubModel(SubModelSpec(1, 1, 1, w * scale), t)
-                                      for w, t in subs])
+            m1 = MarkovPredictor("fomm", [SubModel(SubModelSpec(1, 1, 1, w), t) for w, t in subs])
+            m2 = MarkovPredictor("fomm", [SubModel(SubModelSpec(1, 1, 1, w * scale), t)
+                                          for w, t in subs])
             p1 = {p.target: p.probability for p in m1.predict([0], 0.0)}
             p2 = {p.target: p.probability for p in m2.predict([0], 0.0)}
             assert set(p1) == set(p2)
@@ -251,8 +251,8 @@ def test_criterion_7_model_properties_on_1000_tables():
             seed = rng.randrange(10 ** 9)
             srng = random.Random(seed)
             sessions = random_training_sessions(srng)
-            momm = MommModel(1)
-            vomm = VommModel(1)
+            momm = make_model("momm", 1)
+            vomm = make_model("vomm", 1)
             for visits in sessions:
                 momm.train_session(visits, 0.0)
                 vomm.train_session(visits, 0.0)

@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 from fogrep.cli import main
+from fogrep.errors import ConfigError
+from fogrep.experiment import parse_experiment_config
 
 REPO = Path(__file__).resolve().parent.parent
 SMOKE_CONFIG = REPO / "configs" / "smoke.yaml"
@@ -152,3 +154,54 @@ class TestReport:
 
     def test_missing_results_file(self, tmp_path):
         assert main(["report", str(tmp_path / "none.csv")]) == 3
+
+
+def error_config(top="seed: 1", topo="rows: 1", policy="predictor: baseline"):
+    """A ten-line experiment file; each argument replaces one line
+    (``top`` line 3, ``topo`` line 6, ``policy`` line 10)."""
+    return ("experiment: errors\n"
+            "trace: {source: visits, path: visits.csv}\n"
+            f"{top}\n"
+            "topologies:\n"
+            "  - name: strip-2\n"
+            f"    {topo}\n"
+            "    cols: 2\n"
+            "policies:\n"
+            "  - name: p\n"
+            f"    {policy}\n")
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("override, key_path, line", [
+        ({"policy": "predictor: {type: vomm, k: two}"}, "policies[0].predictor.k", 10),
+        ({"top": "jobs: many"}, "jobs", 3),
+        ({"policy": 'eot: "false"'}, "policies[0].eot", 10),
+        ({"policy": "predictor: {type: vomm, k: 2.5}"}, "policies[0].predictor.k", 10),
+        ({"policy": "predictor: {type: vomm, k: 2, day_splits: [1, 7]}"},
+         "policies[0].predictor.day_splits", 10),
+        ({"policy": "predictor: {type: momm, k: 1, time_splits: [1, 24]}"},
+         "policies[0].predictor.time_splits", 10),
+        ({"topo": "bbox: [1, 2, 3]"}, "topologies[0].bbox", 6),
+        ({"topo": "kind: ring"}, "topologies[0].kind", 6),
+    ], ids=["k-word", "jobs-word", "eot-string", "k-float", "vomm-day-splits",
+            "momm-time-splits", "bbox-three", "kind-unknown"])
+    def test_run_names_key_path_and_line(self, tmp_path, capsys, override, key_path, line):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(error_config(**override))
+        code = main(["run", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{key_path}:" in err and f"(line {line})" in err
+
+    def test_time_zone_comes_from_the_trace(self):
+        text = ("experiment: tz\n"
+                "trace: {source: geolife, path: geolife, tz_offset: 0}\n"
+                "policies:\n"
+                "  - name: baseline\n"
+                "  - name: fomm\n"
+                "    predictor: {type: fomm, k: 1, time_splits: [1, 24]}\n")
+        assert [p.tz_offset for p in parse_experiment_config(text).policies] == [0.0, 0.0]
+        geolife_default = parse_experiment_config(text.replace(", tz_offset: 0", ""))
+        assert [p.tz_offset for p in geolife_default.policies] == [28800.0, 28800.0]
+        with pytest.raises(ConfigError, match=r"policies\[1\]\.tz_offset: unknown key \(line 7\)"):
+            parse_experiment_config(text + "    tz_offset: 0\n")

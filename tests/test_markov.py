@@ -1,15 +1,16 @@
 import calendar
+import hashlib
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fogrep.errors import ConfigError
-from fogrep.markov import (EOT, FommModel, MommModel, Prediction, SubModel,
-                           SubModelSpec, TransitionTable, VommModel, bucketize,
-                           default_weight, dynamic_topn, model_memory_bytes,
-                           momm_predict, MarkovPredictor)
+from fogrep.errors import ConfigError, DataError
+from fogrep.markov import (EOT, MarkovPredictor, Prediction, SubModel,
+                           SubModelSpec, TransitionTable, bucketize,
+                           dynamic_topn, make_model, momm_predict)
 from fogrep.traces import NodeVisit
 
 
@@ -59,7 +60,7 @@ class TestBucketize:
 
 class TestTrainSession:
     def test_order1_counts_and_stays(self):
-        m = MommModel(1)
+        m = make_model("momm", 1)
         m.train_session(visits(("A", 0, 600), ("B", 600, 900)), trip_start=0.0)
         table = m.submodels[0].table
         rec = table.lookup(((A,), 0, 0))
@@ -69,21 +70,21 @@ class TestTrainSession:
         assert len(table) == 2
 
     def test_single_visit_only_eot(self):
-        m = MommModel(1)
+        m = make_model("momm", 1)
         m.train_session(visits(("A", 0, 100)), trip_start=0.0)
         table = m.submodels[0].table
         assert len(table) == 1
         assert table.lookup(((A,), 0, 0))[EOT].count == 1
 
     def test_order2_two_visits_only_eot(self):
-        m = MommModel(2)
+        m = make_model("momm", 2)
         m.train_session(visits(("A", 0, 600), ("B", 600, 900)), trip_start=0.0)
         table = m.submodels[0].table
         assert len(table) == 1
         assert table.lookup(((A, B), 0, 0))[EOT].count == 1
 
     def test_eot_disabled_records_no_eot(self):
-        m = MommModel(1, eot=False)
+        m = make_model("momm", 1, eot=False)
         m.train_session(visits(("A", 0, 600), ("B", 600, 900)), trip_start=0.0)
         table = m.submodels[0].table
         assert table.lookup(((B,), 0, 0)) is None
@@ -113,7 +114,7 @@ class TestMommPredict:
         assert preds[0].expected_stay is None
 
     def test_expected_stay_is_mean(self):
-        m = MommModel(1)
+        m = make_model("momm", 1)
         m.train_session(visits(("A", 0, 100), ("B", 100, 200)), 0.0)
         m.train_session(visits(("A", 0, 300), ("B", 300, 400)), 0.0)
         preds = m.predict([A], 0.0)
@@ -123,7 +124,7 @@ class TestMommPredict:
 
 class TestVommPredict:
     def test_higher_order_wins(self):
-        m = VommModel(2)
+        m = make_model("vomm", 2)
         # order-2 contexts come from sessions of length >= 3
         m.train_session(visits(("A", 0, 100), ("B", 100, 200), ("C", 200, 300)), 0.0)
         m.train_session(visits(("D", 0, 100), ("B", 100, 200), ("D", 200, 250)), 0.0)
@@ -131,23 +132,23 @@ class TestVommPredict:
         assert {p.target: p.probability for p in preds if p.target != EOT} == {C: 1.0}
 
     def test_fallback_to_order1(self):
-        m = VommModel(2)
+        m = make_model("vomm", 2)
         m.train_session(visits(("A", 0, 100), ("B", 100, 200), ("C", 200, 300)), 0.0)
         preds = m.predict([D, A], 0.0)  # order-2 context (D, A) unseen; order-1 (A,) known
         assert {p.target for p in preds} == {B}
 
     def test_all_orders_miss(self):
-        m = VommModel(3)
+        m = make_model("vomm", 3)
         m.train_session(visits(("A", 0, 100), ("B", 100, 200)), 0.0)
         assert m.predict([C], 0.0) is None
 
     def test_untrained_is_none(self):
-        assert VommModel(2).predict([A], 0.0) is None
+        assert make_model("vomm", 2).predict([A], 0.0) is None
 
 
 def fomm_from_tables(specs_tables, eot=True):
     subs = [SubModel(SubModelSpec(*spec), table) for spec, table in specs_tables]
-    return FommModel(submodels=subs, eot=eot)
+    return MarkovPredictor("fomm", subs, eot=eot)
 
 
 def table_of(order, rows):
@@ -177,7 +178,7 @@ class TestFommPredict:
         assert preds[C] == pytest.approx(1 / 6, abs=1e-12)
 
     def test_untrained_is_none(self):
-        assert FommModel(2, (1, 2), (1, 4)).predict([A], 0.0) is None
+        assert make_model("fomm", 2, (1, 2), (1, 4)).predict([A], 0.0) is None
 
     def test_stay_fusion_weighted_average(self):
         t1 = table_of(1, {((A,), B): (1, 100.0, 1)})   # stay 100
@@ -187,9 +188,9 @@ class TestFommPredict:
         assert pred.expected_stay == pytest.approx((1 * 100 + 3 * 400) / 4)
 
     def test_submodel_count_is_cartesian_product(self):
-        m = FommModel(2, day_splits=(1, 2, 7), time_splits=(1, 4, 24))
+        m = make_model("fomm", 2, day_splits=(1, 2, 7), time_splits=(1, 4, 24))
         assert len(m.submodels) == 2 * 3 * 3
-        m5 = FommModel(5, day_splits=(1, 2), time_splits=(1, 4))
+        m5 = make_model("fomm", 5, day_splits=(1, 2), time_splits=(1, 4))
         assert len(m5.submodels) == 5 * 2 * 2
 
 
@@ -244,16 +245,16 @@ class TestDynamicTopN:
 
 class TestMemoryAndPersistence:
     def test_empty_model_zero(self):
-        assert model_memory_bytes(MommModel(1)) == 0
+        assert make_model("momm", 1).memory_bytes() == 0
 
     def test_single_entry_single_target(self):
-        m = MommModel(1, eot=False)
+        m = make_model("momm", 1, eot=False)
         m.train_session(visits(("A", 0, 600), ("B", 600, 900)), 0.0)
         # 2 bytes history + 4 bytes buckets + (4 + 4 + 8 + 4) per target
-        assert model_memory_bytes(m) == 26
+        assert m.memory_bytes() == 26
 
     def test_growth_is_monotonic(self):
-        m = VommModel(2)
+        m = make_model("vomm", 2)
         rng = random.Random(1)
         prev = 0
         for _ in range(20):
@@ -266,12 +267,12 @@ class TestMemoryAndPersistence:
                 fixed.append(NodeVisit(v.node, t, t + 100.0))
                 t += 100.0
             m.train_session(fixed, 0.0)
-            size = model_memory_bytes(m)
+            size = m.memory_bytes()
             assert size >= prev
             prev = size
 
     def test_save_load_round_trip(self, tmp_path):
-        m = FommModel(2, day_splits=(1, 7), time_splits=(1, 24), tz_offset=8 * 3600.0)
+        m = make_model("fomm", 2, day_splits=(1, 7), time_splits=(1, 24), tz_offset=8 * 3600.0)
         m.train_session(visits(("A", 0, 600), ("B", 600, 900), ("C", 900, 1000)),
                         ts("2008-10-23", "02:53:04"))
         m.train_session(visits(("A", 0, 500), ("C", 500, 900)), ts("2008-10-24", "08:00:00"))
@@ -286,7 +287,7 @@ class TestMemoryAndPersistence:
     def test_data_sections_equal_memory_metric(self, tmp_path):
         import json
         import struct
-        m = VommModel(3)
+        m = make_model("vomm", 3)
         m.train_session(visits(("A", 0, 600), ("B", 600, 900), ("C", 900, 1000)), 0.0)
         blob = m.save_bytes()
         off = len(b"FGMK1\n")
@@ -306,7 +307,7 @@ class TestMemoryAndPersistence:
 
 
 def random_momm(rng, k=1, nodes=4, sessions=6, eot=True):
-    m = MommModel(k, eot=eot)
+    m = make_model("momm", k, eot=eot)
     for _ in range(sessions):
         length = rng.randint(2, 6)
         path = [rng.randrange(nodes)]
@@ -372,7 +373,7 @@ class TestProperties:
         for trial in range(25):
             seed = rng.randrange(10 ** 9)
             momm = random_momm(random.Random(seed), k=1)
-            vomm = VommModel(1)
+            vomm = make_model("vomm", 1)
             for sm_m, sm_v in zip(momm.submodels, vomm.submodels):
                 sm_v.table.entries = sm_m.table.entries
             for history in ([0], [1], [2], [3]):
@@ -384,7 +385,7 @@ class TestProperties:
         # one training period over a fixed daily loop, then every context's
         # top-1 equals the realized next node
         loop = [(0, 600.0), (1, 900.0), (2, 600.0), (3, 300.0)]
-        m = VommModel(2, eot=True)
+        m = make_model("vomm", 2, eot=True)
         day = []
         t = 0.0
         for node, stay in loop:
@@ -397,3 +398,78 @@ class TestProperties:
             preds = m.predict(history, 0.0)
             top = max(preds, key=lambda p: (p.probability, p.target != EOT))
             assert top.target == day[i + 1].node
+
+
+# Fixed training trips: (node, stay) paths with their start times.
+GOLDEN_TRIPS = [
+    ([(0, 600), (1, 300), (2, 900)], ts("2008-10-23", "02:53:04")),
+    ([(0, 500), (2, 400)], ts("2008-10-24", "08:00:00")),
+    ([(3, 120), (1, 60), (0, 240), (1, 30)], ts("2008-10-25", "18:30:00")),
+    ([(4464, 100), (1, 200), (2, 300)], ts("2008-10-26", "23:59:59")),
+]
+
+# kind -> (SHA-256 of save_bytes(), memory_bytes()) for the models below,
+# recorded with the one-class-per-kind implementation this file format
+# started with; the format and the sizes must never drift.
+GOLDEN_FILES = {
+    "momm": ("677c772683074a31e3930bd6ab6d155bd80ccc2002216031f3844a117ad99d42", 188),
+    "vomm": ("d31c970e81f6fdacb7ffdf8e76639ce87f7fa9573b8fa8223fdd51b5a4798f92", 498),
+    "fomm": ("0403e1d0247e08b5e546bbcaef98b69005276c0a86958ca0bf7fb103ceea952d", 4346),
+}
+
+
+def golden_model(kind):
+    if kind == "fomm":
+        m = make_model("fomm", 2, day_splits=(1, 2, 7), time_splits=(1, 4, 24),
+                       tz_offset=8 * 3600.0)
+    else:
+        m = make_model(kind, 2 if kind == "momm" else 3)
+    for path, start in GOLDEN_TRIPS:
+        t, trip = start, []
+        for node, stay in path:
+            trip.append(NodeVisit(node, t, t + stay))
+            t += stay
+        m.train_session(trip, start)
+    return m
+
+
+class TestGoldenPersistence:
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_FILES))
+    def test_digest_sizes_and_round_trip(self, kind):
+        m = golden_model(kind)
+        blob = m.save_bytes()
+        digest, size = GOLDEN_FILES[kind]
+        assert hashlib.sha256(blob).hexdigest() == digest
+        assert m.memory_bytes() == size
+        loaded = MarkovPredictor.load_bytes(blob)
+        assert loaded.kind == kind
+        assert loaded.save_bytes() == blob
+        assert loaded.memory_bytes() == size
+        for path, start in GOLDEN_TRIPS:
+            nodes = [n for n, _ in path]
+            for i in range(1, len(nodes) + 1):
+                assert loaded.predict(nodes[:i], start) == m.predict(nodes[:i], start)
+
+    def test_node_id_above_16_bits_is_data_error(self):
+        m = make_model("vomm", 2)
+        with pytest.raises(DataError, match="65536"):
+            m.train_session(visits((0, 0, 10), (65536, 10, 20)), 0.0)
+        assert m.memory_bytes() == 0
+        m.train_session(visits((0, 0, 10), (65535, 10, 20)), 0.0)  # the largest id fits
+        assert MarkovPredictor.load_bytes(m.save_bytes()).save_bytes() == m.save_bytes()
+
+    def test_truncated_or_garbled_file_is_data_error(self):
+        blob = golden_model("fomm").save_bytes()
+        magic = b"FGMK1\n"
+        (hlen,) = struct.unpack_from("<I", blob, len(magic))
+        header_end = len(magic) + 4 + hlen
+        bad_files = [blob[:n] for n in (len(magic) + 1, len(magic) + 4, len(magic) + 20,
+                                        header_end, header_end + 7, len(blob) - 1)]
+        bad_files.append(blob[:len(magic) + 4] + b"#" + blob[len(magic) + 5:])  # header not JSON
+        bad_files.append(blob[:len(magic) + 4] + b"\xff" + blob[len(magic) + 5:])  # not UTF-8
+        for header in (b"[]", b"{}", b'{"kind": "hmm", "eot": true, "tz_offset": 0, "submodels": []}',
+                       b'{"kind": "vomm", "eot": true, "tz_offset": 0, "submodels": [[1, 1]]}'):
+            bad_files.append(magic + struct.pack("<I", len(header)) + header)
+        for bad in bad_files:
+            with pytest.raises(DataError):
+                MarkovPredictor.load_bytes(bad)

@@ -1,6 +1,7 @@
 import pytest
 
 from fogrep.errors import ConfigError
+from fogrep.experiment import parse_policy
 from fogrep.markov import EOT
 from fogrep.policies import (Delete, PolicyConfig, Replicate, ReplicaPolicy,
                              ReplicaView, Retain, make_policy)
@@ -60,13 +61,13 @@ class TestBaseline:
         policy = baseline()
         policy.on_session_start(A, 0.0, FakeView())
         actions = policy.on_arrival(B, 50.0, FakeView(present={A}))
-        assert actions == [Delete(A, 50.0), Replicate(B, 50.0)]
+        assert actions == [Delete(A), Replicate(B, 50.0)]
 
     def test_session_end_deletes(self):
         policy = baseline()
         policy.on_session_start(A, 0.0, FakeView())
         actions = policy.on_session_end(A, 500.0, FakeView(present={A}))
-        assert actions == [Delete(A, 500.0)]
+        assert actions == [Delete(A)]
 
     def test_no_memory(self):
         assert baseline().memory_bytes() == 0
@@ -77,7 +78,7 @@ class TestPredictive:
         policy = predictive()
         assert policy.on_session_start(A, 0.0, FakeView()) == [Replicate(A, 0.0)]
         actions = policy.on_arrival(B, 60.0, FakeView(present={A}))
-        assert actions == [Delete(A, 60.0), Replicate(B, 60.0)]
+        assert actions == [Delete(A), Replicate(B, 60.0)]
 
     def test_preload_timing_rule(self):
         # expected stay 600, transfer 300, buffer 10 -> replicate at t + 290
@@ -155,7 +156,7 @@ class TestSessionEnd:
         policy.on_session_end(B, 500.0, FakeView(present={B}))
         policy.on_session_start(A, 900.0, FakeView())
         actions = policy.on_session_end(A, 1000.0, FakeView(present={A}))
-        assert actions == [Delete(A, 1000.0)]
+        assert actions == [Delete(A)]
 
     def test_plmm_match_retains_padded(self):
         policy = make_policy(PolicyConfig(startup_mode="plmm", plmm_threshold=1500.0))
@@ -171,8 +172,8 @@ class TestSessionEnd:
         t0 = 40_000_000.0
         policy.on_session_start(A, t0, FakeView())
         actions = policy.on_session_end(A, t0 + 50.0, FakeView(present={A}, tracked_only={B}))
-        assert Delete(B, t0 + 50.0) in actions
-        assert Delete(A, t0 + 50.0) in actions
+        assert Delete(B) in actions
+        assert Delete(A) in actions
 
 
 class TestCombinationComposes:
@@ -201,7 +202,7 @@ class TestCombinationComposes:
 
 class TestPolicyConfig:
     def test_from_dict_full(self):
-        cfg = PolicyConfig.from_dict({
+        cfg = parse_policy({
             "name": "vomm-k2-dyn90",
             "predictor": {"type": "vomm", "k": 2},
             "eot": True,
@@ -215,18 +216,18 @@ class TestPolicyConfig:
 
     def test_unknown_predictor_named(self):
         with pytest.raises(ConfigError, match="predictor"):
-            PolicyConfig.from_dict({"predictor": "oracle"})
+            parse_policy({"predictor": "oracle"})
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="topn"):
-            PolicyConfig.from_dict({"topn": {"type": "fixed", "frobnicate": 1}})
+            parse_policy({"topn": {"type": "fixed", "frobnicate": 1}})
 
     def test_bad_threshold(self):
         with pytest.raises(ConfigError, match="threshold"):
-            PolicyConfig.from_dict({"predictor": "momm", "topn": {"type": "dynamic", "threshold": 2.0}})
+            parse_policy({"predictor": "momm", "topn": {"type": "dynamic", "threshold": 2.0}})
 
     def test_fomm_splits(self):
-        cfg = PolicyConfig.from_dict({
+        cfg = parse_policy({
             "predictor": {"type": "fomm", "k": 3, "day_splits": [1, 2, 7],
                           "time_splits": [1, 4, 24]}})
         policy = make_policy(cfg)
