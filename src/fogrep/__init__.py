@@ -19,7 +19,7 @@ from .topology import (BEIJING_BBOX, FixedDelay, FlowGraph, FogNode, Link,
                        nearest_nodes, transfer_time)
 from .traces import (ClientTimeline, GeoPoint, NodeVisit, Pause, Session,
                      SyntheticSpec, build_timeline, map_to_node_visits,
-                     parse_plt, read_visits_csv, sessionize, synth_from_dict,
-                     synth_generate, write_visits_csv)
+                     parse_plt, read_visits_csv, sessionize, synth_generate,
+                     write_visits_csv)
 
 __version__ = "0.1.0"

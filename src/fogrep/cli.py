@@ -56,12 +56,7 @@ def _cmd_ingest(args) -> int:
     except ValueError:
         raise ConfigError(f"--grid: expected ROWSxCOLS, got {args.grid!r}")
     topo = build_grid(rows, cols, tuple(args.bbox))
-    root = Path(args.geolife)
-    if not root.exists():
-        raise DataError(
-            f"GeoLife directory not found: {root}. Download the 'GeoLife GPS Trajectories 1.3' "
-            "dataset and pass the folder containing Data/<user>/Trajectory/*.plt")
-    timelines = load_geolife_dir(root, topo, gap_threshold=args.gap_threshold,
+    timelines = load_geolife_dir(args.geolife, topo, gap_threshold=args.gap_threshold,
                                  clients=args.clients)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

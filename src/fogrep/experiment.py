@@ -10,22 +10,26 @@ archivable.
 from __future__ import annotations
 
 import concurrent.futures
+import csv
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
 
+from . import __version__
 from .errors import ConfigError, DataError
-from .metrics import compute_report, write_report_csv
+from .metrics import active_time, compute_report, write_report_csv
 from .policies import PolicyConfig
 from .simengine import run as run_simulation
 from .simengine import snapshot_memory, write_event_log_csv
 from .topology import (BEIJING_BBOX, DEFAULT_EDGE_RATE, DEFAULT_UPLINK_RATE,
                        FixedDelay, FlowGraph, Topology, build_complex_network,
                        build_grid)
-from .traces import (DEFAULT_GAP_THRESHOLD, load_geolife_dir, read_visits_csv,
-                     synth_from_dict, write_visits_csv)
+from .traces import (DEFAULT_GAP_THRESHOLD, SchedulePattern, SyntheticSpec,
+                     load_geolife_dir, read_visits_csv, synth_generate,
+                     write_visits_csv)
 
 GEOLIFE_TZ_OFFSET = 8 * 3600.0
 
@@ -61,11 +65,11 @@ def load_yaml_with_lines(text: str, source="<config>"):
     return doc, lines
 
 
-def _strict(types, what, cast=None):
+def _strict(types, what, cast=None, ok=lambda v: True):
     """Converter accepting only values of ``types`` (never a bool in place
-    of a number or a string)."""
+    of a number or a string) for which ``ok`` holds."""
     def convert(v):
-        if not isinstance(v, types) or (isinstance(v, bool) and bool not in types):
+        if not isinstance(v, types) or (isinstance(v, bool) and bool not in types) or not ok(v):
             raise ValueError(f"expected {what}, got {v!r}")
         return cast(v) if cast else v
     return convert
@@ -75,6 +79,30 @@ _integer = _strict((int,), "an integer")
 _number = _strict((int, float), "a number", float)
 _boolean = _strict((bool,), "true or false")
 _text = _strict((str, int, float), "a string", str)
+_list = _strict((list,), "a list")
+_positive = _strict((int, float), "a number > 0", float, lambda v: v > 0)
+_non_negative = _strict((int, float), "a number >= 0", float, lambda v: v >= 0)
+_positive_integer = _strict((int,), "an integer > 0", ok=lambda v: v > 0)
+_WEEKDAYS = ("monday", "tuesday", "wednesday", "thursday", "friday", "saturday", "sunday")
+
+
+def _weekday(v) -> int:
+    """A weekday name (``mon`` or ``monday``, any case) or index, 0 = Monday."""
+    if isinstance(v, str):
+        for index, name in enumerate(_WEEKDAYS):
+            if v.lower() in (name, name[:3]):
+                return index
+    elif _integer(v) in range(7):
+        return v
+    raise ValueError(f"expected a weekday name or 0-6, got {v!r}")
+
+
+def _clock(v) -> int:
+    """A quoted ``"HH:MM"`` wall-clock time -> seconds past midnight."""
+    match = re.fullmatch(r"([01]?\d|2[0-3]):([0-5]\d)", v) if isinstance(v, str) else None
+    if match is None:
+        raise ValueError(f'expected a quoted "HH:MM" time, got {v!r}')
+    return int(match[1]) * 3600 + int(match[2]) * 60
 
 
 def _list_of(convert, length=None):
@@ -83,6 +111,13 @@ def _list_of(convert, length=None):
             raise ValueError(f"expected a list{f' of {length} items' if length else ''}, got {v!r}")
         return tuple(convert(x) for x in v)
     return convert_list
+
+
+def _pair(first, second):
+    def convert(v):
+        a, b = _list_of(lambda x: x, 2)(v)
+        return first(a), second(b)
+    return convert
 
 
 def _one_of(*choices):
@@ -102,13 +137,13 @@ def _anchored(message, lines) -> ConfigError:
     return ConfigError(f"{message} (line {lines[path]})" if path else message)
 
 
-def read_fields(doc, table, lines, where="") -> dict:
+def read_fields(doc, table, lines, where="", required=()) -> dict:
     """Keyword arguments from a YAML mapping, driven by a table of key path
     (``topn.threshold``, relative to ``where``) -> (field name, converter).
     A path that is also a section (``predictor``) takes a scalar or a
-    mapping; a null value leaves the field at its default. An unknown key
-    or a value its converter rejects raises ConfigError naming the full key
-    path and its line."""
+    mapping; a null value leaves the field at its default. An unknown key,
+    a value its converter rejects or a missing ``required`` key raises
+    ConfigError naming the full key path and its line."""
     out = {}
     pending = [("", doc)]
     while pending:
@@ -132,6 +167,9 @@ def read_fields(doc, table, lines, where="") -> dict:
                 out[name] = convert(value)
             except (TypeError, ValueError) as exc:
                 raise _anchored(f"{full}: {exc}", lines) from None
+    for path in required:
+        if table[path][0] not in out:
+            raise _anchored(f"{f'{where}.' if where else ''}{path}: required key missing", lines)
     return out
 
 
@@ -162,10 +200,10 @@ class TopologySpec:
 
 
 TOPOLOGY_FIELDS = {key: (key, convert) for key, convert in dict(
-    name=_text, kind=_one_of("grid", "complex"), rows=_integer, cols=_integer,
+    name=_text, kind=_one_of("grid", "complex"), rows=_positive_integer, cols=_positive_integer,
     bbox=_list_of(_number, 4),  # lat_min, lat_max, lon_min, lon_max
-    transfer_delay=_number, data_size_gb=_number, edge_rate=_number, uplink_rate=_number,
-    neighborhood=_integer).items()}
+    transfer_delay=_positive, data_size_gb=_positive, edge_rate=_positive, uplink_rate=_positive,
+    neighborhood=_one_of(4, 8)).items()}
 
 POLICY_FIELDS = {
     "name": ("name", _text),
@@ -185,8 +223,8 @@ POLICY_FIELDS = {
     "startup.mode": ("short_pause_mode", _text),
     "startup.duration": ("short_pause_duration", _number),
     "startup.max": ("short_pause_max", _number),
-    "startup.threshold": ("plmm_threshold", _number),
-    "startup.factor": ("retention_factor", _number),
+    "startup.threshold": ("plmm_threshold", _positive),
+    "startup.factor": ("retention_factor", _positive),
     "startup.min_samples": ("min_samples", _integer),
 }
 
@@ -195,18 +233,53 @@ EXPERIMENT_FIELDS = {
     "experiment": ("experiment", _text),
     "output": ("output", lambda v: Path(_text(v))),
     "seed": ("seed", _integer),
-    "jobs": ("jobs", _integer),
+    "jobs": ("jobs", _positive_integer),
     "plot": ("plot", _text),
     "dump_events": ("dump_events", _boolean),
     "metrics.series_clients": ("series_clients", _list_of(_text)),
-    "metrics.series_bucket": ("series_bucket", _number),
+    "metrics.series_bucket": ("series_bucket", _positive),
     "metrics.window": ("window", _list_of(_number, 2)),
 }
+
+# the keys each trace source reads
+_TRACE_COMMON = {"source": ("source", _text), "tz_offset": ("tz_offset", _number)}
+TRACE_FIELDS = {
+    "synthetic": {**_TRACE_COMMON,
+                  "spec": ("spec", _strict((dict, str), "a mapping or a spec file path"))},
+    "geolife": {**_TRACE_COMMON, "path": ("path", _text), "gap_threshold": ("gap_threshold", _positive),
+                "clients": ("clients", _list_of(_text))},
+    "visits": {**_TRACE_COMMON, "path": ("path", _text)},
+}
+
+# a synthetic spec: the spec-level values are defaults for each client
+SPEC_FIELDS = {
+    "anchor": ("anchor", _number),  # epoch seconds of a Monday 00:00
+    "weeks": ("weeks", _positive_integer),
+    "jitter": ("jitter", _non_negative),
+    "seed": ("seed", _integer),
+}
+CLIENT_FIELDS = {**SPEC_FIELDS, "client": ("client_id", _text), "patterns": ("patterns", _list)}
+PATTERN_FIELDS = {
+    "days": ("days", _list_of(_weekday)),
+    "start": ("start_clock", _clock),
+    "path": ("path", _list_of(_pair(_integer, _non_negative))),  # [node, stay seconds]
+}
+
+
+@dataclass(frozen=True)
+class TraceConfig:
+    """Where the client timelines come from; ``TRACE_FIELDS`` lists what each source reads."""
+    source: str
+    path: Path | None = None  # GeoLife root or visits CSV
+    spec: tuple[tuple[SyntheticSpec, int | None], ...] = ()  # synthetic: (client, seed)
+    gap_threshold: float = DEFAULT_GAP_THRESHOLD
+    clients: tuple[str, ...] | None = None
+    tz_offset: float = 0.0
 
 
 @dataclass
 class ExperimentConfig:
-    trace: dict
+    trace: TraceConfig
     topologies: list[TopologySpec]
     policies: list[PolicyConfig]
     experiment: str = "experiment"
@@ -218,7 +291,6 @@ class ExperimentConfig:
     window: tuple[float, float] | None = None
     plot: str | None = None
     dump_events: bool = False
-    config_dir: Path = Path(".")
 
 
 def parse_policy(doc, lines=None, where="", **defaults) -> PolicyConfig:
@@ -232,14 +304,52 @@ def parse_policy(doc, lines=None, where="", **defaults) -> PolicyConfig:
         raise _anchored(f"{where}.{exc}" if where else str(exc), lines) from None
 
 
+def parse_spec(doc, lines, where="") -> tuple[tuple[SyntheticSpec, int | None], ...]:
+    """A synthetic spec mapping -> one (SyntheticSpec, seed or None) per
+    client; the timelines are generated later, when the run seed is known."""
+    defaults = read_fields(doc, {**SPEC_FIELDS, "clients": ("clients", _list)}, lines, where, ("clients",))
+    clients = []
+    for i, entry in enumerate(defaults.pop("clients")):
+        at = f"{where}.clients[{i}]" if where else f"clients[{i}]"
+        fields = {"weeks": 1, **defaults,
+                  **read_fields(entry, CLIENT_FIELDS, lines, at, ("client", "patterns"))}
+        fields["patterns"] = [SchedulePattern(**read_fields(pattern, PATTERN_FIELDS, lines,
+                                                            f"{at}.patterns[{j}]", tuple(PATTERN_FIELDS)))
+                              for j, pattern in enumerate(fields["patterns"])]
+        seed = fields.pop("seed", None)
+        clients.append((SyntheticSpec(**fields), seed))
+    return tuple(clients)
+
+
+def parse_trace(trace, lines, config_dir: Path) -> TraceConfig:
+    """The ``trace:`` section, read through the field table of its source."""
+    source = trace.get("source") if isinstance(trace, dict) else None
+    if source not in TRACE_FIELDS:
+        raise _anchored(f"trace.source: expected one of {tuple(TRACE_FIELDS)}, got {source!r}", lines)
+    table = TRACE_FIELDS[source]
+    fields = read_fields(trace, table, lines, "trace", [key for key in ("spec", "path") if key in table])
+    if "path" in fields:
+        fields["path"] = config_dir / fields["path"]  # an absolute path stays as it is
+    elif isinstance(fields["spec"], dict):
+        fields["spec"] = parse_spec(fields["spec"], lines, "trace.spec")
+    else:
+        spec_path = config_dir / fields["spec"]
+        if not spec_path.is_file():
+            raise DataError(f"synthetic spec not found: {spec_path}")
+        spec_doc, spec_lines = load_yaml_with_lines(spec_path.read_text(), str(spec_path))
+        try:
+            fields["spec"] = parse_spec(spec_doc, spec_lines)
+        except ConfigError as exc:
+            raise ConfigError(f"{spec_path}: {exc}") from None
+    return TraceConfig(**{"tz_offset": GEOLIFE_TZ_OFFSET if source == "geolife" else 0.0, **fields})
+
+
 def parse_experiment_config(text: str, source="<config>", config_dir=Path(".")) -> ExperimentConfig:
     doc, lines = load_yaml_with_lines(text, source)
     if not isinstance(doc, dict):
         raise ConfigError(f"{source}: config must be a mapping")
     doc = dict(doc)
-    trace = doc.pop("trace", None)
-    if not isinstance(trace, dict):
-        raise ConfigError(f"trace: section is required (line {lines.get('trace', '?')})")
+    trace = parse_trace(doc.pop("trace", None), lines, config_dir)
     single = "topologies" not in doc
     topo_docs = [doc.pop("topology", None)] if single else doc.pop("topologies")
     if not isinstance(topo_docs, list) or not topo_docs:
@@ -251,18 +361,13 @@ def parse_experiment_config(text: str, source="<config>", config_dir=Path(".")) 
     if not isinstance(pol_docs, list) or not pol_docs:
         raise _anchored("policies: sweep list must be non-empty", lines)
     # the trace's local time zone drives every predictor's day/time buckets
-    try:
-        tz_offset = _number(trace.get("tz_offset", GEOLIFE_TZ_OFFSET
-                                      if trace.get("source") == "geolife" else 0.0))
-    except ValueError as exc:
-        raise _anchored(f"trace.tz_offset: {exc}", lines) from None
-    policies = [parse_policy(pd, lines, f"policies[{i}]", name=f"policy{i}", tz_offset=tz_offset)
+    policies = [parse_policy(pd, lines, f"policies[{i}]", name=f"policy{i}", tz_offset=trace.tz_offset)
                 for i, pd in enumerate(pol_docs)]
     names = [p.name for p in policies]
     if len(set(names)) != len(names):
         raise ConfigError("policies: names must be unique")
-    return ExperimentConfig(trace=dict(trace), topologies=topologies, policies=policies,
-                            config_dir=config_dir, **read_fields(doc, EXPERIMENT_FIELDS, lines))
+    return ExperimentConfig(trace=trace, topologies=topologies, policies=policies,
+                            **read_fields(doc, EXPERIMENT_FIELDS, lines))
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -272,58 +377,36 @@ def load_experiment_config(path) -> ExperimentConfig:
     return parse_experiment_config(path.read_text(), source=str(path), config_dir=path.parent)
 
 
-def _resolve(path, config_dir: Path) -> Path:
-    p = Path(path)
-    return p if p.is_absolute() else config_dir / p
+def _ingest_key(trace: TraceConfig, topo: Topology) -> str:
+    """Digest of everything a GeoLife ingest reads: the trace fields, the grid
+    the points map onto, each PLT file's name, size and mtime, and the version."""
+    import hashlib  # here, not at the top: it loads OpenSSL, about 3.5 MiB of RSS per run
+    digest = hashlib.sha256(repr((__version__, trace, topo.grid)).encode())
+    for plt in sorted(trace.path.rglob("*.plt")):
+        stat = plt.stat()
+        digest.update(f"{plt.relative_to(trace.path)} {stat.st_size} {stat.st_mtime_ns}\n".encode())
+    return digest.hexdigest()[:16]
 
 
 def load_traces(cfg: ExperimentConfig, topo: Topology, topo_name: str):
     trace = cfg.trace
-    source = trace.get("source")
-    if source == "synthetic":
-        spec = trace.get("spec")
-        if isinstance(spec, (str, Path)):
-            spec_path = _resolve(spec, cfg.config_dir)
-            if not spec_path.exists():
-                raise DataError(f"synthetic spec not found: {spec_path}")
-            spec = yaml.safe_load(spec_path.read_text())
-        if not isinstance(spec, dict):
-            raise ConfigError("trace.spec: inline mapping or path to a spec file required")
-        spec = dict(spec)
-        if cfg.seed is not None and "seed" not in spec:
-            spec["seed"] = cfg.seed
-        timelines = synth_from_dict(spec)
-    elif source == "geolife":
-        root = _resolve(trace.get("path", ""), cfg.config_dir)
-        if not root.exists():
-            raise DataError(
-                f"GeoLife directory not found: {root}. Download the 'GeoLife GPS Trajectories 1.3' "
-                "dataset and point trace.path at the folder containing Data/<user>/Trajectory/*.plt")
-        cache = cfg.output / f"visits_{topo_name}.csv"
-        if cache.exists():
-            with open(cache) as fh:
-                return read_visits_csv(fh)
-        timelines = load_geolife_dir(root, topo,
-                                     gap_threshold=float(trace.get("gap_threshold", DEFAULT_GAP_THRESHOLD)),
-                                     clients=trace.get("clients"))
-        cfg.output.mkdir(parents=True, exist_ok=True)
-        with open(cache, "w") as fh:
-            write_visits_csv(timelines, fh)
-    elif source == "visits":
-        path = _resolve(trace.get("path", ""), cfg.config_dir)
+    if trace.source == "synthetic":
+        return [synth_generate(spec, noise_seed=cfg.seed if seed is None else seed)
+                for spec, seed in trace.spec]
+    path = trace.path
+    if trace.source == "geolife":
+        path = cfg.output / f"visits_{topo_name}_{_ingest_key(trace, topo)}.csv"
         if not path.exists():
-            raise DataError(f"visits file not found: {path}")
-        with open(path) as fh:
-            timelines = read_visits_csv(fh)
-    else:
-        raise ConfigError(f"trace.source: unknown source {source!r}; expected synthetic | geolife | visits")
-    for tl in timelines:
-        for visits in tl.sessions:
-            for v in visits:
-                if v.node >= len(topo.edge_nodes):
-                    raise ConfigError(
-                        f"trace references node {v.node}, topology {topo_name} has {len(topo.edge_nodes)} edge nodes")
-    return timelines
+            timelines = load_geolife_dir(trace.path, topo, gap_threshold=trace.gap_threshold,
+                                         clients=trace.clients)
+            cfg.output.mkdir(parents=True, exist_ok=True)
+            with open(path, "w") as fh:
+                write_visits_csv(timelines, fh)
+            return timelines
+    if not path.exists():
+        raise DataError(f"visits file not found: {path}")
+    with open(path) as fh:
+        return read_visits_csv(fh)
 
 
 def _run_point(topo, network, policy: PolicyConfig, timelines,
@@ -343,6 +426,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
     for topo_spec in cfg.topologies:
         topo, network = topo_spec.build()
         timelines = load_traces(cfg, topo, topo_spec.name)
+        if cfg.window and not any(active_time(tl, cfg.window) > 0 for tl in timelines):
+            raise ConfigError(f"metrics.window: {list(cfg.window)} covers no active second of the trace")
         for policy in cfg.policies:
             points.append((topo_spec, (topo, network, policy, timelines)))
     shared = (cfg.window, cfg.series_clients, cfg.series_bucket, cfg.dump_events)
@@ -386,7 +471,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
 
 
 def write_results_csv(rows, path):
-    import csv
     with open(path, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RESULTS_HEADER)
@@ -397,7 +481,6 @@ def write_results_csv(rows, path):
 
 
 def read_results_csv(path) -> list[dict]:
-    import csv
     with open(path) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != RESULTS_HEADER:

@@ -88,13 +88,6 @@ class PolicyConfig:
         return self
 
 
-def build_predictor(config: PolicyConfig):
-    if config.predictor == "baseline":
-        return None
-    return make_model(config.predictor, config.k, config.day_splits, config.time_splits,
-                      eot=config.eot, tz_offset=config.tz_offset)
-
-
 class ReplicaView:
     """Read-only view of one client's replica state, provided by the engine.
 
@@ -118,7 +111,9 @@ class ReplicaPolicy:
         # estimated seconds to move the data set to a node; the simulator
         # wires in the true transfer time, other estimators can be plugged in
         self.transfer_estimate = transfer_estimate or (lambda node: 0.0)
-        self.predictor = build_predictor(config)
+        self.predictor = None if config.predictor == "baseline" else make_model(
+            config.predictor, config.k, config.day_splits, config.time_splits,
+            eot=config.eot, tz_offset=config.tz_offset)
         needs_stats = (config.startup_mode == "short_pause"
                        and config.short_pause_mode != FIXED)
         self.pause_stats = PauseStats() if needs_stats else None

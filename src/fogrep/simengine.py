@@ -61,9 +61,6 @@ class ReplicaLedger:
     def nodes(self, client) -> list[int]:
         return sorted(n for c, n in self._intervals if c == client)
 
-    def clients(self) -> list[str]:
-        return sorted({c for c, _ in self._intervals})
-
     def items(self):
         return self._intervals.items()
 
@@ -120,7 +117,7 @@ class _View(ReplicaView):
 
 class SimulationEngine:
     def __init__(self, timelines, topology: Topology, network, policy_config: PolicyConfig,
-                 horizon=None, record_log=True, policy_factory=None):
+                 record_log=True):
         if not isinstance(network, (FixedDelay, FlowGraph)):
             raise ConfigError(f"unknown network model {network!r}")
         self.topology = topology
@@ -128,24 +125,18 @@ class SimulationEngine:
         self.timelines = sorted(timelines, key=lambda tl: tl.client_id)
         self._edge_ids = {n.id for n in topology.edge_nodes}
         self._source = transfer_source(network, topology)
-        self._ttime_cache: dict[int, float] = {}
         self.record_log = record_log
         self._horizons: dict[str, float] = {}
         for tl in self.timelines:
             if not tl.sessions:
                 raise ConfigError(f"client {tl.client_id}: empty timeline")
-            h = tl.last_t
-            if horizon is not None:
-                if h > horizon:
-                    raise ConfigError(f"client {tl.client_id}: timeline exceeds horizon {horizon}")
-            self._horizons[tl.client_id] = h
+            self._horizons[tl.client_id] = tl.last_t
             for visits in tl.sessions:
                 for v in visits:
                     if v.node not in self._edge_ids:
                         raise ConfigError(f"client {tl.client_id}: unknown node id {v.node}")
-        factory = policy_factory or (lambda cfg: make_policy(cfg, self._ttime))
         self.policies: dict[str, ReplicaPolicy] = {
-            tl.client_id: factory(policy_config) for tl in self.timelines}
+            tl.client_id: make_policy(policy_config, self._ttime) for tl in self.timelines}
         self._states: dict[str, dict[int, _NodeState]] = {
             tl.client_id: {} for tl in self.timelines}
         self._heap: list = []
@@ -154,14 +145,7 @@ class SimulationEngine:
         self.event_log: list[EventRecord] = []
 
     def _ttime(self, dst) -> float:
-        cached = self._ttime_cache.get(dst)
-        if cached is None:
-            if isinstance(self.network, FixedDelay):
-                cached = self.network.delay
-            else:
-                cached = transfer_time(self._source, dst, self.network)
-            self._ttime_cache[dst] = cached
-        return cached
+        return transfer_time(self._source, dst, self.network)
 
     def _push(self, t, kind, client, node, gen):
         self._seq += 1
@@ -311,11 +295,9 @@ class SimulationEngine:
         self.ledger.validate()
 
 
-def run(timelines, topology, network, policy_config, horizon=None, record_log=True) -> RunResult:
+def run(timelines, topology, network, policy_config, record_log=True) -> RunResult:
     """Simulate the timelines under one policy configuration."""
-    engine = SimulationEngine(timelines, topology, network, policy_config,
-                              horizon=horizon, record_log=record_log)
-    return engine.run()
+    return SimulationEngine(timelines, topology, network, policy_config, record_log=record_log).run()
 
 
 def snapshot_memory(policies: dict[str, ReplicaPolicy]):

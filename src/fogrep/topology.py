@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,15 +56,6 @@ class Topology:
         self.routers: list[int] = list(routers)
         self.links: list[Link] = list(links)
         self.grid: GridSpec | None = grid
-        self._validate()
-        self._edge_nodes = [n for n in self.nodes if n.kind == EDGE]
-        self._lats = np.array([n.lat for n in self._edge_nodes])
-        self._lons = np.array([n.lon for n in self._edge_nodes])
-        if grid is not None:
-            mid_lat = 0.5 * (grid.bbox[0] + grid.bbox[1])
-        else:
-            mid_lat = float(np.mean(self._lats)) if len(self._lats) else 0.0
-        self._lon_scale = math.cos(math.radians(mid_lat))
         self._adj: dict[int, list[int]] = {}
         self._rates: dict[tuple[int, int], float] = {}
         for link in self.links:
@@ -74,6 +65,15 @@ class Topology:
             self._rates[(link.b, link.a)] = link.rate
         for nbrs in self._adj.values():
             nbrs.sort()
+        self._validate()
+        self._edge_nodes = [n for n in self.nodes if n.kind == EDGE]
+        self._lats = np.array([n.lat for n in self._edge_nodes])
+        self._lons = np.array([n.lon for n in self._edge_nodes])
+        if grid is not None:
+            mid_lat = 0.5 * (grid.bbox[0] + grid.bbox[1])
+        else:
+            mid_lat = float(np.mean(self._lats)) if len(self._lats) else 0.0
+        self._lon_scale = math.cos(math.radians(mid_lat))
 
     def _validate(self):
         ids = [n.id for n in self.nodes]
@@ -90,23 +90,9 @@ class Topology:
                 raise TopologyError(f"link {link.a}-{link.b} has non-positive rate")
             if link.a not in endpoint_ids or link.b not in endpoint_ids:
                 raise TopologyError(f"link {link.a}-{link.b} references unknown endpoint")
-        if self.links:
-            # with links present the graph must be connected
-            adj: dict[int, list[int]] = {}
-            for link in self.links:
-                adj.setdefault(link.a, []).append(link.b)
-                adj.setdefault(link.b, []).append(link.a)
-            start = next(iter(endpoint_ids))
-            seen = {start}
-            queue = deque([start])
-            while queue:
-                cur = queue.popleft()
-                for nb in adj.get(cur, ()):
-                    if nb not in seen:
-                        seen.add(nb)
-                        queue.append(nb)
-            if seen != endpoint_ids:
-                raise TopologyError("link graph is not connected")
+        # with links present the graph must be connected
+        if self.links and _hop_counts(self, next(iter(endpoint_ids))).keys() != endpoint_ids:
+            raise TopologyError("link graph is not connected")
 
     @property
     def edge_nodes(self) -> list[FogNode]:
@@ -118,15 +104,6 @@ class Topology:
             if n.kind == CLOUD:
                 return n.id
         return None
-
-    def node_count(self) -> int:
-        return len(self._edge_nodes)
-
-    def distance_sq(self, lat, lon, node_id) -> float:
-        n = self.nodes[node_id]
-        dlat = lat - n.lat
-        dlon = (lon - n.lon) * self._lon_scale
-        return dlat * dlat + dlon * dlon
 
 
 def build_grid(rows, cols, bbox=BEIJING_BBOX) -> Topology:
@@ -200,7 +177,7 @@ def nearest_node(lat, lon, topo: Topology) -> int:
     return topo.edge_nodes[int(np.argmin(d2))].id
 
 
-def nearest_nodes(lats, lons, topo: Topology, chunk=None) -> np.ndarray:
+def nearest_nodes(lats, lons, topo: Topology) -> np.ndarray:
     """Vectorized nearest_node over point arrays; identical tie-breaks."""
     if not topo.edge_nodes:
         raise TopologyError("topology has no edge nodes")
@@ -208,9 +185,8 @@ def nearest_nodes(lats, lons, topo: Topology, chunk=None) -> np.ndarray:
     lons = np.asarray(lons, dtype=float)
     out = np.empty(len(lats), dtype=np.int64)
     ids = np.array([n.id for n in topo.edge_nodes])
-    if chunk is None:
-        # bound the points x nodes distance matrix to ~20M doubles
-        chunk = max(1024, 20_000_000 // max(1, len(ids)))
+    # bound the points x nodes distance matrix to ~20M doubles
+    chunk = max(1024, 20_000_000 // max(1, len(ids)))
     for start in range(0, len(lats), chunk):
         end = min(start + chunk, len(lats))
         dlat = topo._lats[None, :] - lats[start:end, None]
@@ -236,6 +212,8 @@ class FlowGraph:
     minimum-hop path at the bottleneck link rate, without contention."""
     topology: Topology
     data_size: float  # bits
+    # (src, dst) -> seconds, filled by transfer_time for as long as the model lives
+    times: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.data_size <= 0:
@@ -247,19 +225,25 @@ class FlowGraph:
 NetworkModel = FixedDelay | FlowGraph
 
 
-def min_hop_path(topo: Topology, src, dst) -> list[int]:
-    """Minimum-hop path src->dst; equal-hop ties resolve to the
-    lexicographically smallest id sequence."""
-    if src == dst:
-        return [src]
-    dist = {dst: 0}
-    queue = deque([dst])
+def _hop_counts(topo: Topology, root) -> dict[int, int]:
+    """Hops from ``root`` to every endpoint reachable from it (breadth-first)."""
+    dist = {root: 0}
+    queue = deque([root])
     while queue:
         cur = queue.popleft()
         for nb in topo._adj.get(cur, ()):
             if nb not in dist:
                 dist[nb] = dist[cur] + 1
                 queue.append(nb)
+    return dist
+
+
+def min_hop_path(topo: Topology, src, dst) -> list[int]:
+    """Minimum-hop path src->dst; equal-hop ties resolve to the
+    lexicographically smallest id sequence."""
+    if src == dst:
+        return [src]
+    dist = _hop_counts(topo, dst)
     if src not in dist:
         raise TopologyError(f"no path between {src} and {dst}")
     path = [src]
@@ -276,9 +260,12 @@ def transfer_time(src, dst, model: NetworkModel) -> float:
         raise ConfigError("transfer requires distinct endpoints")
     if isinstance(model, FixedDelay):
         return model.delay
-    path = min_hop_path(model.topology, src, dst)
-    bottleneck = min(model.topology._rates[(a, b)] for a, b in zip(path, path[1:]))
-    return model.data_size / bottleneck
+    seconds = model.times.get((src, dst))
+    if seconds is None:
+        path = min_hop_path(model.topology, src, dst)
+        bottleneck = min(model.topology._rates[(a, b)] for a, b in zip(path, path[1:]))
+        seconds = model.times[(src, dst)] = model.data_size / bottleneck
+    return seconds
 
 
 def transfer_source(model: NetworkModel, topo: Topology) -> int | None:

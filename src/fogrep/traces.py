@@ -14,15 +14,15 @@ import calendar
 import csv
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
-from .errors import ConfigError, EmptyTraceError, TraceFormatError, TraceOverlapError
+from .errors import (ConfigError, DataError, EmptyTraceError, TraceFormatError,
+                     TraceOverlapError)
 from .topology import Topology, nearest_nodes
 
 DEFAULT_GAP_THRESHOLD = 300.0  # seconds
 
 PLT_HEADER_LINES = 6
-
-_WEEKDAY_NAMES = {"mon": 0, "tue": 1, "wed": 2, "thu": 3, "fri": 4, "sat": 5, "sun": 6}
 
 
 @dataclass(frozen=True)
@@ -240,24 +240,14 @@ def build_timeline(client_id, point_groups, topo: Topology,
     return timeline
 
 
-def load_geolife_client(trajectory_dir, topo, gap_threshold=DEFAULT_GAP_THRESHOLD,
-                        client_id=None) -> ClientTimeline:
-    """Ingest one GeoLife user directory (``Data/<user>/Trajectory``)."""
-    from pathlib import Path
-    trajectory_dir = Path(trajectory_dir)
-    files = sorted(trajectory_dir.glob("*.plt"))
-    if not files:
-        raise EmptyTraceError(f"no .plt files under {trajectory_dir}")
-    groups = [parse_plt(f.read_bytes()) for f in files]
-    cid = client_id if client_id is not None else trajectory_dir.parent.name
-    return build_timeline(cid, groups, topo, gap_threshold)
-
-
 def load_geolife_dir(root, topo, gap_threshold=DEFAULT_GAP_THRESHOLD,
                      clients=None) -> list[ClientTimeline]:
     """Ingest a GeoLife dataset root (layout ``Data/<user>/Trajectory/*.plt``)."""
-    from pathlib import Path
     root = Path(root)
+    if not root.exists():
+        raise DataError(
+            f"GeoLife directory not found: {root}. Download the 'GeoLife GPS Trajectories 1.3' "
+            "dataset; its folder contains Data/<user>/Trajectory/*.plt")
     data = root / "Data" if (root / "Data").is_dir() else root
     user_dirs = sorted(d for d in data.iterdir() if (d / "Trajectory").is_dir())
     if clients is not None:
@@ -267,7 +257,15 @@ def load_geolife_dir(root, topo, gap_threshold=DEFAULT_GAP_THRESHOLD,
         raise EmptyTraceError(
             f"no GeoLife user directories under {data}; expected Data/<user>/Trajectory/*.plt "
             "(the GeoLife GPS Trajectories 1.3 dataset must be downloaded separately)")
-    return [load_geolife_client(d / "Trajectory", topo, gap_threshold) for d in user_dirs]
+    timelines = []
+    for user_dir in user_dirs:
+        files = sorted((user_dir / "Trajectory").glob("*.plt"))
+        if not files:
+            raise EmptyTraceError(f"no .plt files under {user_dir / 'Trajectory'}")
+        # the parsed points live only for this call: one user's points in memory at a time
+        timelines.append(build_timeline(user_dir.name, [parse_plt(f.read_bytes()) for f in files],
+                                        topo, gap_threshold))
+    return timelines
 
 
 # ---------------------------------------------------------------------------
@@ -289,22 +287,6 @@ class SyntheticSpec:
     patterns: list[SchedulePattern]
     anchor: float = 0.0          # epoch seconds of a Monday 00:00
     jitter: float = 0.0          # max absolute start-time jitter, seconds
-
-
-def parse_clock(text: str) -> float:
-    h, m = text.split(":")
-    return int(h) * 3600 + int(m) * 60
-
-
-def parse_day(text) -> int:
-    if isinstance(text, int):
-        if not 0 <= text <= 6:
-            raise ConfigError(f"weekday index out of range: {text}")
-        return text
-    key = str(text).strip().lower()[:3]
-    if key not in _WEEKDAY_NAMES:
-        raise ConfigError(f"unknown weekday {text!r}")
-    return _WEEKDAY_NAMES[key]
 
 
 def synth_generate(spec: SyntheticSpec, noise_seed=None) -> ClientTimeline:
@@ -342,33 +324,6 @@ def synth_generate(spec: SyntheticSpec, noise_seed=None) -> ClientTimeline:
     timeline = ClientTimeline(spec.client_id, sessions, _pauses_between(spec.client_id, sessions))
     timeline.validate()
     return timeline
-
-
-def synth_from_dict(doc: dict) -> list[ClientTimeline]:
-    """Build timelines from a parsed synthetic spec document (see configs/)."""
-    clients = doc.get("clients")
-    if clients is None:
-        clients = [doc]
-    timelines = []
-    for entry in clients:
-        patterns = []
-        for pat in entry.get("patterns", []):
-            patterns.append(SchedulePattern(
-                days=[parse_day(d) for d in pat["days"]],
-                start_clock=parse_clock(str(pat["start"])),
-                path=[(int(n), float(s)) for n, s in pat["path"]],
-            ))
-        anchor = entry.get("anchor", doc.get("anchor", 0.0))
-        spec = SyntheticSpec(
-            client_id=str(entry.get("client", entry.get("client_id", "synth"))),
-            weeks=int(entry.get("weeks", doc.get("weeks", 1))),
-            patterns=patterns,
-            anchor=float(anchor),
-            jitter=float(entry.get("jitter", doc.get("jitter", 0.0))),
-        )
-        seed = entry.get("seed", doc.get("seed"))
-        timelines.append(synth_generate(spec, noise_seed=seed))
-    return timelines
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,17 @@ from pathlib import Path
 
 import pytest
 
+from fogrep import experiment
 from fogrep.cli import main
 from fogrep.errors import ConfigError
-from fogrep.experiment import parse_experiment_config
+from fogrep.experiment import (load_experiment_config, load_traces,
+                               parse_experiment_config)
+from fogrep.topology import build_grid
+from fogrep.traces import synth_generate
 
 REPO = Path(__file__).resolve().parent.parent
 SMOKE_CONFIG = REPO / "configs" / "smoke.yaml"
+SHIPPED_CONFIGS = sorted([*REPO.glob("configs/**/*.yaml"), *REPO.glob("perfbench/configs/*.yaml")])
 GOLDEN_RESULTS = Path(__file__).resolve().parent / "data" / "smoke_results.csv"
 
 PLT_HEADER = ("Geolife trajectory\nWGS 84\nAltitude is in Feet\nReserved 3\n"
@@ -94,6 +99,12 @@ class TestRun:
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.yaml")]) == 2
 
+    def test_window_without_activity_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "window.yaml"
+        cfg.write_text(SMOKE_CONFIG.read_text().replace("window: [950400, 2160000]", "window: [0, 1000]"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "metrics.window:" in capsys.readouterr().err
+
     def test_jobs_flag_matches_serial(self, tmp_path):
         assert main(["run", str(SMOKE_CONFIG), "--out", str(tmp_path / "serial")]) == 0
         assert main(["run", str(SMOKE_CONFIG), "--out", str(tmp_path / "par"),
@@ -124,6 +135,31 @@ class TestIngest:
         assert main(["run", str(cfg), "--out", str(out)]) == 0
         rows = (out / "results.csv").read_text().splitlines()
         assert len(rows) == 3  # header + 2 policies
+
+    def test_run_cache_is_keyed_by_the_ingest_inputs(self, tmp_path, monkeypatch):
+        root = fake_geolife(tmp_path / "geolife")
+        ingested = []
+        ingest = experiment.load_geolife_dir
+        monkeypatch.setattr(experiment, "load_geolife_dir",
+                            lambda *a, **kw: ingested.append(kw["gap_threshold"]) or ingest(*a, **kw))
+        out = tmp_path / "out"
+
+        def run(gap_threshold):
+            cfg = tmp_path / "geo.yaml"
+            cfg.write_text(
+                "experiment: geo\n"
+                f"trace: {{source: geolife, path: {root}, gap_threshold: {gap_threshold}}}\n"
+                "topology: {name: strip-2, rows: 1, cols: 2, bbox: [0, 1, 0, 1], transfer_delay: 30}\n"
+                "policies: [{name: baseline}]\n")
+            assert main(["run", str(cfg), "--out", str(out)]) == 0
+            return (out / "baseline__strip-2" / "report.csv").read_text()
+
+        first = run(300)
+        assert run(300) == first
+        assert ingested == [300.0]  # the second run read the cached visits
+        assert run(150) != first  # user 000's second trip splits at its 240 s gap
+        assert ingested == [300.0, 150.0]
+        assert len(list(out.glob("visits_strip-2_*.csv"))) == 2
 
     def test_ingest_missing_dir(self, tmp_path, capsys):
         code = main(["ingest", str(tmp_path / "none"), "--out", str(tmp_path / "v.csv")])
@@ -156,11 +192,12 @@ class TestReport:
         assert main(["report", str(tmp_path / "none.csv")]) == 3
 
 
-def error_config(top="seed: 1", topo="rows: 1", policy="predictor: baseline"):
+def error_config(top="seed: 1", topo="rows: 1", policy="predictor: baseline",
+                 trace="{source: visits, path: visits.csv}"):
     """A ten-line experiment file; each argument replaces one line
-    (``top`` line 3, ``topo`` line 6, ``policy`` line 10)."""
+    (``trace`` line 2, ``top`` line 3, ``topo`` line 6, ``policy`` line 10)."""
     return ("experiment: errors\n"
-            "trace: {source: visits, path: visits.csv}\n"
+            f"trace: {trace}\n"
             f"{top}\n"
             "topologies:\n"
             "  - name: strip-2\n"
@@ -169,6 +206,15 @@ def error_config(top="seed: 1", topo="rows: 1", policy="predictor: baseline"):
             "policies:\n"
             "  - name: p\n"
             f"    {policy}\n")
+
+
+def spec_trace(client="weeks: 1", pattern="days: [mon], start: '08:00'"):
+    """A one-client inline synthetic spec for error_config's ``trace`` line."""
+    return ("{source: synthetic, spec: {clients: [{client: c, %s, "
+            "patterns: [{%s, path: [[0, 60]]}]}]}}" % (client, pattern))
+
+
+SPEC_CLIENT = "trace.spec.clients[0]"
 
 
 class TestConfigErrors:
@@ -183,8 +229,29 @@ class TestConfigErrors:
          "policies[0].predictor.time_splits", 10),
         ({"topo": "bbox: [1, 2, 3]"}, "topologies[0].bbox", 6),
         ({"topo": "kind: ring"}, "topologies[0].kind", 6),
+        ({"trace": spec_trace(client="wekks: 3")}, f"{SPEC_CLIENT}.wekks", 2),
+        ({"trace": spec_trace(client="weeks: two")}, f"{SPEC_CLIENT}.weeks", 2),
+        ({"trace": spec_trace(pattern="days: [mon], start: '8am'")}, f"{SPEC_CLIENT}.patterns[0].start", 2),
+        ({"trace": spec_trace(pattern="days: [mon], start: 8:00")}, f"{SPEC_CLIENT}.patterns[0].start", 2),
+        ({"trace": spec_trace(pattern="days: [mon], start: '25:90'")}, f"{SPEC_CLIENT}.patterns[0].start", 2),
+        ({"trace": spec_trace(pattern="days: [mon, fry], start: '08:00'")}, f"{SPEC_CLIENT}.patterns[0].days", 2),
+        ({"trace": spec_trace(client="client_id: x")}, f"{SPEC_CLIENT}.client_id", 2),
+        ({"trace": "{source: geolife, path: g, gap_treshold: 60}"}, "trace.gap_treshold", 2),
+        ({"trace": "{source: geolife, path: g, gap_threshold: 0}"}, "trace.gap_threshold", 2),
+        ({"trace": "{source: visits, path: v.csv, clients: [a]}"}, "trace.clients", 2),
+        ({"topo": "edge_rate: 0"}, "topologies[0].edge_rate", 6),
+        ({"topo": "transfer_delay: 0"}, "topologies[0].transfer_delay", 6),
+        ({"topo": "rows: 0"}, "topologies[0].rows", 6),
+        ({"top": "metrics: {series_bucket: 0}"}, "metrics.series_bucket", 3),
+        ({"top": "jobs: 0"}, "jobs", 3),
+        ({"policy": "startup: {type: plmm, threshold: 0}"}, "policies[0].startup.threshold", 10),
+        ({"policy": "startup: {type: plmm, factor: -1}"}, "policies[0].startup.factor", 10),
     ], ids=["k-word", "jobs-word", "eot-string", "k-float", "vomm-day-splits",
-            "momm-time-splits", "bbox-three", "kind-unknown"])
+            "momm-time-splits", "bbox-three", "kind-unknown", "spec-wekks", "spec-weeks-word",
+            "spec-start-8am", "spec-start-unquoted", "spec-start-25-90", "spec-day-fry",
+            "spec-client-id", "trace-gap-treshold", "trace-gap-zero", "visits-clients",
+            "edge-rate-zero", "transfer-delay-zero", "rows-zero", "series-bucket-zero",
+            "jobs-zero", "plmm-threshold-zero", "plmm-factor-negative"])
     def test_run_names_key_path_and_line(self, tmp_path, capsys, override, key_path, line):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(error_config(**override))
@@ -205,3 +272,67 @@ class TestConfigErrors:
         assert [p.tz_offset for p in geolife_default.policies] == [28800.0, 28800.0]
         with pytest.raises(ConfigError, match=r"policies\[1\]\.tz_offset: unknown key \(line 7\)"):
             parse_experiment_config(text + "    tz_offset: 0\n")
+
+    def test_spec_errors_name_key_path_and_line(self, tmp_path, capsys):
+        spec = ("anchor: 345600\n"
+                "clients:\n"
+                "  - client: commuter\n"
+                "    patterns:\n"
+                "      - days: [mon, fry]\n"
+                "        start: '08:00'\n"
+                "        path: [[0, 600], [1, 600]]\n")
+        (tmp_path / "commuter.yaml").write_text(spec)
+        inline = "\n".join(["experiment: inline", "trace:", "  source: synthetic", "  spec:",
+                            *("    " + line for line in spec.splitlines()),
+                            "topology: {rows: 1, cols: 2}", "policies: [{name: p}]", ""])
+        (tmp_path / "inline.yaml").write_text(inline)
+        (tmp_path / "file.yaml").write_text(error_config(trace="{source: synthetic, spec: commuter.yaml}"))
+        assert main(["run", str(tmp_path / "inline.yaml"), "--out", str(tmp_path / "out")]) == 2
+        assert "trace.spec.clients[0].patterns[0].days: " in capsys.readouterr().err
+        # the days key is on line 5 of the spec, and on line 9 when inlined
+        with pytest.raises(ConfigError, match=r"\(line 9\)"):
+            load_experiment_config(tmp_path / "inline.yaml")
+        assert main(["run", str(tmp_path / "file.yaml"), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'commuter.yaml'}: clients[0].patterns[0].days: " in err and "(line 5)" in err
+
+
+class TestTraceSection:
+    def test_spec_file_matches_inline_spec(self, tmp_path):
+        text = SMOKE_CONFIG.read_text()
+        head, rest = text.split("  spec:\n", 1)
+        spec_lines = rest.split("\n\n", 1)[0]
+        (tmp_path / "spec.yaml").write_text("\n".join(line[4:] for line in spec_lines.splitlines()) + "\n")
+        (tmp_path / "smoke.yaml").write_text(text.replace("  spec:\n" + spec_lines, "  spec: spec.yaml"))
+        assert main(["run", str(tmp_path / "smoke.yaml"), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "results.csv").read_bytes() == GOLDEN_RESULTS.read_bytes()
+
+    def test_run_seed_fills_a_spec_without_seed(self):
+        cfg = parse_experiment_config(
+            "trace:\n"
+            "  source: synthetic\n"
+            "  spec:\n"
+            "    jitter: 600\n"
+            "    clients:\n"
+            "      - client: a\n"
+            "        patterns: [{days: [0, Tuesday, wed], start: '08:00', path: [[0, 60], [1, 60]]}]\n"
+            "      - client: b\n"
+            "        seed: 3\n"
+            "        weeks: 2\n"
+            "        patterns: [{days: [fri], start: '23:59', path: [[1, 60]]}]\n"
+            "policies: [{name: p}]\n")
+        (spec_a, seed_a), (spec_b, seed_b) = cfg.trace.spec
+        assert (spec_a.patterns[0].days, spec_a.weeks, seed_a) == ((0, 1, 2), 1, None)
+        assert (spec_b.patterns[0].start_clock, spec_b.weeks, seed_b) == (23 * 3600 + 59 * 60, 2, 3)
+        cfg.seed = 11  # as `fogrep run --seed 11` sets it after parsing
+        a, b = load_traces(cfg, build_grid(1, 2), "strip-2")
+        assert a.sessions == synth_generate(spec_a, noise_seed=11).sessions
+        assert b.sessions == synth_generate(spec_b, noise_seed=3).sessions
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: str(p.relative_to(REPO)))
+def test_shipped_config_parses(path):
+    """Every config the repository ships reads through the field tables, so a
+    table change that drops a key one of them uses fails here."""
+    cfg = parse_experiment_config(path.read_text(), source=str(path), config_dir=path.parent)
+    assert cfg.topologies and cfg.policies

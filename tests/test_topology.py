@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogrep.errors import ConfigError, TopologyError
 from fogrep.topology import (BEIJING_BBOX, FixedDelay, FlowGraph, FogNode,
@@ -152,6 +154,25 @@ class TestTransferTime:
     def test_same_endpoint_rejected(self):
         with pytest.raises(ConfigError):
             transfer_time(1, 1, FixedDelay(10.0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(1, 5), cols=st.integers(1, 5), neighborhood=st.sampled_from([4, 8]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_memoised_times_match_min_hop_bottleneck(self, rows, cols, neighborhood, seed):
+        base = build_complex_network(rows, cols, UNIT_BBOX, neighborhood=neighborhood)
+        rng = random.Random(seed)
+        links = [Link(l.a, l.b, rng.choice([1e6, 4e7, 1e8, 8e8]) * rng.uniform(0.5, 2.0))
+                 for l in base.links]
+        topo = Topology(base.nodes, routers=base.routers, links=links, grid=base.grid)
+        model = FlowGraph(topo, 8e9)
+        rates = {(l.a, l.b): l.rate for l in links} | {(l.b, l.a): l.rate for l in links}
+        for _ in range(2):  # first computed, then served from the model's memo
+            for node in topo.edge_nodes:
+                path = min_hop_path(topo, topo.cloud_id, node.id)
+                bottleneck = min(rates[hop] for hop in zip(path, path[1:]))
+                assert transfer_time(topo.cloud_id, node.id, model) == 8e9 / bottleneck
+        assert len(model.times) == len(topo.edge_nodes)
+        assert model == FlowGraph(topo, 8e9)  # the memo takes no part in equality
 
     def test_invalid_models(self):
         with pytest.raises(ConfigError):
