@@ -18,7 +18,7 @@ from .topology import (BEIJING_BBOX, FixedDelay, FlowGraph, FogNode, Link,
                        dump_topology, load_topology, nearest_node,
                        nearest_nodes, transfer_time)
 from .traces import (ClientTimeline, GeoPoint, NodeVisit, Pause, Session,
-                     SyntheticSpec, build_timeline, map_to_node_visits,
+                     SyntheticSpec, Track, build_timeline, map_to_node_visits,
                      parse_plt, read_visits_csv, sessionize, synth_generate,
                      write_visits_csv)
 

@@ -42,8 +42,8 @@ class TopologyError(FogrepError):
     """Inconsistent topology (disconnected endpoints, unknown ids)."""
 
 
-class UndefinedMetricError(FogrepError):
-    """Metric has no defined value (e.g. zero active time)."""
+class UndefinedMetricError(DataError):
+    """Metric has no defined value for the input (e.g. zero active time)."""
 
 
 class EngineInvariantError(FogrepError):

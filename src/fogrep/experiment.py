@@ -316,6 +316,8 @@ def parse_spec(doc, lines, where="") -> tuple[tuple[SyntheticSpec, int | None], 
         fields["patterns"] = [SchedulePattern(**read_fields(pattern, PATTERN_FIELDS, lines,
                                                             f"{at}.patterns[{j}]", tuple(PATTERN_FIELDS)))
                               for j, pattern in enumerate(fields["patterns"])]
+        if any(spec.client_id == fields["client_id"] for spec, _ in clients):
+            raise _anchored(f"{at}.client: duplicate client id {fields['client_id']!r}", lines)
         seed = fields.pop("seed", None)
         clients.append((SyntheticSpec(**fields), seed))
     return tuple(clients)

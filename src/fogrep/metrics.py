@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 
-from .errors import UndefinedMetricError
+from .errors import ConfigError, UndefinedMetricError
 from .simengine import ReplicaLedger
 from .traces import ClientTimeline
 
@@ -87,7 +87,7 @@ def availability_series(ledger: ReplicaLedger, timeline: ClientTimeline, bucket)
     """Cumulative availability recomputed at each bucket boundary, starting at
     the first bucket with any activity."""
     if bucket <= 0:
-        raise UndefinedMetricError("bucket must be > 0")
+        raise ConfigError("bucket must be > 0")
     t0 = timeline.first_t
     end = timeline.last_t
     points = []

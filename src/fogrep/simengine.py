@@ -130,6 +130,8 @@ class SimulationEngine:
         for tl in self.timelines:
             if not tl.sessions:
                 raise ConfigError(f"client {tl.client_id}: empty timeline")
+            if tl.client_id in self._horizons:
+                raise ConfigError(f"client {tl.client_id}: duplicate client id")
             self._horizons[tl.client_id] = tl.last_t
             for visits in tl.sessions:
                 for v in visits:

@@ -3,8 +3,8 @@ graphs, nearest-node queries, and transfer-time models.
 
 Distances are equirectangular at city scale: longitude differences are scaled
 by the cosine of the mid-bounding-box latitude. The scale is a constant per
-topology so the scalar and vectorized nearest-node paths produce identical
-results, including tie-breaks.
+topology, so the grid lookup and the scan over every node compare the same
+rounded distances and break ties alike.
 """
 from __future__ import annotations
 
@@ -74,6 +74,7 @@ class Topology:
         else:
             mid_lat = float(np.mean(self._lats)) if len(self._lats) else 0.0
         self._lon_scale = math.cos(math.radians(mid_lat))
+        self._axes = _grid_axes(self._edge_nodes)
 
     def _validate(self):
         ids = [n.id for n in self.nodes]
@@ -163,26 +164,35 @@ def build_complex_network(rows, cols, bbox=BEIJING_BBOX,
     return Topology(nodes, routers=routers, links=links, grid=GridSpec(rows, cols, tuple(bbox)))
 
 
+def _grid_axes(nodes):
+    """(row latitudes, column longitudes) when the edge nodes are build_grid's
+    layout: ids row-major from 0, every stored coordinate taken from one
+    latitude per row and one longitude per column, both strictly increasing.
+    None for any other node set, which the nearest-node scan then serves.
+    Plain Python: a numpy reduction here would grow every run's peak memory."""
+    n = len(nodes)
+    if n == 0:
+        return None
+    cols = next((i for i in range(1, n) if nodes[i].lat != nodes[0].lat), n)
+    rows, rest = divmod(n, cols)
+    if rest or any(node.id != i for i, node in enumerate(nodes)):
+        return None
+    lat_c = [nodes[r * cols].lat for r in range(rows)]
+    lon_c = [node.lon for node in nodes[:cols]]
+    if any(node.lat != lat_c[i // cols] or node.lon != lon_c[i % cols] for i, node in enumerate(nodes)):
+        return None
+    if not all(a < b for axis in (lat_c, lon_c) for a, b in zip(axis, axis[1:])):
+        return None
+    return np.array(lat_c), np.array(lon_c)
+
+
 def nearest_node(lat, lon, topo: Topology) -> int:
-    """Edge node minimizing equirectangular distance; ties go to the smaller id.
-
-    The cloud node is never returned. Points outside the grid clamp to the
-    nearest node by distance, no rejection.
-    """
-    if not topo.edge_nodes:
-        raise TopologyError("topology has no edge nodes")
-    dlat = topo._lats - lat
-    dlon = (topo._lons - lon) * topo._lon_scale
-    d2 = dlat * dlat + dlon * dlon
-    return topo.edge_nodes[int(np.argmin(d2))].id
+    """nearest_nodes for one point."""
+    return int(nearest_nodes([lat], [lon], topo)[0])
 
 
-def nearest_nodes(lats, lons, topo: Topology) -> np.ndarray:
-    """Vectorized nearest_node over point arrays; identical tie-breaks."""
-    if not topo.edge_nodes:
-        raise TopologyError("topology has no edge nodes")
-    lats = np.asarray(lats, dtype=float)
-    lons = np.asarray(lons, dtype=float)
+def _scan(lats, lons, topo: Topology) -> np.ndarray:
+    """Nearest edge node by comparing every point with every node."""
     out = np.empty(len(lats), dtype=np.int64)
     ids = np.array([n.id for n in topo.edge_nodes])
     # bound the points x nodes distance matrix to ~20M doubles
@@ -193,6 +203,60 @@ def nearest_nodes(lats, lons, topo: Topology) -> np.ndarray:
         dlon = (topo._lons[None, :] - lons[start:end, None]) * topo._lon_scale
         d2 = dlat * dlat + dlon * dlon
         out[start:end] = ids[np.argmin(d2, axis=1)]
+    return out
+
+
+def _bracket(centres, x):
+    """Indices of the centres just below and just above each x, clipped to the axis."""
+    above = np.searchsorted(centres, x)
+    last = len(centres) - 1
+    return np.clip(above - 1, 0, last), np.clip(above, 0, last)
+
+
+def nearest_nodes(lats, lons, topo: Topology) -> np.ndarray:
+    """Edge node minimizing equirectangular distance for each point; ties go
+    to the smaller id. The cloud node is never returned. Points outside the
+    grid clamp to the nearest node by distance, no rejection.
+
+    On build_grid's layout the distance is a row term plus a column term, so
+    only the 2 x 2 nodes around a point can be nearest, and they are compared
+    with the scan's own rounded expression. Rounding keeps each term monotone
+    along its axis, so another node can tie them only if the next row or
+    column outward ties too; such points, and every point of any other
+    topology, go to the scan.
+    """
+    if not topo.edge_nodes:
+        raise TopologyError("topology has no edge nodes")
+    lats = np.asarray(lats, dtype=float)
+    lons = np.asarray(lons, dtype=float)
+    if topo._axes is None:
+        return _scan(lats, lons, topo)
+    lat_c, lon_c = topo._axes
+    rows, cols = len(lat_c), len(lon_c)
+
+    def row_term(r):
+        dlat = lat_c[r] - lats
+        return dlat * dlat
+
+    def col_term(c):
+        dlon = (lon_c[c] - lons) * topo._lon_scale
+        return dlon * dlon
+
+    r0, r1 = _bracket(lat_c, lats)
+    c0, c1 = _bracket(lon_c, lons)
+    a0, a1, b0, b1 = row_term(r0), row_term(r1), col_term(c0), col_term(c1)
+    d2 = np.stack([a0 + b0, a0 + b1, a1 + b0, a1 + b1])  # in increasing id order
+    pick = np.argmin(d2, axis=0)
+    best = np.take_along_axis(d2, pick[None], axis=0)[0]
+    out = np.where(pick < 2, r0, r1) * cols + np.where(pick % 2 == 0, c0, c1)
+    a_min, b_min = np.minimum(a0, a1), np.minimum(b0, b1)
+    ambiguous = ~np.isfinite(best)
+    for r, inside in ((r0 - 1, r0 > 0), (r1 + 1, r1 < rows - 1)):
+        ambiguous |= inside & (row_term(np.clip(r, 0, rows - 1)) + b_min <= best)
+    for c, inside in ((c0 - 1, c0 > 0), (c1 + 1, c1 < cols - 1)):
+        ambiguous |= inside & (a_min + col_term(np.clip(c, 0, cols - 1)) <= best)
+    if ambiguous.any():
+        out[ambiguous] = _scan(lats[ambiguous], lons[ambiguous], topo)
     return out
 
 

@@ -6,7 +6,8 @@ Conventions: one trajectory file is one application session (file boundaries
 are the only on/off signal in the dataset), additionally split at intra-file
 gaps larger than ``gap_threshold`` (default 300 s). Timestamps are epoch
 seconds from a naive UTC parse of the file's date/time strings; time-of-day
-bucketing applies a timezone offset downstream.
+bucketing applies a timezone offset downstream. Points travel as float64
+columns (``Track``) from the parsed file to the node visits.
 """
 from __future__ import annotations
 
@@ -14,7 +15,11 @@ import calendar
 import csv
 import time
 from dataclasses import dataclass, field
+from datetime import date
+from itertools import repeat
 from pathlib import Path
+
+import numpy as np
 
 from .errors import (ConfigError, DataError, EmptyTraceError, TraceFormatError,
                      TraceOverlapError)
@@ -36,19 +41,37 @@ class GeoPoint:
             raise TraceFormatError(f"coordinates out of range: {self.lat}, {self.lon}")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class Track:
+    """GPS points as equal-length float64 columns: latitude, longitude and
+    epoch seconds. An integer index gives one GeoPoint; a slice or an index
+    array gives a Track."""
+    lat: np.ndarray
+    lon: np.ndarray
+    t: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i):
+        if isinstance(i, (int, np.integer)):
+            return GeoPoint(float(self.lat[i]), float(self.lon[i]), float(self.t[i]))
+        return Track(self.lat[i], self.lon[i], self.t[i])
+
+
+@dataclass(eq=False)
 class Session:
     """One contiguous period of application activity, as raw GPS points."""
     client_id: str
-    points: list[GeoPoint]
+    points: Track
 
     @property
     def start(self) -> float:
-        return self.points[0].t
+        return float(self.points.t[0])
 
     @property
     def end(self) -> float:
-        return self.points[-1].t
+        return float(self.points.t[-1])
 
 
 @dataclass(frozen=True)
@@ -108,26 +131,34 @@ class ClientTimeline:
                 raise ConfigError(f"client {self.client_id}: pause {i} does not tile its gap")
 
 
-def _parse_plt_timestamp(date_s: str, time_s: str, midnight_cache: dict) -> float:
-    midnight = midnight_cache.get(date_s)
-    if midnight is None:
-        y, mo, d = date_s.split("-")
-        midnight = calendar.timegm((int(y), int(mo), int(d), 0, 0, 0))
-        midnight_cache[date_s] = midnight
-    h, mi, s = time_s.split(":")
-    return float(midnight + int(h) * 3600 + int(mi) * 60 + int(s))
+_EPOCH_DAY = date(1970, 1, 1).toordinal()
 
 
-def parse_plt(data: bytes | str) -> list[GeoPoint]:
-    """Parse a GeoLife .plt file: 6 header lines, then CSV rows
-    ``lat,lon,0,altitude,days,date,time``. Points are returned in file order;
-    out-of-order timestamps are retained for the sessionizer to sort."""
+def _plt_midnight(date_s: str) -> int:
+    """Epoch seconds of a ``YYYY-MM-DD`` date's midnight; ValueError for an impossible date."""
+    y, mo, d = date_s.split("-")
+    try:
+        return (date(int(y), int(mo), int(d)).toordinal() - _EPOCH_DAY) * 86400
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"invalid date {date_s!r}: {exc}") from None
+
+
+def _plt_clock(time_s: str) -> int:
+    """Seconds past midnight of an ``HH:MM:SS`` time; ValueError for an impossible time."""
+    h, mi, s = (int(x) for x in time_s.split(":"))
+    if not (0 <= h < 24 and 0 <= mi < 60 and 0 <= s < 60):
+        raise ValueError(f"invalid time {time_s!r}")
+    return h * 3600 + mi * 60 + s
+
+
+def parse_plt_rows(data: bytes | str) -> Track:
+    """parse_plt one row at a time: the reference the columnar reader must
+    match, and the reader that names the line of the first malformed row."""
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
-    lines = data.splitlines()
-    points = []
-    midnight_cache: dict[str, int] = {}
-    for lineno, line in enumerate(lines[PLT_HEADER_LINES:], start=PLT_HEADER_LINES + 1):
+    lats, lons, times = [], [], []
+    midnights: dict[str, int] = {}
+    for lineno, line in enumerate(data.splitlines()[PLT_HEADER_LINES:], start=PLT_HEADER_LINES + 1):
         line = line.strip()
         if not line:
             continue
@@ -135,15 +166,70 @@ def parse_plt(data: bytes | str) -> list[GeoPoint]:
         if len(parts) < 7:
             raise TraceFormatError(f"expected 7 fields, got {len(parts)}", line=lineno)
         try:
-            lat = float(parts[0])
-            lon = float(parts[1])
-            t = _parse_plt_timestamp(parts[5], parts[6], midnight_cache)
-        except (ValueError, IndexError) as exc:
+            lat, lon = float(parts[0]), float(parts[1])
+            if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+                raise ValueError(f"coordinates out of range: {lat}, {lon}")
+            if parts[5] not in midnights:
+                midnights[parts[5]] = _plt_midnight(parts[5])
+            t = float(midnights[parts[5]] + _plt_clock(parts[6]))
+        except ValueError as exc:
             raise TraceFormatError(str(exc), line=lineno) from exc
-        points.append(GeoPoint(lat, lon, t))
-    if not points:
+        lats.append(lat)
+        lons.append(lon)
+        times.append(t)
+    if not times:
         raise EmptyTraceError("no data rows after header")
-    return points
+    return Track(np.array(lats), np.array(lons), np.array(times))
+
+
+def _clock_seconds(times: list[str]) -> np.ndarray:
+    """_plt_clock over a column of zero-padded ``HH:MM:SS`` strings; a string
+    of any other shape raises ValueError, like an impossible time."""
+    codes = np.array(times)
+    if codes.dtype != np.dtype("U8"):
+        raise ValueError("times are not all HH:MM:SS")
+    chars = codes.view(np.uint32).reshape(-1, 8).astype(np.int64) - ord("0")
+    digits = chars[:, [0, 1, 3, 4, 6, 7]]
+    if not ((chars[:, [2, 5]] == ord(":") - ord("0")).all() and ((digits >= 0) & (digits <= 9)).all()):
+        raise ValueError("times are not all HH:MM:SS")
+    hms = digits[:, 0::2] * 10 + digits[:, 1::2]
+    if not (hms < (24, 60, 60)).all():
+        raise ValueError("impossible time")
+    return hms @ np.array([3600, 60, 1])
+
+
+def _parse_columns(text: str) -> Track:
+    """The data rows of a PLT text converted a column at a time. Raises
+    ValueError for any file that is not exactly seven fields per row with
+    in-range coordinates, a valid date and a zero-padded valid time."""
+    rows = [line for line in text.splitlines()[PLT_HEADER_LINES:] if line]
+    if not rows or any(count != 6 for count in map(str.count, rows, repeat(","))):
+        raise ValueError("not seven fields per row")
+    fields = ",".join(rows).split(",")
+    lat = np.fromiter(map(float, fields[0::7]), float, len(rows))
+    lon = np.fromiter(map(float, fields[1::7]), float, len(rows))
+    if not (((lat >= -90.0) & (lat <= 90.0)).all() and ((lon >= -180.0) & (lon <= 180.0)).all()):
+        raise ValueError("coordinates out of range")
+    dates = fields[5::7]
+    midnights = {d: _plt_midnight(d) for d in set(dates)}
+    t = np.fromiter(map(midnights.__getitem__, dates), np.int64, len(rows))
+    return Track(lat, lon, (t + _clock_seconds(fields[6::7])).astype(float))
+
+
+def parse_plt(data: bytes | str) -> Track:
+    """Parse a GeoLife .plt file: 6 header lines, then CSV rows
+    ``lat,lon,0,altitude,days,date,time``. Points are returned in file order;
+    out-of-order timestamps are retained for the sessionizer to sort.
+
+    The fields are converted a column at a time; a file that reader does not
+    accept is read again row by row, which names the first malformed line.
+    """
+    if isinstance(data, bytes):
+        data = data.decode("utf-8", errors="replace")
+    try:
+        return _parse_columns(data)
+    except ValueError:
+        return parse_plt_rows(data)
 
 
 def format_plt(points) -> str:
@@ -162,7 +248,7 @@ def format_plt(points) -> str:
 
 
 def sessionize(point_groups, gap_threshold=DEFAULT_GAP_THRESHOLD, client_id="") -> list[Session]:
-    """Segment per-file point groups into sessions.
+    """Segment per-file point groups (Tracks) into sessions.
 
     Every file boundary starts a new session; intra-file gaps larger than
     gap_threshold split further. Files are ordered by first timestamp; a file
@@ -172,33 +258,22 @@ def sessionize(point_groups, gap_threshold=DEFAULT_GAP_THRESHOLD, client_id="") 
     """
     if gap_threshold <= 0:
         raise ConfigError("gap_threshold must be > 0")
-    groups = [sorted(g, key=lambda p: p.t) for g in point_groups if g]
-    groups.sort(key=lambda g: g[0].t)
-    overlaps = []
-    for i in range(len(groups) - 1):
-        if groups[i + 1][0].t < groups[i][-1].t:
-            overlaps.append((i, i + 1))
+    groups = [g[np.argsort(g.t, kind="stable")] for g in point_groups if len(g)]
+    groups.sort(key=lambda g: g.t[0])
+    overlaps = [(i, i + 1) for i in range(len(groups) - 1) if groups[i + 1].t[0] < groups[i].t[-1]]
     if overlaps:
         raise TraceOverlapError(
             f"client {client_id or '?'}: {len(overlaps)} overlapping trajectory file pair(s): {overlaps}",
             pairs=overlaps)
-
-    sessions: list[Session] = []
-    for gi, group in enumerate(groups):
-        if gi > 0 and sessions and group[0].t == sessions[-1].end:
-            current = sessions[-1].points
-        else:
-            current = []
-            sessions.append(Session(client_id, current))
-        prev_t = current[-1].t if current else None
-        for p in group:
-            if prev_t is not None and p.t - prev_t > gap_threshold:
-                current = [p]
-                sessions.append(Session(client_id, current))
-            else:
-                current.append(p)
-            prev_t = p.t
-    return sessions
+    if not groups:
+        return []
+    lat, lon, t = (np.concatenate([getattr(g, name) for g in groups]) for name in ("lat", "lon", "t"))
+    gaps = np.diff(t)
+    cut = gaps > gap_threshold
+    joins = np.cumsum([len(g) for g in groups[:-1]], dtype=np.int64) - 1  # gap before each later file
+    cut[joins] |= gaps[joins] > 0  # a later file continues a session only from its exact end
+    bounds = [0, *(np.flatnonzero(cut) + 1).tolist(), len(t)]
+    return [Session(client_id, Track(lat[a:b], lon[a:b], t[a:b])) for a, b in zip(bounds, bounds[1:])]
 
 
 def map_to_node_visits(session: Session, topo: Topology) -> list[NodeVisit]:
@@ -206,18 +281,11 @@ def map_to_node_visits(session: Session, topo: Topology) -> list[NodeVisit]:
     assignments; a visit's departure is the next visit's arrival, the last
     departure is the session end."""
     pts = session.points
-    assigned = nearest_nodes([p.lat for p in pts], [p.lon for p in pts], topo)
-    visits: list[NodeVisit] = []
-    start_t = pts[0].t
-    cur = int(assigned[0])
-    for p, node in zip(pts[1:], assigned[1:]):
-        node = int(node)
-        if node != cur:
-            visits.append(NodeVisit(cur, start_t, p.t))
-            cur = node
-            start_t = p.t
-    visits.append(NodeVisit(cur, start_t, session.end))
-    return visits
+    nodes = nearest_nodes(pts.lat, pts.lon, topo)
+    firsts = np.r_[0, np.flatnonzero(np.diff(nodes)) + 1]
+    arrivals = pts.t[firsts].tolist()
+    return [NodeVisit(node, arrival, departure) for node, arrival, departure
+            in zip(nodes[firsts].tolist(), arrivals, arrivals[1:] + [session.end])]
 
 
 def _pauses_between(client_id, visit_sessions) -> list[Pause]:
@@ -289,6 +357,12 @@ class SyntheticSpec:
     jitter: float = 0.0          # max absolute start-time jitter, seconds
 
 
+def _local(spec: SyntheticSpec, t: float) -> str:
+    """Weekday and wall-clock time of ``t`` in the spec's week (``Monday 08:00:00``)."""
+    day, clock = divmod(t - spec.anchor, 86400.0)
+    return f"{calendar.day_name[int(day) % 7]} {time.strftime('%H:%M:%S', time.gmtime(clock))}"
+
+
 def synth_generate(spec: SyntheticSpec, noise_seed=None) -> ClientTimeline:
     """Expand a weekly schedule into a fully deterministic timeline; with
     noise_seed set, uniform jitter (at most spec.jitter) is applied to start
@@ -317,7 +391,8 @@ def synth_generate(spec: SyntheticSpec, noise_seed=None) -> ClientTimeline:
             t += stay
         if sessions and visits[0].arrival <= sessions[-1][-1].departure:
             raise ConfigError(
-                f"synthetic schedule: session {idx} starting at {visits[0].arrival} overlaps the previous one")
+                f"client {spec.client_id}: synthetic session {idx} starting {_local(spec, visits[0].arrival)} "
+                f"overlaps session {idx - 1} starting {_local(spec, sessions[-1][0].arrival)}")
         sessions.append(visits)
     if not sessions:
         return ClientTimeline(spec.client_id, [], [])

@@ -1,19 +1,23 @@
-"""Independent oracles for the simulation engine and the interval metrics.
+"""Independent oracles for the simulation engine, the interval metrics and
+GeoLife ingestion.
 
 The engine oracle re-runs a scenario as a naive per-second state machine (no
 event queue), sharing only the policy layer with the real engine. The metrics
 oracle counts seconds. Both require every timestamp in a scenario to be an
 integer, which the micro-scenario generator guarantees: per-node stay and
 pause durations are constant (so learned means stay integral) and pause
-durations are even (so padded retention windows stay integral).
+durations are even (so padded retention windows stay integral). The ingest
+oracle handles one point at a time: the row-by-row PLT parser, a loop over
+sorted points for the sessions and a scan over every node for each point.
 """
 import random
+from pathlib import Path
 
 from fogrep.policies import (Delete, PolicyConfig, Replicate, ReplicaView,
                              Retain, make_policy)
 from fogrep.simengine import ReplicaLedger
 from fogrep.topology import FixedDelay, FlowGraph, build_grid, transfer_source, transfer_time
-from fogrep.traces import ClientTimeline, NodeVisit, Pause
+from fogrep.traces import ClientTimeline, NodeVisit, Pause, parse_plt_rows
 
 _START, _ARRIVE, _END = 3, 2, 4  # same tie ranks as the engine
 
@@ -216,3 +220,56 @@ def make_micro_scenario(rng: random.Random):
     timelines = [make_micro_timeline(rng, f"c{i}", n_nodes)
                  for i in range(rng.randint(1, 2))]
     return timelines, topo, network, random_policy_config(rng)
+
+
+def brute_force_nearest(lat, lon, topo):
+    """Independent linear scan with the same equirectangular metric."""
+    best_id, best_d2 = None, None
+    for n in topo.edge_nodes:
+        dlat = lat - n.lat
+        dlon = (lon - n.lon) * topo._lon_scale
+        d2 = dlat * dlat + dlon * dlon
+        if best_d2 is None or d2 < best_d2:
+            best_id, best_d2 = n.id, d2
+    return best_id
+
+
+def _point_sessions(groups, gap_threshold):
+    """Per-file GeoPoint lists -> sessions, by the rules of traces.sessionize."""
+    groups = sorted((sorted(g, key=lambda p: p.t) for g in groups if g), key=lambda g: g[0].t)
+    sessions = []
+    for group in groups:
+        if sessions and group[0].t == sessions[-1][-1].t:
+            current = sessions[-1]  # the file continues the previous one
+        else:
+            current = []
+            sessions.append(current)
+        for p in group:
+            if current and p.t - current[-1].t > gap_threshold:
+                current = []
+                sessions.append(current)
+            current.append(p)
+    return sessions
+
+
+def point_ingest(root, topo, gap_threshold) -> list[ClientTimeline]:
+    """`fogrep ingest` of ``root/Data/<user>/Trajectory/*.plt``, one point at a time."""
+    timelines = []
+    for user in sorted(d for d in (Path(root) / "Data").iterdir() if d.is_dir()):
+        groups = [list(parse_plt_rows(f.read_bytes()))
+                  for f in sorted((user / "Trajectory").glob("*.plt"))]
+        visit_sessions = []
+        for points in _point_sessions(groups, gap_threshold):
+            visits = []  # [node, arrival, departure]
+            for p in points:
+                node = brute_force_nearest(p.lat, p.lon, topo)
+                if not visits or visits[-1][0] != node:
+                    if visits:
+                        visits[-1][2] = p.t
+                    visits.append([node, p.t, None])
+            visits[-1][2] = points[-1].t
+            visit_sessions.append([NodeVisit(*v) for v in visits])
+        pauses = [Pause(user.name, a[-1].node, a[-1].departure, b[0].arrival)
+                  for a, b in zip(visit_sessions, visit_sessions[1:])]
+        timelines.append(ClientTimeline(user.name, visit_sessions, pauses))
+    return timelines

@@ -1,15 +1,22 @@
+import io
+import random
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogrep import experiment
 from fogrep.cli import main
 from fogrep.errors import ConfigError
 from fogrep.experiment import (load_experiment_config, load_traces,
                                parse_experiment_config)
-from fogrep.topology import build_grid
-from fogrep.traces import synth_generate
+from fogrep.topology import BEIJING_BBOX, build_grid
+from fogrep.traces import GeoPoint, format_plt, synth_generate, write_visits_csv
+
+from oracles import point_ingest
 
 REPO = Path(__file__).resolve().parent.parent
 SMOKE_CONFIG = REPO / "configs" / "smoke.yaml"
@@ -105,6 +112,13 @@ class TestRun:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "metrics.window:" in capsys.readouterr().err
 
+    def test_zero_active_time_is_a_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "zero.yaml"
+        cfg.write_text(error_config(trace=spec_trace(pattern="days: [mon], start: '08:00'").replace(
+            "[[0, 60]]", "[[0, 0]]")))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == "data error: no active time across clients\n"
+
     def test_jobs_flag_matches_serial(self, tmp_path):
         assert main(["run", str(SMOKE_CONFIG), "--out", str(tmp_path / "serial")]) == 0
         assert main(["run", str(SMOKE_CONFIG), "--out", str(tmp_path / "par"),
@@ -160,6 +174,42 @@ class TestIngest:
         assert run(150) != first  # user 000's second trip splits at its 240 s gap
         assert ingested == [300.0, 150.0]
         assert len(list(out.glob("visits_strip-2_*.csv"))) == 2
+
+    @settings(max_examples=15, deadline=None)
+    @given(rows=st.integers(1, 6), cols=st.integers(1, 6),
+           bbox=st.sampled_from([(0.0, 1.0, 0.0, 1.0), BEIJING_BBOX, (39.9, 39.9 + 1e-9, 116.4, 116.4 + 1e-9)]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_ingest_matches_point_pipeline(self, rows, cols, bbox, seed):
+        """`fogrep ingest` of a format_plt tree writes the visits CSV that
+        the row parser, a point loop and the scan over every node give."""
+        rng = random.Random(seed)
+        topo = build_grid(rows, cols, bbox)
+        lat0, lat1, lon0, lon1 = bbox
+        lats = [n.lat for n in topo.nodes] + [lat0, lat1, (lat0 + lat1) / 2, -89.0, 89.0]
+        lons = [n.lon for n in topo.nodes] + [lon0, lon1, (lon0 + lon1) / 2, -179.0, 179.0]
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / "geolife"
+            for user in range(rng.randint(1, 3)):
+                traj = root / "Data" / f"{user:03d}" / "Trajectory"
+                traj.mkdir(parents=True)
+                t = rng.randint(1_200_000_000, 1_300_000_000)
+                for k in range(rng.randint(1, 4)):
+                    points = []
+                    for _ in range(rng.randint(1, 30)):
+                        lat = rng.choice(lats) if rng.random() < 0.7 else rng.uniform(lat0, lat1)
+                        lon = rng.choice(lons) if rng.random() < 0.7 else rng.uniform(lon0, lon1)
+                        points.append(GeoPoint(lat, lon, float(t)))
+                        t += rng.choice([0, 1, 5, 60, 300, 301, 900])
+                    name = time.strftime("%Y%m%d%H%M%S", time.gmtime(points[0].t))
+                    rng.shuffle(points)  # ingest sorts each file's points by time
+                    (traj / f"{name}-{k}.plt").write_text(format_plt(points))  # names sort in time order
+                    t = max(p.t for p in points) + rng.choice([0, 0, 60, 600])
+            out = Path(tmp) / "visits.csv"
+            assert main(["ingest", str(root), "--grid", f"{rows}x{cols}", "--bbox", *map(repr, bbox),
+                         "--out", str(out)]) == 0
+            expected = io.StringIO()
+            write_visits_csv(point_ingest(root, topo, 300.0), expected)
+            assert out.read_text() == expected.getvalue()
 
     def test_ingest_missing_dir(self, tmp_path, capsys):
         code = main(["ingest", str(tmp_path / "none"), "--out", str(tmp_path / "v.csv")])
@@ -236,6 +286,10 @@ class TestConfigErrors:
         ({"trace": spec_trace(pattern="days: [mon], start: '25:90'")}, f"{SPEC_CLIENT}.patterns[0].start", 2),
         ({"trace": spec_trace(pattern="days: [mon, fry], start: '08:00'")}, f"{SPEC_CLIENT}.patterns[0].days", 2),
         ({"trace": spec_trace(client="client_id: x")}, f"{SPEC_CLIENT}.client_id", 2),
+        ({"trace": "{source: synthetic, spec: {clients: ["
+                   "{client: c, patterns: [{days: [mon], start: '08:00', path: [[0, 60]]}]}, "
+                   "{client: c, patterns: [{days: [tue], start: '08:00', path: [[1, 60]]}]}]}}"},
+         "trace.spec.clients[1].client", 2),
         ({"trace": "{source: geolife, path: g, gap_treshold: 60}"}, "trace.gap_treshold", 2),
         ({"trace": "{source: geolife, path: g, gap_threshold: 0}"}, "trace.gap_threshold", 2),
         ({"trace": "{source: visits, path: v.csv, clients: [a]}"}, "trace.clients", 2),
@@ -249,7 +303,7 @@ class TestConfigErrors:
     ], ids=["k-word", "jobs-word", "eot-string", "k-float", "vomm-day-splits",
             "momm-time-splits", "bbox-three", "kind-unknown", "spec-wekks", "spec-weeks-word",
             "spec-start-8am", "spec-start-unquoted", "spec-start-25-90", "spec-day-fry",
-            "spec-client-id", "trace-gap-treshold", "trace-gap-zero", "visits-clients",
+            "spec-client-id", "spec-client-twice", "trace-gap-treshold", "trace-gap-zero", "visits-clients",
             "edge-rate-zero", "transfer-delay-zero", "rows-zero", "series-bucket-zero",
             "jobs-zero", "plmm-threshold-zero", "plmm-factor-negative"])
     def test_run_names_key_path_and_line(self, tmp_path, capsys, override, key_path, line):
@@ -259,6 +313,15 @@ class TestConfigErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{key_path}:" in err and f"(line {line})" in err
+
+    def test_overlapping_patterns_name_client_and_local_times(self, tmp_path, capsys):
+        trace = spec_trace(pattern="days: [mon], start: '08:00'").replace(
+            "path: [[0, 60]]}", "path: [[0, 7200]]}, {days: [mon], start: '09:00', path: [[1, 600]]}")
+        cfg = tmp_path / "overlap.yaml"
+        cfg.write_text(error_config(trace=trace))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ("config error: client c: synthetic session 1 starting "
+                                           "Monday 09:00:00 overlaps session 0 starting Monday 08:00:00\n")
 
     def test_time_zone_comes_from_the_trace(self):
         text = ("experiment: tz\n"

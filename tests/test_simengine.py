@@ -127,6 +127,11 @@ class TestEngineBehavior:
         with pytest.raises(ConfigError):
             run([tl], topo3(), FixedDelay(300.0), BASELINE)
 
+    def test_duplicate_client_id_rejected(self):
+        a, b = timeline("a", [(A, 0, 100)]), timeline("a", [(B, 200, 300)])
+        with pytest.raises(ConfigError, match="client a: duplicate client id"):
+            run([a, b], topo3(), FixedDelay(300.0), BASELINE)
+
     def test_event_log_kinds(self):
         tl = timeline("c", [(A, 0, 1000), (B, 1000, 2000)])
         result = run([tl], topo3(), FixedDelay(300.0), BASELINE)

@@ -12,19 +12,9 @@ from fogrep.topology import (BEIJING_BBOX, FixedDelay, FlowGraph, FogNode,
                              nearest_node, nearest_nodes, transfer_time,
                              transfer_source)
 
+from oracles import brute_force_nearest
+
 UNIT_BBOX = (0.0, 1.0, 0.0, 1.0)
-
-
-def brute_force_nearest(lat, lon, topo):
-    """Independent linear scan with the same equirectangular metric."""
-    best_id, best_d2 = None, None
-    for n in topo.edge_nodes:
-        dlat = lat - n.lat
-        dlon = (lon - n.lon) * topo._lon_scale
-        d2 = dlat * dlat + dlon * dlon
-        if best_d2 is None or d2 < best_d2:
-            best_id, best_d2 = n.id, d2
-    return best_id
 
 
 class TestBuildGrid:
@@ -86,6 +76,94 @@ class TestNearestNode:
         topo = build_complex_network(2, 2, UNIT_BBOX)
         cloud = topo.nodes[topo.cloud_id]
         assert nearest_node(cloud.lat, cloud.lon, topo) != topo.cloud_id
+
+
+def _grid(kind, rows, cols, bbox):
+    if kind == "grid":
+        return build_grid(rows, cols, bbox)
+    return build_complex_network(rows, cols, bbox, neighborhood=int(kind[-1]))
+
+
+def _probe_points(rng, topo, bbox, count):
+    """Exact node positions, exact midpoints between neighbouring centres,
+    points inside the bbox and points far outside it (within the lat/lon
+    ranges PLT parsing accepts)."""
+    lat0, lat1, lon0, lon1 = bbox
+    lats = sorted({n.lat for n in topo.edge_nodes})
+    lons = sorted({n.lon for n in topo.edge_nodes})
+    mid_lats = [(a + b) / 2 for a, b in zip(lats, lats[1:])] or lats
+    mid_lons = [(a + b) / 2 for a, b in zip(lons, lons[1:])] or lons
+    points = []
+    for _ in range(count):
+        kind = rng.randrange(4)
+        if kind == 0:
+            node = rng.choice(topo.edge_nodes)
+            points.append((node.lat, node.lon))
+        elif kind == 1:
+            points.append((rng.choice(mid_lats + lats), rng.choice(mid_lons + lons)))
+        elif kind == 2:
+            points.append((rng.uniform(lat0, lat1), rng.uniform(lon0, lon1)))
+        else:
+            points.append((rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0)))
+    return [p[0] for p in points], [p[1] for p in points]
+
+
+class TestGridLookup:
+    """On build_grid's layout nearest_nodes looks at the 2 x 2 nodes around a
+    point; it must return exactly what the scan over every node returns."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(["grid", "complex4", "complex8"]),
+           rows=st.integers(1, 30), cols=st.integers(1, 30),
+           lat0=st.floats(-89.0, 80.0), lon0=st.floats(-179.0, 170.0),
+           height_exp=st.floats(-12.0, 0.9), width_exp=st.floats(-12.0, 0.9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_brute_force(self, kind, rows, cols, lat0, lon0, height_exp, width_exp, seed):
+        bbox = (lat0, lat0 + 10 ** height_exp, lon0, lon0 + 10 ** width_exp)
+        topo = _grid(kind, rows, cols, bbox)
+        lats, lons = _probe_points(random.Random(seed), topo, bbox, 40)
+        expected = [brute_force_nearest(lat, lon, topo) for lat, lon in zip(lats, lons)]
+        assert nearest_nodes(lats, lons, topo).tolist() == expected
+
+    @pytest.mark.parametrize("kind", ["grid", "complex4", "complex8"])
+    @pytest.mark.parametrize("rows,cols", [(1, 7), (7, 1), (1, 1), (25, 25)])
+    def test_grid_layouts_take_the_lookup(self, kind, rows, cols):
+        topo = _grid(kind, rows, cols, BEIJING_BBOX)
+        assert topo._axes is not None
+        lats, lons = _probe_points(random.Random(rows * 31 + cols), topo, BEIJING_BBOX, 200)
+        expected = [brute_force_nearest(lat, lon, topo) for lat, lon in zip(lats, lons)]
+        assert nearest_nodes(lats, lons, topo).tolist() == expected
+
+    def test_rounding_ties_far_outside_a_tiny_bbox(self):
+        # every column is the same rounded distance from a point this far
+        # away, so the scan's answer is column 0, not the nearest column
+        topo = build_grid(30, 30, (39.6, 39.6 + 1e-9, 116.0, 116.0 + 1e-9))
+        assert topo._axes is not None
+        lats, lons = [89.0, -89.0], [116.0 + 1e-9 / 3, 116.0 + 1e-9 / 2]
+        assert nearest_nodes(lats, lons, topo).tolist() == [870, 0] == \
+               [brute_force_nearest(lat, lon, topo) for lat, lon in zip(lats, lons)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(1, 8), cols=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_shuffled_nodes_take_the_scan(self, rows, cols, seed):
+        rng = random.Random(seed)
+        base = build_grid(rows, cols, BEIJING_BBOX)
+        coords = [(n.lat, n.lon) for n in base.nodes]
+        if len(coords) > 1:
+            shuffled = rng.sample(coords, len(coords))
+            coords = shuffled if shuffled != coords else coords[1:] + coords[:1]
+        topo = Topology([FogNode(i, lat, lon) for i, (lat, lon) in enumerate(coords)],
+                        grid=base.grid)
+        assert (topo._axes is None) == (len(coords) > 1)
+        lats, lons = _probe_points(rng, topo, BEIJING_BBOX, 40)
+        expected = [brute_force_nearest(lat, lon, topo) for lat, lon in zip(lats, lons)]
+        assert nearest_nodes(lats, lons, topo).tolist() == expected
+
+    def test_loaded_grid_file_with_other_nodes_takes_the_scan(self):
+        text = dump_topology(build_grid(2, 2, UNIT_BBOX)).replace("node 3 edge 0.75 0.75", "node 3 edge 0.9 0.1")
+        topo = load_topology(text)
+        assert topo.grid is not None and topo._axes is None
+        assert nearest_node(0.88, 0.12, topo) == 3 == brute_force_nearest(0.88, 0.12, topo)
 
 
 def expected_link_count(rows, cols):

@@ -1,16 +1,21 @@
 import calendar
 import random
+import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fogrep.errors import (ConfigError, EmptyTraceError, TraceFormatError,
-                           TraceOverlapError)
+from fogrep.errors import (ConfigError, DataError, EmptyTraceError,
+                           TraceFormatError, TraceOverlapError)
 from fogrep.topology import build_grid
 from fogrep.traces import (ClientTimeline, GeoPoint, NodeVisit, Session,
-                           SchedulePattern, SyntheticSpec, build_timeline,
+                           SchedulePattern, SyntheticSpec, Track, build_timeline,
                            format_plt, map_to_node_visits, parse_plt,
-                           read_visits_csv, sessionize, synth_generate,
-                           write_visits_csv)
+                           parse_plt_rows, read_visits_csv, sessionize,
+                           synth_generate, write_visits_csv)
+from fogrep.traces import _parse_columns
 
 UNIT_BBOX = (0.0, 1.0, 0.0, 1.0)
 
@@ -32,7 +37,7 @@ class TestParsePlt:
     def test_single_row_field_mapping(self):
         data = plt_file(["39.9,116.4,0,492,39744.12,2008-10-23,02:53:04"])
         points = parse_plt(data)
-        assert points == [GeoPoint(39.9, 116.4, epoch("2008-10-23", "02:53:04"))]
+        assert list(points) == [GeoPoint(39.9, 116.4, epoch("2008-10-23", "02:53:04"))]
 
     def test_header_only_is_empty_trace(self):
         with pytest.raises(EmptyTraceError):
@@ -65,11 +70,107 @@ class TestParsePlt:
                 "39.907,116.3855,0,491,39744.1202,2008-10-23,02:53:09"]
         points = parse_plt(plt_file(rows))
         again = parse_plt(format_plt(points))
-        assert again == points
+        assert list(again) == list(points)
+
+
+IMPOSSIBLE_FIELDS = [
+    ("95.0,116.4,0,0,0,2008-10-23,02:53:04", "coordinates out of range: 95.0, 116.4"),
+    ("nan,116.4,0,0,0,2008-10-23,02:53:04", "coordinates out of range: nan, 116.4"),
+    ("39.9,116.4,0,0,0,2008-10-40,02:53:04", "invalid date '2008-10-40'"),
+    ("39.9,116.4,0,0,0,2008-10-23,25:00:00", "invalid time '25:00:00'"),
+    ("39.9,116.4,0,0,0,2008-10-23,12:61:75", "invalid time '12:61:75'"),
+]
+
+
+class TestExactFields:
+    @pytest.mark.parametrize("parse", [parse_plt, parse_plt_rows], ids=["columns", "rows"])
+    @pytest.mark.parametrize("row, message", IMPOSSIBLE_FIELDS,
+                             ids=["lat-95", "lat-nan", "day-40", "hour-25", "minute-61"])
+    def test_impossible_field_names_its_line(self, parse, row, message):
+        data = plt_file(["39.9,116.4,0,0,0,2008-10-23,02:53:03", row])
+        with pytest.raises(TraceFormatError, match="^line 8: " + re.escape(message)) as err:
+            parse(data)
+        assert err.value.line == 8
+
+    @pytest.mark.parametrize("parse", [parse_plt, parse_plt_rows], ids=["columns", "rows"])
+    def test_short_row_balanced_by_a_long_one_names_its_line(self, parse):
+        # fourteen fields in two rows: seven per row on average, but row 7 has six
+        data = plt_file(["1.0,2.0,0,0,0,2008-10-23", "12:00:00,1.0,2.0,0,0,0,2008-10-23,12:00:00"])
+        with pytest.raises(TraceFormatError, match="^line 7: expected 7 fields, got 6"):
+            parse(data)
+
+    def test_last_second_of_the_day_and_leap_day(self):
+        data = plt_file(["39.9,116.4,0,0,0,2008-02-29,23:59:59"])
+        assert parse_plt(data).t.tolist() == [epoch("2008-02-29", "23:59:59")]
+
+
+BAD_ROWS = ["not,a,row", "39.9,abc,0,0,0,2008-10-23,02:53:04", "39.9,116.4,0,0,0,2008/10/23,02:53:04",
+            "39.9,116.4,0,0,0,2008-10-23,02:53", "0x1p3,116.4,0,0,0,2008-10-23,02:53:04",
+            *(row for row, _ in IMPOSSIBLE_FIELDS)]
+
+
+@st.composite
+def plt_texts(draw):
+    """A PLT file and whether the columnar reader must accept it: LF or CRLF,
+    blank lines, at most one quirk the reader leaves to the row parser
+    (unpadded times, an eighth field, lines of spaces) and at most one
+    malformed row at a random position."""
+    quirk = draw(st.sampled_from([None, None, "unpadded", "extra field", "spaces"]))
+    rows = []
+    for _ in range(draw(st.integers(1, 25))):
+        lat = draw(st.floats(-90.0, 90.0))
+        lon = draw(st.floats(-180.0, 180.0))
+        clock = draw(st.times())
+        clock_s = clock.strftime("%H:%M:%S")
+        if quirk == "unpadded" and draw(st.booleans()):
+            clock_s = f"{clock.hour}:{clock.minute}:{clock.second}"
+        extra = ",x" if quirk == "extra field" and draw(st.booleans()) else ""
+        rows.append(f"{draw(st.sampled_from([repr(lat), f'{lat:.6f}']))},{lon!r},0,492,"
+                    f"39744.12,{draw(st.dates()).isoformat()},{clock_s}{extra}")
+        if draw(st.integers(0, 9)) == 0:
+            rows.append("   " if quirk == "spaces" else "")
+    malformed = draw(st.integers(0, 2)) == 0
+    if malformed:
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(BAD_ROWS)))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return (PLT_HEADER + "\n".join(rows) + "\n").replace("\n", newline), quirk is None and not malformed
+
+
+def _columns(track):
+    return [getattr(track, name).tobytes() for name in ("lat", "lon", "t")]
+
+
+class TestColumnarParse:
+    @settings(max_examples=200, deadline=None)
+    @given(plt_texts())
+    def test_columns_match_row_parser(self, case):
+        text, canonical = case
+        for data in (text, text.encode()):
+            try:
+                expected = parse_plt_rows(data)
+            except DataError as exc:
+                with pytest.raises(type(exc)) as err:
+                    parse_plt(data)
+                assert str(err.value) == str(exc)
+                assert getattr(err.value, "line", None) == getattr(exc, "line", None)
+                continue
+            assert _columns(parse_plt(data)) == _columns(expected)
+            if canonical:  # the fast reader itself, not its row-by-row fallback
+                assert _columns(_parse_columns(text)) == _columns(expected)
+
+    def test_points_index_and_slice(self):
+        track = parse_plt(plt_file(["1.0,2.0,0,0,0,2009-01-01,00:00:00", "3.0,4.0,0,0,0,2009-01-01,00:00:05"]))
+        assert len(track) == 2 and track[-1] == GeoPoint(3.0, 4.0, track.t[-1])
+        assert list(track[1:]) == [track[1]]
+        assert track.t.dtype == np.float64
+
+
+def track(points):
+    return Track(*(np.array([getattr(p, name) for p in points]) for name in ("lat", "lon", "t")))
 
 
 def pts(*times, lat=0.2, lon=0.2):
-    return [GeoPoint(lat, lon, float(t)) for t in times]
+    return track([GeoPoint(lat, lon, float(t)) for t in times])
 
 
 class TestSessionize:
@@ -113,7 +214,7 @@ class TestSessionize:
         rng = random.Random(13)
         times = sorted(rng.sample(range(0, 5000), 60))
         groups = [pts(*times)]
-        counts = [len(sessionize([list(g) for g in groups], gap_threshold=th))
+        counts = [len(sessionize(groups, gap_threshold=th))
                   for th in (1000.0, 500.0, 250.0, 100.0, 50.0)]
         assert counts == sorted(counts)
 
@@ -126,22 +227,22 @@ class TestMapToNodeVisits:
 
     def test_switch_at_first_new_nearest(self):
         topo = build_grid(1, 2, UNIT_BBOX)
-        session = Session("c", [GeoPoint(0.5, 0.2, 0.0), GeoPoint(0.5, 0.3, 10.0),
-                                GeoPoint(0.5, 0.8, 25.0), GeoPoint(0.5, 0.9, 40.0)])
+        session = Session("c", track([GeoPoint(0.5, 0.2, 0.0), GeoPoint(0.5, 0.3, 10.0),
+                                      GeoPoint(0.5, 0.8, 25.0), GeoPoint(0.5, 0.9, 40.0)]))
         # brute-force nearest scan on the 4-point fixture: 0.2, 0.3 -> node 0; 0.8, 0.9 -> node 1
         assert map_to_node_visits(session, topo) == [
             NodeVisit(0, 0.0, 25.0), NodeVisit(1, 25.0, 40.0)]
 
     def test_equidistant_point_goes_to_lower_id(self):
         topo = build_grid(1, 2, UNIT_BBOX)
-        session = Session("c", [GeoPoint(0.5, 0.5, 0.0)])
+        session = Session("c", track([GeoPoint(0.5, 0.5, 0.0)]))
         assert map_to_node_visits(session, topo) == [NodeVisit(0, 0.0, 0.0)]
 
     def test_idempotent(self):
         topo = build_grid(2, 2, UNIT_BBOX)
         rng = random.Random(5)
-        session = Session("c", [GeoPoint(rng.random(), rng.random(), float(i * 10))
-                                for i in range(30)])
+        session = Session("c", track([GeoPoint(rng.random(), rng.random(), float(i * 10))
+                                      for i in range(30)]))
         assert map_to_node_visits(session, topo) == map_to_node_visits(session, topo)
 
 
@@ -149,8 +250,8 @@ class TestBuildTimeline:
     def test_tiling_and_pause_anchor(self):
         topo = build_grid(1, 2, UNIT_BBOX)
         groups = [
-            [GeoPoint(0.5, 0.2, 0.0), GeoPoint(0.5, 0.8, 100.0)],
-            [GeoPoint(0.5, 0.8, 700.0), GeoPoint(0.5, 0.8, 800.0)],
+            track([GeoPoint(0.5, 0.2, 0.0), GeoPoint(0.5, 0.8, 100.0)]),
+            track([GeoPoint(0.5, 0.8, 700.0), GeoPoint(0.5, 0.8, 800.0)]),
         ]
         tl = build_timeline("c", groups, topo)
         assert len(tl.sessions) == 2
@@ -167,7 +268,7 @@ class TestBuildTimeline:
         groups = []
         for _ in range(6):
             times = [t + i * 20 for i in range(rng.randint(2, 8))]
-            groups.append([GeoPoint(rng.random(), rng.random(), ts) for ts in times])
+            groups.append(track([GeoPoint(rng.random(), rng.random(), ts) for ts in times]))
             t = times[-1] + rng.randint(400, 2000)
         tl = build_timeline("c", groups, topo)
         tl.validate()
