@@ -33,8 +33,10 @@ from .traces import (DEFAULT_GAP_THRESHOLD, SchedulePattern, SyntheticSpec,
 
 GEOLIFE_TZ_OFFSET = 8 * 3600.0
 
-RESULTS_HEADER = ["experiment", "topology", "policy", "clients",
-                  "availability", "excess_ratio", "memory_avg_bytes", "memory_max_bytes"]
+RESULTS_TYPES = {"experiment": str, "topology": str, "policy": str, "clients": int,
+                 "availability": float, "excess_ratio": float,
+                 "memory_avg_bytes": float, "memory_max_bytes": int}
+RESULTS_HEADER = list(RESULTS_TYPES)
 
 
 def load_yaml_with_lines(text: str, source="<config>"):
@@ -221,11 +223,11 @@ POLICY_FIELDS = {
     "startup": ("startup_mode", _text),
     "startup.type": ("startup_mode", _text),
     "startup.mode": ("short_pause_mode", _text),
-    "startup.duration": ("short_pause_duration", _number),
-    "startup.max": ("short_pause_max", _number),
+    "startup.duration": ("short_pause_duration", _non_negative),
+    "startup.max": ("short_pause_max", _non_negative),
     "startup.threshold": ("plmm_threshold", _positive),
     "startup.factor": ("retention_factor", _positive),
-    "startup.min_samples": ("min_samples", _integer),
+    "startup.min_samples": ("min_samples", _positive_integer),
 }
 
 # the scalar keys of the top level and of the metrics section
@@ -414,7 +416,7 @@ def load_traces(cfg: ExperimentConfig, topo: Topology, topo_name: str):
 def _run_point(topo, network, policy: PolicyConfig, timelines,
                window, series_clients, series_bucket, dump_events):
     result = run_simulation(timelines, topo, network, policy, record_log=dump_events)
-    memory, _, _ = snapshot_memory(result.policies)
+    memory = snapshot_memory(result.policies)
     report = compute_report(result.ledger, timelines, memory_by_client=memory,
                             window=window, series_clients=series_clients,
                             series_bucket=series_bucket)
@@ -430,6 +432,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
         timelines = load_traces(cfg, topo, topo_spec.name)
         if cfg.window and not any(active_time(tl, cfg.window) > 0 for tl in timelines):
             raise ConfigError(f"metrics.window: {list(cfg.window)} covers no active second of the trace")
+        clients = {tl.client_id for tl in timelines}
+        for cid in cfg.series_clients:
+            if cid not in clients:
+                raise ConfigError(f"metrics.series_clients: no client {cid!r} in the trace")
         for policy in cfg.policies:
             points.append((topo_spec, (topo, network, policy, timelines)))
     shared = (cfg.window, cfg.series_clients, cfg.series_bucket, cfg.dump_events)
@@ -483,11 +489,20 @@ def write_results_csv(rows, path):
 
 
 def read_results_csv(path) -> list[dict]:
+    """The rows of a results.csv file, with its numbers read back as numbers."""
     with open(path) as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
         if reader.fieldnames != RESULTS_HEADER:
             raise DataError(f"{path}: unexpected results header {reader.fieldnames}")
-        return [dict(row) for row in reader]
+        rows = []
+        for row in reader:
+            try:
+                if None in row:
+                    raise ValueError(f"more than {len(RESULTS_HEADER)} fields")
+                rows.append({key: convert(row[key]) for key, convert in RESULTS_TYPES.items()})
+            except ValueError as exc:
+                raise DataError(f"{path} line {reader.line_num}: {exc}") from None
+        return rows
 
 
 def merge_results(paths) -> list[dict]:

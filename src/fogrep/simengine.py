@@ -5,8 +5,13 @@ Events are processed in non-decreasing time; ties break by kind (transfer
 starts, then transfer completions, arrivals, session starts, session ends,
 retention expiries), then client id, then insertion order. A preloaded
 transfer completing exactly at the arrival it targets therefore counts as
-available. Scheduled events are invalidated by a per-(client, node)
-generation counter instead of being removed from the heap.
+available.
+
+Scheduled events are invalidated by their unique id, not by a per-(client,
+node) generation counter, and are never removed from the heap: a replica's
+state keeps the id of the one event that may still act on it, and any other
+event for that replica, or for one that is gone, is stale. So only live
+replicas (pending, in flight, present or retained) have a state.
 """
 from __future__ import annotations
 
@@ -36,12 +41,11 @@ KIND_NAMES = {
     RETENTION_EXPIRE: "RetentionExpire",
 }
 
-# replica states per (client, node)
-_ABSENT = 0
-_PENDING = 1
-_IN_FLIGHT = 2
-_PRESENT = 3
-_RETAINED = 4
+# status of a live replica per (client, node); an absent one has no state
+_PENDING = 0
+_IN_FLIGHT = 1
+_PRESENT = 2
+_RETAINED = 3
 
 
 class ReplicaLedger:
@@ -93,11 +97,14 @@ class RunResult:
 
 
 class _NodeState:
-    __slots__ = ("status", "gen", "open_since", "retained_until", "pending_start")
+    """One live replica: a transfer pending or in flight, or a copy present
+    or retained. ``event`` is the id of the one scheduled event that may still
+    act on it, or None."""
+    __slots__ = ("status", "event", "open_since", "retained_until", "pending_start")
 
     def __init__(self):
-        self.status = _ABSENT
-        self.gen = 0
+        self.status = _PENDING
+        self.event = None
         self.open_since = 0.0
         self.retained_until = None
         self.pending_start = 0.0
@@ -112,7 +119,7 @@ class _View(ReplicaView):
         return st is not None and st.status in (_PRESENT, _RETAINED)
 
     def tracked(self):
-        return [n for n, st in self._client_states.items() if st.status != _ABSENT]
+        return list(self._client_states)
 
 
 class SimulationEngine:
@@ -149,88 +156,74 @@ class SimulationEngine:
     def _ttime(self, dst) -> float:
         return transfer_time(self._source, dst, self.network)
 
-    def _push(self, t, kind, client, node, gen):
+    def _push(self, t, kind, client, node) -> int:
+        """Schedule an event; returns its id."""
         self._seq += 1
-        heapq.heappush(self._heap, (t, kind, client, self._seq, node, gen))
+        heapq.heappush(self._heap, (t, kind, client, self._seq, node))
+        return self._seq
 
-    def _state(self, client, node) -> _NodeState:
-        per_client = self._states[client]
-        st = per_client.get(node)
-        if st is None:
-            st = per_client[node] = _NodeState()
-        return st
+    def _close(self, client, node, t):
+        """Drop a replica; a present or retained copy leaves its presence interval."""
+        st = self._states[client].pop(node)
+        if st.status in (_PRESENT, _RETAINED):
+            self.ledger.add(client, node, st.open_since, t)
 
     def run(self) -> RunResult:
         for tl in self.timelines:
             for visits in tl.sessions:
-                self._push(visits[0].arrival, SESSION_START, tl.client_id, visits[0].node, 0)
+                self._push(visits[0].arrival, SESSION_START, tl.client_id, visits[0].node)
                 for v in visits[1:]:
-                    self._push(v.arrival, ARRIVAL, tl.client_id, v.node, 0)
-                self._push(visits[-1].departure, SESSION_END, tl.client_id, visits[-1].node, 0)
+                    self._push(v.arrival, ARRIVAL, tl.client_id, v.node)
+                self._push(visits[-1].departure, SESSION_END, tl.client_id, visits[-1].node)
         last_t = float("-inf")
         while self._heap:
-            t, kind, client, _seq, node, gen = heapq.heappop(self._heap)
+            t, kind, client, seq, node = heapq.heappop(self._heap)
             if t < last_t:
                 raise EngineInvariantError(f"event time regression: {t} after {last_t}")
             last_t = t
             if t > self._horizons[client]:
                 continue
-            if not self._dispatch(t, kind, client, node, gen):
+            if not self._dispatch(t, kind, client, node, seq):
                 continue
             if self.record_log:
                 self.event_log.append(EventRecord(t, client, KIND_NAMES[kind], node))
         self._finalize()
         return RunResult(self.ledger, self.event_log, self.policies)
 
-    def _dispatch(self, t, kind, client, node, gen) -> bool:
+    def _dispatch(self, t, kind, client, node, seq) -> bool:
         """Returns False for stale (cancelled) events."""
-        if kind == TRANSFER_START:
-            st = self._state(client, node)
-            if st.gen != gen or st.status != _PENDING:
+        states = self._states[client]
+        st = states.get(node)
+        if kind in (TRANSFER_START, TRANSFER_COMPLETE, RETENTION_EXPIRE):
+            if st is None or st.event != seq:
                 return False
-            st.status = _IN_FLIGHT
-            st.gen += 1
-            self._push(t + self._ttime(node), TRANSFER_COMPLETE, client, node, st.gen)
-            return True
-        if kind == TRANSFER_COMPLETE:
-            st = self._state(client, node)
-            if st.gen != gen or st.status != _IN_FLIGHT:
-                return False
-            st.gen += 1
-            if st.retained_until is not None:
-                # retention was granted while the transfer was in flight
-                until = st.retained_until
-                if until <= t:
-                    st.status = _ABSENT
-                    st.retained_until = None
-                else:
-                    st.status = _RETAINED
-                    st.open_since = t
-                    self._push(until, RETENTION_EXPIRE, client, node, st.gen)
-            else:
+            if kind == TRANSFER_START:
+                st.status = _IN_FLIGHT
+                st.event = self._push(t + self._ttime(node), TRANSFER_COMPLETE, client, node)
+            elif kind == RETENTION_EXPIRE:
+                self._close(client, node, t)
+            elif st.retained_until is None:
                 st.status = _PRESENT
                 st.open_since = t
-            return True
-        if kind == RETENTION_EXPIRE:
-            st = self._state(client, node)
-            if st.gen != gen or st.status != _RETAINED:
-                return False
-            self.ledger.add(client, node, st.open_since, t)
-            st.status = _ABSENT
-            st.retained_until = None
-            st.gen += 1
+                st.event = None
+            elif st.retained_until <= t:
+                # retention was granted while the transfer was in flight
+                self._close(client, node, t)
+            else:
+                st.status = _RETAINED
+                st.open_since = t
+                st.event = self._push(st.retained_until, RETENTION_EXPIRE, client, node)
             return True
         # timeline events
-        policy = self.policies[client]
-        view = _View(self._states[client])
-        st = self._state(client, node)
-        if st.status == _RETAINED:
+        if st is not None and st.status == _RETAINED:
             # the client is back at a retained node: presence continues
             st.status = _PRESENT
             st.retained_until = None
-            st.gen += 1
-        elif st.status == _IN_FLIGHT and st.retained_until is not None:
+            st.event = None
+        elif st is not None and st.status == _IN_FLIGHT:
             st.retained_until = None
+        policy = self.policies[client]
+        view = _View(states)
         if kind == SESSION_START:
             actions = policy.on_session_start(node, t, view)
         elif kind == ARRIVAL:
@@ -247,53 +240,40 @@ class SimulationEngine:
         node = action.node
         if node not in self._edge_ids:
             raise ConfigError(f"action references unknown node id {node}")
-        st = self._state(client, node)
+        states = self._states[client]
+        st = states.get(node)
         if isinstance(action, Replicate):
             at = action.at
             if at < now:
                 raise EngineInvariantError(f"replicate scheduled in the past: {at} < {now}")
-            if st.status in (_PRESENT, _RETAINED, _IN_FLIGHT):
-                return
-            if st.status == _PENDING and at == st.pending_start:
-                return
-            st.status = _PENDING
+            if st is None:
+                st = states[node] = _NodeState()
+            elif st.status != _PENDING or at == st.pending_start:
+                return  # a copy is there or on its way, or this start is planned already
             st.pending_start = at
-            st.retained_until = None
-            st.gen += 1
-            self._push(at, TRANSFER_START, client, node, st.gen)
+            st.event = self._push(at, TRANSFER_START, client, node)
         elif isinstance(action, Delete):
-            if st.status in (_PRESENT, _RETAINED):
-                self.ledger.add(client, node, st.open_since, now)
-            st.status = _ABSENT
-            st.retained_until = None
-            st.gen += 1
+            if st is not None:
+                self._close(client, node, now)
         elif isinstance(action, Retain):
-            if action.until <= now:
-                if st.status in (_PRESENT, _RETAINED):
-                    self.ledger.add(client, node, st.open_since, now)
-                st.status = _ABSENT
-                st.retained_until = None
-                st.gen += 1
-            elif st.status == _PRESENT or st.status == _RETAINED:
-                st.status = _RETAINED
-                st.retained_until = action.until
-                st.gen += 1
-                self._push(action.until, RETENTION_EXPIRE, client, node, st.gen)
+            if st is None:
+                return
+            if action.until <= now or st.status == _PENDING:
+                self._close(client, node, now)
             elif st.status == _IN_FLIGHT:
                 # let the paid-for transfer finish into the retained state
                 st.retained_until = action.until
-            elif st.status == _PENDING:
-                st.status = _ABSENT
-                st.gen += 1
+            else:
+                st.status = _RETAINED
+                st.retained_until = action.until
+                st.event = self._push(action.until, RETENTION_EXPIRE, client, node)
         else:
             raise EngineInvariantError(f"unknown action {action!r}")
 
     def _finalize(self):
         for client in sorted(self._states):
-            for node, st in sorted(self._states[client].items()):
-                if st.status in (_PRESENT, _RETAINED):
-                    self.ledger.add(client, node, st.open_since, self._horizons[client])
-                st.status = _ABSENT
+            for node in sorted(self._states[client]):
+                self._close(client, node, self._horizons[client])
         self.ledger.validate()
 
 
@@ -302,13 +282,9 @@ def run(timelines, topology, network, policy_config, record_log=True) -> RunResu
     return SimulationEngine(timelines, topology, network, policy_config, record_log=record_log).run()
 
 
-def snapshot_memory(policies: dict[str, ReplicaPolicy]):
-    """Per-client model bytes at the end of a run, with average and maximum."""
-    per_client = {cid: policy.memory_bytes() for cid, policy in sorted(policies.items())}
-    if not per_client:
-        return per_client, 0.0, 0
-    values = list(per_client.values())
-    return per_client, sum(values) / len(values), max(values)
+def snapshot_memory(policies: dict[str, ReplicaPolicy]) -> dict[str, int]:
+    """Per-client model bytes at the end of a run."""
+    return {cid: policy.memory_bytes() for cid, policy in sorted(policies.items())}
 
 
 def write_event_log_csv(event_log, fileobj):

@@ -256,7 +256,7 @@ def sessionize(point_groups, gap_threshold=DEFAULT_GAP_THRESHOLD, client_id="") 
     exactly when the previous ends merges into the same session (a pause must
     have positive duration).
     """
-    if gap_threshold <= 0:
+    if not gap_threshold > 0:  # a NaN fails this too
         raise ConfigError("gap_threshold must be > 0")
     groups = [g[np.argsort(g.t, kind="stable")] for g in point_groups if len(g)]
     groups.sort(key=lambda g: g.t[0])

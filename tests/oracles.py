@@ -4,9 +4,10 @@ GeoLife ingestion.
 The engine oracle re-runs a scenario as a naive per-second state machine (no
 event queue), sharing only the policy layer with the real engine. The metrics
 oracle counts seconds. Both require every timestamp in a scenario to be an
-integer, which the micro-scenario generator guarantees: per-node stay and
-pause durations are constant (so learned means stay integral) and pause
-durations are even (so padded retention windows stay integral). The ingest
+integer, which the micro-scenario generators guarantee: the stay at a node
+(or at a node before a given next node) and the pause after it are constant
+(so learned means stay integral) and pause durations are even (so padded
+retention windows stay integral). The ingest
 oracle handles one point at a time: the row-by-row PLT parser, a loop over
 sorted points for the sessions and a scan over every node for each point.
 """
@@ -162,25 +163,38 @@ def per_second_metrics(ledger, timelines, window=None):
 STAY_CHOICES = (60, 120, 180, 240)
 PAUSE_CHOICES = (120, 240, 600)  # even, so padded retention windows stay integral
 DELAY_CHOICES = (30, 60, 120, 300)
+RESCHEDULE_STAYS = (60, 120, 480, 960)
 
 
-def make_micro_timeline(rng: random.Random, client_id, n_nodes) -> ClientTimeline:
-    stay_of = {n: rng.choice(STAY_CHOICES) for n in range(n_nodes)}
+def micro_path(rng: random.Random, n_nodes) -> list[int]:
+    path = [rng.randrange(n_nodes)]
+    while len(path) < rng.randint(1, 4):
+        nxt = rng.randrange(n_nodes)
+        if nxt != path[-1]:
+            path.append(nxt)
+    return path
+
+
+def make_micro_timeline(rng: random.Random, client_id, n_nodes, stay_of=None,
+                        routes=None, n_sessions=(1, 4)) -> ClientTimeline:
+    """``stay_of(node, next_node)`` gives the stay at a node, ``next_node``
+    being None at the end of a session; by default it depends on the node
+    alone. Each session takes one of ``routes``, or a new random path."""
+    if stay_of is None:
+        stay_at = {n: rng.choice(STAY_CHOICES) for n in range(n_nodes)}
+        stay_of = lambda node, next_node: stay_at[node]  # noqa: E731
     pause_of = {n: rng.choice(PAUSE_CHOICES) for n in range(n_nodes)}
     t = rng.randint(0, 300)
     sessions = []
     pauses = []
-    n_sessions = rng.randint(1, 4)
+    n_sessions = rng.randint(*n_sessions)
     for si in range(n_sessions):
-        path = [rng.randrange(n_nodes)]
-        while len(path) < rng.randint(1, 4):
-            nxt = rng.randrange(n_nodes)
-            if nxt != path[-1]:
-                path.append(nxt)
+        path = rng.choice(routes) if routes else micro_path(rng, n_nodes)
         visits = []
-        for n in path:
-            visits.append(NodeVisit(n, float(t), float(t + stay_of[n])))
-            t += stay_of[n]
+        for n, next_node in zip(path, [*path[1:], None]):
+            stay = stay_of(n, next_node)
+            visits.append(NodeVisit(n, float(t), float(t + stay)))
+            t += stay
         sessions.append(visits)
         if si < n_sessions - 1:
             last = path[-1]
@@ -191,16 +205,17 @@ def make_micro_timeline(rng: random.Random, client_id, n_nodes) -> ClientTimelin
     return tl
 
 
-def random_policy_config(rng: random.Random) -> PolicyConfig:
+def random_policy_config(rng: random.Random, predictors=("baseline", "momm", "vomm"),
+                         preload_buffers=(0, 10, 60, 86400)) -> PolicyConfig:
     kwargs = {}
-    predictor = rng.choice(["baseline", "momm", "vomm"])
+    predictor = rng.choice(predictors)
     if predictor != "baseline":
         kwargs.update(k=rng.randint(1, 3), eot=rng.random() < 0.5)
         if rng.random() < 0.5:
             kwargs.update(topn_mode="dynamic", topn_threshold=rng.choice([0.5, 0.9, 1.0]))
         else:
             kwargs.update(topn_mode="fixed", topn_n=rng.randint(1, 2))
-        kwargs["preload_buffer"] = float(rng.choice([0, 10, 60, 86400]))
+        kwargs["preload_buffer"] = float(rng.choice(preload_buffers))
     startup = rng.choice(["none", "short_pause", "plmm"])
     if startup == "short_pause":
         kwargs.update(startup_mode="short_pause",
@@ -220,6 +235,29 @@ def make_micro_scenario(rng: random.Random):
     timelines = [make_micro_timeline(rng, f"c{i}", n_nodes)
                  for i in range(rng.randint(1, 2))]
     return timelines, topo, network, random_policy_config(rng)
+
+
+def make_rescheduling_scenario(rng: random.Random):
+    """A micro scenario in which pending preloads get planned again.
+
+    A client's stay at a node depends on the node it goes to next, and every
+    policy predicts and preloads ahead of time. A preload planned from one
+    node for the end of its usual stay is then often still pending when the
+    client leaves early for another node, which plans the same preload for
+    another time or deletes it. The learned stays stay integral: each
+    (context, target) pair always sees the same stay."""
+    n_nodes = rng.randint(3, 4)
+    topo = build_grid(1, n_nodes, (0.0, 1.0, 0.0, 1.0))
+    network = FixedDelay(float(rng.choice(DELAY_CHOICES[:2])))
+    timelines = []
+    for i in range(rng.randint(1, 2)):
+        stays = {(n, m): rng.choice(RESCHEDULE_STAYS)
+                 for n in range(n_nodes) for m in (*range(n_nodes), None) if m != n}
+        a, b, c = rng.sample(range(n_nodes), 3)
+        routes = [[a, c], [a, b, c], micro_path(rng, n_nodes)]
+        timelines.append(make_micro_timeline(rng, f"c{i}", n_nodes, lambda n, m: stays[n, m], routes, (4, 8)))
+    config = random_policy_config(rng, ("momm", "vomm"), (0, 10, 60))
+    return timelines, topo, network, config
 
 
 def brute_force_nearest(lat, lon, topo):

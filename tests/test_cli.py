@@ -1,3 +1,4 @@
+import hashlib
 import io
 import random
 import tempfile
@@ -22,6 +23,12 @@ REPO = Path(__file__).resolve().parent.parent
 SMOKE_CONFIG = REPO / "configs" / "smoke.yaml"
 SHIPPED_CONFIGS = sorted([*REPO.glob("configs/**/*.yaml"), *REPO.glob("perfbench/configs/*.yaml")])
 GOLDEN_RESULTS = Path(__file__).resolve().parent / "data" / "smoke_results.csv"
+# SHA-256 of each point's events.csv when configs/smoke.yaml runs with dump_events
+SMOKE_EVENT_DIGESTS = {
+    "baseline__strip-3": "92ffad89d310cf9c9481784da488d337a841ff78289d9f586b0a90373419936c",
+    "combination__strip-3": "6bd43cef3c7371cfae39a87ce10a4a286fabb875b968830c0007afb8ad80245b",
+    "vomm-k2__strip-3": "2aadbed50ce0c450f2883c1ad76b4be525a3a629f30f7ee8f2a7748dc4091d8e",
+}
 
 PLT_HEADER = ("Geolife trajectory\nWGS 84\nAltitude is in Feet\nReserved 3\n"
               "0,2,255,My Track,0,0,2,8421376\n0\n")
@@ -74,6 +81,20 @@ class TestRun:
         assert (tmp_path / "a" / "pareto.svg").exists()
         series = tmp_path / "a" / "combination__strip-3" / "series_commuter.csv"
         assert series.exists()
+
+    def test_event_logs_match_recorded_digests(self, tmp_path):
+        cfg = tmp_path / "events.yaml"
+        cfg.write_text(SMOKE_CONFIG.read_text() + "\ndump_events: true\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        digests = {p.parent.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in (tmp_path / "out").glob("*/events.csv")}
+        assert digests == SMOKE_EVENT_DIGESTS
+
+    def test_unknown_series_client_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "series.yaml"
+        cfg.write_text(SMOKE_CONFIG.read_text().replace("series_clients: [commuter]", "series_clients: [comuter]"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "metrics.series_clients: no client 'comuter' in the trace" in capsys.readouterr().err
 
     def test_unknown_policy_errors_with_field(self, tmp_path, capsys):
         bad = SMOKE_CONFIG.read_text().replace("predictor: baseline", "predictor: oracle")
@@ -211,6 +232,13 @@ class TestIngest:
             write_visits_csv(point_ingest(root, topo, 300.0), expected)
             assert out.read_text() == expected.getvalue()
 
+    def test_nan_gap_threshold_is_a_config_error(self, tmp_path, capsys):
+        root = fake_geolife(tmp_path / "geolife")
+        code = main(["ingest", str(root), "--grid", "1x2", "--bbox", "0", "1", "0", "1",
+                     "--gap-threshold", "nan", "--out", str(tmp_path / "v.csv")])
+        assert code == 2
+        assert "gap_threshold must be > 0" in capsys.readouterr().err
+
     def test_ingest_missing_dir(self, tmp_path, capsys):
         code = main(["ingest", str(tmp_path / "none"), "--out", str(tmp_path / "v.csv")])
         assert code == 3
@@ -237,6 +265,18 @@ class TestReport:
         assert code == 0
         lines = merged.read_text().splitlines()
         assert len(lines) == 1 + 6  # header + 3 policies x 2 runs
+
+    def test_out_writes_the_rows_of_one_file_unchanged_and_sorted(self, tmp_path):
+        merged = tmp_path / "merged.csv"
+        assert main(["report", str(GOLDEN_RESULTS), "--out", str(merged)]) == 0
+        header, *rows = GOLDEN_RESULTS.read_text().splitlines(keepends=True)
+        assert merged.read_text() == header + "".join(sorted(rows, key=lambda r: r.split(",")[:3]))
+
+    def test_row_that_does_not_convert_names_file_and_line(self, tmp_path, capsys):
+        bad = tmp_path / "results.csv"
+        bad.write_text(GOLDEN_RESULTS.read_text().replace(",0.5,", ",half,"))
+        assert main(["report", str(bad)]) == 3
+        assert capsys.readouterr().err == f"data error: {bad} line 2: could not convert string to float: 'half'\n"
 
     def test_missing_results_file(self, tmp_path):
         assert main(["report", str(tmp_path / "none.csv")]) == 3
@@ -300,12 +340,16 @@ class TestConfigErrors:
         ({"top": "jobs: 0"}, "jobs", 3),
         ({"policy": "startup: {type: plmm, threshold: 0}"}, "policies[0].startup.threshold", 10),
         ({"policy": "startup: {type: plmm, factor: -1}"}, "policies[0].startup.factor", 10),
+        ({"policy": "startup: {type: short_pause, min_samples: 0}"}, "policies[0].startup.min_samples", 10),
+        ({"policy": "startup: {type: short_pause, duration: -230000}"}, "policies[0].startup.duration", 10),
+        ({"policy": "startup: {type: short_pause, max: -1}"}, "policies[0].startup.max", 10),
     ], ids=["k-word", "jobs-word", "eot-string", "k-float", "vomm-day-splits",
             "momm-time-splits", "bbox-three", "kind-unknown", "spec-wekks", "spec-weeks-word",
             "spec-start-8am", "spec-start-unquoted", "spec-start-25-90", "spec-day-fry",
             "spec-client-id", "spec-client-twice", "trace-gap-treshold", "trace-gap-zero", "visits-clients",
             "edge-rate-zero", "transfer-delay-zero", "rows-zero", "series-bucket-zero",
-            "jobs-zero", "plmm-threshold-zero", "plmm-factor-negative"])
+            "jobs-zero", "plmm-threshold-zero", "plmm-factor-negative", "min-samples-zero",
+            "pause-duration-negative", "pause-max-negative"])
     def test_run_names_key_path_and_line(self, tmp_path, capsys, override, key_path, line):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(error_config(**override))

@@ -103,7 +103,7 @@ COMBINATION = fomm(name="combination", startup_mode="short_pause",
 
 def run_report(timelines, topo, network, config):
     result = run(timelines, topo, network, config, record_log=False)
-    memory, _, _ = snapshot_memory(result.policies)
+    memory = snapshot_memory(result.policies)
     return compute_report(result.ledger, timelines, memory_by_client=memory)
 
 
