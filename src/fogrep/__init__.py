@@ -8,8 +8,7 @@ from .markov import (EOT, KINDS, MarkovPredictor, Prediction, bucketize,
                      dynamic_topn, make_model)
 from .metrics import (MetricsReport, availability, availability_series,
                       compute_report, excess_data)
-from .policies import (Delete, PolicyConfig, Replicate, ReplicaPolicy, Retain,
-                       make_policy)
+from .policies import Delete, PolicyConfig, Replicate, ReplicaPolicy, Retain
 from .simengine import ReplicaLedger, RunResult, run, snapshot_memory
 from .startup import (PauseStats, PlmmModel, median_pause, plmm_predict,
                       plmm_retention, record_pause, short_pause_retention)

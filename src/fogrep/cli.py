@@ -12,8 +12,8 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, DataError
-from .experiment import (load_experiment_config, merge_results, run_experiment,
-                         write_results_csv)
+from .experiment import (_positive_integer, load_experiment_config, merge_results,
+                         run_experiment, write_results_csv)
 from .topology import BEIJING_BBOX, build_grid, dump_topology
 from .traces import DEFAULT_GAP_THRESHOLD, load_geolife_dir, write_visits_csv
 
@@ -76,7 +76,10 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
     if args.jobs is not None:
-        cfg.jobs = args.jobs
+        try:
+            cfg.jobs = _positive_integer(args.jobs)
+        except ValueError as exc:
+            raise ConfigError(f"--jobs: {exc}") from None
     rows = run_experiment(cfg)
     for row in rows:
         print(f"{row['policy']:>24} @ {row['topology']:<12} "

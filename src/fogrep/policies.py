@@ -88,23 +88,14 @@ class PolicyConfig:
         return self
 
 
-class ReplicaView:
-    """Read-only view of one client's replica state, provided by the engine.
-
-    present(node): replica fully available there (including retained ones).
-    tracked(): nodes with any standing (present, retained, or a transfer
-    pending or in flight).
-    """
-
-    def present(self, node) -> bool:
-        raise NotImplementedError
-
-    def tracked(self):
-        raise NotImplementedError
-
-
 class ReplicaPolicy:
-    """Per-client decision state; driven by the simulation event loop."""
+    """Per-client decision state; driven by the simulation event loop.
+
+    Each handler reads the client's replicas through ``view``:
+    ``view.present(node)`` is true where a replica is fully available there
+    (including a retained one), and ``view.tracked()`` lists the nodes with
+    any standing (present, retained, or a transfer pending or in flight).
+    """
 
     def __init__(self, config: PolicyConfig, transfer_estimate=None):
         self.config = config
@@ -125,20 +116,20 @@ class ReplicaPolicy:
 
     # -- event handlers ------------------------------------------------------
 
-    def on_session_start(self, node, t, view: ReplicaView) -> list[PlacementAction]:
+    def on_session_start(self, node, t, view) -> list[PlacementAction]:
         self._observe_pause(node, t)
         self.trip_start = t
         self.trip_nodes = [node]
         self._trip_visits = [[node, t, None]]
         return self._arrival_actions(node, t, view)
 
-    def on_arrival(self, node, t, view: ReplicaView) -> list[PlacementAction]:
+    def on_arrival(self, node, t, view) -> list[PlacementAction]:
         self._trip_visits[-1][2] = t
         self._trip_visits.append([node, t, None])
         self.trip_nodes.append(node)
         return self._arrival_actions(node, t, view)
 
-    def on_session_end(self, node, t, view: ReplicaView) -> list[PlacementAction]:
+    def on_session_end(self, node, t, view) -> list[PlacementAction]:
         self._trip_visits[-1][2] = t
         actions: list[PlacementAction] = []
         for other in sorted(view.tracked()):
@@ -168,7 +159,7 @@ class ReplicaPolicy:
         if duration > 0:
             record_pause(self.pause_stats, self.plmm, shutdown_node, startup_node, duration)
 
-    def _arrival_actions(self, node, t, view: ReplicaView) -> list[PlacementAction]:
+    def _arrival_actions(self, node, t, view) -> list[PlacementAction]:
         selected: list[int] = []
         stays: dict[int, float | None] = {}
         preds = None
@@ -231,7 +222,3 @@ class ReplicaPolicy:
         if self.plmm is not None:
             total += self.plmm.memory_bytes()
         return total
-
-
-def make_policy(config: PolicyConfig, transfer_estimate=None) -> ReplicaPolicy:
-    return ReplicaPolicy(config, transfer_estimate)

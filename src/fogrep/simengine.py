@@ -1,17 +1,20 @@
 """Discrete-event engine: replays client timelines against a topology,
 executes policy actions, models transfers, and records the replica ledger.
 
-Events are processed in non-decreasing time; ties break by kind (transfer
-starts, then transfer completions, arrivals, session starts, session ends,
-retention expiries), then client id, then insertion order. A preloaded
-transfer completing exactly at the arrival it targets therefore counts as
-available.
+Clients never interact (each has its own policy and replicas, and flow
+transfers do not contend), so each client runs its own event loop. Its events
+are processed in non-decreasing time; ties break by kind (transfer starts,
+then transfer completions, arrivals, session starts, session ends, retention
+expiries), then insertion order. A preloaded transfer completing exactly at
+the arrival it targets therefore counts as available. The global event log
+merges the clients' logs by taking the smallest next event by (time, kind,
+client) each time. That replays one queue shared by all clients; a sort would
+not (see ``run``).
 
-Scheduled events are invalidated by their unique id, not by a per-(client,
-node) generation counter, and are never removed from the heap: a replica's
-state keeps the id of the one event that may still act on it, and any other
-event for that replica, or for one that is gone, is stale. So only live
-replicas (pending, in flight, present or retained) have a state.
+Scheduled events are invalidated by their unique id and never removed from
+the heap: a replica's state keeps the id of the one event that may still act
+on it, and any other event for it, or for a replica that is gone, is stale.
+So only live replicas (pending, in flight, present or retained) have a state.
 """
 from __future__ import annotations
 
@@ -19,8 +22,7 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import ConfigError, EngineInvariantError
-from .policies import (Delete, PolicyConfig, Replicate, ReplicaPolicy,
-                       ReplicaView, Retain, make_policy)
+from .policies import Delete, PolicyConfig, Replicate, ReplicaPolicy, Retain
 from .topology import (FixedDelay, FlowGraph, Topology, transfer_source,
                        transfer_time)
 
@@ -41,7 +43,7 @@ KIND_NAMES = {
     RETENTION_EXPIRE: "RetentionExpire",
 }
 
-# status of a live replica per (client, node); an absent one has no state
+# status of a live replica per node; an absent one has no state
 _PENDING = 0
 _IN_FLIGHT = 1
 _PRESENT = 2
@@ -49,27 +51,27 @@ _RETAINED = 3
 
 
 class ReplicaLedger:
-    """Per (client, node): sorted disjoint presence intervals [from, to)."""
+    """Per client, per node: sorted disjoint presence intervals [from, to)."""
 
     def __init__(self):
-        self._intervals: dict[tuple[str, int], list[tuple[float, float]]] = {}
+        self._by_client: dict[str, dict[int, list[tuple[float, float]]]] = {}
 
     def add(self, client, node, start, end):
-        if end <= start:
-            return
-        self._intervals.setdefault((client, node), []).append((start, end))
+        if end > start:
+            self._by_client.setdefault(client, {}).setdefault(node, []).append((start, end))
 
     def intervals(self, client, node) -> list[tuple[float, float]]:
-        return self._intervals.get((client, node), [])
+        return self._by_client.get(client, {}).get(node, [])
 
     def nodes(self, client) -> list[int]:
-        return sorted(n for c, n in self._intervals if c == client)
+        return sorted(self._by_client.get(client, ()))
 
     def items(self):
-        return self._intervals.items()
+        """((client, node), intervals) pairs."""
+        return (((c, n), ivs) for c, nodes in self._by_client.items() for n, ivs in nodes.items())
 
     def validate(self):
-        for (c, n), ivs in self._intervals.items():
+        for (c, n), ivs in self.items():
             for (a1, b1), (a2, b2) in zip(ivs, ivs[1:]):
                 if a2 < b1:
                     raise EngineInvariantError(f"overlapping intervals for ({c}, {n})")
@@ -78,7 +80,7 @@ class ReplicaLedger:
                     raise EngineInvariantError(f"empty interval for ({c}, {n})")
 
     def __eq__(self, other):
-        return isinstance(other, ReplicaLedger) and self._intervals == other._intervals
+        return isinstance(other, ReplicaLedger) and self._by_client == other._by_client
 
 
 @dataclass
@@ -110,109 +112,83 @@ class _NodeState:
         self.pending_start = 0.0
 
 
-class _View(ReplicaView):
-    def __init__(self, client_states):
-        self._client_states = client_states
+class _ClientRun:
+    """One client's event loop; also the view of its replicas that its
+    policy's handlers read (see ``ReplicaPolicy``)."""
+
+    def __init__(self, timeline, policy, ttime, edge_ids, ledger, record_log):
+        self.client = timeline.client_id
+        self.timeline = timeline
+        self.policy = policy
+        self._ttime = ttime
+        self._edge_ids = edge_ids
+        self._ledger = ledger
+        self.log: list[tuple[float, int, str, int]] | None = [] if record_log else None
+        self._states: dict[int, _NodeState] = {}
+        self._heap: list = []
+        self._seq = 0
 
     def present(self, node) -> bool:
-        st = self._client_states.get(node)
+        st = self._states.get(node)
         return st is not None and st.status in (_PRESENT, _RETAINED)
 
     def tracked(self):
-        return list(self._client_states)
+        return list(self._states)
 
-
-class SimulationEngine:
-    def __init__(self, timelines, topology: Topology, network, policy_config: PolicyConfig,
-                 record_log=True):
-        if not isinstance(network, (FixedDelay, FlowGraph)):
-            raise ConfigError(f"unknown network model {network!r}")
-        self.topology = topology
-        self.network = network
-        self.timelines = sorted(timelines, key=lambda tl: tl.client_id)
-        self._edge_ids = {n.id for n in topology.edge_nodes}
-        self._source = transfer_source(network, topology)
-        self.record_log = record_log
-        self._horizons: dict[str, float] = {}
-        for tl in self.timelines:
-            if not tl.sessions:
-                raise ConfigError(f"client {tl.client_id}: empty timeline")
-            if tl.client_id in self._horizons:
-                raise ConfigError(f"client {tl.client_id}: duplicate client id")
-            self._horizons[tl.client_id] = tl.last_t
-            for visits in tl.sessions:
-                for v in visits:
-                    if v.node not in self._edge_ids:
-                        raise ConfigError(f"client {tl.client_id}: unknown node id {v.node}")
-        self.policies: dict[str, ReplicaPolicy] = {
-            tl.client_id: make_policy(policy_config, self._ttime) for tl in self.timelines}
-        self._states: dict[str, dict[int, _NodeState]] = {
-            tl.client_id: {} for tl in self.timelines}
-        self._heap: list = []
-        self._seq = 0
-        self.ledger = ReplicaLedger()
-        self.event_log: list[EventRecord] = []
-
-    def _ttime(self, dst) -> float:
-        return transfer_time(self._source, dst, self.network)
-
-    def _push(self, t, kind, client, node) -> int:
+    def _push(self, t, kind, node) -> int:
         """Schedule an event; returns its id."""
         self._seq += 1
-        heapq.heappush(self._heap, (t, kind, client, self._seq, node))
+        heapq.heappush(self._heap, (t, kind, self._seq, node))
         return self._seq
 
-    def _close(self, client, node, t):
+    def _close(self, node, t):
         """Drop a replica; a present or retained copy leaves its presence interval."""
-        st = self._states[client].pop(node)
+        st = self._states.pop(node)
         if st.status in (_PRESENT, _RETAINED):
-            self.ledger.add(client, node, st.open_since, t)
+            self._ledger.add(self.client, node, st.open_since, t)
 
-    def run(self) -> RunResult:
-        for tl in self.timelines:
-            for visits in tl.sessions:
-                self._push(visits[0].arrival, SESSION_START, tl.client_id, visits[0].node)
-                for v in visits[1:]:
-                    self._push(v.arrival, ARRIVAL, tl.client_id, v.node)
-                self._push(visits[-1].departure, SESSION_END, tl.client_id, visits[-1].node)
+    def run(self):
+        for visits in self.timeline.sessions:
+            self._push(visits[0].arrival, SESSION_START, visits[0].node)
+            for v in visits[1:]:
+                self._push(v.arrival, ARRIVAL, v.node)
+            self._push(visits[-1].departure, SESSION_END, visits[-1].node)
+        horizon = self.timeline.last_t
         last_t = float("-inf")
         while self._heap:
-            t, kind, client, seq, node = heapq.heappop(self._heap)
+            t, kind, seq, node = heapq.heappop(self._heap)
             if t < last_t:
                 raise EngineInvariantError(f"event time regression: {t} after {last_t}")
             last_t = t
-            if t > self._horizons[client]:
-                continue
-            if not self._dispatch(t, kind, client, node, seq):
-                continue
-            if self.record_log:
-                self.event_log.append(EventRecord(t, client, KIND_NAMES[kind], node))
-        self._finalize()
-        return RunResult(self.ledger, self.event_log, self.policies)
+            if t > horizon:
+                break  # every later event is past the horizon too
+            if self._dispatch(t, kind, node, seq) and self.log is not None:
+                self.log.append((t, kind, self.client, node))
+        for node in sorted(self._states):
+            self._close(node, horizon)
 
-    def _dispatch(self, t, kind, client, node, seq) -> bool:
+    def _dispatch(self, t, kind, node, seq) -> bool:
         """Returns False for stale (cancelled) events."""
-        states = self._states[client]
-        st = states.get(node)
+        st = self._states.get(node)
         if kind in (TRANSFER_START, TRANSFER_COMPLETE, RETENTION_EXPIRE):
             if st is None or st.event != seq:
                 return False
             if kind == TRANSFER_START:
                 st.status = _IN_FLIGHT
-                st.event = self._push(t + self._ttime(node), TRANSFER_COMPLETE, client, node)
+                st.event = self._push(t + self._ttime(node), TRANSFER_COMPLETE, node)
             elif kind == RETENTION_EXPIRE:
-                self._close(client, node, t)
+                self._close(node, t)
             elif st.retained_until is None:
                 st.status = _PRESENT
                 st.open_since = t
                 st.event = None
             elif st.retained_until <= t:
                 # retention was granted while the transfer was in flight
-                self._close(client, node, t)
+                self._close(node, t)
             else:
                 st.status = _RETAINED
                 st.open_since = t
-                st.event = self._push(st.retained_until, RETENTION_EXPIRE, client, node)
+                st.event = self._push(st.retained_until, RETENTION_EXPIRE, node)
             return True
         # timeline events
         if st is not None and st.status == _RETAINED:
@@ -222,64 +198,87 @@ class SimulationEngine:
             st.event = None
         elif st is not None and st.status == _IN_FLIGHT:
             st.retained_until = None
-        policy = self.policies[client]
-        view = _View(states)
         if kind == SESSION_START:
-            actions = policy.on_session_start(node, t, view)
+            actions = self.policy.on_session_start(node, t, self)
         elif kind == ARRIVAL:
-            actions = policy.on_arrival(node, t, view)
+            actions = self.policy.on_arrival(node, t, self)
         elif kind == SESSION_END:
-            actions = policy.on_session_end(node, t, view)
+            actions = self.policy.on_session_end(node, t, self)
         else:
             raise EngineInvariantError(f"unknown event kind {kind}")
         for action in actions:
-            self._apply(t, client, action)
+            self._apply(t, action)
         return True
 
-    def _apply(self, now, client, action):
+    def _apply(self, now, action):
         node = action.node
         if node not in self._edge_ids:
             raise ConfigError(f"action references unknown node id {node}")
-        states = self._states[client]
-        st = states.get(node)
+        st = self._states.get(node)
         if isinstance(action, Replicate):
             at = action.at
             if at < now:
                 raise EngineInvariantError(f"replicate scheduled in the past: {at} < {now}")
             if st is None:
-                st = states[node] = _NodeState()
+                st = self._states[node] = _NodeState()
             elif st.status != _PENDING or at == st.pending_start:
                 return  # a copy is there or on its way, or this start is planned already
             st.pending_start = at
-            st.event = self._push(at, TRANSFER_START, client, node)
+            st.event = self._push(at, TRANSFER_START, node)
         elif isinstance(action, Delete):
             if st is not None:
-                self._close(client, node, now)
+                self._close(node, now)
         elif isinstance(action, Retain):
             if st is None:
                 return
             if action.until <= now or st.status == _PENDING:
-                self._close(client, node, now)
+                self._close(node, now)
             elif st.status == _IN_FLIGHT:
                 # let the paid-for transfer finish into the retained state
                 st.retained_until = action.until
             else:
                 st.status = _RETAINED
                 st.retained_until = action.until
-                st.event = self._push(action.until, RETENTION_EXPIRE, client, node)
+                st.event = self._push(action.until, RETENTION_EXPIRE, node)
         else:
             raise EngineInvariantError(f"unknown action {action!r}")
 
-    def _finalize(self):
-        for client in sorted(self._states):
-            for node in sorted(self._states[client]):
-                self._close(client, node, self._horizons[client])
-        self.ledger.validate()
 
+def run(timelines, topology: Topology, network, policy_config: PolicyConfig,
+        record_log=True) -> RunResult:
+    """Simulate the timelines under one policy configuration, one client at a time."""
+    if not isinstance(network, (FixedDelay, FlowGraph)):
+        raise ConfigError(f"unknown network model {network!r}")
+    edge_ids = {n.id for n in topology.edge_nodes}
+    source = transfer_source(network, topology)
 
-def run(timelines, topology, network, policy_config, record_log=True) -> RunResult:
-    """Simulate the timelines under one policy configuration."""
-    return SimulationEngine(timelines, topology, network, policy_config, record_log=record_log).run()
+    def ttime(dst) -> float:
+        return transfer_time(source, dst, network)
+
+    runs: dict[str, _ClientRun] = {}
+    ledger = ReplicaLedger()
+    for tl in sorted(timelines, key=lambda tl: tl.client_id):
+        if not tl.sessions:
+            raise ConfigError(f"client {tl.client_id}: empty timeline")
+        if tl.client_id in runs:
+            raise ConfigError(f"client {tl.client_id}: duplicate client id")
+        for visits in tl.sessions:
+            for v in visits:
+                if v.node not in edge_ids:
+                    raise ConfigError(f"client {tl.client_id}: unknown node id {v.node}")
+        runs[tl.client_id] = _ClientRun(tl, ReplicaPolicy(policy_config, ttime), ttime,
+                                        edge_ids, ledger, record_log)
+    for client_run in runs.values():
+        client_run.run()
+    ledger.validate()
+    # Taking the smallest next logged event of any client replays the one
+    # shared queue: a client's next event depends only on its own past, and a
+    # stale or out-of-horizon event, which is not logged, schedules nothing.
+    # A sort by the same key would not: it puts the transfer start that a
+    # session start schedules for the same time before that session start.
+    merged = heapq.merge(*(r.log or () for r in runs.values()), key=lambda e: e[:3])
+    event_log = [EventRecord(t, client, KIND_NAMES[kind], node) for t, kind, client, node in merged]
+    return RunResult(ledger, event_log, {cid: r.policy for cid, r in runs.items()})
 
 
 def snapshot_memory(policies: dict[str, ReplicaPolicy]) -> dict[str, int]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import calendar
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 from datetime import date
@@ -429,6 +430,10 @@ def read_visits_csv(fileobj) -> list[ClientTimeline]:
             cid, sid, node, arr, dep = row[0], int(row[1]), int(row[2]), float(row[3]), float(row[4])
         except (ValueError, IndexError) as exc:
             raise TraceFormatError(str(exc), line=lineno) from exc
+        if not (math.isfinite(arr) and math.isfinite(dep)):
+            raise TraceFormatError(f"non-finite visit time: {row[3]}, {row[4]}", line=lineno)
+        if dep < arr:
+            raise TraceFormatError(f"departure {dep!r} before arrival {arr!r}", line=lineno)
         by_client.setdefault(cid, {}).setdefault(sid, []).append(NodeVisit(node, arr, dep))
     timelines = []
     for cid in sorted(by_client):

@@ -14,8 +14,7 @@ sorted points for the sessions and a scan over every node for each point.
 import random
 from pathlib import Path
 
-from fogrep.policies import (Delete, PolicyConfig, Replicate, ReplicaView,
-                             Retain, make_policy)
+from fogrep.policies import Delete, PolicyConfig, Replicate, ReplicaPolicy, Retain
 from fogrep.simengine import ReplicaLedger
 from fogrep.topology import FixedDelay, FlowGraph, build_grid, transfer_source, transfer_time
 from fogrep.traces import ClientTimeline, NodeVisit, Pause, parse_plt_rows
@@ -23,7 +22,7 @@ from fogrep.traces import ClientTimeline, NodeVisit, Pause, parse_plt_rows
 _START, _ARRIVE, _END = 3, 2, 4  # same tie ranks as the engine
 
 
-class _SetView(ReplicaView):
+class _SetView:
     def __init__(self, pending, inflight, present, retained):
         self._pending = pending
         self._inflight = inflight
@@ -48,7 +47,7 @@ def brute_force_run(timelines, topology, network, config: PolicyConfig) -> Repli
 
     ledger = ReplicaLedger()
     for tl in timelines:
-        policy = make_policy(config, ttime)
+        policy = ReplicaPolicy(config, ttime)
         pending: dict[int, float] = {}
         inflight: dict[int, list] = {}   # node -> [complete_t, retained_until|None]
         present: dict[int, float] = {}   # node -> open_since
@@ -228,16 +227,16 @@ def random_policy_config(rng: random.Random, predictors=("baseline", "momm", "vo
     return PolicyConfig(name="random", predictor=predictor, **kwargs).validate()
 
 
-def make_micro_scenario(rng: random.Random):
+def make_micro_scenario(rng: random.Random, clients=(1, 2)):
     n_nodes = rng.randint(2, 3)
     topo = build_grid(1, n_nodes, (0.0, 1.0, 0.0, 1.0))
     network = FixedDelay(float(rng.choice(DELAY_CHOICES)))
     timelines = [make_micro_timeline(rng, f"c{i}", n_nodes)
-                 for i in range(rng.randint(1, 2))]
+                 for i in range(rng.randint(*clients))]
     return timelines, topo, network, random_policy_config(rng)
 
 
-def make_rescheduling_scenario(rng: random.Random):
+def make_rescheduling_scenario(rng: random.Random, clients=(1, 2)):
     """A micro scenario in which pending preloads get planned again.
 
     A client's stay at a node depends on the node it goes to next, and every
@@ -245,12 +244,13 @@ def make_rescheduling_scenario(rng: random.Random):
     node for the end of its usual stay is then often still pending when the
     client leaves early for another node, which plans the same preload for
     another time or deletes it. The learned stays stay integral: each
-    (context, target) pair always sees the same stay."""
+    (context, target) pair always sees the same stay. Both scenario makers
+    draw between ``clients[0]`` and ``clients[1]`` clients."""
     n_nodes = rng.randint(3, 4)
     topo = build_grid(1, n_nodes, (0.0, 1.0, 0.0, 1.0))
     network = FixedDelay(float(rng.choice(DELAY_CHOICES[:2])))
     timelines = []
-    for i in range(rng.randint(1, 2)):
+    for i in range(rng.randint(*clients)):
         stays = {(n, m): rng.choice(RESCHEDULE_STAYS)
                  for n in range(n_nodes) for m in (*range(n_nodes), None) if m != n}
         a, b, c = rng.sample(range(n_nodes), 3)

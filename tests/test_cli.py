@@ -29,9 +29,47 @@ SMOKE_EVENT_DIGESTS = {
     "combination__strip-3": "6bd43cef3c7371cfae39a87ce10a4a286fabb875b968830c0007afb8ad80245b",
     "vomm-k2__strip-3": "2aadbed50ce0c450f2883c1ad76b4be525a3a629f30f7ee8f2a7748dc4091d8e",
 }
+# the same with three clients (see three_client_smoke)
+THREE_CLIENT_EVENT_DIGESTS = {
+    "baseline__strip-3": "f3d46d033a868ab0d106ffe4188c6fba5e87e48a43ae190c1b568f5687d1d182",
+    "combination__strip-3": "ef8679ca2506bddb50c19659e9dddea84a3016a9664b1976d8d502eb4faa1cae",
+    "vomm-k2__strip-3": "c4c813e3a16d551766f40aabd63fe7e8c52cc7255cd3aeb9e6ca2f230479d99a",
+}
 
 PLT_HEADER = ("Geolife trajectory\nWGS 84\nAltitude is in Feet\nReserved 3\n"
               "0,2,255,My Track,0,0,2,8421376\n0\n")
+
+
+def three_client_smoke(tmp_path):
+    """configs/smoke.yaml with three clients and event dumps: two start at
+    08:00, the third at 08:05, when the first transfers of the other two
+    complete (the strip's transfer delay is 300 s)."""
+    clients = ("    clients:\n"
+               "      - client: commuter\n"
+               "        weeks: 3\n"
+               "        patterns:\n"
+               "          - {days: [mon, tue, wed, thu, fri], start: \"08:00\", path: [[0, 600], [1, 600], [2, 600]]}\n"
+               "          - {days: [mon, tue, wed, thu, fri], start: \"17:00\", path: [[2, 600], [1, 600], [0, 600]]}\n"
+               "      - client: reverse\n"
+               "        weeks: 3\n"
+               "        patterns:\n"
+               "          - {days: [mon, wed, fri], start: \"08:00\", path: [[2, 300], [1, 900]]}\n"
+               "          - {days: [mon, wed, fri], start: \"18:00\", path: [[1, 900], [2, 300]]}\n"
+               "      - client: late\n"
+               "        weeks: 3\n"
+               "        patterns:\n"
+               "          - {days: [mon, tue, wed, thu, fri], start: \"08:05\", path: [[1, 600], [0, 300], [1, 600]]}\n")
+    text = SMOKE_CONFIG.read_text()
+    head, rest = text.split("    clients:\n", 1)
+    tail = rest[rest.index("\ntopology:"):]
+    cfg = tmp_path / "three.yaml"
+    cfg.write_text(head + "    jitter: 0\n" + clients + tail + "\ndump_events: true\n")
+    return cfg
+
+
+def event_digests(out):
+    return {p.parent.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.glob("*/events.csv")}
 
 
 def write_plt(path, rows):
@@ -86,9 +124,11 @@ class TestRun:
         cfg = tmp_path / "events.yaml"
         cfg.write_text(SMOKE_CONFIG.read_text() + "\ndump_events: true\n")
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
-        digests = {p.parent.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                   for p in (tmp_path / "out").glob("*/events.csv")}
-        assert digests == SMOKE_EVENT_DIGESTS
+        assert event_digests(tmp_path / "out") == SMOKE_EVENT_DIGESTS
+
+    def test_three_client_event_logs_match_recorded_digests(self, tmp_path):
+        assert main(["run", str(three_client_smoke(tmp_path)), "--out", str(tmp_path / "out")]) == 0
+        assert event_digests(tmp_path / "out") == THREE_CLIENT_EVENT_DIGESTS
 
     def test_unknown_series_client_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "series.yaml"
@@ -139,6 +179,26 @@ class TestRun:
             "[[0, 60]]", "[[0, 0]]")))
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err == "data error: no active time across clients\n"
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_flag_must_be_positive(self, tmp_path, capsys, jobs):
+        assert main(["run", str(SMOKE_CONFIG), "--out", str(tmp_path / "out"), "--jobs", jobs]) == 2
+        assert capsys.readouterr().err == f"config error: --jobs: expected an integer > 0, got {jobs}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("row, message", [
+        ("a,0,0,nan,nan", "non-finite visit time: nan, nan"),
+        ("a,0,0,0.0,inf", "non-finite visit time: 0.0, inf"),
+        ("a,0,0,1000.0,500.0", "departure 500.0 before arrival 1000.0"),
+    ], ids=["nan", "inf", "reversed"])
+    def test_impossible_visit_times_are_data_errors(self, tmp_path, capsys, row, message):
+        (tmp_path / "visits.csv").write_text(
+            "client_id,session_id,node_id,arrival_epoch_s,departure_epoch_s\n"
+            f"b,0,1,0.0,1000.0\n{row}\n")
+        cfg = tmp_path / "visits.yaml"
+        cfg.write_text(error_config())
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"data error: line 3: {message}\n"
 
     def test_jobs_flag_matches_serial(self, tmp_path):
         assert main(["run", str(SMOKE_CONFIG), "--out", str(tmp_path / "serial")]) == 0

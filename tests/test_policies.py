@@ -3,14 +3,13 @@ import pytest
 from fogrep.errors import ConfigError
 from fogrep.experiment import parse_policy
 from fogrep.markov import EOT
-from fogrep.policies import (Delete, PolicyConfig, Replicate, ReplicaPolicy,
-                             ReplicaView, Retain, make_policy)
+from fogrep.policies import Delete, PolicyConfig, Replicate, ReplicaPolicy, Retain
 from fogrep.traces import NodeVisit
 
 A, B, C, D = 0, 1, 2, 3
 
 
-class FakeView(ReplicaView):
+class FakeView:
     def __init__(self, present=(), tracked_only=()):
         self._present = set(present)
         self._tracked = set(present) | set(tracked_only)
@@ -23,14 +22,14 @@ class FakeView(ReplicaView):
 
 
 def baseline():
-    return make_policy(PolicyConfig())
+    return ReplicaPolicy(PolicyConfig())
 
 
 def predictive(transfer=300.0, **kwargs):
     defaults = dict(predictor="vomm", k=2)
     defaults.update(kwargs)
     cfg = PolicyConfig(name="pred", **defaults)
-    return make_policy(cfg.validate(), transfer_estimate=lambda node: transfer)
+    return ReplicaPolicy(cfg.validate(), transfer_estimate=lambda node: transfer)
 
 
 def train_commute(policy, days=2, path=((A, 600.0), (B, 600.0), (C, 600.0)), pause=80000.0):
@@ -141,14 +140,14 @@ class TestPredictive:
 
 class TestSessionEnd:
     def test_short_pause_fixed_retains(self):
-        policy = make_policy(PolicyConfig(
+        policy = ReplicaPolicy(PolicyConfig(
             startup_mode="short_pause", short_pause_mode="fixed", short_pause_duration=600.0))
         policy.on_session_start(A, 0.0, FakeView())
         actions = policy.on_session_end(A, 1000.0, FakeView(present={A}))
         assert actions == [Retain(A, 1600.0)]
 
     def test_plmm_mismatch_deletes(self):
-        policy = make_policy(PolicyConfig(startup_mode="plmm"))
+        policy = ReplicaPolicy(PolicyConfig(startup_mode="plmm"))
         # teach the pause model that shutting down at A restarts at B
         policy.on_session_start(A, 0.0, FakeView())
         policy.on_session_end(A, 100.0, FakeView(present={A}))
@@ -159,7 +158,7 @@ class TestSessionEnd:
         assert actions == [Delete(A)]
 
     def test_plmm_match_retains_padded(self):
-        policy = make_policy(PolicyConfig(startup_mode="plmm", plmm_threshold=1500.0))
+        policy = ReplicaPolicy(PolicyConfig(startup_mode="plmm", plmm_threshold=1500.0))
         policy.on_session_start(A, 0.0, FakeView())
         policy.on_session_end(A, 100.0, FakeView(present={A}))
         policy.on_session_start(A, 700.0, FakeView())  # pause 600 at same node
@@ -180,13 +179,13 @@ class TestCombinationComposes:
     def test_arrival_matches_pure_predictor_and_end_matches_pure_retention(self):
         kwargs = dict(predictor="fomm", k=2, day_splits=(1,), time_splits=(1,),
                       eot=True, topn_mode="dynamic", topn_threshold=0.9)
-        combo = make_policy(PolicyConfig(name="combo", startup_mode="short_pause",
-                                         short_pause_duration=600.0, **kwargs),
-                            transfer_estimate=lambda n: 300.0)
-        pure_pred = make_policy(PolicyConfig(name="fomm", startup_mode="none", **kwargs),
-                                transfer_estimate=lambda n: 300.0)
-        pure_pause = make_policy(PolicyConfig(name="pause", startup_mode="short_pause",
-                                              short_pause_duration=600.0))
+        combo = ReplicaPolicy(PolicyConfig(name="combo", startup_mode="short_pause",
+                                           short_pause_duration=600.0, **kwargs),
+                              transfer_estimate=lambda n: 300.0)
+        pure_pred = ReplicaPolicy(PolicyConfig(name="fomm", startup_mode="none", **kwargs),
+                                  transfer_estimate=lambda n: 300.0)
+        pure_pause = ReplicaPolicy(PolicyConfig(name="pause", startup_mode="short_pause",
+                                                short_pause_duration=600.0))
         for policy in (combo, pure_pred):
             train_commute(policy, days=2)
         t0 = 50_000_000.0
@@ -230,7 +229,7 @@ class TestPolicyConfig:
         cfg = parse_policy({
             "predictor": {"type": "fomm", "k": 3, "day_splits": [1, 2, 7],
                           "time_splits": [1, 4, 24]}})
-        policy = make_policy(cfg)
+        policy = ReplicaPolicy(cfg)
         assert len(policy.predictor.submodels) == 3 * 3 * 3
 
 

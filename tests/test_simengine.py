@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogrep.errors import ConfigError
-from fogrep.policies import PolicyConfig
+from fogrep.policies import PolicyConfig, ReplicaPolicy
 from fogrep.metrics import compute_report
 from fogrep.simengine import EventRecord, ReplicaLedger, run, snapshot_memory
 from fogrep.topology import FixedDelay, build_grid
@@ -175,6 +175,35 @@ class TestEngineBehavior:
             run([tl], topo, FixedDelay(300.0), BASELINE)
 
 
+class TestClients:
+    def test_cross_client_event_order(self):
+        # a's SessionStart schedules a TransferStart at the same time, which
+        # runs before b's SessionStart: the log is no sort by (t, kind, client)
+        a = timeline("a", [(A, 0, 300), (B, 300, 1000)])
+        b = timeline("b", [(B, 0, 1000)])
+        result = run([b, a], topo3(), FixedDelay(300.0), BASELINE)
+        assert [(e.client, e.kind, e.t) for e in result.event_log] == [
+            ("a", "SessionStart", 0.0), ("a", "TransferStart", 0.0),
+            ("b", "SessionStart", 0.0), ("b", "TransferStart", 0.0),
+            ("a", "TransferComplete", 300.0), ("b", "TransferComplete", 300.0),
+            ("a", "Arrival", 300.0), ("a", "TransferStart", 300.0),
+            ("a", "TransferComplete", 600.0), ("a", "SessionEnd", 1000.0),
+            ("b", "SessionEnd", 1000.0)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           make=st.sampled_from([make_micro_scenario, make_rescheduling_scenario]))
+    def test_each_client_runs_as_if_alone(self, seed, make):
+        timelines, topo, network, config = make(random.Random(seed), clients=(2, 2))
+        together = run(timelines, topo, network, config)
+        for tl in timelines:
+            alone = run([tl], topo, network, config)
+            cid = tl.client_id
+            assert {n: together.ledger.intervals(cid, n) for n in together.ledger.nodes(cid)} == \
+                   {n: alone.ledger.intervals(cid, n) for n in alone.ledger.nodes(cid)}
+            assert [e for e in together.event_log if e.client == cid] == alone.event_log
+
+
 class TestBruteForceOracle:
     def test_ledger_matches_per_second_state_simulation(self):
         rng = random.Random(31337)
@@ -222,7 +251,7 @@ class TestSnapshotMemory:
 
     def test_untrained_predictive_zero(self):
         config = PolicyConfig(name="vomm", predictor="vomm", k=2)
-        policies = {"c": __import__("fogrep.policies", fromlist=["make_policy"]).make_policy(config)}
+        policies = {"c": ReplicaPolicy(config)}
         assert snapshot_memory(policies) == {"c": 0}
 
     def test_average_and_max(self):
