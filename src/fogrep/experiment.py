@@ -12,6 +12,7 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import json
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -78,12 +79,12 @@ def _strict(types, what, cast=None, ok=lambda v: True):
 
 
 _integer = _strict((int,), "an integer")
-_number = _strict((int, float), "a number", float)
+_number = _strict((int, float), "a finite number", float, lambda v: -math.inf < v < math.inf)
 _boolean = _strict((bool,), "true or false")
 _text = _strict((str, int, float), "a string", str)
 _list = _strict((list,), "a list")
-_positive = _strict((int, float), "a number > 0", float, lambda v: v > 0)
-_non_negative = _strict((int, float), "a number >= 0", float, lambda v: v >= 0)
+_positive = _strict((int, float), "a finite number > 0", float, lambda v: 0 < v < math.inf)
+_non_negative = _strict((int, float), "a finite number >= 0", float, lambda v: 0 <= v < math.inf)
 _positive_integer = _strict((int,), "an integer > 0", ok=lambda v: v > 0)
 _WEEKDAYS = ("monday", "tuesday", "wednesday", "thursday", "friday", "saturday", "sunday")
 
@@ -167,7 +168,7 @@ def read_fields(doc, table, lines, where="", required=()) -> dict:
             name, convert = table[path]
             try:
                 out[name] = convert(value)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise _anchored(f"{full}: {exc}", lines) from None
     for path in required:
         if table[path][0] not in out:

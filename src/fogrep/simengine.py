@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, EngineInvariantError
 from .policies import Delete, PolicyConfig, Replicate, ReplicaPolicy, Retain
-from .topology import (FixedDelay, FlowGraph, Topology, transfer_source,
-                       transfer_time)
+from .topology import FixedDelay, FlowGraph, Topology, transfer_time
 
 # event kinds, in tie-break order
 TRANSFER_START = 0
@@ -250,10 +249,9 @@ def run(timelines, topology: Topology, network, policy_config: PolicyConfig,
     if not isinstance(network, (FixedDelay, FlowGraph)):
         raise ConfigError(f"unknown network model {network!r}")
     edge_ids = {n.id for n in topology.edge_nodes}
-    source = transfer_source(network, topology)
 
     def ttime(dst) -> float:
-        return transfer_time(source, dst, network)
+        return transfer_time(dst, network)
 
     runs: dict[str, _ClientRun] = {}
     ledger = ReplicaLedger()

@@ -1,6 +1,10 @@
 """Fog topologies: node grids over a bounding box, optional router/cloud
 graphs, nearest-node queries, and transfer-time models.
 
+Every transfer brings a client's data from the cloud, which stores all of it,
+to an edge node. A flow network's time to each edge node is filled once, when
+the model is built, by one breadth-first pass from the cloud.
+
 Distances are equirectangular at city scale: longitude differences are scaled
 by the cosine of the mid-bounding-box latitude. The scale is a constant per
 topology, so the grid lookup and the scan over every node compare the same
@@ -87,12 +91,12 @@ class Topology:
         if len(endpoint_ids) != len(ids) + len(self.routers):
             raise TopologyError("router ids collide with node ids")
         for link in self.links:
-            if link.rate <= 0:
-                raise TopologyError(f"link {link.a}-{link.b} has non-positive rate")
+            if not 0 < link.rate < math.inf:
+                raise TopologyError(f"link {link.a}-{link.b} rate must be finite and > 0, got {link.rate!r}")
             if link.a not in endpoint_ids or link.b not in endpoint_ids:
                 raise TopologyError(f"link {link.a}-{link.b} references unknown endpoint")
         # with links present the graph must be connected
-        if self.links and _hop_counts(self, next(iter(endpoint_ids))).keys() != endpoint_ids:
+        if self.links and _bottlenecks(self, next(iter(endpoint_ids))).keys() != endpoint_ids:
             raise TopologyError("link graph is not connected")
 
     @property
@@ -112,8 +116,8 @@ def build_grid(rows, cols, bbox=BEIJING_BBOX) -> Topology:
     if rows < 1 or cols < 1:
         raise ConfigError("grid dimensions must be >= 1")
     lat_min, lat_max, lon_min, lon_max = bbox
-    if not (lat_max > lat_min and lon_max > lon_min):
-        raise ConfigError(f"degenerate bounding box {bbox}")
+    if not (all(map(math.isfinite, bbox)) and lat_max > lat_min and lon_max > lon_min):
+        raise ConfigError(f"bbox: expected finite lat_min < lat_max and lon_min < lon_max, got {tuple(bbox)}")
     dlat = (lat_max - lat_min) / rows
     dlon = (lon_max - lon_min) / cols
     nodes = []
@@ -262,7 +266,7 @@ def nearest_nodes(lats, lons, topo: Topology) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FixedDelay:
-    """Every transfer takes the same time regardless of endpoints."""
+    """Every transfer takes the same time, whatever its destination."""
     delay: float  # seconds
 
     def __post_init__(self):
@@ -272,75 +276,53 @@ class FixedDelay:
 
 @dataclass(frozen=True)
 class FlowGraph:
-    """Flow-level transfer model: a fixed-size payload moves along the
-    minimum-hop path at the bottleneck link rate, without contention."""
+    """Flow-level transfer model: a fixed-size payload moves from the cloud
+    along the min-hop path at the bottleneck link rate, without contention."""
     topology: Topology
     data_size: float  # bits
-    # (src, dst) -> seconds, filled by transfer_time for as long as the model lives
-    times: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # edge node id -> seconds from the cloud, filled at construction
+    times: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.data_size <= 0:
             raise ConfigError("transfer data size must be > 0")
         if not self.topology.links:
             raise ConfigError("flow model requires a topology with links")
+        cloud = self.topology.cloud_id
+        if cloud is None:
+            raise TopologyError("flow model topology has no cloud node")
+        bottlenecks = _bottlenecks(self.topology, cloud)
+        object.__setattr__(self, "times", {n.id: self.data_size / bottlenecks[n.id]
+                                           for n in self.topology.edge_nodes})
 
 
 NetworkModel = FixedDelay | FlowGraph
 
 
-def _hop_counts(topo: Topology, root) -> dict[int, int]:
-    """Hops from ``root`` to every endpoint reachable from it (breadth-first)."""
-    dist = {root: 0}
+def _bottlenecks(topo: Topology, root) -> dict[int, float]:
+    """Bottleneck rate of the minimum-hop path from ``root`` to every endpoint
+    reachable from it (breadth-first; ``root`` itself maps to infinity).
+
+    Equal-hop ties go to the lexicographically smallest id sequence: the FIFO
+    queue pops each layer in the order of its nodes' smallest min-hop paths,
+    and the adjacency lists are sorted, so each node is first reached along
+    its smallest path."""
+    rate = {root: math.inf}
     queue = deque([root])
     while queue:
         cur = queue.popleft()
         for nb in topo._adj.get(cur, ()):
-            if nb not in dist:
-                dist[nb] = dist[cur] + 1
+            if nb not in rate:
+                rate[nb] = min(rate[cur], topo._rates[(cur, nb)])
                 queue.append(nb)
-    return dist
+    return rate
 
 
-def min_hop_path(topo: Topology, src, dst) -> list[int]:
-    """Minimum-hop path src->dst; equal-hop ties resolve to the
-    lexicographically smallest id sequence."""
-    if src == dst:
-        return [src]
-    dist = _hop_counts(topo, dst)
-    if src not in dist:
-        raise TopologyError(f"no path between {src} and {dst}")
-    path = [src]
-    cur = src
-    while cur != dst:
-        cur = min(nb for nb in topo._adj[cur] if dist.get(nb, -1) == dist[cur] - 1)
-        path.append(cur)
-    return path
-
-
-def transfer_time(src, dst, model: NetworkModel) -> float:
-    """Seconds to move one client data set from src to dst."""
-    if src == dst:
-        raise ConfigError("transfer requires distinct endpoints")
+def transfer_time(dst, model: NetworkModel) -> float:
+    """Seconds to move one client data set from the cloud to edge node dst."""
     if isinstance(model, FixedDelay):
         return model.delay
-    seconds = model.times.get((src, dst))
-    if seconds is None:
-        path = min_hop_path(model.topology, src, dst)
-        bottleneck = min(model.topology._rates[(a, b)] for a, b in zip(path, path[1:]))
-        seconds = model.times[(src, dst)] = model.data_size / bottleneck
-    return seconds
-
-
-def transfer_source(model: NetworkModel, topo: Topology) -> int | None:
-    """Where transfers originate: the cloud for flow models (it stores all
-    data at all times), irrelevant for fixed delays."""
-    if isinstance(model, FlowGraph):
-        cloud = model.topology.cloud_id
-        if cloud is None:
-            raise TopologyError("flow model topology has no cloud node")
-        return cloud
-    return None
+    return model.times[dst]
 
 
 def dump_topology(topo: Topology) -> str:

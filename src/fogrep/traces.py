@@ -422,7 +422,7 @@ def read_visits_csv(fileobj) -> list[ClientTimeline]:
     header = next(reader, None)
     if header != VISITS_HEADER:
         raise TraceFormatError(f"unexpected visits header {header!r}", line=1)
-    by_client: dict[str, dict[int, list[NodeVisit]]] = {}
+    by_client: dict[str, dict[int, list[tuple[int, NodeVisit]]]] = {}
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -434,10 +434,23 @@ def read_visits_csv(fileobj) -> list[ClientTimeline]:
             raise TraceFormatError(f"non-finite visit time: {row[3]}, {row[4]}", line=lineno)
         if dep < arr:
             raise TraceFormatError(f"departure {dep!r} before arrival {arr!r}", line=lineno)
-        by_client.setdefault(cid, {}).setdefault(sid, []).append(NodeVisit(node, arr, dep))
+        by_client.setdefault(cid, {}).setdefault(sid, []).append((lineno, NodeVisit(node, arr, dep)))
     timelines = []
     for cid in sorted(by_client):
-        sessions = [by_client[cid][sid] for sid in sorted(by_client[cid])]
+        sessions = []
+        for sid in sorted(by_client[cid]):
+            rows = by_client[cid][sid]
+            for (_, a), (lineno, b) in zip(rows, rows[1:]):
+                if a.node == b.node:
+                    raise TraceFormatError(f"consecutive visits of session {sid} at node {b.node}", line=lineno)
+                if a.departure != b.arrival:
+                    raise TraceFormatError(f"visit arrives at {b.arrival!r}, not when the previous visit "
+                                           f"of session {sid} departs at {a.departure!r}", line=lineno)
+            lineno, first = rows[0]
+            if sessions and not first.arrival > sessions[-1][-1].departure:
+                raise TraceFormatError(f"session {sid} starts at {first.arrival!r}, not after the "
+                                       f"previous session ends at {sessions[-1][-1].departure!r}", line=lineno)
+            sessions.append([v for _, v in rows])
         tl = ClientTimeline(cid, sessions, _pauses_between(cid, sessions))
         tl.validate()
         timelines.append(tl)

@@ -1,5 +1,5 @@
-"""Independent oracles for the simulation engine, the interval metrics and
-GeoLife ingestion.
+"""Independent oracles for the simulation engine, the interval metrics,
+flow transfer paths and GeoLife ingestion.
 
 The engine oracle re-runs a scenario as a naive per-second state machine (no
 event queue), sharing only the policy layer with the real engine. The metrics
@@ -7,16 +7,20 @@ oracle counts seconds. Both require every timestamp in a scenario to be an
 integer, which the micro-scenario generators guarantee: the stay at a node
 (or at a node before a given next node) and the pause after it are constant
 (so learned means stay integral) and pause durations are even (so padded
-retention windows stay integral). The ingest
-oracle handles one point at a time: the row-by-row PLT parser, a loop over
-sorted points for the sessions and a scan over every node for each point.
+retention windows stay integral). The path oracle runs one breadth-first
+search from each destination and walks the smallest-id neighbour one hop
+closer at each step. The ingest oracle handles one point at a time: the
+row-by-row PLT parser, a loop over sorted points for the sessions and a scan
+over every node for each point.
 """
 import random
+from collections import deque
 from pathlib import Path
 
+from fogrep.errors import TopologyError
 from fogrep.policies import Delete, PolicyConfig, Replicate, ReplicaPolicy, Retain
 from fogrep.simengine import ReplicaLedger
-from fogrep.topology import FixedDelay, FlowGraph, build_grid, transfer_source, transfer_time
+from fogrep.topology import FixedDelay, Topology, build_grid, transfer_time
 from fogrep.traces import ClientTimeline, NodeVisit, Pause, parse_plt_rows
 
 _START, _ARRIVE, _END = 3, 2, 4  # same tie ranks as the engine
@@ -38,12 +42,8 @@ class _SetView:
 
 
 def brute_force_run(timelines, topology, network, config: PolicyConfig) -> ReplicaLedger:
-    src = transfer_source(network, topology)
-
     def ttime(dst):
-        if isinstance(network, FixedDelay):
-            return network.delay
-        return transfer_time(src, dst, network)
+        return transfer_time(dst, network)
 
     ledger = ReplicaLedger()
     for tl in timelines:
@@ -270,6 +270,35 @@ def brute_force_nearest(lat, lon, topo):
         if best_d2 is None or d2 < best_d2:
             best_id, best_d2 = n.id, d2
     return best_id
+
+
+def _hop_counts(topo: Topology, root) -> dict[int, int]:
+    """Hops from ``root`` to every endpoint reachable from it (breadth-first)."""
+    dist = {root: 0}
+    queue = deque([root])
+    while queue:
+        cur = queue.popleft()
+        for nb in topo._adj.get(cur, ()):
+            if nb not in dist:
+                dist[nb] = dist[cur] + 1
+                queue.append(nb)
+    return dist
+
+
+def min_hop_path(topo: Topology, src, dst) -> list[int]:
+    """Minimum-hop path src->dst; equal-hop ties resolve to the
+    lexicographically smallest id sequence."""
+    if src == dst:
+        return [src]
+    dist = _hop_counts(topo, dst)
+    if src not in dist:
+        raise TopologyError(f"no path between {src} and {dst}")
+    path = [src]
+    cur = src
+    while cur != dst:
+        cur = min(nb for nb in topo._adj[cur] if dist.get(nb, -1) == dist[cur] - 1)
+        path.append(cur)
+    return path
 
 
 def _point_sessions(groups, gap_threshold):

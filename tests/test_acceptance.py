@@ -265,5 +265,5 @@ def test_criterion_8_transfer_times_exact():
         topo = build_complex_network(9, 9)
         flow = FlowGraph(topo, 8e9)
         for dst in (0, 40, 80):
-            assert transfer_time(topo.cloud_id, dst, flow) == 200.0
-        assert transfer_time(3, 77, FixedDelay(300.0)) == 300.0
+            assert transfer_time(dst, flow) == 200.0
+        assert transfer_time(77, FixedDelay(300.0)) == 300.0

@@ -190,7 +190,12 @@ class TestRun:
         ("a,0,0,nan,nan", "non-finite visit time: nan, nan"),
         ("a,0,0,0.0,inf", "non-finite visit time: 0.0, inf"),
         ("a,0,0,1000.0,500.0", "departure 500.0 before arrival 1000.0"),
-    ], ids=["nan", "inf", "reversed"])
+        ("b,1,0,-500.0,-100.0", "session 1 starts at -500.0, not after the previous session ends at 1000.0"),
+        ("b,1,0,1000.0,2000.0", "session 1 starts at 1000.0, not after the previous session ends at 1000.0"),
+        ("b,0,0,1500.0,2000.0", "visit arrives at 1500.0, not when the previous visit of session 0 departs at 1000.0"),
+        ("b,0,1,1000.0,2000.0", "consecutive visits of session 0 at node 1"),
+    ], ids=["nan", "inf", "reversed", "session-before-previous", "session-at-previous-end", "gap",
+            "repeated-node"])
     def test_impossible_visit_times_are_data_errors(self, tmp_path, capsys, row, message):
         (tmp_path / "visits.csv").write_text(
             "client_id,session_id,node_id,arrival_epoch_s,departure_epoch_s\n"
@@ -299,6 +304,15 @@ class TestIngest:
         assert code == 2
         assert "gap_threshold must be > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bbox", [("39.6", "inf", "116.0", "116.8"), ("39.6", "40.3", "116.0", "inf")],
+                             ids=["lat-max-inf", "lon-max-inf"])
+    def test_non_finite_bbox_is_a_config_error(self, tmp_path, capsys, bbox):
+        root = fake_geolife(tmp_path / "geolife")
+        code = main(["ingest", str(root), "--grid", "1x2", "--bbox", *bbox,
+                     "--out", str(tmp_path / "v.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: bbox: expected finite")
+
     def test_ingest_missing_dir(self, tmp_path, capsys):
         code = main(["ingest", str(tmp_path / "none"), "--out", str(tmp_path / "v.csv")])
         assert code == 3
@@ -403,13 +417,22 @@ class TestConfigErrors:
         ({"policy": "startup: {type: short_pause, min_samples: 0}"}, "policies[0].startup.min_samples", 10),
         ({"policy": "startup: {type: short_pause, duration: -230000}"}, "policies[0].startup.duration", 10),
         ({"policy": "startup: {type: short_pause, max: -1}"}, "policies[0].startup.max", 10),
+        ({"top": "metrics: {window: [.nan, .nan]}"}, "metrics.window", 3),
+        ({"trace": "{source: visits, path: visits.csv, tz_offset: .nan}"}, "trace.tz_offset", 2),
+        ({"topo": "transfer_delay: .inf"}, "topologies[0].transfer_delay", 6),
+        ({"topo": "bbox: [.nan, 1, 0, 1]"}, "topologies[0].bbox", 6),
+        ({"trace": spec_trace().replace("{clients:", "{anchor: .nan, clients:")}, "trace.spec.anchor", 2),
+        ({"policy": "startup: {type: short_pause, max: .inf}"}, "policies[0].startup.max", 10),
+        ({"topo": "data_size_gb: 1" + "0" * 400}, "topologies[0].data_size_gb", 6),
     ], ids=["k-word", "jobs-word", "eot-string", "k-float", "vomm-day-splits",
             "momm-time-splits", "bbox-three", "kind-unknown", "spec-wekks", "spec-weeks-word",
             "spec-start-8am", "spec-start-unquoted", "spec-start-25-90", "spec-day-fry",
             "spec-client-id", "spec-client-twice", "trace-gap-treshold", "trace-gap-zero", "visits-clients",
             "edge-rate-zero", "transfer-delay-zero", "rows-zero", "series-bucket-zero",
             "jobs-zero", "plmm-threshold-zero", "plmm-factor-negative", "min-samples-zero",
-            "pause-duration-negative", "pause-max-negative"])
+            "pause-duration-negative", "pause-max-negative", "window-nan", "tz-offset-nan",
+            "transfer-delay-inf", "bbox-nan", "spec-anchor-nan", "pause-max-inf",
+            "data-size-too-large"])
     def test_run_names_key_path_and_line(self, tmp_path, capsys, override, key_path, line):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(error_config(**override))
