@@ -108,11 +108,15 @@ def _clock(v) -> int:
     return int(match[1]) * 3600 + int(match[2]) * 60
 
 
-def _list_of(convert, length=None):
+def _list_of(convert, length=None, unique=False):
     def convert_list(v):
         if not isinstance(v, list) or length not in (None, len(v)):
             raise ValueError(f"expected a list{f' of {length} items' if length else ''}, got {v!r}")
-        return tuple(convert(x) for x in v)
+        items = tuple(convert(x) for x in v)
+        for k, x in enumerate(items):
+            if unique and x in items[:k]:
+                raise ValueError(f"duplicate item {x!r}")
+        return items
     return convert_list
 
 
@@ -239,7 +243,7 @@ EXPERIMENT_FIELDS = {
     "jobs": ("jobs", _positive_integer),
     "plot": ("plot", _text),
     "dump_events": ("dump_events", _boolean),
-    "metrics.series_clients": ("series_clients", _list_of(_text)),
+    "metrics.series_clients": ("series_clients", _list_of(_text, unique=True)),
     "metrics.series_bucket": ("series_bucket", _positive),
     "metrics.window": ("window", _list_of(_number, 2)),
 }

@@ -5,12 +5,15 @@ availability is the fraction of application-active time during which the
 current closest node held the replica, excess data is all remaining presence
 time divided by active time (preloads before arrival, late deletions, wrong
 nodes, and retention during pauses all land here). Data in transit counts as
-present nowhere.
+present nowhere. The cumulative availability series is one forward sweep
+over a client's sessions and visits, and ignores ``metrics.window``.
 """
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import ConfigError, UndefinedMetricError
 from .simengine import ReplicaLedger
@@ -25,9 +28,13 @@ def _clip(a, b, window):
 
 
 def _overlap(intervals, a, b) -> float:
-    """Total length of ``intervals`` inside [a, b)."""
+    """Total length of the sorted, disjoint ``intervals`` inside [a, b), from
+    the first interval that ends after ``a`` to the last that starts before ``b``."""
     total = 0.0
-    for x, y in intervals:
+    for k in range(bisect_right(intervals, a, key=itemgetter(1)), len(intervals)):
+        x, y = intervals[k]
+        if x >= b:
+            break
         lo = x if x > a else a
         hi = y if y < b else b
         if hi > lo:
@@ -84,22 +91,41 @@ def excess_data(ledger: ReplicaLedger, timeline: ClientTimeline, window=None) ->
 
 
 def availability_series(ledger: ReplicaLedger, timeline: ClientTimeline, bucket) -> list[tuple[float, float]]:
-    """Cumulative availability recomputed at each bucket boundary, starting at
-    the first bucket with any activity."""
-    if bucket <= 0:
-        raise ConfigError("bucket must be > 0")
-    t0 = timeline.first_t
-    end = timeline.last_t
+    """Cumulative availability at each bucket boundary after the client's first
+    arrival, starting at the first bucket with any activity; ``metrics.window``
+    does not apply. One forward sweep keeps totals over the sessions and visits
+    that end by the boundary and adds the one session and the one visit that
+    straddle it, in the order ``active_time`` and ``covered_time`` add them."""
+    cid = timeline.client_id
+    sessions = [(s[0].arrival, s[-1].departure) for s in timeline.sessions]
+    visits = [(v.arrival, v.departure, v.node) for s in timeline.sessions for v in s]
     points = []
-    t = t0 + bucket
+    active = covered = 0.0  # over the sessions and visits that end by t
+    i = j = 0
+    t = timeline.first_t
     while True:
-        active = active_time(timeline, (t0, t))
-        if active > 0:
-            points.append((t, covered_time(ledger, timeline, (t0, t)) / active))
-        if t >= end:
-            break
+        if not t + bucket > t:
+            raise ConfigError(f"metrics.series_bucket: a step of {bucket!r} s does not advance past {t!r}")
         t += bucket
-    return points
+        while i < len(sessions) and sessions[i][1] <= t:
+            a, b = sessions[i]
+            if b > a:
+                active += b - a
+            i += 1
+        while j < len(visits) and visits[j][1] <= t:
+            a, b, node = visits[j]
+            if b > a:
+                covered += _overlap(ledger.intervals(cid, node), a, b)
+            j += 1
+        active_now, covered_now = active, covered
+        if i < len(sessions) and sessions[i][0] < t:
+            active_now += t - sessions[i][0]
+        if active_now > 0:
+            if j < len(visits) and visits[j][0] < t:
+                covered_now += _overlap(ledger.intervals(cid, visits[j][2]), visits[j][0], t)
+            points.append((t, covered_now / active_now))
+        if t >= timeline.last_t:
+            return points
 
 
 @dataclass

@@ -7,17 +7,20 @@ oracle counts seconds. Both require every timestamp in a scenario to be an
 integer, which the micro-scenario generators guarantee: the stay at a node
 (or at a node before a given next node) and the pause after it are constant
 (so learned means stay integral) and pause durations are even (so padded
-retention windows stay integral). The path oracle runs one breadth-first
-search from each destination and walks the smallest-id neighbour one hop
-closer at each step. The ingest oracle handles one point at a time: the
-row-by-row PLT parser, a loop over sorted points for the sessions and a scan
-over every node for each point.
+retention windows stay integral). The series oracle recomputes the active and
+covered time from scratch at every bucket boundary, and the overlap oracle
+scans every interval of a (client, node) pair. The path oracle runs one
+breadth-first search from each destination and walks the smallest-id
+neighbour one hop closer at each step. The ingest oracle handles one point
+at a time: the row-by-row PLT parser, a loop over sorted points for the
+sessions and a scan over every node for each point.
 """
 import random
 from collections import deque
 from pathlib import Path
 
-from fogrep.errors import TopologyError
+from fogrep.errors import ConfigError, TopologyError
+from fogrep.metrics import active_time, covered_time
 from fogrep.policies import Delete, PolicyConfig, Replicate, ReplicaPolicy, Retain
 from fogrep.simengine import ReplicaLedger
 from fogrep.topology import FixedDelay, Topology, build_grid, transfer_time
@@ -157,6 +160,36 @@ def per_second_metrics(ledger, timelines, window=None):
         tot_covered += c
         tot_presence += p
     return tot_covered / tot_active, (tot_presence - tot_covered) / tot_active
+
+
+def overlap(intervals, a, b) -> float:
+    """Total length of ``intervals`` inside [a, b)."""
+    total = 0.0
+    for x, y in intervals:
+        lo = x if x > a else a
+        hi = y if y < b else b
+        if hi > lo:
+            total += hi - lo
+    return total
+
+
+def availability_series(ledger: ReplicaLedger, timeline: ClientTimeline, bucket) -> list[tuple[float, float]]:
+    """Cumulative availability recomputed at each bucket boundary, starting at
+    the first bucket with any activity."""
+    if bucket <= 0:
+        raise ConfigError("bucket must be > 0")
+    t0 = timeline.first_t
+    end = timeline.last_t
+    points = []
+    t = t0 + bucket
+    while True:
+        active = active_time(timeline, (t0, t))
+        if active > 0:
+            points.append((t, covered_time(ledger, timeline, (t0, t)) / active))
+        if t >= end:
+            break
+        t += bucket
+    return points
 
 
 STAY_CHOICES = (60, 120, 180, 240)

@@ -136,6 +136,14 @@ class TestRun:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "metrics.series_clients: no client 'comuter' in the trace" in capsys.readouterr().err
 
+    def test_series_bucket_that_does_not_advance_is_a_config_error(self, tmp_path, capsys):
+        # 1e-9 s is below half the float spacing at 1.2e9 s, so t + bucket == t
+        cfg = tmp_path / "tiny.yaml"
+        cfg.write_text(error_config(trace=spec_trace().replace("{clients:", "{anchor: 1200000000, clients:"),
+                                    top="metrics: {series_clients: [c], series_bucket: 1.0e-9}"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: metrics.series_bucket: a step of 1e-09 s ")
+
     def test_unknown_policy_errors_with_field(self, tmp_path, capsys):
         bad = SMOKE_CONFIG.read_text().replace("predictor: baseline", "predictor: oracle")
         cfg = tmp_path / "bad.yaml"
@@ -424,6 +432,7 @@ class TestConfigErrors:
         ({"trace": spec_trace().replace("{clients:", "{anchor: .nan, clients:")}, "trace.spec.anchor", 2),
         ({"policy": "startup: {type: short_pause, max: .inf}"}, "policies[0].startup.max", 10),
         ({"topo": "data_size_gb: 1" + "0" * 400}, "topologies[0].data_size_gb", 6),
+        ({"top": 'metrics: {series_clients: ["000", "001", "000"]}'}, "metrics.series_clients", 3),
     ], ids=["k-word", "jobs-word", "eot-string", "k-float", "vomm-day-splits",
             "momm-time-splits", "bbox-three", "kind-unknown", "spec-wekks", "spec-weeks-word",
             "spec-start-8am", "spec-start-unquoted", "spec-start-25-90", "spec-day-fry",
@@ -432,7 +441,7 @@ class TestConfigErrors:
             "jobs-zero", "plmm-threshold-zero", "plmm-factor-negative", "min-samples-zero",
             "pause-duration-negative", "pause-max-negative", "window-nan", "tz-offset-nan",
             "transfer-delay-inf", "bbox-nan", "spec-anchor-nan", "pause-max-inf",
-            "data-size-too-large"])
+            "data-size-too-large", "series-clients-twice"])
     def test_run_names_key_path_and_line(self, tmp_path, capsys, override, key_path, line):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(error_config(**override))

@@ -1,9 +1,15 @@
+import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fogrep.errors import UndefinedMetricError
-from fogrep.metrics import (availability, availability_series, compute_report,
+import oracles
+from fogrep import metrics
+from fogrep.errors import ConfigError, UndefinedMetricError
+from fogrep.metrics import (_overlap, availability, availability_series, compute_report,
                             excess_data, write_report_csv)
 from fogrep.policies import PolicyConfig
 from fogrep.simengine import ReplicaLedger, run, snapshot_memory
@@ -124,6 +130,111 @@ class TestSeries:
         ledger = ledger_of("c", {A: [(0, 10)]})
         series = availability_series(ledger, tl, bucket=50.0)
         assert series[0][0] == 50.0  # first bucket has the initial session
+
+    @pytest.mark.parametrize("t0, bucket", [(1.2e9, 1e-9), (0.0, 0.0), (0.0, -1.0), (0.0, math.nan)])
+    def test_bucket_that_does_not_advance_is_a_config_error(self, t0, bucket):
+        tl = timeline("c", [(A, t0, t0 + 3600.0)])
+        with pytest.raises(ConfigError, match=r"^metrics\.series_bucket: "):
+            availability_series(ledger_of("c", {A: [(t0, t0 + 1800.0)]}), tl, bucket)
+
+    def test_every_step_must_advance(self):
+        # the first step lands on 1.0 exactly; 1.0 + 2**-53 rounds back to 1.0
+        tl = timeline("c", [(A, 1.0 - 2.0 ** -53, 2.0)])
+        with pytest.raises(ConfigError, match=r"does not advance past 1\.0$"):
+            availability_series(ledger_of("c", {A: [(1.0, 2.0)]}), tl, 2.0 ** -53)
+
+    def test_one_overlap_per_visit_and_bucket(self, monkeypatch):
+        # 20 sessions of three visits each, 1000 s apart, with one-minute buckets
+        tl = timeline("c", *[[(A, d * 1000, d * 1000 + 100), (B, d * 1000 + 100, d * 1000 + 250),
+                              (C, d * 1000 + 250, d * 1000 + 400)] for d in range(20)])
+        ledger = ledger_of("c", {A: [(d * 1000 + 50, d * 1000 + 100) for d in range(20)],
+                                 B: [(d * 1000, d * 1000 + 300) for d in range(0, 20, 2)]})
+        calls = []
+        monkeypatch.setattr(metrics, "_overlap", lambda *args: calls.append(args) or _overlap(*args))
+        series = availability_series(ledger, tl, bucket=60.0)
+        buckets = math.ceil((tl.last_t - tl.first_t) / 60.0)
+        assert len(series) == buckets
+        assert len(calls) <= sum(map(len, tl.sessions)) + buckets
+
+    def test_report_calls_the_series_once_per_series_client(self, monkeypatch):
+        tls = [timeline(cid, [(A, 0, 100)]) for cid in ("c1", "c2", "c3")]
+        ledger = ledger_of("c2", {A: [(0, 50)]})
+        calls = []
+        monkeypatch.setattr(metrics, "availability_series",
+                            lambda *args: calls.append(args[1].client_id) or availability_series(*args))
+        report = compute_report(ledger, tls, series_clients=("c2", "c3"), series_bucket=50.0)
+        assert calls == ["c2", "c3"]
+        assert report.series == {"c2": [(50.0, 1.0), (100.0, 0.5)], "c3": [(50.0, 0.0), (100.0, 0.0)]}
+
+
+NODES = (A, B, C)
+UNVISITED = 3
+
+
+@st.composite
+def sorted_disjoint(draw, times, lo, hi):
+    """Sorted, disjoint, non-empty intervals whose endpoints are drawn from
+    ``times`` or from [lo, hi]; consecutive intervals may touch."""
+    ends = sorted(set(draw(st.lists(st.sampled_from(times) | st.floats(lo, hi), max_size=10))))
+    intervals, k = [], 0
+    while k + 1 < len(ends):
+        intervals.append((ends[k], ends[k + 1]))
+        k += draw(st.sampled_from((1, 2)))  # 1: the next interval starts where this one ends
+    return intervals
+
+
+@st.composite
+def series_cases(draw):
+    """A validated timeline, a validated ledger over its nodes and one never
+    visited, and a bucket. Stays and pauses are multiples of a quantum and the
+    bucket mostly is too, so that boundaries can fall exactly on arrivals,
+    departures and session ends; zero-length stays are allowed."""
+    quantum = draw(st.sampled_from((0.25, 1.0, 0.1, 7 / 3)))
+    t = draw(st.sampled_from((0.0, 1.5, 1_200_000_000.0)))
+    sessions = []
+    for _ in range(draw(st.integers(1, 4))):
+        visits, node = [], None
+        for _ in range(draw(st.integers(1, 4))):
+            node = draw(st.sampled_from([n for n in NODES if n != node]))
+            departure = t + quantum * draw(st.integers(0, 6))
+            visits.append((node, t, departure))
+            t = departure
+        sessions.append(visits)
+        t += quantum * draw(st.integers(1, 6))
+    tl = timeline("c", *sessions)
+    tl.validate()
+    times = sorted({x for visits in sessions for _, a, d in visits for x in (a, d)})
+    lo, hi = times[0] - 4 * quantum, times[-1] + 4 * quantum
+    ledger = ReplicaLedger()
+    for node in (*NODES, UNVISITED):
+        for a, b in draw(sorted_disjoint(times, lo, hi)):
+            ledger.add("c", node, a, b)
+    ledger.validate()
+    bucket = draw(st.integers(1, 8).map(lambda k: k * quantum)
+                  | st.floats(quantum / 2, 20 * quantum, exclude_min=True))
+    return tl, ledger, bucket
+
+
+class TestSeriesOracle:
+    @settings(max_examples=50, deadline=None)
+    @given(series_cases())
+    def test_sweep_matches_recomputation(self, case):
+        tl, ledger, bucket = case
+        with mock.patch("fogrep.metrics._overlap", oracles.overlap):
+            want = oracles.availability_series(ledger, tl, bucket)
+        got = availability_series(ledger, tl, bucket)
+        assert len(got) == len(want)
+        assert [repr(p) for p in got] == [repr(p) for p in want]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_bisected_overlap_matches_scan(self, data):
+        times = data.draw(st.lists(st.floats(-100, 100), min_size=1, max_size=8))
+        intervals = data.draw(sorted_disjoint(times, -100.0, 100.0))
+        bound = st.sampled_from([x for iv in intervals for x in iv] or times) | st.floats(-120, 120)
+        a = data.draw(bound)
+        b = data.draw(st.just(a) | bound)  # empty when a == b, inverted when b < a
+        assert repr(_overlap(intervals, a, b)) == repr(oracles.overlap(intervals, a, b))
 
 
 class TestAggregation:
