@@ -21,7 +21,7 @@ import yaml
 
 from . import __version__
 from .errors import ConfigError, DataError
-from .metrics import active_time, compute_report, write_report_csv
+from .metrics import active_time, compute_report, series_step, write_report_csv
 from .policies import PolicyConfig
 from .simengine import run as run_simulation
 from .simengine import snapshot_memory, write_event_log_csv
@@ -33,6 +33,7 @@ from .traces import (DEFAULT_GAP_THRESHOLD, SchedulePattern, SyntheticSpec,
                      write_visits_csv)
 
 GEOLIFE_TZ_OFFSET = 8 * 3600.0
+MAX_SERIES_POINTS = 1_000_000  # a year at one-minute buckets is 525,600 points
 
 RESULTS_TYPES = {"experiment": str, "topology": str, "policy": str, "clients": int,
                  "availability": float, "excess_ratio": float,
@@ -437,10 +438,16 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
         timelines = load_traces(cfg, topo, topo_spec.name)
         if cfg.window and not any(active_time(tl, cfg.window) > 0 for tl in timelines):
             raise ConfigError(f"metrics.window: {list(cfg.window)} covers no active second of the trace")
-        clients = {tl.client_id for tl in timelines}
+        clients = {tl.client_id: tl for tl in timelines}
         for cid in cfg.series_clients:
             if cid not in clients:
                 raise ConfigError(f"metrics.series_clients: no client {cid!r} in the trace")
+            tl = clients[cid]
+            series_step(tl.first_t, cfg.series_bucket)  # a bucket too small to move time
+            span = tl.last_t - tl.first_t
+            if span / cfg.series_bucket > MAX_SERIES_POINTS:
+                raise ConfigError(f"metrics.series_bucket: {cfg.series_bucket!r} s over client {cid!r}'s "
+                                  f"{span!r} s makes more than {MAX_SERIES_POINTS} points")
         for policy in cfg.policies:
             points.append((topo_spec, (topo, network, policy, timelines)))
     shared = (cfg.window, cfg.series_clients, cfg.series_bucket, cfg.dump_events)

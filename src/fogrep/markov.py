@@ -1,27 +1,32 @@
 """Online-trainable Markov predictors over node-visit sequences.
 
-A model is a list of sub-models and a fuse rule. Every sub-model is one
-table keyed on (history, day bucket, time bucket), trained with a fixed
-history length (order) and fixed day-of-week and time-of-day splits; the
-buckets derive from the trip start time. Each (context, target) record
-carries a transition count plus stay-duration statistics for the node the
-history ends at, so predictions can report an expected stay. An end-of-trip
-pseudo-target (``EOT``) records trip termination when enabled.
+A model is a list of sub-models and a fuse rule. A sub-model has a fixed
+history length (order) and day-of-week and time-of-day splits; the buckets
+of all sub-models derive from the trip start time and are resolved once per
+trip. The only storage is one index per order: a history tuple maps to one
+record per trained (sub-model, day bucket, time bucket) context, so a
+prediction looks a history up once per order. A record holds the context's
+total count and a ``TargetRecord`` per target (a transition count plus stay
+statistics for the node the history ends at), node ids ascending and the
+end-of-trip pseudo-target ``EOT``, trained when enabled, last.
 
 The three predictors of the paper differ only in which sub-models they train
 and how the answers are fused (``KINDS``):
 
 * ``momm``: order ``k`` alone, by backoff over that one sub-model;
 * ``vomm``: orders ``1..k``, by backoff: the highest order that knows the
-  context answers, lower orders are not queried;
+  context answers alone;
 * ``fomm``: orders ``1..k`` x day splits x time splits, by blend: the
   weighted sum of every answering sub-model's distribution, normalized.
 """
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 from .errors import ConfigError, DataError
 
@@ -56,7 +61,7 @@ def bucketize(t, day_split, time_split, tz_offset=0.0) -> tuple[int, int]:
     return day, tod
 
 
-@dataclass
+@dataclass(slots=True)
 class TargetRecord:
     count: int = 0
     stay_sum: float = 0.0
@@ -67,27 +72,28 @@ class TargetRecord:
         return self.stay_sum / self.stay_count if self.stay_count else None
 
 
-class TransitionTable:
-    """Context -> per-target counts. Contexts are (history tuple, day, time)."""
+class Context(dict):
+    """A trained context's record: target id -> ``TargetRecord``, node ids
+    ascending and end of trip last, and ``total``, the sum of their counts."""
+    __slots__ = ("total",)
 
     def __init__(self):
-        self.entries: dict[tuple, dict[int, TargetRecord]] = {}
+        self.total = 0
 
-    def add(self, context, target, stay=None):
-        targets = self.entries.setdefault(context, {})
-        rec = targets.get(target)
+    def add(self, target, stay=None):
+        """Count one transition; ``stay`` is None for the end of trip."""
+        rec = self.get(target)
         if rec is None:
-            rec = targets[target] = TargetRecord()
+            last = next(reversed(self), None)
+            rec = self[target] = TargetRecord()
+            if target != EOT and last is not None and (last == EOT or last > target):
+                for t in [t for t in self if t == EOT or t > target]:
+                    self[t] = self.pop(t)  # behind the new target, in order
+        self.total += 1
         rec.count += 1
         if stay is not None:
             rec.stay_sum += stay
             rec.stay_count += 1
-
-    def lookup(self, context):
-        return self.entries.get(context)
-
-    def __len__(self):
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -98,14 +104,9 @@ class SubModelSpec:
     weight: float
 
     def __post_init__(self):
-        if self.weight <= 0:
-            raise ConfigError("sub-model weight must be > 0")
-
-
-@dataclass
-class SubModel:
-    spec: SubModelSpec
-    table: TransitionTable = field(default_factory=TransitionTable)
+        if self.order < 1 or not self.weight > 0:
+            raise ConfigError(f"sub-model order must be >= 1 and weight > 0, got {self}")
+        bucketize(0.0, self.day_split, self.time_split)  # ConfigError for an unknown split
 
 
 @dataclass(frozen=True)
@@ -115,31 +116,13 @@ class Prediction:
     expected_stay: float | None = None
 
 
-def default_weight(order, day_split, time_split) -> float:
-    """More specific sub-models weigh more: order x day groups x time groups."""
-    return float(order * day_split * time_split)
-
-
-def momm_predict(table: TransitionTable, history, buckets) -> list[Prediction] | None:
-    """Distribution for an exact-length history, or None when the context was
-    never seen (absence is a value, not an error)."""
-    targets = table.lookup((tuple(history), buckets[0], buckets[1]))
-    if not targets:
-        return None
-    total = sum(rec.count for rec in targets.values())
-    preds = [Prediction(t, rec.count / total, rec.mean_stay)
-             for t, rec in sorted(targets.items(), key=lambda kv: (kv[0] == EOT, kv[0]))]
-    return preds
-
-
 def backoff(model: "MarkovPredictor", history, trip_start):
-    """The highest-order sub-model that knows the context answers alone;
-    lower orders are not queried once one has answered."""
-    for sm in reversed(model.submodels):
-        preds = model.query(sm, history, trip_start)
-        if preds is not None:
-            return preds
-    return None
+    """The highest-order sub-model that knows the context answers alone."""
+    answers = model.answers(history, trip_start)
+    if not answers:
+        return None
+    _, ctx = answers[-1]
+    return [Prediction(t, rec.count / ctx.total, rec.mean_stay) for t, rec in ctx.items()]
 
 
 def blend(model: "MarkovPredictor", history, trip_start):
@@ -149,16 +132,13 @@ def blend(model: "MarkovPredictor", history, trip_start):
     raw: dict[int, float] = {}
     stay_num: dict[int, float] = {}
     stay_den: dict[int, float] = {}
-    for sm in model.submodels:
-        preds = model.query(sm, history, trip_start)
-        if preds is None:
-            continue
-        w = sm.spec.weight
-        for p in preds:
-            raw[p.target] = raw.get(p.target, 0.0) + p.probability * w
-            if p.expected_stay is not None:
-                stay_num[p.target] = stay_num.get(p.target, 0.0) + w * p.expected_stay
-                stay_den[p.target] = stay_den.get(p.target, 0.0) + w
+    for w, ctx in model.answers(history, trip_start):
+        total = ctx.total
+        for t, rec in ctx.items():
+            raw[t] = raw.get(t, 0.0) + rec.count / total * w
+            if rec.stay_count:
+                stay_num[t] = stay_num.get(t, 0.0) + w * (rec.stay_sum / rec.stay_count)
+                stay_den[t] = stay_den.get(t, 0.0) + w
     if not raw:
         return None
     total = sum(raw.values())
@@ -197,24 +177,36 @@ def make_model(kind, k, day_splits=(1,), time_splits=(1,), eot=True,
                tz_offset=0.0) -> "MarkovPredictor":
     """A fresh model of ``kind`` with maximum order ``k``."""
     orders = check_kind(kind, k, day_splits, time_splits)[0]
-    submodels = [SubModel(SubModelSpec(o, d, t, default_weight(o, d, t)))
-                 for o in orders(k) for d in sorted(day_splits) for t in sorted(time_splits)]
-    return MarkovPredictor(kind, submodels, eot=eot, tz_offset=tz_offset)
+    # more specific sub-models weigh more: order x day groups x time groups
+    specs = [SubModelSpec(o, d, t, float(o * d * t))
+             for o in orders(k) for d in sorted(day_splits) for t in sorted(time_splits)]
+    return MarkovPredictor(kind, specs, eot=eot, tz_offset=tz_offset)
 
 
 class MarkovPredictor:
-    """Sub-models over one table layout, queried and combined by the fuse
-    rule of the model's kind."""
+    """Sub-models over one record index per order, queried and combined by
+    the fuse rule of the model's kind."""
 
     def __init__(self, kind, submodels, eot=True, tz_offset=0.0):
         self.kind = kind
         self.fuse = check_kind(kind)[2]
-        self.submodels: list[SubModel] = list(submodels)
+        self.submodels: list[SubModelSpec] = list(submodels)
         self.eot = eot
         self.tz_offset = tz_offset
+        # order -> history tuple -> (sub-model position, day, time) -> record
+        self.index: dict[int, dict[tuple, dict[tuple, Context]]] = {s.order: {} for s in self.submodels}
+        self._trip = None  # (trip start, _runs of that trip)
 
-    def _buckets(self, spec: SubModelSpec, trip_start):
-        return bucketize(trip_start, spec.day_split, spec.time_split, self.tz_offset)
+    def _runs(self, trip_start):
+        """The sub-models of a trip starting at ``trip_start``, in sub-model
+        order, as runs of one order: (order, [(record key, weight), ...]).
+        Resolved once per trip."""
+        if self._trip is None or self._trip[0] != trip_start:
+            keyed = [(s.order, (i, *bucketize(trip_start, s.day_split, s.time_split, self.tz_offset)),
+                      s.weight) for i, s in enumerate(self.submodels)]
+            self._trip = (trip_start, [(order, [(key, w) for _, key, w in run])
+                                       for order, run in groupby(keyed, itemgetter(0))])
+        return self._trip[1]
 
     def train_session(self, visits, trip_start):
         """Enter every transition of a completed trip, plus an end-of-trip
@@ -226,60 +218,67 @@ class MarkovPredictor:
         if top > MAX_NODE_ID:
             raise DataError(f"node id {top} does not fit the predictor's 16-bit node ids "
                             f"(at most {MAX_NODE_ID})")
-        for sm in self.submodels:
-            k = sm.spec.order
-            day, tod = self._buckets(sm.spec, trip_start)
-            for i in range(k, len(nodes)):
-                stay = visits[i - 1].departure - visits[i - 1].arrival
-                sm.table.add((tuple(nodes[i - k:i]), day, tod), nodes[i], stay)
-            if self.eot and len(nodes) >= k:
-                sm.table.add((tuple(nodes[-k:]), day, tod), EOT)
+        for order, keyed in self._runs(trip_start):
+            index, keys = self.index[order], [key for key, _ in keyed]
+            steps = [(tuple(nodes[i - order:i]), nodes[i], visits[i - 1].departure - visits[i - 1].arrival)
+                     for i in range(order, len(nodes))]
+            if self.eot and len(nodes) >= order:
+                steps.append((tuple(nodes[-order:]), EOT, None))
+            for history, target, stay in steps:
+                records = index.setdefault(history, {})
+                for key in keys:
+                    ctx = records.get(key)
+                    if ctx is None:
+                        ctx = records[key] = Context()
+                    ctx.add(target, stay)
 
     def predict(self, history, trip_start):
         """Fused next-target distribution, or None when no sub-model knows
         the context."""
         return self.fuse(self, history, trip_start)
 
-    def query(self, sm: SubModel, history, trip_start):
-        k = sm.spec.order
-        if len(history) < k:
-            return None
-        return momm_predict(sm.table, tuple(history[-k:]), self._buckets(sm.spec, trip_start))
+    def answers(self, history, trip_start) -> list[tuple[float, Context]]:
+        """(weight, record) of every sub-model that knows the context, in
+        sub-model order; the history is looked up once per run of one order."""
+        n = len(history)
+        out = []
+        for order, keyed in self._runs(trip_start):
+            records = self.index[order].get(tuple(history[n - order:])) if order <= n else None
+            if records is not None:
+                for key, w in keyed:
+                    ctx = records.get(key)
+                    if ctx is not None:
+                        out.append((w, ctx))
+        return out
 
     def memory_bytes(self) -> int:
         """Size of the canonical table serialization: per entry 2 bytes per
         history element plus 2 bytes per bucket, then 20 bytes per target
         (4 id + 4 count + 8 stay_sum + 4 stay_count)."""
-        return sum(_table_bytes(sm.spec.order, sm.table) for sm in self.submodels)
-
-    # -- persistence -------------------------------------------------------
+        return sum(2 * order + 4 + TARGET_BYTES * len(ctx)
+                   for order, index in self.index.items()
+                   for records in index.values() for ctx in records.values())
 
     def save_bytes(self) -> bytes:
-        out = [_MAGIC]
-        header = json.dumps(self._config_dict(), sort_keys=True).encode()
-        out.append(struct.pack("<I", len(header)))
-        out.append(header)
-        for sm in self.submodels:
-            entries = sorted(sm.table.entries.items())
-            out.append(struct.pack("<I", len(entries)))
-            counts = struct.pack(f"<{len(entries)}H", *(len(t) for _, t in entries))
-            out.append(counts)
-            for context, targets in entries:
-                out.append(_encode_entry(context, targets))
+        """Header, then per sub-model its entries sorted by context."""
+        header = json.dumps({
+            "kind": self.kind, "eot": self.eot, "tz_offset": self.tz_offset,
+            "submodels": [[s.order, s.day_split, s.time_split, s.weight] for s in self.submodels],
+        }, sort_keys=True).encode()
+        out = [_MAGIC, struct.pack("<I", len(header)), header]
+        for i, spec in enumerate(self.submodels):
+            entries = sorted((((history, day, tod), ctx) for history, records in self.index[spec.order].items()
+                              for (j, day, tod), ctx in records.items() if j == i), key=itemgetter(0))
+            out.append(struct.pack(f"<I{len(entries)}H", len(entries), *(len(ctx) for _, ctx in entries)))
+            for (history, day, tod), ctx in entries:
+                out.append(struct.pack(f"<{len(history)}HHH", *history, day, tod))
+                out.extend(_TARGET_STRUCT.pack(t, rec.count, rec.stay_sum, rec.stay_count)
+                           for t, rec in ctx.items())
         return b"".join(out)
 
     def save(self, path):
         with open(path, "wb") as fh:
             fh.write(self.save_bytes())
-
-    def _config_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "eot": self.eot,
-            "tz_offset": self.tz_offset,
-            "submodels": [[sm.spec.order, sm.spec.day_split, sm.spec.time_split, sm.spec.weight]
-                          for sm in self.submodels],
-        }
 
     @staticmethod
     def load_bytes(data: bytes) -> "MarkovPredictor":
@@ -324,47 +323,48 @@ def dynamic_topn(preds, threshold=None, fixed_n=None, include_eot=True) -> list[
     return selected
 
 
-def _table_bytes(order, table: TransitionTable) -> int:
-    per_entry = 2 * order + 4
-    return sum(per_entry + TARGET_BYTES * len(t) for t in table.entries.values())
-
-
-def _encode_entry(context, targets) -> bytes:
-    history, day, tod = context
-    parts = [struct.pack(f"<{len(history)}HHH", *history, day, tod)]
-    for target, rec in sorted(targets.items(), key=lambda kv: (kv[0] == EOT, kv[0])):
-        parts.append(_TARGET_STRUCT.pack(target, rec.count, rec.stay_sum, rec.stay_count))
-    return b"".join(parts)
-
-
 def _decode(data, off) -> MarkovPredictor:
     (hlen,) = struct.unpack_from("<I", data, off)
-    off += 4
-    cfg = json.loads(data[off:off + hlen])
-    off += hlen
+    cfg = json.loads(data[off + 4:off + 4 + hlen])
+    off += 4 + hlen
     model = MarkovPredictor(
-        cfg["kind"], [SubModel(SubModelSpec(o, d, t, w)) for o, d, t, w in cfg["submodels"]],
+        cfg["kind"], [SubModelSpec(o, d, t, w) for o, d, t, w in cfg["submodels"]],
         eot=cfg["eot"], tz_offset=cfg["tz_offset"])
-    for sm in model.submodels:
+    for i, spec in enumerate(model.submodels):
         (n_entries,) = struct.unpack_from("<I", data, off)
-        off += 4
-        counts = struct.unpack_from(f"<{n_entries}H", data, off)
-        off += 2 * n_entries
+        counts = struct.unpack_from(f"<{n_entries}H", data, off + 4)
+        off += 4 + 2 * n_entries
+        last = None
         for n_targets in counts:
-            context, targets, off = _decode_entry(data, off, sm.spec.order, n_targets)
-            sm.table.entries[context] = targets
+            *history, day, tod = struct.unpack_from(f"<{spec.order}HHH", data, off)
+            off += 2 * spec.order + 4
+            context, ctx = (tuple(history), day, tod), Context()
+            where = f"sub-model {i}, context {context}"
+            _require(where, (last is None or context > last, f"does not follow {last}"),
+                     (day < spec.day_split and tod < spec.time_split,
+                      f"bucket outside the {spec.day_split} x {spec.time_split} split"),
+                     (n_targets > 0, "no targets"))
+            for _ in range(n_targets):
+                tid, count, stay_sum, stay_count = _TARGET_STRUCT.unpack_from(data, off)
+                off += TARGET_BYTES
+                prev = next(reversed(ctx), None)
+                _require(f"{where}, target {tid}",
+                         (EOT <= tid <= MAX_NODE_ID, f"id outside [{EOT}, {MAX_NODE_ID}]"),
+                         (prev is None or (prev == EOT, prev) < (tid == EOT, tid), f"does not follow {prev}"),
+                         (count > 0, "count 0"),
+                         (stay_count <= count, f"{stay_count} stays for a count of {count}"),
+                         (math.isfinite(stay_sum) and stay_sum >= 0, f"stay sum {stay_sum!r}"))
+                ctx[tid] = TargetRecord(count, stay_sum, stay_count)
+                ctx.total += count
+            model.index[spec.order].setdefault(context[0], {})[(i, day, tod)] = ctx
+            last = context
     if off != len(data):
         raise DataError("trailing bytes in predictor file")
     return model
 
 
-def _decode_entry(data, off, order, n_targets):
-    vals = struct.unpack_from(f"<{order}HHH", data, off)
-    off += 2 * order + 4
-    context = (tuple(vals[:order]), vals[order], vals[order + 1])
-    targets = {}
-    for _ in range(n_targets):
-        tid, count, stay_sum, stay_count = _TARGET_STRUCT.unpack_from(data, off)
-        off += TARGET_BYTES
-        targets[tid] = TargetRecord(count, stay_sum, stay_count)
-    return context, targets, off
+def _require(where, *checks):
+    """DataError naming ``where`` and the first failed (holds, problem) check."""
+    for holds, problem in checks:
+        if not holds:
+            raise DataError(f"corrupt predictor file: {where}: {problem}")

@@ -90,6 +90,14 @@ def excess_data(ledger: ReplicaLedger, timeline: ClientTimeline, window=None) ->
     return (presence - covered) / active
 
 
+def series_step(t, bucket) -> float:
+    """The series boundary one bucket after ``t``; ConfigError naming
+    ``metrics.series_bucket`` when the step does not advance past ``t``."""
+    if not t + bucket > t:
+        raise ConfigError(f"metrics.series_bucket: a step of {bucket!r} s does not advance past {t!r}")
+    return t + bucket
+
+
 def availability_series(ledger: ReplicaLedger, timeline: ClientTimeline, bucket) -> list[tuple[float, float]]:
     """Cumulative availability at each bucket boundary after the client's first
     arrival, starting at the first bucket with any activity; ``metrics.window``
@@ -104,9 +112,7 @@ def availability_series(ledger: ReplicaLedger, timeline: ClientTimeline, bucket)
     i = j = 0
     t = timeline.first_t
     while True:
-        if not t + bucket > t:
-            raise ConfigError(f"metrics.series_bucket: a step of {bucket!r} s does not advance past {t!r}")
-        t += bucket
+        t = series_step(t, bucket)
         while i < len(sessions) and sessions[i][1] <= t:
             a, b = sessions[i]
             if b > a:

@@ -13,13 +13,21 @@ scans every interval of a (client, node) pair. The path oracle runs one
 breadth-first search from each destination and walks the smallest-id
 neighbour one hop closer at each step. The ingest oracle handles one point
 at a time: the row-by-row PLT parser, a loop over sorted points for the
-sessions and a scan over every node for each point.
+sessions and a scan over every node for each point. The Markov oracle keeps
+one transition table per sub-model, queries each sub-model by its own history
+slice and buckets, and sorts every answer into a list of predictions.
 """
+import json
 import random
+import struct
 from collections import deque
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from fogrep.errors import ConfigError, TopologyError
+from fogrep.errors import ConfigError, DataError, TopologyError
+from fogrep.markov import (EOT, MAX_NODE_ID, TARGET_BYTES, MarkovPredictor,
+                           Prediction, SubModelSpec, TargetRecord, bucketize,
+                           check_kind)
 from fogrep.metrics import active_time, covered_time
 from fogrep.policies import Delete, PolicyConfig, Replicate, ReplicaPolicy, Retain
 from fogrep.simengine import ReplicaLedger
@@ -373,3 +381,184 @@ def point_ingest(root, topo, gap_threshold) -> list[ClientTimeline]:
                   for a, b in zip(visit_sessions, visit_sessions[1:])]
         timelines.append(ClientTimeline(user.name, visit_sessions, pauses))
     return timelines
+
+
+class TransitionTable:
+    """Context -> per-target counts. Contexts are (history tuple, day, time)."""
+
+    def __init__(self):
+        self.entries: dict[tuple, dict[int, TargetRecord]] = {}
+
+    def add(self, context, target, stay=None):
+        targets = self.entries.setdefault(context, {})
+        rec = targets.get(target)
+        if rec is None:
+            rec = targets[target] = TargetRecord()
+        rec.count += 1
+        if stay is not None:
+            rec.stay_sum += stay
+            rec.stay_count += 1
+
+    def lookup(self, context):
+        return self.entries.get(context)
+
+    def __len__(self):
+        return len(self.entries)
+
+
+@dataclass
+class SubModel:
+    spec: SubModelSpec
+    table: TransitionTable = field(default_factory=TransitionTable)
+
+
+def momm_predict(table: TransitionTable, history, buckets) -> list[Prediction] | None:
+    """Distribution for an exact-length history, or None when the context was
+    never seen (absence is a value, not an error)."""
+    targets = table.lookup((tuple(history), buckets[0], buckets[1]))
+    if not targets:
+        return None
+    total = sum(rec.count for rec in targets.values())
+    preds = [Prediction(t, rec.count / total, rec.mean_stay)
+             for t, rec in sorted(targets.items(), key=lambda kv: (kv[0] == EOT, kv[0]))]
+    return preds
+
+
+def table_backoff(model: "TableModel", history, trip_start):
+    """The highest-order sub-model that knows the context answers alone;
+    lower orders are not queried once one has answered."""
+    for sm in reversed(model.submodels):
+        preds = model.query(sm, history, trip_start)
+        if preds is not None:
+            return preds
+    return None
+
+
+def table_blend(model: "TableModel", history, trip_start):
+    """Weighted sum of every answering sub-model's distribution, normalized
+    once; stays fuse as weight-weighted averages over the sub-models that
+    report one."""
+    raw: dict[int, float] = {}
+    stay_num: dict[int, float] = {}
+    stay_den: dict[int, float] = {}
+    for sm in model.submodels:
+        preds = model.query(sm, history, trip_start)
+        if preds is None:
+            continue
+        w = sm.spec.weight
+        for p in preds:
+            raw[p.target] = raw.get(p.target, 0.0) + p.probability * w
+            if p.expected_stay is not None:
+                stay_num[p.target] = stay_num.get(p.target, 0.0) + w * p.expected_stay
+                stay_den[p.target] = stay_den.get(p.target, 0.0) + w
+    if not raw:
+        return None
+    total = sum(raw.values())
+    return [Prediction(t, raw[t] / total,
+                       stay_num[t] / stay_den[t] if t in stay_den else None)
+            for t in sorted(raw, key=lambda t: (t == EOT, t))]
+
+
+TABLE_FUSE = {"momm": table_backoff, "vomm": table_backoff, "fomm": table_blend}
+
+
+def table_model(kind, k, day_splits=(1,), time_splits=(1,), eot=True,
+                tz_offset=0.0) -> "TableModel":
+    """``fogrep.markov.make_model`` over one transition table per sub-model."""
+    orders = check_kind(kind, k, day_splits, time_splits)[0]
+    submodels = [SubModel(SubModelSpec(o, d, t, float(o * d * t)))
+                 for o in orders(k) for d in sorted(day_splits) for t in sorted(time_splits)]
+    return TableModel(kind, submodels, eot=eot, tz_offset=tz_offset)
+
+
+class TableModel:
+    """Sub-models over one table layout, queried and combined by the fuse
+    rule of the model's kind."""
+
+    def __init__(self, kind, submodels, eot=True, tz_offset=0.0):
+        self.kind = kind
+        self.fuse = TABLE_FUSE[kind]
+        self.submodels: list[SubModel] = list(submodels)
+        self.eot = eot
+        self.tz_offset = tz_offset
+
+    def _buckets(self, spec: SubModelSpec, trip_start):
+        return bucketize(trip_start, spec.day_split, spec.time_split, self.tz_offset)
+
+    def train_session(self, visits, trip_start):
+        """Enter every transition of a completed trip, plus an end-of-trip
+        transition when enabled. Buckets come from the trip start time."""
+        if not visits:
+            raise DataError("cannot train on an empty visit sequence")
+        nodes = [v.node for v in visits]
+        top = max(nodes)
+        if top > MAX_NODE_ID:
+            raise DataError(f"node id {top} does not fit the predictor's 16-bit node ids "
+                            f"(at most {MAX_NODE_ID})")
+        for sm in self.submodels:
+            k = sm.spec.order
+            day, tod = self._buckets(sm.spec, trip_start)
+            for i in range(k, len(nodes)):
+                stay = visits[i - 1].departure - visits[i - 1].arrival
+                sm.table.add((tuple(nodes[i - k:i]), day, tod), nodes[i], stay)
+            if self.eot and len(nodes) >= k:
+                sm.table.add((tuple(nodes[-k:]), day, tod), EOT)
+
+    def predict(self, history, trip_start):
+        """Fused next-target distribution, or None when no sub-model knows
+        the context."""
+        return self.fuse(self, history, trip_start)
+
+    def query(self, sm: SubModel, history, trip_start):
+        k = sm.spec.order
+        if len(history) < k:
+            return None
+        return momm_predict(sm.table, tuple(history[-k:]), self._buckets(sm.spec, trip_start))
+
+    def memory_bytes(self) -> int:
+        """Size of the canonical table serialization: per entry 2 bytes per
+        history element plus 2 bytes per bucket, then 20 bytes per target
+        (4 id + 4 count + 8 stay_sum + 4 stay_count)."""
+        return sum(_table_bytes(sm.spec.order, sm.table) for sm in self.submodels)
+
+    def save_bytes(self) -> bytes:
+        out = [b"FGMK1\n"]
+        header = json.dumps(self._config_dict(), sort_keys=True).encode()
+        out.append(struct.pack("<I", len(header)))
+        out.append(header)
+        for sm in self.submodels:
+            entries = sorted(sm.table.entries.items())
+            out.append(struct.pack("<I", len(entries)))
+            counts = struct.pack(f"<{len(entries)}H", *(len(t) for _, t in entries))
+            out.append(counts)
+            for context, targets in entries:
+                out.append(_encode_entry(context, targets))
+        return b"".join(out)
+
+    def _config_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "eot": self.eot,
+            "tz_offset": self.tz_offset,
+            "submodels": [[sm.spec.order, sm.spec.day_split, sm.spec.time_split, sm.spec.weight]
+                          for sm in self.submodels],
+        }
+
+
+def from_tables(kind, submodels, eot=True) -> MarkovPredictor:
+    """A ``fogrep.markov`` model holding exactly these sub-models' tables,
+    read through the file format: the oracle writes it, the model loads it."""
+    return MarkovPredictor.load_bytes(TableModel(kind, submodels, eot=eot).save_bytes())
+
+
+def _table_bytes(order, table: TransitionTable) -> int:
+    per_entry = 2 * order + 4
+    return sum(per_entry + TARGET_BYTES * len(t) for t in table.entries.values())
+
+
+def _encode_entry(context, targets) -> bytes:
+    history, day, tod = context
+    parts = [struct.pack(f"<{len(history)}HHH", *history, day, tod)]
+    for target, rec in sorted(targets.items(), key=lambda kv: (kv[0] == EOT, kv[0])):
+        parts.append(struct.pack("<iIdI", target, rec.count, rec.stay_sum, rec.stay_count))
+    return b"".join(parts)

@@ -9,9 +9,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from fogrep.markov import (MarkovPredictor, SubModel, SubModelSpec,
-                           TargetRecord, TransitionTable, dynamic_topn,
-                           make_model)
+from fogrep.markov import SubModelSpec, TargetRecord, dynamic_topn, make_model
 from fogrep.metrics import availability, compute_report, excess_data
 from fogrep.policies import PolicyConfig
 from fogrep.simengine import run
@@ -20,7 +18,8 @@ from fogrep.topology import (FixedDelay, FlowGraph, build_complex_network,
 from fogrep.traces import (ClientTimeline, NodeVisit, Pause, SchedulePattern,
                            SyntheticSpec, synth_generate)
 
-from oracles import make_micro_scenario, per_second_metrics
+from oracles import (SubModel, TransitionTable, from_tables, make_micro_scenario,
+                     per_second_metrics)
 
 MONDAY_ANCHOR = 345600.0  # 1970-01-05
 WEEK = 7 * 86400.0
@@ -51,7 +50,7 @@ def test_criterion_1_fusion_correctness():
         # (weight 2) sees A->B only: raw {B: 2.5, C: 0.5} -> {B: 5/6, C: 1/6}
         t1 = table_of({((0,), 1): (1, 100.0, 1), ((0,), 2): (1, 100.0, 1)})
         t2 = table_of({((0,), 1): (3, 300.0, 3)})
-        model = MarkovPredictor("fomm", [
+        model = from_tables("fomm", [
             SubModel(SubModelSpec(1, 1, 1, 1.0), t1),
             SubModel(SubModelSpec(1, 1, 4, 2.0), t2),
         ])
@@ -68,7 +67,7 @@ def test_criterion_1_fusion_correctness():
                     rows[((0,), target)] = (rng.randint(1, 9), float(rng.randint(60, 900)), 1)
                 subs.append(SubModel(SubModelSpec(1, 1, 1, rng.uniform(0.05, 20.0)),
                                      table_of(rows)))
-            preds = MarkovPredictor("fomm", subs).predict([0], 0.0)
+            preds = from_tables("fomm", subs).predict([0], 0.0)
             assert abs(sum(p.probability for p in preds) - 1.0) <= 1e-9
 
 
@@ -234,13 +233,14 @@ def test_criterion_7_model_properties_on_1000_tables():
             for _ in range(rng.randint(1, 4)):
                 rows = {}
                 for target in rng.sample(range(1, 7), rng.randint(1, 4)):
-                    rows[((0,), target)] = (rng.randint(1, 9), float(rng.randint(60, 900)),
-                                            rng.randint(1, 9))
+                    count = rng.randint(1, 9)  # a record has at most one stay per count
+                    rows[((0,), target)] = (count, float(rng.randint(60, 900)),
+                                            min(rng.randint(1, 9), count))
                 subs.append((rng.uniform(0.1, 10.0), table_of(rows)))
             scale = rng.uniform(0.01, 100.0)
-            m1 = MarkovPredictor("fomm", [SubModel(SubModelSpec(1, 1, 1, w), t) for w, t in subs])
-            m2 = MarkovPredictor("fomm", [SubModel(SubModelSpec(1, 1, 1, w * scale), t)
-                                          for w, t in subs])
+            m1 = from_tables("fomm", [SubModel(SubModelSpec(1, 1, 1, w), t) for w, t in subs])
+            m2 = from_tables("fomm", [SubModel(SubModelSpec(1, 1, 1, w * scale), t)
+                                      for w, t in subs])
             p1 = {p.target: p.probability for p in m1.predict([0], 0.0)}
             p2 = {p.target: p.probability for p in m2.predict([0], 0.0)}
             assert set(p1) == set(p2)

@@ -144,6 +144,20 @@ class TestRun:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("config error: metrics.series_bucket: a step of 1e-09 s ")
 
+    def test_series_bucket_with_too_many_points_is_a_config_error(self, tmp_path, capsys):
+        # Monday 08:00 to Tuesday 08:01 in 0.05 s buckets is 1,729,200 points
+        cfg = tmp_path / "fine.yaml"
+        cfg.write_text(error_config(trace=spec_trace(pattern="days: [mon, tue], start: '08:00'"),
+                                    top="metrics: {series_clients: [c], series_bucket: 0.05}"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: metrics.series_bucket: 0.05 s over client 'c''s 86460.0 s makes more than 1000000 points")
+        assert not (tmp_path / "out" / "p__strip-2").exists()  # checked before any point runs
+        # one minute over the same day is 1,441 points
+        cfg.write_text(cfg.read_text().replace("series_bucket: 0.05", "series_bucket: 60"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert len((tmp_path / "out" / "p__strip-2" / "series_c.csv").read_text().splitlines()) > 1
+
     def test_unknown_policy_errors_with_field(self, tmp_path, capsys):
         bad = SMOKE_CONFIG.read_text().replace("predictor: baseline", "predictor: oracle")
         cfg = tmp_path / "bad.yaml"

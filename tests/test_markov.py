@@ -1,5 +1,7 @@
 import calendar
 import hashlib
+import json
+import math
 import random
 import struct
 
@@ -8,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogrep.errors import ConfigError, DataError
-from fogrep.markov import (EOT, MarkovPredictor, Prediction, SubModel,
-                           SubModelSpec, TransitionTable, bucketize,
-                           dynamic_topn, make_model, momm_predict)
+from fogrep.markov import (EOT, MarkovPredictor, Prediction, SubModelSpec,
+                           TargetRecord, bucketize, dynamic_topn, make_model)
 from fogrep.traces import NodeVisit
+
+from oracles import SubModel, TransitionTable, from_tables, table_model
 
 
 def ts(date_s, time_s="00:00:00"):
@@ -30,6 +33,13 @@ def visits(*spec):
 
 
 A, B, C, D = 0, 1, 2, 3
+
+
+def contexts(m, submodel=0):
+    """One sub-model's records as {(history, day, time): {target: TargetRecord}}."""
+    return {(history, day, tod): ctx
+            for index in m.index.values() for history, records in index.items()
+            for (i, day, tod), ctx in records.items() if i == submodel}
 
 
 class TestBucketize:
@@ -62,54 +72,55 @@ class TestTrainSession:
     def test_order1_counts_and_stays(self):
         m = make_model("momm", 1)
         m.train_session(visits(("A", 0, 600), ("B", 600, 900)), trip_start=0.0)
-        table = m.submodels[0].table
-        rec = table.lookup(((A,), 0, 0))
+        table = contexts(m)
+        rec = table.get(((A,), 0, 0))
         assert rec[B].count == 1 and rec[B].stay_sum == 600.0 and rec[B].stay_count == 1
-        eot = table.lookup(((B,), 0, 0))
+        eot = table.get(((B,), 0, 0))
         assert eot[EOT].count == 1 and eot[EOT].stay_count == 0
         assert len(table) == 2
 
     def test_single_visit_only_eot(self):
         m = make_model("momm", 1)
         m.train_session(visits(("A", 0, 100)), trip_start=0.0)
-        table = m.submodels[0].table
+        table = contexts(m)
         assert len(table) == 1
-        assert table.lookup(((A,), 0, 0))[EOT].count == 1
+        assert table.get(((A,), 0, 0))[EOT].count == 1
 
     def test_order2_two_visits_only_eot(self):
         m = make_model("momm", 2)
         m.train_session(visits(("A", 0, 600), ("B", 600, 900)), trip_start=0.0)
-        table = m.submodels[0].table
+        table = contexts(m)
         assert len(table) == 1
-        assert table.lookup(((A, B), 0, 0))[EOT].count == 1
+        assert table.get(((A, B), 0, 0))[EOT].count == 1
 
     def test_eot_disabled_records_no_eot(self):
         m = make_model("momm", 1, eot=False)
         m.train_session(visits(("A", 0, 600), ("B", 600, 900)), trip_start=0.0)
-        table = m.submodels[0].table
-        assert table.lookup(((B,), 0, 0)) is None
+        table = contexts(m)
+        assert table.get(((B,), 0, 0)) is None
 
 
 class TestMommPredict:
-    def make_table(self, counts):
+    def model_of(self, counts):
+        """An order-1 momm model of these counts, built in the table oracle."""
         table = TransitionTable()
         for (ctx, target), n in counts.items():
             for _ in range(n):
                 table.add((ctx, 0, 0), target, 100.0 if target != EOT else None)
-        return table
+        return from_tables("momm", [SubModel(SubModelSpec(1, 1, 1, 1.0), table)])
 
     def test_count_arithmetic(self):
-        table = self.make_table({((A,), B): 2, ((A,), C): 1})
-        preds = momm_predict(table, (A,), (0, 0))
+        m = self.model_of({((A,), B): 2, ((A,), C): 1})
+        preds = m.predict([A], 0.0)
         assert {p.target: p.probability for p in preds} == {B: 2 / 3, C: 1 / 3}
 
     def test_unseen_history_is_none(self):
-        table = self.make_table({((A,), B): 1})
-        assert momm_predict(table, (C,), (0, 0)) is None
+        m = self.model_of({((A,), B): 1})
+        assert m.predict([C], 0.0) is None
 
     def test_eot_only(self):
-        table = self.make_table({((A,), EOT): 1})
-        preds = momm_predict(table, (A,), (0, 0))
+        m = self.model_of({((A,), EOT): 1})
+        preds = m.predict([A], 0.0)
         assert [(p.target, p.probability) for p in preds] == [(EOT, 1.0)]
         assert preds[0].expected_stay is None
 
@@ -148,7 +159,7 @@ class TestVommPredict:
 
 def fomm_from_tables(specs_tables, eot=True):
     subs = [SubModel(SubModelSpec(*spec), table) for spec, table in specs_tables]
-    return MarkovPredictor("fomm", subs, eot=eot)
+    return from_tables("fomm", subs, eot=eot)
 
 
 def table_of(order, rows):
@@ -156,7 +167,6 @@ def table_of(order, rows):
     table = TransitionTable()
     for (history, target), (count, stay_sum, stay_count) in rows.items():
         rec = table.entries.setdefault((tuple(history), 0, 0), {})
-        from fogrep.markov import TargetRecord
         rec[target] = TargetRecord(count, stay_sum, stay_count)
     return table
 
@@ -299,7 +309,7 @@ class TestMemoryAndPersistence:
             off += 4
             counts = struct.unpack_from(f"<{n_entries}H", blob, off)
             off += 2 * n_entries
-            section = sum(2 * sm.spec.order + 4 + 20 * c for c in counts)
+            section = sum(2 * sm.order + 4 + 20 * c for c in counts)
             data_bytes += section
             off += section
         assert off == len(blob)
@@ -307,7 +317,7 @@ class TestMemoryAndPersistence:
 
 
 def random_momm(rng, k=1, nodes=4, sessions=6, eot=True):
-    m = make_model("momm", k, eot=eot)
+    m = table_model("momm", k, eot=eot)
     for _ in range(sessions):
         length = rng.randint(2, 6)
         path = [rng.randrange(nodes)]
@@ -333,7 +343,8 @@ class TestProperties:
         for i, w in enumerate(weights):
             rows = {}
             for target in range(rng.randint(1, 4)):
-                rows[((A,), target + 1)] = (rng.randint(1, 5), 100.0, rng.randint(1, 5))
+                count = rng.randint(1, 5)  # a record has at most one stay per count
+                rows[((A,), target + 1)] = (count, 100.0, min(rng.randint(1, 5), count))
             tables.append(((1, 1, 1, w), table_of(1, rows)))
         m = fomm_from_tables(tables)
         preds = m.predict([A], 0.0)
@@ -372,10 +383,12 @@ class TestProperties:
         rng = random.Random(4)
         for trial in range(25):
             seed = rng.randrange(10 ** 9)
-            momm = random_momm(random.Random(seed), k=1)
-            vomm = make_model("vomm", 1)
-            for sm_m, sm_v in zip(momm.submodels, vomm.submodels):
+            tables = random_momm(random.Random(seed), k=1)
+            vomm_tables = table_model("vomm", 1)
+            for sm_m, sm_v in zip(tables.submodels, vomm_tables.submodels):
                 sm_v.table.entries = sm_m.table.entries
+            momm = MarkovPredictor.load_bytes(tables.save_bytes())
+            vomm = MarkovPredictor.load_bytes(vomm_tables.save_bytes())
             for history in ([0], [1], [2], [3]):
                 a = momm.predict(history, 0.0)
                 b = vomm.predict(history, 0.0)
@@ -398,6 +411,40 @@ class TestProperties:
             preds = m.predict(history, 0.0)
             top = max(preds, key=lambda p: (p.probability, p.target != EOT))
             assert top.target == day[i + 1].node
+
+
+ANCHOR = ts("2008-10-20")  # a Monday
+# few node ids, so that contexts recur with several targets and the fused
+# sums depend on the order of the sub-models
+TRIPS = st.lists(st.tuples(
+    st.lists(st.tuples(st.integers(0, 3), st.floats(0.0, 3600.0)), min_size=2, max_size=6),
+    st.floats(ANCHOR, ANCHOR + 14 * 86400.0)), min_size=3, max_size=10)
+
+
+class TestOracleAgreement:
+    @settings(max_examples=50, deadline=None)
+    @given(TRIPS, st.integers(1, 3), st.booleans(), st.sampled_from([8 * 3600.0, -5.5 * 3600.0]),
+           st.sets(st.sampled_from((1, 2, 7)), min_size=1),
+           st.sets(st.sampled_from((1, 4, 24)), min_size=1))
+    def test_index_matches_tables(self, trips, k, eot, tz_offset, day_splits, time_splits):
+        """Every kind, trained on the same trips, predicts every prefix, saves
+        and sizes exactly as the one-table-per-sub-model oracle."""
+        for kind in ("momm", "vomm", "fomm"):
+            splits = (day_splits, time_splits) if kind == "fomm" else ((1,), (1,))
+            m = make_model(kind, k, *splits, eot=eot, tz_offset=tz_offset)
+            oracle = table_model(kind, k, *splits, eot=eot, tz_offset=tz_offset)
+            for path, start in trips:
+                nodes = [node for node, _ in path]
+                for i in range(1, len(nodes) + 1):
+                    assert repr(m.predict(nodes[:i], start)) == repr(oracle.predict(nodes[:i], start))
+                t, trip = start, []
+                for node, stay in path:
+                    trip.append(NodeVisit(node, t, t + stay))
+                    t += stay
+                m.train_session(trip, start)
+                oracle.train_session(trip, start)
+            assert m.save_bytes() == oracle.save_bytes()
+            assert m.memory_bytes() == oracle.memory_bytes()
 
 
 # Fixed training trips: (node, stay) paths with their start times.
@@ -473,3 +520,58 @@ class TestGoldenPersistence:
         for bad in bad_files:
             with pytest.raises(DataError):
                 MarkovPredictor.load_bytes(bad)
+
+
+def model_file(entries, submodel=(1, 1, 1, 1.0)):
+    """A one-sub-model vomm file written field by field; ``entries`` lists
+    (history, day, time, [(target, count, stay_sum, stay_count), ...]) in
+    file order."""
+    header = json.dumps({"eot": True, "kind": "vomm", "submodels": [list(submodel)],
+                         "tz_offset": 0.0}, sort_keys=True).encode()
+    out = [b"FGMK1\n", struct.pack("<I", len(header)), header,
+           struct.pack(f"<I{len(entries)}H", len(entries), *(len(e[3]) for e in entries))]
+    for history, day, tod, targets in entries:
+        out.append(struct.pack(f"<{len(history)}HHH", *history, day, tod))
+        out.extend(struct.pack("<iIdI", *target) for target in targets)
+    return b"".join(out)
+
+
+GOOD_TARGETS = [(B, 2, 120.0, 2), (EOT, 1, 0.0, 0)]
+
+
+class TestImpossibleRecords:
+    def test_well_formed_file_loads(self):
+        blob = model_file([((A,), 0, 0, GOOD_TARGETS), ((B,), 0, 0, [(A, 1, 60.0, 1)])])
+        m = MarkovPredictor.load_bytes(blob)
+        assert m.save_bytes() == blob
+        assert m.predict([A], 0.0) == [Prediction(B, 2 / 3, 60.0), Prediction(EOT, 1 / 3, None)]
+
+    @pytest.mark.parametrize("entries, submodel, problem", [
+        ([((A,), 0, 0, [(B, 0, 0.0, 0)])], None, r"context \(\(0,\), 0, 0\), target 1: count 0$"),
+        ([((A,), 0, 0, [(B, 1, 60.0, 2)])], None, "target 1: 2 stays for a count of 1$"),
+        ([((A,), 0, 0, [(B, 1, math.nan, 1)])], None, "target 1: stay sum nan$"),
+        ([((A,), 0, 0, [(B, 1, math.inf, 1)])], None, "target 1: stay sum inf$"),
+        ([((A,), 0, 0, [(B, 1, -60.0, 1)])], None, r"target 1: stay sum -60\.0$"),
+        ([((A,), 0, 0, [(-7, 1, 0.0, 0)])], None, r"target -7: id outside \[-1, 65535\]$"),
+        ([((A,), 0, 0, [(65536, 1, 0.0, 0)])], None, r"target 65536: id outside \[-1, 65535\]$"),
+        ([((A,), 0, 0, [(B, 1, 60.0, 1), (B, 1, 60.0, 1)])], None, "target 1: does not follow 1$"),
+        ([((A,), 0, 0, [(EOT, 1, 0.0, 0), (B, 1, 60.0, 1)])], None, "target 1: does not follow -1$"),
+        ([((A,), 0, 0, [])], None, r"context \(\(0,\), 0, 0\): no targets$"),
+        ([((A,), 1, 0, GOOD_TARGETS)], None, r"context \(\(0,\), 1, 0\): bucket outside the 1 x 1 split$"),
+        ([((A,), 0, 1, GOOD_TARGETS)], None, "bucket outside the 1 x 1 split$"),
+        ([((A,), 0, 4, GOOD_TARGETS)], (1, 2, 4, 8.0), "bucket outside the 2 x 4 split$"),
+        ([((B,), 0, 0, GOOD_TARGETS), ((A,), 0, 0, GOOD_TARGETS)], None,
+         r"context \(\(0,\), 0, 0\): does not follow \(\(1,\), 0, 0\)$"),
+        ([((A,), 0, 0, GOOD_TARGETS), ((A,), 0, 0, GOOD_TARGETS)], None, "does not follow"),
+        ([], (0, 1, 1, 1.0), "order must be >= 1"),
+        ([], (1, 3, 1, 1.0), r"unsupported split sizes \(3, 1\)"),
+        ([], (1, 1, 1, math.nan), "weight > 0"),
+    ], ids=["count-0", "stays-above-count", "nan-stay-sum", "infinite-stay-sum",
+            "negative-stay-sum", "target-below-eot", "target-above-max", "target-twice",
+            "targets-out-of-order", "no-targets", "day-outside-split", "time-outside-split",
+            "time-outside-split-4", "contexts-out-of-order", "context-twice", "order-0",
+            "split-3", "nan-weight"])
+    def test_impossible_record_is_data_error(self, entries, submodel, problem):
+        blob = model_file(entries, submodel or (1, 1, 1, 1.0))
+        with pytest.raises(DataError, match=r"^corrupt predictor file: .*" + problem):
+            MarkovPredictor.load_bytes(blob)
