@@ -3,6 +3,10 @@ file, run every (policy, topology) sweep point deterministically, and emit
 results.csv, per-client availability series, a machine-readable summary, and
 an optional Pareto scatter SVG.
 
+A point runs one client at a time: each client's model is freed right after
+its memory snapshot, before the next client runs, so a point holds one model
+at a time however many clients the trace has.
+
 The config file is the single source of truth; only the output directory and
 the seed can be overridden from the command line, so experiments stay
 archivable.
@@ -24,7 +28,8 @@ from .errors import ConfigError, DataError
 from .metrics import active_time, compute_report, series_step, write_report_csv
 from .policies import PolicyConfig
 from .simengine import run as run_simulation
-from .simengine import snapshot_memory, write_event_log_csv
+from .simengine import (ReplicaLedger, merge_event_logs, snapshot_memory,
+                        write_event_log_csv)
 from .topology import (BEIJING_BBOX, DEFAULT_EDGE_RATE, DEFAULT_UPLINK_RATE,
                        FixedDelay, FlowGraph, Topology, build_complex_network,
                        build_grid)
@@ -87,6 +92,16 @@ _list = _strict((list,), "a list")
 _positive = _strict((int, float), "a finite number > 0", float, lambda v: 0 < v < math.inf)
 _non_negative = _strict((int, float), "a finite number >= 0", float, lambda v: 0 <= v < math.inf)
 _positive_integer = _strict((int,), "an integer > 0", ok=lambda v: v > 0)
+
+
+def _file_name(v) -> str:
+    """A string that names an output file or directory: one plain path component."""
+    name = _text(v)
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ValueError(f"expected one plain file-name component, got {name!r}")
+    return name
+
+
 _WEEKDAYS = ("monday", "tuesday", "wednesday", "thursday", "friday", "saturday", "sunday")
 
 
@@ -208,13 +223,13 @@ class TopologySpec:
 
 
 TOPOLOGY_FIELDS = {key: (key, convert) for key, convert in dict(
-    name=_text, kind=_one_of("grid", "complex"), rows=_positive_integer, cols=_positive_integer,
+    name=_file_name, kind=_one_of("grid", "complex"), rows=_positive_integer, cols=_positive_integer,
     bbox=_list_of(_number, 4),  # lat_min, lat_max, lon_min, lon_max
     transfer_delay=_positive, data_size_gb=_positive, edge_rate=_positive, uplink_rate=_positive,
     neighborhood=_one_of(4, 8)).items()}
 
 POLICY_FIELDS = {
-    "name": ("name", _text),
+    "name": ("name", _file_name),
     "predictor": ("predictor", _text),
     "predictor.type": ("predictor", _text),
     "predictor.k": ("k", _integer),
@@ -242,9 +257,9 @@ EXPERIMENT_FIELDS = {
     "output": ("output", lambda v: Path(_text(v))),
     "seed": ("seed", _integer),
     "jobs": ("jobs", _positive_integer),
-    "plot": ("plot", _text),
+    "plot": ("plot", _file_name),
     "dump_events": ("dump_events", _boolean),
-    "metrics.series_clients": ("series_clients", _list_of(_text, unique=True)),
+    "metrics.series_clients": ("series_clients", _list_of(_file_name, unique=True)),
     "metrics.series_bucket": ("series_bucket", _positive),
     "metrics.window": ("window", _list_of(_number, 2)),
 }
@@ -421,12 +436,21 @@ def load_traces(cfg: ExperimentConfig, topo: Topology, topo_name: str):
 
 def _run_point(topo, network, policy: PolicyConfig, timelines,
                window, series_clients, series_bucket, dump_events):
-    result = run_simulation(timelines, topo, network, policy, record_log=dump_events)
-    memory = snapshot_memory(result.policies)
-    report = compute_report(result.ledger, timelines, memory_by_client=memory,
+    """One sweep point, run one client at a time in client-id order. Each
+    client's ledger (and, with ``dump_events``, its event log) joins the
+    point's after its memory snapshot, and its model is freed before the next
+    client runs; the report is computed once, over the merged ledger."""
+    ledger, memory, logs = ReplicaLedger(), {}, []
+    for tl in sorted(timelines, key=lambda tl: tl.client_id):
+        result = run_simulation([tl], topo, network, policy, record_log=dump_events)
+        memory.update(snapshot_memory(result.policies))
+        ledger.update(result.ledger)
+        logs.append(result.event_log)
+        del result  # frees the client's model before the next client's run
+    report = compute_report(ledger, timelines, memory_by_client=memory,
                             window=window, series_clients=series_clients,
                             series_bucket=series_bucket)
-    return report, (result.event_log if dump_events else None)
+    return report, (merge_event_logs(logs) if dump_events else None)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[dict]:

@@ -327,9 +327,13 @@ def _decode(data, off) -> MarkovPredictor:
     (hlen,) = struct.unpack_from("<I", data, off)
     cfg = json.loads(data[off + 4:off + 4 + hlen])
     off += 4 + hlen
+    eot, tz_offset = cfg["eot"], cfg["tz_offset"]
+    _require("header", (isinstance(eot, bool), f"eot {eot!r} is not true or false"),
+             (type(tz_offset) in (int, float) and math.isfinite(tz_offset),
+              f"tz_offset {tz_offset!r} is not a finite number"))
     model = MarkovPredictor(
         cfg["kind"], [SubModelSpec(o, d, t, w) for o, d, t, w in cfg["submodels"]],
-        eot=cfg["eot"], tz_offset=cfg["tz_offset"])
+        eot=eot, tz_offset=tz_offset)
     for i, spec in enumerate(model.submodels):
         (n_entries,) = struct.unpack_from("<I", data, off)
         counts = struct.unpack_from(f"<{n_entries}H", data, off + 4)

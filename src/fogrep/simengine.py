@@ -9,7 +9,7 @@ expiries), then insertion order. A preloaded transfer completing exactly at
 the arrival it targets therefore counts as available. The global event log
 merges the clients' logs by taking the smallest next event by (time, kind,
 client) each time. That replays one queue shared by all clients; a sort would
-not (see ``run``).
+not (see ``merge_event_logs``).
 
 Scheduled events are invalidated by their unique id and never removed from
 the heap: a replica's state keeps the id of the one event that may still act
@@ -18,6 +18,7 @@ So only live replicas (pending, in flight, present or retained) have a state.
 """
 from __future__ import annotations
 
+import csv
 import heapq
 from dataclasses import dataclass
 
@@ -41,6 +42,7 @@ KIND_NAMES = {
     SESSION_END: "SessionEnd",
     RETENTION_EXPIRE: "RetentionExpire",
 }
+_KIND_ORDER = {name: kind for kind, name in KIND_NAMES.items()}
 
 # status of a live replica per node; an absent one has no state
 _PENDING = 0
@@ -64,6 +66,10 @@ class ReplicaLedger:
 
     def nodes(self, client) -> list[int]:
         return sorted(self._by_client.get(client, ()))
+
+    def update(self, other: "ReplicaLedger"):
+        """Add the intervals of another ledger's clients, none of which this one has."""
+        self._by_client.update(other._by_client)
 
     def items(self):
         """((client, node), intervals) pairs."""
@@ -122,7 +128,7 @@ class _ClientRun:
         self._ttime = ttime
         self._edge_ids = edge_ids
         self._ledger = ledger
-        self.log: list[tuple[float, int, str, int]] | None = [] if record_log else None
+        self.log: list[EventRecord] | None = [] if record_log else None
         self._states: dict[int, _NodeState] = {}
         self._heap: list = []
         self._seq = 0
@@ -162,7 +168,7 @@ class _ClientRun:
             if t > horizon:
                 break  # every later event is past the horizon too
             if self._dispatch(t, kind, node, seq) and self.log is not None:
-                self.log.append((t, kind, self.client, node))
+                self.log.append(EventRecord(t, self.client, KIND_NAMES[kind], node))
         for node in sorted(self._states):
             self._close(node, horizon)
 
@@ -269,14 +275,21 @@ def run(timelines, topology: Topology, network, policy_config: PolicyConfig,
     for client_run in runs.values():
         client_run.run()
     ledger.validate()
-    # Taking the smallest next logged event of any client replays the one
-    # shared queue: a client's next event depends only on its own past, and a
-    # stale or out-of-horizon event, which is not logged, schedules nothing.
-    # A sort by the same key would not: it puts the transfer start that a
-    # session start schedules for the same time before that session start.
-    merged = heapq.merge(*(r.log or () for r in runs.values()), key=lambda e: e[:3])
-    event_log = [EventRecord(t, client, KIND_NAMES[kind], node) for t, kind, client, node in merged]
-    return RunResult(ledger, event_log, {cid: r.policy for cid, r in runs.items()})
+    return RunResult(ledger, merge_event_logs(r.log or () for r in runs.values()),
+                     {cid: r.policy for cid, r in runs.items()})
+
+
+def merge_event_logs(logs) -> list[EventRecord]:
+    """One event log from per-client logs, each in its client's processing
+    order, by taking the smallest next event of any client by (time, kind,
+    client) each time, with the kind's tie order, not its name's.
+
+    That replays the one shared queue: a client's next event depends only on
+    its own past, and a stale or out-of-horizon event, which is not logged,
+    schedules nothing. A sort by the same key would not: it puts the transfer
+    start that a session start schedules for the same time before that
+    session start."""
+    return list(heapq.merge(*logs, key=lambda e: (e.t, _KIND_ORDER[e.kind], e.client)))
 
 
 def snapshot_memory(policies: dict[str, ReplicaPolicy]) -> dict[str, int]:
@@ -286,6 +299,6 @@ def snapshot_memory(policies: dict[str, ReplicaPolicy]) -> dict[str, int]:
 
 def write_event_log_csv(event_log, fileobj):
     """Debugging/oracle-comparison dump of the processed events."""
-    fileobj.write("t,client,kind,node\n")
-    for e in event_log:
-        fileobj.write(f"{e.t!r},{e.client},{e.kind},{e.node}\n")
+    writer = csv.writer(fileobj, lineterminator="\n")
+    writer.writerow(("t", "client", "kind", "node"))
+    writer.writerows((repr(e.t), e.client, e.kind, e.node) for e in event_log)

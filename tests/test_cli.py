@@ -1,5 +1,6 @@
 import hashlib
 import io
+import json
 import random
 import tempfile
 import time
@@ -508,6 +509,42 @@ class TestConfigErrors:
         assert main(["run", str(tmp_path / "file.yaml"), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert f"{tmp_path / 'commuter.yaml'}: clients[0].patterns[0].days: " in err and "(line 5)" in err
+
+
+NAME_KEYS = {  # key path -> (smoke config text to replace, its replacement with {name})
+    "policies[1].name": ("  - name: vomm-k2\n", "  - name: {name}\n"),
+    "topology.name": ("  name: strip-3\n", "  name: {name}\n"),
+    "metrics.series_clients": ("series_clients: [commuter]", "series_clients: [{name}]"),
+    "plot": ("plot: pareto.svg", "plot: {name}"),
+}
+
+
+class TestOutputNames:
+    """A name that becomes an output path is one plain file-name component."""
+
+    @pytest.mark.parametrize("key_path", NAME_KEYS)
+    @pytest.mark.parametrize("name", ["", ".", "..", "../../escaped", "x/y", "a\\b", "a\0b"],
+                             ids=["empty", "dot", "dot-dot", "escape", "slash", "backslash", "nul"])
+    def test_run_rejects_a_path_for_a_name(self, tmp_path, capsys, key_path, name):
+        old, new = NAME_KEYS[key_path]
+        text = SMOKE_CONFIG.read_text()
+        line = text[:text.index(old)].count("\n") + 1
+        # the series client is in the trace, so only the name check can stop it
+        text = text.replace(old, new.format(name=json.dumps(name))).replace(
+            "client: commuter", f"client: {json.dumps(name)}")
+        cfg = tmp_path / "names.yaml"
+        cfg.write_text(text)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "oute" / "sub")]) == 2
+        err = capsys.readouterr().err
+        assert f"{key_path}: expected one plain file-name component, got {name!r}" in err
+        assert f"(line {line})" in err
+        assert list(tmp_path.rglob("*")) == [cfg]  # nothing written, inside --out or out of it
+
+    def test_dots_inside_a_name_are_plain(self, tmp_path):
+        cfg = tmp_path / "dots.yaml"
+        cfg.write_text(SMOKE_CONFIG.read_text().replace("  - name: vomm-k2\n", "  - name: ..vomm..k2\n"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "..vomm..k2__strip-3" / "report.csv").is_file()
 
 
 class TestTraceSection:

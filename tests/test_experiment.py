@@ -1,0 +1,55 @@
+"""A sweep point runs one client at a time; the whole-point engine run and
+one report over its ledger are the reference it must reproduce."""
+import random
+import weakref
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fogrep import experiment
+from fogrep.metrics import compute_report
+from fogrep.policies import PolicyConfig
+from fogrep.simengine import run, snapshot_memory
+
+from oracles import make_micro_scenario, make_rescheduling_scenario
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       make=st.sampled_from([make_micro_scenario, make_rescheduling_scenario]),
+       dump_events=st.booleans())
+def test_point_matches_the_whole_point_run(seed, make, dump_events):
+    rng = random.Random(seed)
+    timelines, topo, network, config = make(rng, clients=(2, 4))
+    rng.shuffle(timelines)
+    t0 = min(tl.first_t for tl in timelines)
+    window = rng.choice([None, (t0, t0 + 600.0), (t0 + 300.0, t0 + 3600.0)])
+    series_clients = tuple(tl.client_id for tl in timelines[:2])
+    bucket = float(rng.choice([60, 300, 1800]))
+    report, log = experiment._run_point(topo, network, config, timelines, window,
+                                        series_clients, bucket, dump_events)
+    whole = run(timelines, topo, network, config)
+    expected = compute_report(whole.ledger, timelines, memory_by_client=snapshot_memory(whole.policies),
+                              window=window, series_clients=series_clients, series_bucket=bucket)
+    assert repr(report) == repr(expected)  # every field and series point, NaNs included
+    assert log == (whole.event_log if dump_events else None)
+
+
+def test_each_clients_model_is_freed_before_the_next_client_runs(monkeypatch):
+    timelines, topo, network, _ = make_micro_scenario(random.Random(5), clients=(3, 3))
+    config = PolicyConfig(name="vomm", predictor="vomm", k=2).validate()
+    simulate = experiment.run_simulation
+    calls, earlier = [], []
+
+    def tracked(tls, *args, **kwargs):
+        alive = [ref() for ref in earlier if ref() is not None]
+        assert not alive, f"{len(alive)} earlier policies alive when {tls[0].client_id} starts"
+        calls.append([tl.client_id for tl in tls])
+        result = simulate(tls, *args, **kwargs)
+        earlier.extend(weakref.ref(policy) for policy in result.policies.values())
+        return result
+
+    monkeypatch.setattr(experiment, "run_simulation", tracked)
+    experiment._run_point(topo, network, config, timelines[::-1], None, (), 86400.0, False)
+    assert calls == [["c0"], ["c1"], ["c2"]]
+    assert len(earlier) == 3

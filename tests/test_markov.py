@@ -522,12 +522,12 @@ class TestGoldenPersistence:
                 MarkovPredictor.load_bytes(bad)
 
 
-def model_file(entries, submodel=(1, 1, 1, 1.0)):
+def model_file(entries, submodel=(1, 1, 1, 1.0), **header_fields):
     """A one-sub-model vomm file written field by field; ``entries`` lists
     (history, day, time, [(target, count, stay_sum, stay_count), ...]) in
-    file order."""
+    file order, and ``header_fields`` replace header values."""
     header = json.dumps({"eot": True, "kind": "vomm", "submodels": [list(submodel)],
-                         "tz_offset": 0.0}, sort_keys=True).encode()
+                         "tz_offset": 0.0, **header_fields}, sort_keys=True).encode()
     out = [b"FGMK1\n", struct.pack("<I", len(header)), header,
            struct.pack(f"<I{len(entries)}H", len(entries), *(len(e[3]) for e in entries))]
     for history, day, tod, targets in entries:
@@ -575,3 +575,26 @@ class TestImpossibleRecords:
         blob = model_file(entries, submodel or (1, 1, 1, 1.0))
         with pytest.raises(DataError, match=r"^corrupt predictor file: .*" + problem):
             MarkovPredictor.load_bytes(blob)
+
+    @pytest.mark.parametrize("field, value, problem", [
+        ("eot", "no", "eot 'no' is not true or false"),
+        ("eot", 1, "eot 1 is not true or false"),
+        ("eot", None, "eot None is not true or false"),
+        ("tz_offset", "x", "tz_offset 'x' is not a finite number"),
+        ("tz_offset", math.nan, "tz_offset nan is not a finite number"),
+        ("tz_offset", math.inf, "tz_offset inf is not a finite number"),
+        ("tz_offset", True, "tz_offset True is not a finite number"),
+        ("tz_offset", [0], r"tz_offset \[0\] is not a finite number"),
+    ], ids=["eot-string", "eot-integer", "eot-null", "tz-string", "tz-nan", "tz-infinite",
+            "tz-boolean", "tz-list"])
+    def test_impossible_header_is_data_error(self, field, value, problem):
+        blob = model_file([((A,), 0, 0, GOOD_TARGETS)], **{field: value})
+        with pytest.raises(DataError, match=r"^corrupt predictor file: header: " + problem + "$"):
+            MarkovPredictor.load_bytes(blob)
+
+    @pytest.mark.parametrize("eot, tz_offset", [(False, 0), (True, 28800), (False, -3600.5)])
+    def test_valid_header_round_trips(self, eot, tz_offset):
+        blob = model_file([((A,), 0, 0, [(B, 2, 120.0, 2)])], eot=eot, tz_offset=tz_offset)
+        m = MarkovPredictor.load_bytes(blob)
+        assert (m.eot, m.tz_offset) == (eot, tz_offset)
+        assert m.save_bytes() == blob

@@ -1,3 +1,5 @@
+import csv
+import io
 import random
 
 import pytest
@@ -8,7 +10,8 @@ from fogrep import simengine
 from fogrep.errors import ConfigError
 from fogrep.policies import PolicyConfig, ReplicaPolicy
 from fogrep.metrics import compute_report
-from fogrep.simengine import EventRecord, ReplicaLedger, run, snapshot_memory
+from fogrep.simengine import (EventRecord, ReplicaLedger, merge_event_logs, run,
+                              snapshot_memory, write_event_log_csv)
 from fogrep.topology import (FixedDelay, FlowGraph, build_complex_network, build_grid,
                              transfer_time)
 from fogrep.traces import ClientTimeline, NodeVisit, Pause
@@ -209,6 +212,25 @@ class TestClients:
             ("a", "Arrival", 300.0), ("a", "TransferStart", 300.0),
             ("a", "TransferComplete", 600.0), ("a", "SessionEnd", 1000.0),
             ("b", "SessionEnd", 1000.0)]
+
+    def test_merge_breaks_ties_by_kind_order_not_name(self):
+        # "SessionStart" sorts before "TransferStart" by name, but a transfer
+        # start comes first in the tie order
+        a = [EventRecord(0.0, "a", "SessionStart", A), EventRecord(0.0, "a", "SessionEnd", A)]
+        b = [EventRecord(0.0, "b", "TransferStart", B), EventRecord(0.0, "b", "RetentionExpire", B)]
+        assert merge_event_logs([a, b]) == [b[0], a[0], a[1], b[1]]
+        assert merge_event_logs([b, a]) == [b[0], a[0], a[1], b[1]]
+
+    def test_event_log_csv_quotes_client_ids(self):
+        a = timeline("a,b", [(A, 0, 300), (B, 300, 1000)])
+        b = timeline('say "b"', [(B, 0, 1000)])
+        result = run([a, b], topo3(), FixedDelay(300.0), BASELINE)
+        out = io.StringIO()
+        write_event_log_csv(result.event_log, out)
+        rows = list(csv.reader(io.StringIO(out.getvalue())))
+        assert rows == [["t", "client", "kind", "node"],
+                        *([repr(e.t), e.client, e.kind, str(e.node)] for e in result.event_log)]
+        assert {row[1] for row in rows[1:]} == {"a,b", 'say "b"'}
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
