@@ -316,6 +316,11 @@ class ExperimentConfig:
     dump_events: bool = False
 
 
+def point_dir_name(policy: PolicyConfig, topology: TopologySpec) -> str:
+    """The output directory of one sweep point, inside the output directory."""
+    return f"{policy.name}__{topology.name}"
+
+
 def parse_policy(doc, lines=None, where="", **defaults) -> PolicyConfig:
     """One policy mapping of an experiment file, validated; ``defaults``
     holds field values the mapping does not set."""
@@ -391,6 +396,14 @@ def parse_experiment_config(text: str, source="<config>", config_dir=Path(".")) 
     names = [p.name for p in policies]
     if len(set(names)) != len(names):
         raise ConfigError("policies: names must be unique")
+    points: dict[str, str] = {}  # output directory -> the point that writes it
+    for i, topo in enumerate(topologies):
+        for j, policy in enumerate(policies):
+            name = point_dir_name(policy, topo)
+            point = f"policies[{j}] {policy.name!r} on topologies[{i}] {topo.name!r}"
+            if name in points:
+                raise ConfigError(f"{points[name]} and {point} both write the directory {name!r}")
+            points[name] = point
     return ExperimentConfig(trace=trace, topologies=topologies, policies=policies,
                             **read_fields(doc, EXPERIMENT_FIELDS, lines))
 
@@ -494,7 +507,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
             "memory_avg_bytes": report.memory_avg,
             "memory_max_bytes": report.memory_max,
         })
-        point_dir = cfg.output / f"{policy.name}__{topo_spec.name}"
+        point_dir = cfg.output / point_dir_name(policy, topo_spec)
         point_dir.mkdir(parents=True, exist_ok=True)
         with open(point_dir / "report.csv", "w") as fh:
             write_report_csv(report, fh)

@@ -16,8 +16,8 @@ from .errors import ConfigError
 from .markov import EOT, KINDS, check_kind, dynamic_topn, make_model
 from .startup import (DEFAULT_MIN_SAMPLES, DEFAULT_PLMM_THRESHOLD,
                       DEFAULT_RETENTION_FACTOR, FIXED, RETENTION_MODES,
-                      PauseStats, PlmmModel, RetentionDecision, plmm_retention,
-                      record_pause, short_pause_retention)
+                      PauseStats, PlmmModel, plmm_retention, record_pause,
+                      short_pause_retention)
 from .traces import NodeVisit
 
 PREDICTORS = ("baseline", *KINDS)
@@ -135,12 +135,12 @@ class ReplicaPolicy:
         for other in sorted(view.tracked()):
             if other != node:
                 actions.append(Delete(other))
-        decision = self._retention_decision(node, t)
-        if decision.keep and decision.until > t:
-            actions.append(Retain(node, decision.until))
+        until = self._retention_until(node, t)
+        if until is not None and until > t:
+            actions.append(Retain(node, until))
         elif node in view.tracked():
             actions.append(Delete(node))
-        self._train(t)
+        self._train()
         self.last_shutdown = (node, t)
         self.trip_start = None
         self.trip_nodes = []
@@ -194,7 +194,7 @@ class ReplicaPolicy:
             actions.append(Replicate(target, at))
         return actions
 
-    def _retention_decision(self, node, t) -> RetentionDecision:
+    def _retention_until(self, node, t) -> float | None:
         cfg = self.config
         if cfg.startup_mode == "short_pause":
             return short_pause_retention(
@@ -204,13 +204,12 @@ class ReplicaPolicy:
         if cfg.startup_mode == "plmm":
             return plmm_retention(self.plmm, node, t,
                                   threshold=cfg.plmm_threshold, factor=cfg.retention_factor)
-        return RetentionDecision(False)
+        return None
 
-    def _train(self, end_t):
+    def _train(self):
         if self.predictor is None:
             return
-        visits = [NodeVisit(n, a, d if d is not None else end_t)
-                  for n, a, d in self._trip_visits]
+        visits = [NodeVisit(*v) for v in self._trip_visits]
         self.predictor.train_session(visits, self.trip_start)
 
     def memory_bytes(self) -> int:

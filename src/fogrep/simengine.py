@@ -6,15 +6,22 @@ transfers do not contend), so each client runs its own event loop. Its events
 are processed in non-decreasing time; ties break by kind (transfer starts,
 then transfer completions, arrivals, session starts, session ends, retention
 expiries), then insertion order. A preloaded transfer completing exactly at
-the arrival it targets therefore counts as available. The global event log
-merges the clients' logs by taking the smallest next event by (time, kind,
-client) each time. That replays one queue shared by all clients; a sort would
-not (see ``merge_event_logs``).
+the arrival it targets therefore counts as available. A client's own timeline
+events (session starts, arrivals, session ends) enter its queue one at a time,
+each when the one before it is taken, so they keep timeline order where the
+tie order of kinds would not: a zero-length first visit's session start comes
+before the next visit's arrival at the same time. The global event log merges
+the clients' logs by taking the smallest next event by (time, kind, client)
+each time. That replays one queue shared by all clients; a sort would not
+(see ``merge_event_logs``).
 
 Scheduled events are invalidated by their unique id and never removed from
 the heap: a replica's state keeps the id of the one event that may still act
 on it, and any other event for it, or for a replica that is gone, is stale.
-So only live replicas (pending, in flight, present or retained) have a state.
+So only live replicas (a transfer pending or in flight, or a copy present)
+have a state. A retained replica is one with a deadline: a present copy waits
+for its expiry, an in-flight one keeps the deadline until it completes, and
+the client's return to the node drops it.
 """
 from __future__ import annotations
 
@@ -48,7 +55,6 @@ _KIND_ORDER = {name: kind for kind, name in KIND_NAMES.items()}
 _PENDING = 0
 _IN_FLIGHT = 1
 _PRESENT = 2
-_RETAINED = 3
 
 
 class ReplicaLedger:
@@ -104,9 +110,9 @@ class RunResult:
 
 
 class _NodeState:
-    """One live replica: a transfer pending or in flight, or a copy present
-    or retained. ``event`` is the id of the one scheduled event that may still
-    act on it, or None."""
+    """One live replica: a transfer pending or in flight, or a copy present.
+    ``event`` is the id of the one scheduled event that may still act on it,
+    or None; ``retained_until`` is the retention deadline, or None."""
     __slots__ = ("status", "event", "open_since", "retained_until", "pending_start")
 
     def __init__(self):
@@ -135,7 +141,7 @@ class _ClientRun:
 
     def present(self, node) -> bool:
         st = self._states.get(node)
-        return st is not None and st.status in (_PRESENT, _RETAINED)
+        return st is not None and st.status == _PRESENT
 
     def tracked(self):
         return list(self._states)
@@ -147,17 +153,22 @@ class _ClientRun:
         return self._seq
 
     def _close(self, node, t):
-        """Drop a replica; a present or retained copy leaves its presence interval."""
+        """Drop a replica; a present copy leaves its presence interval."""
         st = self._states.pop(node)
-        if st.status in (_PRESENT, _RETAINED):
+        if st.status == _PRESENT:
             self._ledger.add(self.client, node, st.open_since, t)
 
-    def run(self):
+    def _timeline_events(self):
+        """(time, kind, node) of each session start, arrival and session end, in timeline order."""
         for visits in self.timeline.sessions:
-            self._push(visits[0].arrival, SESSION_START, visits[0].node)
+            yield visits[0].arrival, SESSION_START, visits[0].node
             for v in visits[1:]:
-                self._push(v.arrival, ARRIVAL, v.node)
-            self._push(visits[-1].departure, SESSION_END, visits[-1].node)
+                yield v.arrival, ARRIVAL, v.node
+            yield visits[-1].departure, SESSION_END, visits[-1].node
+
+    def run(self):
+        timeline = self._timeline_events()
+        self._push(*next(timeline))
         horizon = self.timeline.last_t
         last_t = float("-inf")
         while self._heap:
@@ -167,6 +178,10 @@ class _ClientRun:
             last_t = t
             if t > horizon:
                 break  # every later event is past the horizon too
+            if ARRIVAL <= kind <= SESSION_END:  # a timeline event: the next one enters
+                upcoming = next(timeline, None)
+                if upcoming is not None:
+                    self._push(*upcoming)
             if self._dispatch(t, kind, node, seq) and self.log is not None:
                 self.log.append(EventRecord(t, self.client, KIND_NAMES[kind], node))
         for node in sorted(self._states):
@@ -178,31 +193,23 @@ class _ClientRun:
         if kind in (TRANSFER_START, TRANSFER_COMPLETE, RETENTION_EXPIRE):
             if st is None or st.event != seq:
                 return False
+            until = st.retained_until
             if kind == TRANSFER_START:
                 st.status = _IN_FLIGHT
                 st.event = self._push(t + self._ttime(node), TRANSFER_COMPLETE, node)
-            elif kind == RETENTION_EXPIRE:
-                self._close(node, t)
-            elif st.retained_until is None:
-                st.status = _PRESENT
-                st.open_since = t
-                st.event = None
-            elif st.retained_until <= t:
-                # retention was granted while the transfer was in flight
+            elif kind == RETENTION_EXPIRE or (until is not None and until <= t):
+                # an expiry, or a completion after the retention granted in flight
                 self._close(node, t)
             else:
-                st.status = _RETAINED
+                st.status = _PRESENT
                 st.open_since = t
-                st.event = self._push(st.retained_until, RETENTION_EXPIRE, node)
+                st.event = None if until is None else self._push(until, RETENTION_EXPIRE, node)
             return True
-        # timeline events
-        if st is not None and st.status == _RETAINED:
-            # the client is back at a retained node: presence continues
-            st.status = _PRESENT
+        # timeline events: the client is back, so a retention ends
+        if st is not None:
             st.retained_until = None
-            st.event = None
-        elif st is not None and st.status == _IN_FLIGHT:
-            st.retained_until = None
+            if st.status == _PRESENT:
+                st.event = None  # a retention expiry goes stale
         if kind == SESSION_START:
             actions = self.policy.on_session_start(node, t, self)
         elif kind == ARRIVAL:
@@ -238,12 +245,10 @@ class _ClientRun:
                 return
             if action.until <= now or st.status == _PENDING:
                 self._close(node, now)
-            elif st.status == _IN_FLIGHT:
-                # let the paid-for transfer finish into the retained state
-                st.retained_until = action.until
-            else:
-                st.status = _RETAINED
-                st.retained_until = action.until
+                return
+            # an in-flight transfer is paid for: it finishes into the retention
+            st.retained_until = action.until
+            if st.status == _PRESENT:
                 st.event = self._push(action.until, RETENTION_EXPIRE, node)
         else:
             raise EngineInvariantError(f"unknown action {action!r}")

@@ -18,12 +18,6 @@ NODE_SPECIFIC = "node_specific"
 RETENTION_MODES = (FIXED, LEARNED, NODE_SPECIFIC)
 
 
-@dataclass
-class RetentionDecision:
-    keep: bool
-    until: float | None = None
-
-
 class PauseStats:
     """Per-client pause durations, overall and per shutdown node."""
 
@@ -101,11 +95,11 @@ def median_pause(stats: PauseStats, node=None, min_samples=DEFAULT_MIN_SAMPLES):
 
 def short_pause_retention(mode, shutdown_t, shutdown_node=None, stats=None,
                           fixed_duration=600.0, max_duration=None,
-                          min_samples=DEFAULT_MIN_SAMPLES) -> RetentionDecision:
-    """Keep the replica at the shutdown node for a while instead of deleting
-    immediately. The window is the fixed duration, the client's learned
-    median, or the node-specific median (falling back to the fixed duration
-    when no history exists), optionally capped by max_duration."""
+                          min_samples=DEFAULT_MIN_SAMPLES) -> float | None:
+    """The deadline until which the shutdown node's replica is kept, or None
+    for an empty window: the fixed duration, the client's learned median or
+    the node-specific median (falling back to the fixed duration when no
+    history exists), optionally capped by max_duration."""
     if mode not in RETENTION_MODES:
         raise ConfigError(f"unknown short-pause mode {mode!r}")
     duration = fixed_duration
@@ -116,9 +110,7 @@ def short_pause_retention(mode, shutdown_t, shutdown_node=None, stats=None,
             duration = learned
     if max_duration is not None:
         duration = min(duration, max_duration)
-    if duration <= 0:
-        return RetentionDecision(False)
-    return RetentionDecision(True, shutdown_t + duration)
+    return shutdown_t + duration if duration > 0 else None
 
 
 def plmm_predict(plmm: PlmmModel, shutdown_node):
@@ -134,16 +126,17 @@ def plmm_predict(plmm: PlmmModel, shutdown_node):
 
 def plmm_retention(plmm: PlmmModel, shutdown_node, shutdown_t,
                    threshold=DEFAULT_PLMM_THRESHOLD,
-                   factor=DEFAULT_RETENTION_FACTOR) -> RetentionDecision:
-    """Keep the replica only when the predicted startup node is the shutdown
-    node and the expected pause is within the threshold; the retention window
-    is padded by ``factor`` to cover right-skewed pauses."""
+                   factor=DEFAULT_RETENTION_FACTOR) -> float | None:
+    """The deadline until which the shutdown node's replica is kept, or None.
+    It is kept only when the predicted startup node is the shutdown node and
+    the expected pause is within the threshold, for that pause padded by
+    ``factor`` to cover right-skewed pauses."""
     if threshold <= 0:
         raise ConfigError("pause threshold must be > 0")
     predicted = plmm_predict(plmm, shutdown_node)
     if predicted is None:
-        return RetentionDecision(False)
+        return None
     node, expected = predicted
     if node != shutdown_node or expected > threshold:
-        return RetentionDecision(False)
-    return RetentionDecision(True, shutdown_t + expected * factor)
+        return None
+    return shutdown_t + expected * factor

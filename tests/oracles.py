@@ -2,12 +2,13 @@
 flow transfer paths and GeoLife ingestion.
 
 The engine oracle re-runs a scenario as a naive per-second state machine (no
-event queue), sharing only the policy layer with the real engine. The metrics
-oracle counts seconds. Both require every timestamp in a scenario to be an
-integer, which the micro-scenario generators guarantee: the stay at a node
-(or at a node before a given next node) and the pause after it are constant
-(so learned means stay integral) and pause durations are even (so padded
-retention windows stay integral). The series oracle recomputes the active and
+event queue), sharing only the policy layer with the real engine; it takes
+one second's timeline events in timeline order. The metrics oracle counts
+seconds. Both require every timestamp in a scenario to be an integer, which
+the micro-scenario generators guarantee: the stay at a node (or at a node
+before a given next node) and the pause after it are constant (so learned
+means stay integral) and pause durations are even (so padded retention
+windows stay integral). The series oracle recomputes the active and
 covered time from scratch at every bucket boundary, and the overlap oracle
 scans every interval of a (client, node) pair. The path oracle runs one
 breadth-first search from each destination and walks the smallest-id
@@ -34,7 +35,7 @@ from fogrep.simengine import ReplicaLedger
 from fogrep.topology import FixedDelay, Topology, build_grid, transfer_time
 from fogrep.traces import ClientTimeline, NodeVisit, Pause, parse_plt_rows
 
-_START, _ARRIVE, _END = 3, 2, 4  # same tie ranks as the engine
+_START, _ARRIVE, _END = "start", "arrive", "end"
 
 
 class _SetView:
@@ -119,15 +120,15 @@ def brute_force_run(timelines, topology, network, config: PolicyConfig) -> Repli
                     present[node] = t
                 elif until > t:
                     retained[node] = (t, until)
-            for rank, node in sorted(events.get(t, [])):
+            for kind, node in events.get(t, ()):  # in timeline order
                 if node in retained:
                     open_since, _ = retained.pop(node)
                     present[node] = open_since
                 elif node in inflight and inflight[node][1] is not None:
                     inflight[node][1] = None
-                if rank == _START:
+                if kind == _START:
                     actions = policy.on_session_start(node, float(t), view)
-                elif rank == _ARRIVE:
+                elif kind == _ARRIVE:
                     actions = policy.on_arrival(node, float(t), view)
                 else:
                     actions = policy.on_session_end(node, float(t), view)
@@ -274,6 +275,21 @@ def make_micro_scenario(rng: random.Random, clients=(1, 2)):
     network = FixedDelay(float(rng.choice(DELAY_CHOICES)))
     timelines = [make_micro_timeline(rng, f"c{i}", n_nodes)
                  for i in range(rng.randint(*clients))]
+    return timelines, topo, network, random_policy_config(rng)
+
+
+def make_zero_stay_scenario(rng: random.Random, clients=(1, 2)):
+    """A micro scenario in which every stay at one node is zero-length, so
+    that node's visits open, continue and end sessions in no time (a session
+    of that node alone has no length at all)."""
+    n_nodes = rng.randint(2, 3)
+    topo = build_grid(1, n_nodes, (0.0, 1.0, 0.0, 1.0))
+    network = FixedDelay(float(rng.choice(DELAY_CHOICES)))
+    timelines = []
+    for i in range(rng.randint(*clients)):
+        stay_at = {n: rng.choice(STAY_CHOICES) for n in range(n_nodes)}
+        stay_at[rng.randrange(n_nodes)] = 0
+        timelines.append(make_micro_timeline(rng, f"c{i}", n_nodes, lambda n, m: stay_at[n]))
     return timelines, topo, network, random_policy_config(rng)
 
 

@@ -228,6 +228,27 @@ class TestRun:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err == f"data error: line 3: {message}\n"
 
+    def test_zero_length_first_visit_runs_in_timeline_order(self, tmp_path):
+        # the session starts before the next visit's arrival at the same time,
+        # though arrivals come before session starts among other ties
+        (tmp_path / "visits.csv").write_text(
+            "client_id,session_id,node_id,arrival_epoch_s,departure_epoch_s\n"
+            "c,0,0,1000.0,1000.0\nc,0,1,1000.0,1600.0\n")
+        cfg = tmp_path / "visits.yaml"
+        cfg.write_text(error_config(top="seed: 1\ndump_events: true").replace("strip-2", "strip-3")
+                       .replace("cols: 2", "cols: 3"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "p__strip-3" / "events.csv").read_text() == (
+            "t,client,kind,node\n"
+            "1000.0,c,SessionStart,0\n"
+            "1000.0,c,TransferStart,0\n"
+            "1000.0,c,Arrival,1\n"
+            "1000.0,c,TransferStart,1\n"
+            "1300.0,c,TransferComplete,1\n"
+            "1600.0,c,SessionEnd,1\n")
+        rows = experiment.read_results_csv(tmp_path / "out" / "results.csv")
+        assert (rows[0]["availability"], rows[0]["excess_ratio"]) == (0.5, 0.0)
+
     def test_jobs_flag_matches_serial(self, tmp_path):
         assert main(["run", str(SMOKE_CONFIG), "--out", str(tmp_path / "serial")]) == 0
         assert main(["run", str(SMOKE_CONFIG), "--out", str(tmp_path / "par"),
@@ -539,6 +560,25 @@ class TestOutputNames:
         assert f"{key_path}: expected one plain file-name component, got {name!r}" in err
         assert f"(line {line})" in err
         assert list(tmp_path.rglob("*")) == [cfg]  # nothing written, inside --out or out of it
+
+    @pytest.mark.parametrize("topologies, policies, first, second, directory", [
+        (["same", "same"], ["baseline"], "policies[0] 'baseline' on topologies[0] 'same'",
+         "policies[0] 'baseline' on topologies[1] 'same'", "baseline__same"),
+        (["c", "b__c"], ["a__b", "a"], "policies[0] 'a__b' on topologies[0] 'c'",
+         "policies[1] 'a' on topologies[1] 'b__c'", "a__b__c"),
+    ], ids=["same-topology-name", "names-split-at-underscores"])
+    def test_points_that_share_a_directory_are_a_config_error(self, tmp_path, capsys, topologies,
+                                                               policies, first, second, directory):
+        (tmp_path / "visits.csv").write_text(
+            "client_id,session_id,node_id,arrival_epoch_s,departure_epoch_s\nc,0,0,0.0,1000.0\n")
+        cfg = tmp_path / "points.yaml"
+        cfg.write_text("trace: {source: visits, path: visits.csv}\ntopologies:\n"
+                       + "".join(f"  - {{name: {t}, rows: 1, cols: 2}}\n" for t in topologies)
+                       + "policies:\n" + "".join(f"  - {{name: {p}}}\n" for p in policies))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: {first} and {second} both write the directory {directory!r}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_dots_inside_a_name_are_plain(self, tmp_path):
         cfg = tmp_path / "dots.yaml"

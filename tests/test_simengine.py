@@ -16,7 +16,8 @@ from fogrep.topology import (FixedDelay, FlowGraph, build_complex_network, build
                              transfer_time)
 from fogrep.traces import ClientTimeline, NodeVisit, Pause
 
-from oracles import brute_force_run, make_micro_scenario, make_rescheduling_scenario
+from oracles import (brute_force_run, make_micro_scenario, make_rescheduling_scenario,
+                     make_zero_stay_scenario)
 
 UNIT_BBOX = (0.0, 1.0, 0.0, 1.0)
 A, B, C = 0, 1, 2
@@ -255,6 +256,12 @@ class TestBruteForceOracle:
             oracle_ledger = brute_force_run(timelines, topo, network, config)
             assert engine_ledger == oracle_ledger, (
                 f"case {case}: engine and per-second simulation disagree for {config}")
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_zero_length_visits_match_per_second_simulation(self, seed):
+        timelines, topo, network, config = make_zero_stay_scenario(random.Random(seed))
+        assert run(timelines, topo, network, config).ledger == brute_force_run(timelines, topo, network, config)
 
 
 class TestCausality:

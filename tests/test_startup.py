@@ -75,18 +75,18 @@ class TestMedianPause:
 class TestShortPauseRetention:
     def test_fixed(self):
         d = short_pause_retention("fixed", 1000.0, fixed_duration=600.0)
-        assert d.keep and d.until == 1600.0
+        assert d == 1600.0
 
     def test_learned_uses_client_median(self):
         stats = PauseStats()
         for dur in (100.0, 595.0, 2000.0):
             stats.add(A, dur)
         d = short_pause_retention("learned", 1000.0, stats=stats)
-        assert d.keep and d.until == 1000.0 + 595.0
+        assert d == 1000.0 + 595.0
 
     def test_learned_without_history_falls_back(self):
         d = short_pause_retention("learned", 1000.0, stats=PauseStats(), fixed_duration=600.0)
-        assert d.keep and d.until == 1600.0
+        assert d == 1600.0
 
     def test_node_specific(self):
         stats = PauseStats()
@@ -95,14 +95,18 @@ class TestShortPauseRetention:
         for dur in (900.0, 900.0, 900.0):
             stats.add(B, dur)
         d = short_pause_retention("node_specific", 0.0, shutdown_node=B, stats=stats)
-        assert d.until == 900.0
+        assert d == 900.0
 
     def test_max_duration_caps(self):
         stats = PauseStats()
         for dur in (4000.0, 5000.0, 6000.0):
             stats.add(A, dur)
         d = short_pause_retention("learned", 0.0, stats=stats, max_duration=1800.0)
-        assert d.until == 1800.0
+        assert d == 1800.0
+
+    def test_empty_window_keeps_nothing(self):
+        assert short_pause_retention("fixed", 1000.0, fixed_duration=0.0) is None
+        assert short_pause_retention("fixed", 1000.0, max_duration=0.0) is None
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
@@ -150,19 +154,19 @@ class TestPlmmRetention:
 
     def test_keep_with_padding(self):
         d = plmm_retention(self.make(A, 600.0), A, shutdown_t=1000.0, threshold=1500.0)
-        assert d.keep and d.until == 1000.0 + 900.0
+        assert d == 1000.0 + 900.0
 
     def test_node_mismatch(self):
         d = plmm_retention(self.make(B, 600.0), A, shutdown_t=0.0, threshold=1500.0)
-        assert not d.keep
+        assert d is None
 
     def test_over_threshold(self):
         d = plmm_retention(self.make(A, 3000.0), A, shutdown_t=0.0, threshold=1500.0)
-        assert not d.keep
+        assert d is None
 
     def test_unseen_node(self):
         d = plmm_retention(PlmmModel(), A, shutdown_t=0.0)
-        assert not d.keep
+        assert d is None
 
 
 class TestMemory:
