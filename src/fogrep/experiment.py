@@ -404,8 +404,12 @@ def parse_experiment_config(text: str, source="<config>", config_dir=Path(".")) 
             if name in points:
                 raise ConfigError(f"{points[name]} and {point} both write the directory {name!r}")
             points[name] = point
-    return ExperimentConfig(trace=trace, topologies=topologies, policies=policies,
-                            **read_fields(doc, EXPERIMENT_FIELDS, lines))
+    fields = read_fields(doc, EXPERIMENT_FIELDS, lines)
+    taken = {"results.csv": "the results table", "summary.json": "the summary",
+             **{name: f"the directory of {point}" for name, point in points.items()}}
+    if fields.get("plot") in taken:
+        raise _anchored(f"plot: {fields['plot']!r} would overwrite {taken[fields['plot']]}", lines)
+    return ExperimentConfig(trace=trace, topologies=topologies, policies=policies, **fields)
 
 
 def load_experiment_config(path) -> ExperimentConfig:

@@ -9,16 +9,23 @@ Distances are equirectangular at city scale: longitude differences are scaled
 by the cosine of the mid-bounding-box latitude. The scale is a constant per
 topology, so the grid lookup and the scan over every node compare the same
 rounded distances and break ties alike.
+
+Only the nearest-node queries use numpy: ``nearest_nodes``, ``_scan``,
+``_bracket`` and ``Topology._coords`` import it when first called, so building
+a topology or timing its transfers never loads it.
 """
 from __future__ import annotations
 
 import math
 from collections import deque
 from dataclasses import dataclass, field
-
-import numpy as np
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, TopologyError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Default study area when only grid dimensions are given.
 BEIJING_BBOX = (39.6, 40.3, 116.0, 116.8)  # lat_min, lat_max, lon_min, lon_max
@@ -53,7 +60,8 @@ class GridSpec:
 
 
 class Topology:
-    """Immutable after construction; all queries are read-only."""
+    """Immutable after construction; all queries are read-only. The
+    nearest-node arrays are built once, by the first query that needs them."""
 
     def __init__(self, nodes, routers=(), links=(), grid=None):
         self.nodes: list[FogNode] = list(nodes)
@@ -71,14 +79,23 @@ class Topology:
             nbrs.sort()
         self._validate()
         self._edge_nodes = [n for n in self.nodes if n.kind == EDGE]
-        self._lats = np.array([n.lat for n in self._edge_nodes])
-        self._lons = np.array([n.lon for n in self._edge_nodes])
-        if grid is not None:
-            mid_lat = 0.5 * (grid.bbox[0] + grid.bbox[1])
-        else:
-            mid_lat = float(np.mean(self._lats)) if len(self._lats) else 0.0
-        self._lon_scale = math.cos(math.radians(mid_lat))
         self._axes = _grid_axes(self._edge_nodes)
+
+    @cached_property
+    def _coords(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edge nodes' latitudes and longitudes, for the nearest-node scan."""
+        import numpy as np
+        return np.array([n.lat for n in self._edge_nodes]), np.array([n.lon for n in self._edge_nodes])
+
+    @cached_property
+    def _lon_scale(self) -> float:
+        """Cosine of the mid latitude: the bounding box's, else the edge nodes' mean."""
+        if self.grid is not None:
+            mid_lat = 0.5 * (self.grid.bbox[0] + self.grid.bbox[1])
+        else:
+            import numpy as np
+            mid_lat = float(np.mean(self._coords[0])) if self._edge_nodes else 0.0
+        return math.cos(math.radians(mid_lat))
 
     def _validate(self):
         ids = [n.id for n in self.nodes]
@@ -173,7 +190,8 @@ def _grid_axes(nodes):
     layout: ids row-major from 0, every stored coordinate taken from one
     latitude per row and one longitude per column, both strictly increasing.
     None for any other node set, which the nearest-node scan then serves.
-    Plain Python: a numpy reduction here would grow every run's peak memory."""
+    Plain Python lists, so that building a topology never loads numpy;
+    nearest_nodes turns them into arrays."""
     n = len(nodes)
     if n == 0:
         return None
@@ -187,7 +205,7 @@ def _grid_axes(nodes):
         return None
     if not all(a < b for axis in (lat_c, lon_c) for a, b in zip(axis, axis[1:])):
         return None
-    return np.array(lat_c), np.array(lon_c)
+    return lat_c, lon_c
 
 
 def nearest_node(lat, lon, topo: Topology) -> int:
@@ -197,14 +215,16 @@ def nearest_node(lat, lon, topo: Topology) -> int:
 
 def _scan(lats, lons, topo: Topology) -> np.ndarray:
     """Nearest edge node by comparing every point with every node."""
+    import numpy as np
     out = np.empty(len(lats), dtype=np.int64)
     ids = np.array([n.id for n in topo.edge_nodes])
+    node_lats, node_lons = topo._coords
     # bound the points x nodes distance matrix to ~20M doubles
     chunk = max(1024, 20_000_000 // max(1, len(ids)))
     for start in range(0, len(lats), chunk):
         end = min(start + chunk, len(lats))
-        dlat = topo._lats[None, :] - lats[start:end, None]
-        dlon = (topo._lons[None, :] - lons[start:end, None]) * topo._lon_scale
+        dlat = node_lats[None, :] - lats[start:end, None]
+        dlon = (node_lons[None, :] - lons[start:end, None]) * topo._lon_scale
         d2 = dlat * dlat + dlon * dlon
         out[start:end] = ids[np.argmin(d2, axis=1)]
     return out
@@ -212,6 +232,7 @@ def _scan(lats, lons, topo: Topology) -> np.ndarray:
 
 def _bracket(centres, x):
     """Indices of the centres just below and just above each x, clipped to the axis."""
+    import numpy as np
     above = np.searchsorted(centres, x)
     last = len(centres) - 1
     return np.clip(above - 1, 0, last), np.clip(above, 0, last)
@@ -229,13 +250,14 @@ def nearest_nodes(lats, lons, topo: Topology) -> np.ndarray:
     column outward ties too; such points, and every point of any other
     topology, go to the scan.
     """
+    import numpy as np
     if not topo.edge_nodes:
         raise TopologyError("topology has no edge nodes")
     lats = np.asarray(lats, dtype=float)
     lons = np.asarray(lons, dtype=float)
     if topo._axes is None:
         return _scan(lats, lons, topo)
-    lat_c, lon_c = topo._axes
+    lat_c, lon_c = map(np.array, topo._axes)
     rows, cols = len(lat_c), len(lon_c)
 
     def row_term(r):

@@ -8,6 +8,11 @@ gaps larger than ``gap_threshold`` (default 300 s). Timestamps are epoch
 seconds from a naive UTC parse of the file's date/time strings; time-of-day
 bucketing applies a timezone offset downstream. Points travel as float64
 columns (``Track``) from the parsed file to the node visits.
+
+Only GeoLife ingest uses numpy: ``parse_plt_rows``, ``_parse_columns``,
+``_clock_seconds``, ``Track.__getitem__``, ``sessionize`` and
+``map_to_node_visits`` import it when called, and ``load_geolife_dir`` on
+entry. Synthetic timelines and the visits CSV never load it.
 """
 from __future__ import annotations
 
@@ -19,12 +24,14 @@ from dataclasses import dataclass, field
 from datetime import date
 from itertools import repeat
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (ConfigError, DataError, EmptyTraceError, TraceFormatError,
                      TraceOverlapError)
 from .topology import Topology, nearest_nodes
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_GAP_THRESHOLD = 300.0  # seconds
 
@@ -55,6 +62,7 @@ class Track:
         return len(self.t)
 
     def __getitem__(self, i):
+        import numpy as np
         if isinstance(i, (int, np.integer)):
             return GeoPoint(float(self.lat[i]), float(self.lon[i]), float(self.t[i]))
         return Track(self.lat[i], self.lon[i], self.t[i])
@@ -155,6 +163,7 @@ def _plt_clock(time_s: str) -> int:
 def parse_plt_rows(data: bytes | str) -> Track:
     """parse_plt one row at a time: the reference the columnar reader must
     match, and the reader that names the line of the first malformed row."""
+    import numpy as np
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
     lats, lons, times = [], [], []
@@ -186,6 +195,7 @@ def parse_plt_rows(data: bytes | str) -> Track:
 def _clock_seconds(times: list[str]) -> np.ndarray:
     """_plt_clock over a column of zero-padded ``HH:MM:SS`` strings; a string
     of any other shape raises ValueError, like an impossible time."""
+    import numpy as np
     codes = np.array(times)
     if codes.dtype != np.dtype("U8"):
         raise ValueError("times are not all HH:MM:SS")
@@ -203,6 +213,7 @@ def _parse_columns(text: str) -> Track:
     """The data rows of a PLT text converted a column at a time. Raises
     ValueError for any file that is not exactly seven fields per row with
     in-range coordinates, a valid date and a zero-padded valid time."""
+    import numpy as np
     rows = [line for line in text.splitlines()[PLT_HEADER_LINES:] if line]
     if not rows or any(count != 6 for count in map(str.count, rows, repeat(","))):
         raise ValueError("not seven fields per row")
@@ -257,6 +268,7 @@ def sessionize(point_groups, gap_threshold=DEFAULT_GAP_THRESHOLD, client_id="") 
     exactly when the previous ends merges into the same session (a pause must
     have positive duration).
     """
+    import numpy as np
     if not gap_threshold > 0:  # a NaN fails this too
         raise ConfigError("gap_threshold must be > 0")
     groups = [g[np.argsort(g.t, kind="stable")] for g in point_groups if len(g)]
@@ -281,6 +293,7 @@ def map_to_node_visits(session: Session, topo: Topology) -> list[NodeVisit]:
     """Assign each point its nearest node and collapse consecutive equal
     assignments; a visit's departure is the next visit's arrival, the last
     departure is the session end."""
+    import numpy as np
     pts = session.points
     nodes = nearest_nodes(pts.lat, pts.lon, topo)
     firsts = np.r_[0, np.flatnonzero(np.diff(nodes)) + 1]
@@ -312,6 +325,7 @@ def build_timeline(client_id, point_groups, topo: Topology,
 def load_geolife_dir(root, topo, gap_threshold=DEFAULT_GAP_THRESHOLD,
                      clients=None) -> list[ClientTimeline]:
     """Ingest a GeoLife dataset root (layout ``Data/<user>/Trajectory/*.plt``)."""
+    import numpy  # noqa: F401 -- loaded before the first file is read, so parsing never pays for it
     root = Path(root)
     if not root.exists():
         raise DataError(

@@ -1,7 +1,10 @@
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -73,6 +76,14 @@ def event_digests(out):
             for p in out.glob("*/events.csv")}
 
 
+def run_python(script, *args):
+    """Run a Python script in a fresh interpreter that imports fogrep from src/."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                                    os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def write_plt(path, rows):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(PLT_HEADER + "\n".join(rows) + "\n")
@@ -126,6 +137,16 @@ class TestRun:
         cfg.write_text(SMOKE_CONFIG.read_text() + "\ndump_events: true\n")
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert event_digests(tmp_path / "out") == SMOKE_EVENT_DIGESTS
+
+    def test_run_needs_no_numpy(self, tmp_path):
+        # a None entry in sys.modules makes every `import numpy` raise ImportError
+        script = ("import sys\n"
+                  "sys.modules['numpy'] = None\n"
+                  "from fogrep.cli import main\n"
+                  "sys.exit(main(['run', sys.argv[1], '--out', sys.argv[2]]))\n")
+        proc = run_python(script, SMOKE_CONFIG, tmp_path / "out")
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "results.csv").read_bytes() == GOLDEN_RESULTS.read_bytes()
 
     def test_three_client_event_logs_match_recorded_digests(self, tmp_path):
         assert main(["run", str(three_client_smoke(tmp_path)), "--out", str(tmp_path / "out")]) == 0
@@ -279,6 +300,22 @@ class TestIngest:
         assert main(["run", str(cfg), "--out", str(out)]) == 0
         rows = (out / "results.csv").read_text().splitlines()
         assert len(rows) == 3  # header + 2 policies
+
+    def test_ingest_loads_numpy_before_it_parses(self, tmp_path):
+        """Importing fogrep leaves numpy unloaded; ingest loads it before its
+        first parse_plt call, so the import is not part of the parse."""
+        script = ("import json, sys\n"
+                  "from fogrep import traces\n"
+                  "from fogrep.cli import main\n"
+                  "at_import = 'numpy' in sys.modules\n"
+                  "parse, at_parse = traces.parse_plt, []\n"
+                  "traces.parse_plt = lambda data: at_parse.append('numpy' in sys.modules) or parse(data)\n"
+                  "code = main(['ingest', sys.argv[1], '--grid', '1x2', '--bbox', '0', '1', '0', '1',\n"
+                  "             '--out', sys.argv[2]])\n"
+                  "print(json.dumps([code, at_import, at_parse]))\n")
+        proc = run_python(script, fake_geolife(tmp_path / "geolife"), tmp_path / "visits.csv")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, False, [True, True, True]]
 
     def test_run_cache_is_keyed_by_the_ingest_inputs(self, tmp_path, monkeypatch):
         root = fake_geolife(tmp_path / "geolife")
@@ -578,6 +615,20 @@ class TestOutputNames:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == \
             f"config error: {first} and {second} both write the directory {directory!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("plot, taken", [
+        ("results.csv", "the results table"),
+        ("summary.json", "the summary"),
+        ("baseline__strip-3", "the directory of policies[0] 'baseline' on topologies[0] 'strip-3'"),
+    ], ids=["results", "summary", "point-directory"])
+    def test_plot_that_names_another_output_is_a_config_error(self, tmp_path, capsys, plot, taken):
+        text = SMOKE_CONFIG.read_text()
+        line = text[:text.index("plot: pareto.svg")].count("\n") + 1
+        cfg = tmp_path / "plot.yaml"
+        cfg.write_text(text.replace("plot: pareto.svg", f"plot: {plot}"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: plot: {plot!r} would overwrite {taken} (line {line})\n"
         assert not (tmp_path / "out").exists()
 
     def test_dots_inside_a_name_are_plain(self, tmp_path):
