@@ -4,6 +4,10 @@ Subcommands: ``ingest`` converts GeoLife trajectories into the cached
 node-visit CSV for a given grid, ``run`` executes an experiment config, and
 ``report`` merges results files into one comparison table. Exit codes: 0 ok,
 2 configuration error, 3 data error.
+
+Each command loads only the code it runs: ``run`` and ``report`` import
+``fogrep.experiment`` (the engine, policies, predictors, metrics and PyYAML)
+when they start, so ``ingest`` loads just the trace and topology modules.
 """
 from __future__ import annotations
 
@@ -12,14 +16,19 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, DataError
-from .experiment import (_positive_integer, load_experiment_config, merge_results,
-                         run_experiment, write_results_csv)
 from .topology import BEIJING_BBOX, build_grid, dump_topology
 from .traces import DEFAULT_GAP_THRESHOLD, load_geolife_dir, write_visits_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
+
+
+def run_experiment(cfg):
+    """``fogrep.experiment.run_experiment``, imported only when a run needs
+    it; a module global, so that perfbench's traced run can wrap it."""
+    from .experiment import run_experiment
+    return run_experiment(cfg)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,6 +79,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .experiment import _positive_integer, load_experiment_config
     cfg = load_experiment_config(args.config)
     if args.out:
         cfg.output = Path(args.out)
@@ -90,6 +100,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .experiment import merge_results, write_results_csv
     for p in args.results:
         if not Path(p).exists():
             raise DataError(f"results file not found: {p}")

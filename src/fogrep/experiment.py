@@ -13,7 +13,6 @@ archivable.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import json
 import math
@@ -493,6 +492,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
             points.append((topo_spec, (topo, network, policy, timelines)))
     shared = (cfg.window, cfg.series_clients, cfg.series_bucket, cfg.dump_events)
     if cfg.jobs > 1 and len(points) > 1:
+        import concurrent.futures  # here, not at the top: a serial run need not load it, logging or threading
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             futures = [pool.submit(_run_point, *args, *shared) for _, args in points]
             outcomes = [f.result() for f in futures]

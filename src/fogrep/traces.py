@@ -432,6 +432,8 @@ def write_visits_csv(timelines, fileobj):
 
 
 def read_visits_csv(fileobj) -> list[ClientTimeline]:
+    """Timelines from a visits CSV. The rows are checked for everything
+    ``ClientTimeline.validate`` checks, and a fault names its line."""
     reader = csv.reader(fileobj)
     header = next(reader, None)
     if header != VISITS_HEADER:
@@ -440,9 +442,11 @@ def read_visits_csv(fileobj) -> list[ClientTimeline]:
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
+        if len(row) != len(VISITS_HEADER):
+            raise TraceFormatError(f"expected {len(VISITS_HEADER)} fields, got {len(row)}", line=lineno)
         try:
             cid, sid, node, arr, dep = row[0], int(row[1]), int(row[2]), float(row[3]), float(row[4])
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise TraceFormatError(str(exc), line=lineno) from exc
         if not (math.isfinite(arr) and math.isfinite(dep)):
             raise TraceFormatError(f"non-finite visit time: {row[3]}, {row[4]}", line=lineno)
@@ -465,9 +469,7 @@ def read_visits_csv(fileobj) -> list[ClientTimeline]:
                 raise TraceFormatError(f"session {sid} starts at {first.arrival!r}, not after the "
                                        f"previous session ends at {sessions[-1][-1].departure!r}", line=lineno)
             sessions.append([v for _, v in rows])
-        tl = ClientTimeline(cid, sessions, _pauses_between(cid, sessions))
-        tl.validate()
-        timelines.append(tl)
+        timelines.append(ClientTimeline(cid, sessions, _pauses_between(cid, sessions)))
     if not timelines:
         raise EmptyTraceError("visits file contains no rows")
     return timelines

@@ -148,6 +148,16 @@ class TestRun:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "results.csv").read_bytes() == GOLDEN_RESULTS.read_bytes()
 
+    def test_serial_run_does_not_load_the_process_pool(self, tmp_path):
+        script = ("import json, sys\n"
+                  "from fogrep.cli import main\n"
+                  "code = main(['run', sys.argv[1], '--out', sys.argv[2]])\n"
+                  "print(json.dumps([code, 'concurrent.futures' in sys.modules]))\n")
+        proc = run_python(script, SMOKE_CONFIG, tmp_path / "out")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, False]
+        assert (tmp_path / "out" / "results.csv").read_bytes() == GOLDEN_RESULTS.read_bytes()
+
     def test_three_client_event_logs_match_recorded_digests(self, tmp_path):
         assert main(["run", str(three_client_smoke(tmp_path)), "--out", str(tmp_path / "out")]) == 0
         assert event_digests(tmp_path / "out") == THREE_CLIENT_EVENT_DIGESTS
@@ -238,8 +248,11 @@ class TestRun:
         ("b,1,0,1000.0,2000.0", "session 1 starts at 1000.0, not after the previous session ends at 1000.0"),
         ("b,0,0,1500.0,2000.0", "visit arrives at 1500.0, not when the previous visit of session 0 departs at 1000.0"),
         ("b,0,1,1000.0,2000.0", "consecutive visits of session 0 at node 1"),
+        ("a,0,0,0.0,10.0,junk", "expected 5 fields, got 6"),
+        ("a,0,0,0.0", "expected 5 fields, got 4"),
+        ("a", "expected 5 fields, got 1"),
     ], ids=["nan", "inf", "reversed", "session-before-previous", "session-at-previous-end", "gap",
-            "repeated-node"])
+            "repeated-node", "extra-field", "missing-field", "one-field"])
     def test_impossible_visit_times_are_data_errors(self, tmp_path, capsys, row, message):
         (tmp_path / "visits.csv").write_text(
             "client_id,session_id,node_id,arrival_epoch_s,departure_epoch_s\n"
@@ -316,6 +329,21 @@ class TestIngest:
         proc = run_python(script, fake_geolife(tmp_path / "geolife"), tmp_path / "visits.csv")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == [0, False, [True, True, True]]
+
+    def test_ingest_loads_no_simulator_code(self, tmp_path):
+        """`fogrep ingest` needs only the trace and topology modules: not the
+        engine, policies, predictors, metrics, PyYAML or the process pool."""
+        script = ("import json, sys\n"
+                  "from fogrep.cli import main\n"
+                  "code = main(['ingest', sys.argv[1], '--grid', '1x2', '--bbox', '0', '1', '0', '1',\n"
+                  "             '--out', sys.argv[2]])\n"
+                  "print(json.dumps([code, sorted(set(sys.argv[3:]) & set(sys.modules))]))\n")
+        unused = ["fogrep.experiment", "fogrep.simengine", "fogrep.policies", "fogrep.markov",
+                  "fogrep.metrics", "fogrep.startup", "yaml", "concurrent.futures"]
+        proc = run_python(script, fake_geolife(tmp_path / "geolife"), tmp_path / "visits.csv", *unused)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+        assert (tmp_path / "visits.csv").read_text().startswith("client_id,session_id,")
 
     def test_run_cache_is_keyed_by_the_ingest_inputs(self, tmp_path, monkeypatch):
         root = fake_geolife(tmp_path / "geolife")
