@@ -7,10 +7,13 @@ are the only on/off signal in the dataset), additionally split at intra-file
 gaps larger than ``gap_threshold`` (default 300 s). Timestamps are epoch
 seconds from a naive UTC parse of the file's date/time strings; time-of-day
 bucketing applies a timezone offset downstream. Points travel as float64
-columns (``Track``) from the parsed file to the node visits.
+columns (``Track``) from the parsed file to the node visits. Mapping is per
+client: ``map_to_node_visits`` takes all of a client's sessions, which
+``sessionize`` slices from one set of columns, and finds the nearest node of
+every point in one ``nearest_nodes`` call.
 
 Only GeoLife ingest uses numpy: ``parse_plt_rows``, ``_parse_columns``,
-``_clock_seconds``, ``Track.__getitem__``, ``sessionize`` and
+``_clock_seconds``, ``Track.__getitem__``, ``sessionize``, ``_joined`` and
 ``map_to_node_visits`` import it when called, and ``load_geolife_dir`` on
 entry. Synthetic timelines and the visits CSV never load it.
 """
@@ -196,10 +199,10 @@ def _clock_seconds(times: list[str]) -> np.ndarray:
     """_plt_clock over a column of zero-padded ``HH:MM:SS`` strings; a string
     of any other shape raises ValueError, like an impossible time."""
     import numpy as np
-    codes = np.array(times)
-    if codes.dtype != np.dtype("U8"):
+    if set(map(len, times)) != {8}:
         raise ValueError("times are not all HH:MM:SS")
-    chars = codes.view(np.uint32).reshape(-1, 8).astype(np.int64) - ord("0")
+    # a non-ASCII character raises UnicodeEncodeError, a ValueError
+    chars = np.frombuffer("".join(times).encode("ascii"), np.uint8).reshape(-1, 8).astype(np.int64) - ord("0")
     digits = chars[:, [0, 1, 3, 4, 6, 7]]
     if not ((chars[:, [2, 5]] == ord(":") - ord("0")).all() and ((digits >= 0) & (digits <= 9)).all()):
         raise ValueError("times are not all HH:MM:SS")
@@ -215,17 +218,22 @@ def _parse_columns(text: str) -> Track:
     in-range coordinates, a valid date and a zero-padded valid time."""
     import numpy as np
     rows = [line for line in text.splitlines()[PLT_HEADER_LINES:] if line]
-    if not rows or any(count != 6 for count in map(str.count, rows, repeat(","))):
+    if set(map(str.count, rows, repeat(","))) != {6}:
         raise ValueError("not seven fields per row")
     fields = ",".join(rows).split(",")
     lat = np.fromiter(map(float, fields[0::7]), float, len(rows))
     lon = np.fromiter(map(float, fields[1::7]), float, len(rows))
     if not (((lat >= -90.0) & (lat <= 90.0)).all() and ((lon >= -180.0) & (lon <= 180.0)).all()):
         raise ValueError("coordinates out of range")
+    t = _clock_seconds(fields[6::7])
     dates = fields[5::7]
-    midnights = {d: _plt_midnight(d) for d in set(dates)}
-    t = np.fromiter(map(midnights.__getitem__, dates), np.int64, len(rows))
-    return Track(lat, lon, (t + _clock_seconds(fields[6::7])).astype(float))
+    distinct = set(dates)
+    if len(distinct) == 1:
+        t += _plt_midnight(dates[0])
+    else:
+        midnights = {d: _plt_midnight(d) for d in distinct}
+        t += np.fromiter(map(midnights.__getitem__, dates), np.int64, len(rows))
+    return Track(lat, lon, t.astype(float))
 
 
 def parse_plt(data: bytes | str) -> Track:
@@ -289,17 +297,46 @@ def sessionize(point_groups, gap_threshold=DEFAULT_GAP_THRESHOLD, client_id="") 
     return [Session(client_id, Track(lat[a:b], lon[a:b], t[a:b])) for a, b in zip(bounds, bounds[1:])]
 
 
-def map_to_node_visits(session: Session, topo: Topology) -> list[NodeVisit]:
-    """Assign each point its nearest node and collapse consecutive equal
-    assignments; a visit's departure is the next visit's arrival, the last
-    departure is the session end."""
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The parts end to end in one array. Parts that already lie end to end
+    in the array they were sliced from, as sessionize's sessions do, give
+    that array back without a copy."""
     import numpy as np
-    pts = session.points
-    nodes = nearest_nodes(pts.lat, pts.lon, topo)
-    firsts = np.r_[0, np.flatnonzero(np.diff(nodes)) + 1]
-    arrivals = pts.t[firsts].tolist()
-    return [NodeVisit(node, arrival, departure) for node, arrival, departure
-            in zip(nodes[firsts].tolist(), arrivals, arrivals[1:] + [session.end])]
+    base = parts[0].base
+    if base is not None and base.ndim == 1 and all(p.base is base for p in parts):
+        at = base.ctypes.data
+        for p in parts:
+            if not (p.ctypes.data == at and p.flags.c_contiguous):
+                break
+            at += p.nbytes
+        else:
+            if at == base.ctypes.data + base.nbytes:
+                return base
+    return np.concatenate(parts)
+
+
+def map_to_node_visits(sessions: list[Session], topo: Topology) -> list[list[NodeVisit]]:
+    """Each session's node visits: every point of the client is assigned its
+    nearest node in one pass, and consecutive equal assignments within a
+    session collapse into one visit. A visit's departure is the next visit's
+    arrival, the last departure is the session end."""
+    import numpy as np
+    if not sessions:
+        return []
+    lat, lon, t = (_joined([getattr(s.points, name) for s in sessions]) for name in ("lat", "lon", "t"))
+    starts = np.cumsum([0] + [len(s.points) for s in sessions])
+    nodes = nearest_nodes(lat, lon, topo)
+    cut = np.diff(nodes) != 0
+    cut[starts[1:-1] - 1] = True  # every session starts a new visit
+    firsts = np.r_[0, np.flatnonzero(cut) + 1]
+    nodes, arrivals = nodes[firsts].tolist(), t[firsts].tolist()
+    ends = t[starts[1:] - 1].tolist()
+    bounds = np.searchsorted(firsts, starts).tolist()  # first visit of each session
+    visit_sessions = []
+    for a, b, end in zip(bounds, bounds[1:], ends):
+        arr = arrivals[a:b]
+        visit_sessions.append([NodeVisit(*v) for v in zip(nodes[a:b], arr, arr[1:] + [end])])
+    return visit_sessions
 
 
 def _pauses_between(client_id, visit_sessions) -> list[Pause]:
@@ -312,11 +349,11 @@ def _pauses_between(client_id, visit_sessions) -> list[Pause]:
 def build_timeline(client_id, point_groups, topo: Topology,
                    gap_threshold=DEFAULT_GAP_THRESHOLD) -> ClientTimeline:
     """Full pipeline for one client: sessionize per-file point groups and map
-    every session onto node visits for the given topology."""
+    all the sessions onto node visits for the given topology."""
     sessions = sessionize(point_groups, gap_threshold, client_id=client_id)
     if not sessions:
         raise EmptyTraceError(f"client {client_id}: no sessions")
-    visit_sessions = [map_to_node_visits(s, topo) for s in sessions]
+    visit_sessions = map_to_node_visits(sessions, topo)
     timeline = ClientTimeline(client_id, visit_sessions, _pauses_between(client_id, visit_sessions))
     timeline.validate()
     return timeline
@@ -324,8 +361,13 @@ def build_timeline(client_id, point_groups, topo: Topology,
 
 def load_geolife_dir(root, topo, gap_threshold=DEFAULT_GAP_THRESHOLD,
                      clients=None) -> list[ClientTimeline]:
-    """Ingest a GeoLife dataset root (layout ``Data/<user>/Trajectory/*.plt``)."""
-    import numpy  # noqa: F401 -- loaded before the first file is read, so parsing never pays for it
+    """Ingest a GeoLife dataset root (layout ``Data/<user>/Trajectory/*.plt``).
+    ``clients``, when given, names the user directories to read; an id with
+    no directory is a DataError."""
+    try:
+        import numpy  # noqa: F401 -- loaded before the first file is read, so parsing never pays for it
+    except ImportError:
+        raise ConfigError("GeoLife ingest needs numpy, which is not installed") from None
     root = Path(root)
     if not root.exists():
         raise DataError(
@@ -335,6 +377,9 @@ def load_geolife_dir(root, topo, gap_threshold=DEFAULT_GAP_THRESHOLD,
     user_dirs = sorted(d for d in data.iterdir() if (d / "Trajectory").is_dir())
     if clients is not None:
         wanted = set(clients)
+        missing = sorted(wanted - {d.name for d in user_dirs})
+        if missing:
+            raise DataError(f"no user directory under {data} for client(s) {', '.join(missing)}")
         user_dirs = [d for d in user_dirs if d.name in wanted]
     if not user_dirs:
         raise EmptyTraceError(

@@ -18,7 +18,7 @@ from fogrep.cli import main
 from fogrep.errors import ConfigError
 from fogrep.experiment import (load_experiment_config, load_traces,
                                parse_experiment_config)
-from fogrep.topology import BEIJING_BBOX, build_grid
+from fogrep.topology import _NEAREST_SLICE, BEIJING_BBOX, build_grid
 from fogrep.traces import GeoPoint, format_plt, synth_generate, write_visits_csv
 
 from oracles import point_ingest
@@ -405,6 +405,56 @@ class TestIngest:
             expected = io.StringIO()
             write_visits_csv(point_ingest(root, topo, 300.0), expected)
             assert out.read_text() == expected.getvalue()
+
+    def test_client_longer_than_a_nearest_nodes_slice(self, tmp_path):
+        """One client with more points than nearest_nodes takes in one
+        slice, with gaps, file joins and points equidistant from two nodes."""
+        rng = random.Random(3)
+        topo = build_grid(4, 4, (0.0, 1.0, 0.0, 1.0))  # rows and columns meet at 0.25, 0.5, 0.75
+        traj = tmp_path / "geolife" / "Data" / "000" / "Trajectory"
+        traj.mkdir(parents=True)
+        lat, lon, t = 0.5, 0.5, 1_200_000_000
+        for k, n in enumerate((2 * _NEAREST_SLICE + 500, 3000)):
+            points = []
+            for _ in range(n):
+                lat = min(max(lat + rng.uniform(-0.01, 0.01), 0.0), 1.0)
+                lon = min(max(lon + rng.uniform(-0.01, 0.01), 0.0), 1.0)
+                tie = rng.random() < 0.01
+                points.append(GeoPoint(0.5 if tie else lat, lon, float(t)))
+                t += rng.choice([1, 2, 5, 5, 400])
+            (traj / f"{k}.plt").write_text(format_plt(points))
+        out = tmp_path / "visits.csv"
+        assert main(["ingest", str(tmp_path / "geolife"), "--grid", "4x4", "--bbox", "0", "1", "0", "1",
+                     "--out", str(out)]) == 0
+        expected = io.StringIO()
+        write_visits_csv(point_ingest(tmp_path / "geolife", topo, 300.0), expected)
+        assert out.read_text() == expected.getvalue()
+
+    def test_unknown_client_ids_are_a_data_error(self, tmp_path, capsys):
+        root = fake_geolife(tmp_path / "geolife")
+        code = main(["ingest", str(root), "--grid", "1x2", "--bbox", "0", "1", "0", "1",
+                     "--clients", "000", "nope", "002", "--out", str(tmp_path / "v.csv")])
+        assert code == 3
+        assert capsys.readouterr().err.endswith("for client(s) 002, nope\n")
+        assert not (tmp_path / "v.csv").exists()
+        cfg = tmp_path / "geo.yaml"
+        cfg.write_text(
+            "experiment: geo\n"
+            f"trace: {{source: geolife, path: {root}, clients: ['001', nope]}}\n"
+            "topology: {name: strip-2, rows: 1, cols: 2, bbox: [0, 1, 0, 1], transfer_delay: 30}\n"
+            "policies: [{name: baseline}]\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.endswith("for client(s) nope\n")
+
+    def test_ingest_without_numpy_is_a_config_error(self, tmp_path):
+        script = ("import sys\n"
+                  "sys.modules['numpy'] = None\n"
+                  "from fogrep.cli import main\n"
+                  "sys.exit(main(['ingest', sys.argv[1], '--out', sys.argv[2]]))\n")
+        proc = run_python(script, fake_geolife(tmp_path / "geolife"), tmp_path / "visits.csv")
+        assert proc.returncode == 2
+        assert proc.stderr == "config error: GeoLife ingest needs numpy, which is not installed\n"
+        assert not (tmp_path / "visits.csv").exists()
 
     def test_nan_gap_threshold_is_a_config_error(self, tmp_path, capsys):
         root = fake_geolife(tmp_path / "geolife")

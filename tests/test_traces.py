@@ -15,7 +15,7 @@ from fogrep.traces import (ClientTimeline, GeoPoint, NodeVisit, Session,
                            format_plt, map_to_node_visits, parse_plt,
                            parse_plt_rows, read_visits_csv, sessionize,
                            synth_generate, write_visits_csv)
-from fogrep.traces import _parse_columns
+from fogrep.traces import _joined, _parse_columns
 
 UNIT_BBOX = (0.0, 1.0, 0.0, 1.0)
 
@@ -158,6 +158,18 @@ class TestColumnarParse:
             if canonical:  # the fast reader itself, not its row-by-row fallback
                 assert _columns(_parse_columns(text)) == _columns(expected)
 
+    @pytest.mark.parametrize("start, steps, dates", [
+        ("2008-10-23 00:00:00", range(1, 6), 1), ("2008-12-31 23:00:00", range(1, 6), 2),
+        ("2008-02-27 12:00:00", range(40, 80), 4)], ids=["one-date", "new-year", "leap-day"])
+    def test_long_files_match_row_parser(self, start, steps, dates):
+        """Files of thousands of rows on one date, and across midnights; the
+        drawn files above almost always give every row its own date."""
+        rng = random.Random(7)
+        times = epoch(*start.split()) + np.cumsum(rng.choices(steps, k=4000))
+        text = format_plt([GeoPoint(rng.uniform(-90, 90), rng.uniform(-180, 180), float(t)) for t in times])
+        assert len({row.split(",")[5] for row in text.splitlines()[6:]}) == dates
+        assert _columns(_parse_columns(text)) == _columns(parse_plt_rows(text))
+
     def test_points_index_and_slice(self):
         track = parse_plt(plt_file(["1.0,2.0,0,0,0,2009-01-01,00:00:00", "3.0,4.0,0,0,0,2009-01-01,00:00:05"]))
         assert len(track) == 2 and track[-1] == GeoPoint(3.0, 4.0, track.t[-1])
@@ -223,27 +235,46 @@ class TestMapToNodeVisits:
     def test_constant_assignment(self):
         topo = build_grid(1, 2, UNIT_BBOX)  # node 0 at lon .25, node 1 at lon .75
         session = Session("c", pts(0, 10, 20, lon=0.2))
-        assert map_to_node_visits(session, topo) == [NodeVisit(0, 0.0, 20.0)]
+        assert map_to_node_visits([session], topo) == [[NodeVisit(0, 0.0, 20.0)]]
 
     def test_switch_at_first_new_nearest(self):
         topo = build_grid(1, 2, UNIT_BBOX)
         session = Session("c", track([GeoPoint(0.5, 0.2, 0.0), GeoPoint(0.5, 0.3, 10.0),
                                       GeoPoint(0.5, 0.8, 25.0), GeoPoint(0.5, 0.9, 40.0)]))
         # brute-force nearest scan on the 4-point fixture: 0.2, 0.3 -> node 0; 0.8, 0.9 -> node 1
-        assert map_to_node_visits(session, topo) == [
-            NodeVisit(0, 0.0, 25.0), NodeVisit(1, 25.0, 40.0)]
+        assert map_to_node_visits([session], topo) == [[
+            NodeVisit(0, 0.0, 25.0), NodeVisit(1, 25.0, 40.0)]]
 
     def test_equidistant_point_goes_to_lower_id(self):
         topo = build_grid(1, 2, UNIT_BBOX)
         session = Session("c", track([GeoPoint(0.5, 0.5, 0.0)]))
-        assert map_to_node_visits(session, topo) == [NodeVisit(0, 0.0, 0.0)]
+        assert map_to_node_visits([session], topo) == [[NodeVisit(0, 0.0, 0.0)]]
 
     def test_idempotent(self):
         topo = build_grid(2, 2, UNIT_BBOX)
         rng = random.Random(5)
         session = Session("c", track([GeoPoint(rng.random(), rng.random(), float(i * 10))
                                       for i in range(30)]))
-        assert map_to_node_visits(session, topo) == map_to_node_visits(session, topo)
+        assert map_to_node_visits([session], topo) == map_to_node_visits([session], topo)
+
+    def test_session_that_starts_where_the_last_ended_gets_a_new_visit(self):
+        topo = build_grid(1, 2, UNIT_BBOX)
+        sessions = sessionize([pts(0, 10, lon=0.2), pts(400, 410, lon=0.2), pts(900, lon=0.8)])
+        assert map_to_node_visits(sessions, topo) == [
+            [NodeVisit(0, 0.0, 10.0)], [NodeVisit(0, 400.0, 410.0)], [NodeVisit(1, 900.0, 900.0)]]
+
+    def test_sessionize_views_and_copies_map_alike(self):
+        topo = build_grid(3, 3, UNIT_BBOX)
+        rng = random.Random(11)
+        groups = [track([GeoPoint(rng.random(), rng.random(), float(t))
+                         for t in range(k * 1000, k * 1000 + 400, 20)]) for k in range(5)]
+        sessions = sessionize(groups, gap_threshold=100.0)
+        copies = [Session(s.client_id, Track(*(getattr(s.points, name).copy() for name in ("lat", "lon", "t"))))
+                  for s in sessions]
+        assert map_to_node_visits(sessions, topo) == map_to_node_visits(copies, topo) == \
+               [map_to_node_visits([s], topo)[0] for s in copies]
+        assert map_to_node_visits(sessions[::-1], topo) == map_to_node_visits(sessions, topo)[::-1]
+        assert _joined([s.points.lat for s in sessions]) is sessions[0].points.lat.base  # no copy
 
 
 class TestBuildTimeline:
