@@ -8,12 +8,12 @@ gaps larger than ``gap_threshold`` (default 300 s). Timestamps are epoch
 seconds from a naive UTC parse of the file's date/time strings; time-of-day
 bucketing applies a timezone offset downstream. Points travel as float64
 columns (``Track``) from the parsed file to the node visits. Mapping is per
-client: ``map_to_node_visits`` takes all of a client's sessions, which
-``sessionize`` slices from one set of columns, and finds the nearest node of
-every point in one ``nearest_nodes`` call.
+client: ``sessionize`` returns a client's sessions as one set of columns and
+the index where each session starts (``Sessions``), and ``map_to_node_visits``
+finds the nearest node of every point in one ``nearest_nodes`` call.
 
 Only GeoLife ingest uses numpy: ``parse_plt_rows``, ``_parse_columns``,
-``_clock_seconds``, ``Track.__getitem__``, ``sessionize``, ``_joined`` and
+``_clock_seconds``, ``Track.__getitem__``, ``sessionize`` and
 ``map_to_node_visits`` import it when called, and ``load_geolife_dir`` on
 entry. Synthetic timelines and the visits CSV never load it.
 """
@@ -23,6 +23,7 @@ import calendar
 import csv
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import date
 from itertools import repeat
@@ -84,6 +85,23 @@ class Session:
     @property
     def end(self) -> float:
         return float(self.points.t[-1])
+
+
+@dataclass(frozen=True, eq=False)
+class Sessions(Sequence):
+    """A client's sessions, in time order, as one set of columns: session i
+    is ``points[bounds[i]:bounds[i + 1]]``, and the last bound is
+    ``len(points)``. Indexing gives a Session viewing its slice."""
+    client_id: str
+    points: Track
+    bounds: list[int]
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def __getitem__(self, i: int) -> Session:
+        i = range(len(self))[i]
+        return Session(self.client_id, self.points[self.bounds[i]:self.bounds[i + 1]])
 
 
 @dataclass(frozen=True)
@@ -227,12 +245,8 @@ def _parse_columns(text: str) -> Track:
         raise ValueError("coordinates out of range")
     t = _clock_seconds(fields[6::7])
     dates = fields[5::7]
-    distinct = set(dates)
-    if len(distinct) == 1:
-        t += _plt_midnight(dates[0])
-    else:
-        midnights = {d: _plt_midnight(d) for d in distinct}
-        t += np.fromiter(map(midnights.__getitem__, dates), np.int64, len(rows))
+    midnights = {d: _plt_midnight(d) for d in set(dates)}
+    t += np.fromiter(map(midnights.__getitem__, dates), np.int64, len(rows))
     return Track(lat, lon, t.astype(float))
 
 
@@ -267,7 +281,7 @@ def format_plt(points) -> str:
     return "\n".join(out) + "\n"
 
 
-def sessionize(point_groups, gap_threshold=DEFAULT_GAP_THRESHOLD, client_id="") -> list[Session]:
+def sessionize(point_groups, gap_threshold=DEFAULT_GAP_THRESHOLD, client_id="") -> Sessions:
     """Segment per-file point groups (Tracks) into sessions.
 
     Every file boundary starts a new session; intra-file gaps larger than
@@ -287,35 +301,16 @@ def sessionize(point_groups, gap_threshold=DEFAULT_GAP_THRESHOLD, client_id="") 
             f"client {client_id or '?'}: {len(overlaps)} overlapping trajectory file pair(s): {overlaps}",
             pairs=overlaps)
     if not groups:
-        return []
+        return Sessions(client_id, Track(*np.empty((3, 0))), [0])
     lat, lon, t = (np.concatenate([getattr(g, name) for g in groups]) for name in ("lat", "lon", "t"))
     gaps = np.diff(t)
     cut = gaps > gap_threshold
     joins = np.cumsum([len(g) for g in groups[:-1]], dtype=np.int64) - 1  # gap before each later file
     cut[joins] |= gaps[joins] > 0  # a later file continues a session only from its exact end
-    bounds = [0, *(np.flatnonzero(cut) + 1).tolist(), len(t)]
-    return [Session(client_id, Track(lat[a:b], lon[a:b], t[a:b])) for a, b in zip(bounds, bounds[1:])]
+    return Sessions(client_id, Track(lat, lon, t), [0, *(np.flatnonzero(cut) + 1).tolist(), len(t)])
 
 
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    """The parts end to end in one array. Parts that already lie end to end
-    in the array they were sliced from, as sessionize's sessions do, give
-    that array back without a copy."""
-    import numpy as np
-    base = parts[0].base
-    if base is not None and base.ndim == 1 and all(p.base is base for p in parts):
-        at = base.ctypes.data
-        for p in parts:
-            if not (p.ctypes.data == at and p.flags.c_contiguous):
-                break
-            at += p.nbytes
-        else:
-            if at == base.ctypes.data + base.nbytes:
-                return base
-    return np.concatenate(parts)
-
-
-def map_to_node_visits(sessions: list[Session], topo: Topology) -> list[list[NodeVisit]]:
+def map_to_node_visits(sessions: Sessions, topo: Topology) -> list[list[NodeVisit]]:
     """Each session's node visits: every point of the client is assigned its
     nearest node in one pass, and consecutive equal assignments within a
     session collapse into one visit. A visit's departure is the next visit's
@@ -323,17 +318,16 @@ def map_to_node_visits(sessions: list[Session], topo: Topology) -> list[list[Nod
     import numpy as np
     if not sessions:
         return []
-    lat, lon, t = (_joined([getattr(s.points, name) for s in sessions]) for name in ("lat", "lon", "t"))
-    starts = np.cumsum([0] + [len(s.points) for s in sessions])
-    nodes = nearest_nodes(lat, lon, topo)
+    points, starts = sessions.points, np.array(sessions.bounds)
+    nodes = nearest_nodes(points.lat, points.lon, topo)
     cut = np.diff(nodes) != 0
     cut[starts[1:-1] - 1] = True  # every session starts a new visit
     firsts = np.r_[0, np.flatnonzero(cut) + 1]
-    nodes, arrivals = nodes[firsts].tolist(), t[firsts].tolist()
-    ends = t[starts[1:] - 1].tolist()
-    bounds = np.searchsorted(firsts, starts).tolist()  # first visit of each session
+    nodes, arrivals = nodes[firsts].tolist(), points.t[firsts].tolist()
+    ends = points.t[starts[1:] - 1].tolist()
+    first_visit = np.searchsorted(firsts, starts).tolist()  # of each session, and the visit count
     visit_sessions = []
-    for a, b, end in zip(bounds, bounds[1:], ends):
+    for a, b, end in zip(first_visit, first_visit[1:], ends):
         arr = arrivals[a:b]
         visit_sessions.append([NodeVisit(*v) for v in zip(nodes[a:b], arr, arr[1:] + [end])])
     return visit_sessions
@@ -366,7 +360,7 @@ def load_geolife_dir(root, topo, gap_threshold=DEFAULT_GAP_THRESHOLD,
     no directory is a DataError."""
     try:
         import numpy  # noqa: F401 -- loaded before the first file is read, so parsing never pays for it
-    except ImportError:
+    except ModuleNotFoundError:
         raise ConfigError("GeoLife ingest needs numpy, which is not installed") from None
     root = Path(root)
     if not root.exists():

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from fogrep.errors import (ConfigError, DataError, EmptyTraceError,
                            TraceFormatError, TraceOverlapError)
 from fogrep.topology import build_grid
-from fogrep.traces import (ClientTimeline, GeoPoint, NodeVisit, Session,
-                           SchedulePattern, SyntheticSpec, Track, build_timeline,
+from fogrep.traces import (ClientTimeline, GeoPoint, NodeVisit, SchedulePattern,
+                           Sessions, SyntheticSpec, Track, build_timeline,
                            format_plt, map_to_node_visits, parse_plt,
                            parse_plt_rows, read_visits_csv, sessionize,
                            synth_generate, write_visits_csv)
-from fogrep.traces import _joined, _parse_columns
+from fogrep.traces import _parse_columns
 
 UNIT_BBOX = (0.0, 1.0, 0.0, 1.0)
 
@@ -185,6 +185,10 @@ def pts(*times, lat=0.2, lon=0.2):
     return track([GeoPoint(lat, lon, float(t)) for t in times])
 
 
+def one_session(points):
+    return Sessions("c", points, [0, len(points)])
+
+
 class TestSessionize:
     def test_one_file_one_session(self):
         sessions = sessionize([pts(0, 60, 120)])
@@ -222,6 +226,16 @@ class TestSessionize:
         sessions = sessionize([pts(100, 0, 50)])
         assert [p.t for p in sessions[0].points] == [0.0, 50.0, 100.0]
 
+    def test_sessions_are_views_of_one_set_of_columns(self):
+        sessions = sessionize([pts(0, 100, 500, 600), pts(900)], gap_threshold=300.0)
+        assert sessions.bounds == [0, 2, 4, 5]
+        assert [s.start for s in sessions] == [0.0, 500.0, 900.0]
+        assert sessions[-1].end == 900.0
+        with pytest.raises(IndexError):
+            sessions[3]
+        assert all(s.points.t.base is sessions.points.t for s in sessions)  # no copy
+        assert len(sessionize([pts()])) == 0
+
     def test_lower_threshold_never_fewer_sessions(self):
         rng = random.Random(13)
         times = sorted(rng.sample(range(0, 5000), 60))
@@ -234,28 +248,28 @@ class TestSessionize:
 class TestMapToNodeVisits:
     def test_constant_assignment(self):
         topo = build_grid(1, 2, UNIT_BBOX)  # node 0 at lon .25, node 1 at lon .75
-        session = Session("c", pts(0, 10, 20, lon=0.2))
-        assert map_to_node_visits([session], topo) == [[NodeVisit(0, 0.0, 20.0)]]
+        session = one_session(pts(0, 10, 20, lon=0.2))
+        assert map_to_node_visits(session, topo) == [[NodeVisit(0, 0.0, 20.0)]]
 
     def test_switch_at_first_new_nearest(self):
         topo = build_grid(1, 2, UNIT_BBOX)
-        session = Session("c", track([GeoPoint(0.5, 0.2, 0.0), GeoPoint(0.5, 0.3, 10.0),
-                                      GeoPoint(0.5, 0.8, 25.0), GeoPoint(0.5, 0.9, 40.0)]))
+        session = one_session(track([GeoPoint(0.5, 0.2, 0.0), GeoPoint(0.5, 0.3, 10.0),
+                                     GeoPoint(0.5, 0.8, 25.0), GeoPoint(0.5, 0.9, 40.0)]))
         # brute-force nearest scan on the 4-point fixture: 0.2, 0.3 -> node 0; 0.8, 0.9 -> node 1
-        assert map_to_node_visits([session], topo) == [[
+        assert map_to_node_visits(session, topo) == [[
             NodeVisit(0, 0.0, 25.0), NodeVisit(1, 25.0, 40.0)]]
 
     def test_equidistant_point_goes_to_lower_id(self):
         topo = build_grid(1, 2, UNIT_BBOX)
-        session = Session("c", track([GeoPoint(0.5, 0.5, 0.0)]))
-        assert map_to_node_visits([session], topo) == [[NodeVisit(0, 0.0, 0.0)]]
+        session = one_session(track([GeoPoint(0.5, 0.5, 0.0)]))
+        assert map_to_node_visits(session, topo) == [[NodeVisit(0, 0.0, 0.0)]]
 
     def test_idempotent(self):
         topo = build_grid(2, 2, UNIT_BBOX)
         rng = random.Random(5)
-        session = Session("c", track([GeoPoint(rng.random(), rng.random(), float(i * 10))
-                                      for i in range(30)]))
-        assert map_to_node_visits([session], topo) == map_to_node_visits([session], topo)
+        session = one_session(track([GeoPoint(rng.random(), rng.random(), float(i * 10))
+                                     for i in range(30)]))
+        assert map_to_node_visits(session, topo) == map_to_node_visits(session, topo)
 
     def test_session_that_starts_where_the_last_ended_gets_a_new_visit(self):
         topo = build_grid(1, 2, UNIT_BBOX)
@@ -263,18 +277,15 @@ class TestMapToNodeVisits:
         assert map_to_node_visits(sessions, topo) == [
             [NodeVisit(0, 0.0, 10.0)], [NodeVisit(0, 400.0, 410.0)], [NodeVisit(1, 900.0, 900.0)]]
 
-    def test_sessionize_views_and_copies_map_alike(self):
+    def test_one_pass_maps_each_session_as_on_its_own(self):
         topo = build_grid(3, 3, UNIT_BBOX)
         rng = random.Random(11)
         groups = [track([GeoPoint(rng.random(), rng.random(), float(t))
                          for t in range(k * 1000, k * 1000 + 400, 20)]) for k in range(5)]
         sessions = sessionize(groups, gap_threshold=100.0)
-        copies = [Session(s.client_id, Track(*(getattr(s.points, name).copy() for name in ("lat", "lon", "t"))))
-                  for s in sessions]
-        assert map_to_node_visits(sessions, topo) == map_to_node_visits(copies, topo) == \
-               [map_to_node_visits([s], topo)[0] for s in copies]
-        assert map_to_node_visits(sessions[::-1], topo) == map_to_node_visits(sessions, topo)[::-1]
-        assert _joined([s.points.lat for s in sessions]) is sessions[0].points.lat.base  # no copy
+        assert len(sessions) == 5
+        assert map_to_node_visits(sessions, topo) == \
+               [map_to_node_visits(one_session(s.points), topo)[0] for s in sessions]
 
 
 class TestBuildTimeline:
