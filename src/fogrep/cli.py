@@ -64,6 +64,8 @@ def _cmd_ingest(args) -> int:
         rows, cols = int(rows_s), int(cols_s)
     except ValueError:
         raise ConfigError(f"--grid: expected ROWSxCOLS, got {args.grid!r}")
+    if args.clients == []:
+        raise ConfigError("--clients: expected at least one user id; leave the option out to read every user")
     topo = build_grid(rows, cols, tuple(args.bbox))
     timelines = load_geolife_dir(args.geolife, topo, gap_threshold=args.gap_threshold,
                                  clients=args.clients)

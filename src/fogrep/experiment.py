@@ -123,10 +123,11 @@ def _clock(v) -> int:
     return int(match[1]) * 3600 + int(match[2]) * 60
 
 
-def _list_of(convert, length=None, unique=False):
+def _list_of(convert, length=None, unique=False, nonempty=False):
     def convert_list(v):
-        if not isinstance(v, list) or length not in (None, len(v)):
-            raise ValueError(f"expected a list{f' of {length} items' if length else ''}, got {v!r}")
+        if not isinstance(v, list) or length not in (None, len(v)) or (nonempty and not v):
+            what = f" of {length} items" if length else " of at least one item" if nonempty else ""
+            raise ValueError(f"expected a list{what}, got {v!r}")
         items = tuple(convert(x) for x in v)
         for k, x in enumerate(items):
             if unique and x in items[:k]:
@@ -269,7 +270,7 @@ TRACE_FIELDS = {
     "synthetic": {**_TRACE_COMMON,
                   "spec": ("spec", _strict((dict, str), "a mapping or a spec file path"))},
     "geolife": {**_TRACE_COMMON, "path": ("path", _text), "gap_threshold": ("gap_threshold", _positive),
-                "clients": ("clients", _list_of(_text))},
+                "clients": ("clients", _list_of(_text, nonempty=True))},
     "visits": {**_TRACE_COMMON, "path": ("path", _text)},
 }
 

@@ -10,6 +10,7 @@ retention policy at session ends.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -23,7 +24,7 @@ from .traces import NodeVisit
 PREDICTORS = ("baseline", *KINDS)
 STARTUP_MODES = ("none", "short_pause", "plmm")
 
-IMMEDIATE_BUFFER = 86400.0  # larger than any stay: replicate right away
+IMMEDIATE_BUFFER = math.inf  # larger than any stay: replicate right away
 
 
 @dataclass(frozen=True)

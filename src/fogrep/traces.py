@@ -12,6 +12,14 @@ client: ``sessionize`` returns a client's sessions as one set of columns and
 the index where each session starts (``Sessions``), and ``map_to_node_visits``
 finds the nearest node of every point in one ``nearest_nodes`` call.
 
+What a user's ingest holds: ``load_geolife_dir`` hands ``sessionize`` a
+generator that parses the user's files one at a time, so at most one file's
+text and row strings are alive beside the parsed columns. ``sessionize`` keeps
+a file's columns as parsed when the file is in time order and sorts a copy
+only of one that is not; joining the columns briefly holds them twice, then
+the per-file columns are freed. Mapping adds one int64 node per point and a
+byte per point for the run boundaries. Visits and pauses are slotted records.
+
 Only GeoLife ingest uses numpy: ``parse_plt_rows``, ``_parse_columns``,
 ``_clock_seconds``, ``Track.__getitem__``, ``sessionize`` and
 ``map_to_node_visits`` import it when called, and ``load_geolife_dir`` on
@@ -104,7 +112,7 @@ class Sessions(Sequence):
         return Session(self.client_id, self.points[self.bounds[i]:self.bounds[i + 1]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pause:
     client_id: str
     node: int  # node where the shutdown occurred
@@ -116,7 +124,7 @@ class Pause:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeVisit:
     node: int
     arrival: float
@@ -282,7 +290,8 @@ def format_plt(points) -> str:
 
 
 def sessionize(point_groups, gap_threshold=DEFAULT_GAP_THRESHOLD, client_id="") -> Sessions:
-    """Segment per-file point groups (Tracks) into sessions.
+    """Segment per-file point groups (Tracks, from any iterable, read once)
+    into sessions.
 
     Every file boundary starts a new session; intra-file gaps larger than
     gap_threshold split further. Files are ordered by first timestamp; a file
@@ -293,7 +302,9 @@ def sessionize(point_groups, gap_threshold=DEFAULT_GAP_THRESHOLD, client_id="") 
     import numpy as np
     if not gap_threshold > 0:  # a NaN fails this too
         raise ConfigError("gap_threshold must be > 0")
-    groups = [g[np.argsort(g.t, kind="stable")] for g in point_groups if len(g)]
+    # a file already in time order is kept as it is; a NaN time fails the test and is sorted
+    groups = [g if (np.diff(g.t) >= 0).all() else g[np.argsort(g.t, kind="stable")]
+              for g in point_groups if len(g)]
     groups.sort(key=lambda g: g.t[0])
     overlaps = [(i, i + 1) for i in range(len(groups) - 1) if groups[i + 1].t[0] < groups[i].t[-1]]
     if overlaps:
@@ -303,9 +314,10 @@ def sessionize(point_groups, gap_threshold=DEFAULT_GAP_THRESHOLD, client_id="") 
     if not groups:
         return Sessions(client_id, Track(*np.empty((3, 0))), [0])
     lat, lon, t = (np.concatenate([getattr(g, name) for g in groups]) for name in ("lat", "lon", "t"))
+    joins = np.cumsum([len(g) for g in groups[:-1]], dtype=np.int64) - 1  # gap before each later file
+    del groups  # the per-file columns are freed before the client is mapped
     gaps = np.diff(t)
     cut = gaps > gap_threshold
-    joins = np.cumsum([len(g) for g in groups[:-1]], dtype=np.int64) - 1  # gap before each later file
     cut[joins] |= gaps[joins] > 0  # a later file continues a session only from its exact end
     return Sessions(client_id, Track(lat, lon, t), [0, *(np.flatnonzero(cut) + 1).tolist(), len(t)])
 
@@ -320,7 +332,7 @@ def map_to_node_visits(sessions: Sessions, topo: Topology) -> list[list[NodeVisi
         return []
     points, starts = sessions.points, np.array(sessions.bounds)
     nodes = nearest_nodes(points.lat, points.lon, topo)
-    cut = np.diff(nodes) != 0
+    cut = nodes[1:] != nodes[:-1]
     cut[starts[1:-1] - 1] = True  # every session starts a new visit
     firsts = np.r_[0, np.flatnonzero(cut) + 1]
     nodes, arrivals = nodes[firsts].tolist(), points.t[firsts].tolist()
@@ -351,6 +363,18 @@ def build_timeline(client_id, point_groups, topo: Topology,
     timeline = ClientTimeline(client_id, visit_sessions, _pauses_between(client_id, visit_sessions))
     timeline.validate()
     return timeline
+
+
+def _parsed(files, root):
+    """parse_plt of each file in turn, so that the files of a user are
+    parsed as sessionize takes them; a data error names its file."""
+    for f in files:
+        try:
+            points = parse_plt(f.read_bytes())
+        except DataError as exc:
+            exc.args = (f"{f.relative_to(root)}: {exc}",)
+            raise
+        yield points
 
 
 def load_geolife_dir(root, topo, gap_threshold=DEFAULT_GAP_THRESHOLD,
@@ -384,9 +408,7 @@ def load_geolife_dir(root, topo, gap_threshold=DEFAULT_GAP_THRESHOLD,
         files = sorted((user_dir / "Trajectory").glob("*.plt"))
         if not files:
             raise EmptyTraceError(f"no .plt files under {user_dir / 'Trajectory'}")
-        # the parsed points live only for this call: one user's points in memory at a time
-        timelines.append(build_timeline(user_dir.name, [parse_plt(f.read_bytes()) for f in files],
-                                        topo, gap_threshold))
+        timelines.append(build_timeline(user_dir.name, _parsed(files, root), topo, gap_threshold))
     return timelines
 
 

@@ -446,6 +446,41 @@ class TestIngest:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err.endswith("for client(s) nope\n")
 
+    @pytest.mark.parametrize("rows, message", [
+        (["0.5,0.2,0,0,0,2008-01-03,08:00:00", "0.5,0.2,0,0,2008-01-03,08:01:00"],
+         "line 8: expected 7 fields, got 6"),
+        ([], "no data rows after header"),
+    ], ids=["short-row", "empty"])
+    def test_plt_data_errors_name_their_file(self, tmp_path, capsys, rows, message):
+        root = fake_geolife(tmp_path / "geolife")
+        write_plt(root / "Data" / "001" / "Trajectory" / "20080103000000.plt", rows)
+        code = main(["ingest", str(root), "--grid", "1x2", "--bbox", "0", "1", "0", "1",
+                     "--out", str(tmp_path / "v.csv")])
+        assert code == 3
+        path = Path("Data", "001", "Trajectory", "20080103000000.plt")
+        assert capsys.readouterr().err == f"data error: {path}: {message}\n"
+        assert not (tmp_path / "v.csv").exists()
+
+    def test_empty_client_list_is_a_config_error(self, tmp_path, capsys):
+        root = fake_geolife(tmp_path / "geolife")
+        code = main(["ingest", str(root), "--grid", "1x2", "--bbox", "0", "1", "0", "1",
+                     "--clients", "--out", str(tmp_path / "v.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: --clients: expected at least one user id")
+        assert not (tmp_path / "v.csv").exists()
+        cfg = tmp_path / "geo.yaml"
+        cfg.write_text(
+            "experiment: geo\n"
+            "trace:\n"
+            "  source: geolife\n"
+            f"  path: {root}\n"
+            "  clients: []\n"
+            "topology: {name: strip-2, rows: 1, cols: 2, bbox: [0, 1, 0, 1], transfer_delay: 30}\n"
+            "policies: [{name: baseline}]\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == \
+            "config error: trace.clients: expected a list of at least one item, got [] (line 5)\n"
+
     def test_ingest_without_numpy_is_a_config_error(self, tmp_path):
         script = ("import sys\n"
                   "sys.modules['numpy'] = None\n"

@@ -74,6 +74,16 @@ class TestHandWalkedRuns:
         result = run([tl], topo3(), FixedDelay(300.0), config)
         assert result.ledger.intervals("c", B)[1] == (86400.0 + 300.0, 86400.0 + 2000.0)
 
+    def test_default_buffer_preloads_right_away_for_any_stay(self):
+        # a stay of 100,000 s at A, longer than a day: with no preload_buffer
+        # the preload of B still starts on arrival at A
+        config = PolicyConfig(name="vomm", predictor="vomm", k=1)
+        day = [(A, 0, 100000), (B, 100000, 100600)]
+        later = [(n, a + 633600, d + 633600) for n, a, d in day]
+        result = run([timeline("c", day, later)], topo3(), FixedDelay(60.0), config)
+        starts = [e.t for e in result.event_log if e.kind == "TransferStart" and e.node == B]
+        assert starts == [100000.0, 633600.0]
+
 
 class TestRetention:
     def retained_config(self, duration=600.0):

@@ -1,6 +1,8 @@
 import calendar
+import pickle
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +12,12 @@ from hypothesis import strategies as st
 from fogrep.errors import (ConfigError, DataError, EmptyTraceError,
                            TraceFormatError, TraceOverlapError)
 from fogrep.topology import build_grid
-from fogrep.traces import (ClientTimeline, GeoPoint, NodeVisit, SchedulePattern,
-                           Sessions, SyntheticSpec, Track, build_timeline,
-                           format_plt, map_to_node_visits, parse_plt,
-                           parse_plt_rows, read_visits_csv, sessionize,
-                           synth_generate, write_visits_csv)
+from fogrep.traces import (ClientTimeline, GeoPoint, NodeVisit, Pause,
+                           SchedulePattern, Sessions, SyntheticSpec, Track,
+                           build_timeline, format_plt, load_geolife_dir,
+                           map_to_node_visits, parse_plt, parse_plt_rows,
+                           read_visits_csv, sessionize, synth_generate,
+                           write_visits_csv)
 from fogrep.traces import _parse_columns
 
 UNIT_BBOX = (0.0, 1.0, 0.0, 1.0)
@@ -236,6 +239,14 @@ class TestSessionize:
         assert all(s.points.t.base is sessions.points.t for s in sessions)  # no copy
         assert len(sessionize([pts()])) == 0
 
+    def test_files_are_taken_as_they_come(self):
+        """The files may come from a one-pass iterator, in any order, some
+        already in time order and some not."""
+        files = iter([pts(700, 900), pts(50, 0, 100), pts(100, 300)])
+        sessions = sessionize(files, gap_threshold=1000.0)
+        assert sessions.points.t.tolist() == [0.0, 50.0, 100.0, 100.0, 300.0, 700.0, 900.0]
+        assert sessions.bounds == [0, 5, 7]
+
     def test_lower_threshold_never_fewer_sessions(self):
         rng = random.Random(13)
         times = sorted(rng.sample(range(0, 5000), 60))
@@ -317,6 +328,55 @@ class TestBuildTimeline:
         observed = tl.last_t - tl.first_t
         total = tl.active_seconds() + sum(p.duration for p in tl.pauses)
         assert total == pytest.approx(observed, abs=1e-9)
+
+
+class TestIngestMemory:
+    FILES, POINTS = 64, 250  # one user, 16,000 points: 375 kB of float64 columns
+
+    def one_user_tree(self, root):
+        """Time-ordered files of points that stay in one of four cells for 600 s at a time."""
+        rng = random.Random(5)
+        traj = root / "Data" / "000" / "Trajectory"
+        traj.mkdir(parents=True)
+        t = 1_200_000_000
+        for k in range(self.FILES):
+            points = []
+            for _ in range(self.POINTS):
+                points.append(GeoPoint(0.125 + 0.25 * (t // 600 % 4) + rng.uniform(-0.05, 0.05),
+                                       0.375 + rng.uniform(-0.05, 0.05), float(t)))
+                t += rng.choice([1, 2, 5])
+            (traj / f"{k:03d}.plt").write_text(format_plt(points))
+            t += 3600
+        return sorted(traj.iterdir())
+
+    def test_ingest_holds_the_user_columns_about_twice(self, tmp_path):
+        """load_geolife_dir's traced peak stays under 2.5 times the user's
+        column bytes plus the peak of parsing its largest file: the parsed
+        files are joined once, and nothing else holds them meanwhile."""
+        files = self.one_user_tree(tmp_path)
+        topo = build_grid(4, 4, UNIT_BBOX)
+        load_geolife_dir(tmp_path, topo)  # the grid's first query builds its arrays once
+        largest = max((f.read_bytes() for f in files), key=len)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            parse_plt(largest)
+            one_parse = tracemalloc.get_traced_memory()[1] - start
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            timelines = load_geolife_dir(tmp_path, topo)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        columns = self.FILES * self.POINTS * 3 * 8
+        assert sum(map(len, timelines[0].sessions)) < self.FILES * self.POINTS / 50  # few visits
+        assert peak < 2.5 * columns + one_parse
+
+    def test_slotted_records_pickle_and_compare(self):
+        visit, pause = NodeVisit(3, 1.5, 2.5), Pause("c", 3, 2.5, 9.0)
+        assert not hasattr(visit, "__dict__") and not hasattr(pause, "__dict__")
+        assert pickle.loads(pickle.dumps([visit, pause])) == [visit, pause]
+        assert visit == NodeVisit(3, 1.5, 2.5) and hash(visit) == hash(NodeVisit(3, 1.5, 2.5))
 
 
 WEEKDAYS = ["mon", "tue", "wed", "thu", "fri"]
