@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import ConfigError, DataError
 from .topology import BEIJING_BBOX, build_grid, dump_topology
-from .traces import DEFAULT_GAP_THRESHOLD, load_geolife_dir, write_visits_csv
+from .traces import DEFAULT_GAP_THRESHOLD, load_geolife_dir, replacing_file, write_visits_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -71,7 +71,7 @@ def _cmd_ingest(args) -> int:
                                  clients=args.clients)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as fh:
+    with replacing_file(out) as fh:
         write_visits_csv(timelines, fh)
     if args.dump_topology:
         Path(args.dump_topology).write_text(dump_topology(topo))
@@ -106,6 +106,8 @@ def _cmd_report(args) -> int:
     for p in args.results:
         if not Path(p).exists():
             raise DataError(f"results file not found: {p}")
+        if not Path(p).is_file():
+            raise DataError(f"results path is not a file: {p}")
     rows = merge_results(args.results)
     if args.out:
         write_results_csv(rows, args.out)

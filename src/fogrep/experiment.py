@@ -33,8 +33,8 @@ from .topology import (BEIJING_BBOX, DEFAULT_EDGE_RATE, DEFAULT_UPLINK_RATE,
                        FixedDelay, FlowGraph, Topology, build_complex_network,
                        build_grid)
 from .traces import (DEFAULT_GAP_THRESHOLD, SchedulePattern, SyntheticSpec,
-                     load_geolife_dir, read_visits_csv, synth_generate,
-                     write_visits_csv)
+                     load_geolife_dir, read_visits_csv, replacing_file,
+                     synth_generate, write_visits_csv)
 
 GEOLIFE_TZ_OFFSET = 8 * 3600.0
 MAX_SERIES_POINTS = 1_000_000  # a year at one-minute buckets is 525,600 points
@@ -416,6 +416,8 @@ def load_experiment_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    if not path.is_file():
+        raise ConfigError(f"config path is not a file: {path}")
     return parse_experiment_config(path.read_text(), source=str(path), config_dir=path.parent)
 
 
@@ -442,11 +444,13 @@ def load_traces(cfg: ExperimentConfig, topo: Topology, topo_name: str):
             timelines = load_geolife_dir(trace.path, topo, gap_threshold=trace.gap_threshold,
                                          clients=trace.clients)
             cfg.output.mkdir(parents=True, exist_ok=True)
-            with open(path, "w") as fh:
+            with replacing_file(path) as fh:
                 write_visits_csv(timelines, fh)
             return timelines
     if not path.exists():
         raise DataError(f"visits file not found: {path}")
+    if not path.is_file():
+        raise DataError(f"visits path is not a file: {path}")
     with open(path) as fh:
         return read_visits_csv(fh)
 

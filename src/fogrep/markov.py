@@ -276,10 +276,6 @@ class MarkovPredictor:
                            for t, rec in ctx.items())
         return b"".join(out)
 
-    def save(self, path):
-        with open(path, "wb") as fh:
-            fh.write(self.save_bytes())
-
     @staticmethod
     def load_bytes(data: bytes) -> "MarkovPredictor":
         if not data.startswith(_MAGIC):
@@ -288,11 +284,6 @@ class MarkovPredictor:
             return _decode(data, len(_MAGIC))
         except (struct.error, ValueError, KeyError, TypeError, ConfigError) as exc:
             raise DataError(f"corrupt predictor file: {exc}") from exc
-
-    @staticmethod
-    def load(path) -> "MarkovPredictor":
-        with open(path, "rb") as fh:
-            return MarkovPredictor.load_bytes(fh.read())
 
 
 def dynamic_topn(preds, threshold=None, fixed_n=None, include_eot=True) -> list[int]:

@@ -5,8 +5,11 @@ availability is the fraction of application-active time during which the
 current closest node held the replica, excess data is all remaining presence
 time divided by active time (preloads before arrival, late deletions, wrong
 nodes, and retention during pauses all land here). Data in transit counts as
-present nowhere. The cumulative availability series is one forward sweep
-over a client's sessions and visits, and ignores ``metrics.window``.
+present nowhere. ``compute_report`` is the one place both ratios are formed:
+per client from ``active_time``, ``covered_time`` and ``presence_time``, and
+over all clients from their sums. The cumulative availability series is one
+forward sweep over a client's sessions and visits, and ignores
+``metrics.window``.
 """
 from __future__ import annotations
 
@@ -70,24 +73,6 @@ def presence_time(ledger: ReplicaLedger, client, window=None) -> float:
             if b > a:
                 total += b - a
     return total
-
-
-def availability(ledger: ReplicaLedger, timeline: ClientTimeline, window=None) -> float:
-    active = active_time(timeline, window)
-    if active <= 0:
-        raise UndefinedMetricError(f"client {timeline.client_id}: no active time")
-    return covered_time(ledger, timeline, window) / active
-
-
-def excess_data(ledger: ReplicaLedger, timeline: ClientTimeline, window=None) -> float:
-    """Presence time not justified by the active client at that node, over
-    active time. Ranges from 0 (the optimum) to unbounded."""
-    active = active_time(timeline, window)
-    if active <= 0:
-        raise UndefinedMetricError(f"client {timeline.client_id}: no active time")
-    covered = covered_time(ledger, timeline, window)
-    presence = presence_time(ledger, timeline.client_id, window)
-    return (presence - covered) / active
 
 
 def series_step(t, bucket) -> float:

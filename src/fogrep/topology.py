@@ -216,11 +216,6 @@ def _grid_axes(nodes):
 _NEAREST_SLICE = 1 << 11
 
 
-def nearest_node(lat, lon, topo: Topology) -> int:
-    """nearest_nodes for one point."""
-    return int(nearest_nodes([lat], [lon], topo)[0])
-
-
 def _scan(lats, lons, topo: Topology) -> np.ndarray:
     """Nearest edge node by comparing every point with every node."""
     import numpy as np
@@ -379,27 +374,3 @@ def dump_topology(topo: Topology) -> str:
     for link in topo.links:
         lines.append("link %d %d %r" % (link.a, link.b, link.rate))
     return "\n".join(lines) + "\n"
-
-
-def load_topology(text: str) -> Topology:
-    nodes, routers, links = [], [], []
-    grid = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "grid":
-                grid = GridSpec(int(parts[1]), int(parts[2]), tuple(float(x) for x in parts[3:7]))
-            elif parts[0] == "node":
-                nodes.append(FogNode(int(parts[1]), float(parts[3]), float(parts[4]), parts[2]))
-            elif parts[0] == "router":
-                routers.append(int(parts[1]))
-            elif parts[0] == "link":
-                links.append(Link(int(parts[1]), int(parts[2]), float(parts[3])))
-            else:
-                raise ValueError(f"unknown record {parts[0]!r}")
-        except (IndexError, ValueError) as exc:
-            raise ConfigError(f"topology file line {lineno}: {exc}") from exc
-    return Topology(nodes, routers=routers, links=links, grid=grid)

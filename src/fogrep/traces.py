@@ -9,8 +9,12 @@ seconds from a naive UTC parse of the file's date/time strings; time-of-day
 bucketing applies a timezone offset downstream. Points travel as float64
 columns (``Track``) from the parsed file to the node visits. Mapping is per
 client: ``sessionize`` returns a client's sessions as one set of columns and
-the index where each session starts (``Sessions``), and ``map_to_node_visits``
-finds the nearest node of every point in one ``nearest_nodes`` call.
+the index where each session starts (``Sessions``: ``points`` and ``bounds``,
+with no per-session objects), and ``map_to_node_visits`` finds the nearest
+node of every point in one ``nearest_nodes`` call. A data error in a
+user's files (a malformed file, or two files that overlap in time) names
+the files relative to the GeoLife root. A visits file is written through
+``replacing_file``, so an interrupted write leaves no file in its place.
 
 What a user's ingest holds: ``load_geolife_dir`` hands ``sessionize`` a
 generator that parses the user's files one at a time, so at most one file's
@@ -30,8 +34,9 @@ from __future__ import annotations
 import calendar
 import csv
 import math
+import os
 import time
-from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
 from itertools import repeat
@@ -80,36 +85,17 @@ class Track:
         return Track(self.lat[i], self.lon[i], self.t[i])
 
 
-@dataclass(eq=False)
-class Session:
-    """One contiguous period of application activity, as raw GPS points."""
-    client_id: str
-    points: Track
-
-    @property
-    def start(self) -> float:
-        return float(self.points.t[0])
-
-    @property
-    def end(self) -> float:
-        return float(self.points.t[-1])
-
-
 @dataclass(frozen=True, eq=False)
-class Sessions(Sequence):
+class Sessions:
     """A client's sessions, in time order, as one set of columns: session i
     is ``points[bounds[i]:bounds[i + 1]]``, and the last bound is
-    ``len(points)``. Indexing gives a Session viewing its slice."""
+    ``len(points)``."""
     client_id: str
     points: Track
     bounds: list[int]
 
     def __len__(self) -> int:
         return len(self.bounds) - 1
-
-    def __getitem__(self, i: int) -> Session:
-        i = range(len(self))[i]
-        return Session(self.client_id, self.points[self.bounds[i]:self.bounds[i + 1]])
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,9 +132,6 @@ class ClientTimeline:
     @property
     def last_t(self) -> float:
         return self.sessions[-1][-1].departure
-
-    def active_seconds(self) -> float:
-        return sum(s[-1].departure - s[0].arrival for s in self.sessions)
 
     def validate(self):
         if not self.sessions:
@@ -295,26 +278,27 @@ def sessionize(point_groups, gap_threshold=DEFAULT_GAP_THRESHOLD, client_id="") 
 
     Every file boundary starts a new session; intra-file gaps larger than
     gap_threshold split further. Files are ordered by first timestamp; a file
-    starting before the previous one ends is an overlap error. A file starting
-    exactly when the previous ends merges into the same session (a pause must
-    have positive duration).
+    starting before the previous one ends is an overlap error, whose pairs
+    are the files' positions in ``point_groups``. A file starting exactly
+    when the previous ends merges into the same session (a pause must have
+    positive duration).
     """
     import numpy as np
     if not gap_threshold > 0:  # a NaN fails this too
         raise ConfigError("gap_threshold must be > 0")
     # a file already in time order is kept as it is; a NaN time fails the test and is sorted
-    groups = [g if (np.diff(g.t) >= 0).all() else g[np.argsort(g.t, kind="stable")]
-              for g in point_groups if len(g)]
-    groups.sort(key=lambda g: g.t[0])
-    overlaps = [(i, i + 1) for i in range(len(groups) - 1) if groups[i + 1].t[0] < groups[i].t[-1]]
+    groups = [(i, g if (np.diff(g.t) >= 0).all() else g[np.argsort(g.t, kind="stable")])
+              for i, g in enumerate(point_groups) if len(g)]
+    groups.sort(key=lambda ig: ig[1].t[0])
+    overlaps = [(i, j) for (i, a), (j, b) in zip(groups, groups[1:]) if b.t[0] < a.t[-1]]
     if overlaps:
         raise TraceOverlapError(
             f"client {client_id or '?'}: {len(overlaps)} overlapping trajectory file pair(s): {overlaps}",
             pairs=overlaps)
     if not groups:
         return Sessions(client_id, Track(*np.empty((3, 0))), [0])
-    lat, lon, t = (np.concatenate([getattr(g, name) for g in groups]) for name in ("lat", "lon", "t"))
-    joins = np.cumsum([len(g) for g in groups[:-1]], dtype=np.int64) - 1  # gap before each later file
+    lat, lon, t = (np.concatenate([getattr(g, name) for _, g in groups]) for name in ("lat", "lon", "t"))
+    joins = np.cumsum([len(g) for _, g in groups[:-1]], dtype=np.int64) - 1  # gap before each later file
     del groups  # the per-file columns are freed before the client is mapped
     gaps = np.diff(t)
     cut = gaps > gap_threshold
@@ -391,6 +375,8 @@ def load_geolife_dir(root, topo, gap_threshold=DEFAULT_GAP_THRESHOLD,
         raise DataError(
             f"GeoLife directory not found: {root}. Download the 'GeoLife GPS Trajectories 1.3' "
             "dataset; its folder contains Data/<user>/Trajectory/*.plt")
+    if not root.is_dir():
+        raise DataError(f"GeoLife path is not a directory: {root}")
     data = root / "Data" if (root / "Data").is_dir() else root
     user_dirs = sorted(d for d in data.iterdir() if (d / "Trajectory").is_dir())
     if clients is not None:
@@ -408,7 +394,13 @@ def load_geolife_dir(root, topo, gap_threshold=DEFAULT_GAP_THRESHOLD,
         files = sorted((user_dir / "Trajectory").glob("*.plt"))
         if not files:
             raise EmptyTraceError(f"no .plt files under {user_dir / 'Trajectory'}")
-        timelines.append(build_timeline(user_dir.name, _parsed(files, root), topo, gap_threshold))
+        try:
+            timelines.append(build_timeline(user_dir.name, _parsed(files, root), topo, gap_threshold))
+        except TraceOverlapError as exc:
+            named = "; ".join(f"{files[i].relative_to(root)} and {files[j].relative_to(root)}"
+                              for i, j in exc.pairs)
+            exc.args = (f"client {user_dir.name}: {len(exc.pairs)} overlapping trajectory file pair(s): {named}",)
+            raise
     return timelines
 
 
@@ -481,6 +473,22 @@ def synth_generate(spec: SyntheticSpec, noise_seed=None) -> ClientTimeline:
 # Cached node-visit CSV
 
 VISITS_HEADER = ["client_id", "session_id", "node_id", "arrival_epoch_s", "departure_epoch_s"]
+
+
+@contextmanager
+def replacing_file(path):
+    """A text file to write in place of ``path``. It is written as the sibling
+    ``<name>.partial`` and moved onto ``path`` only when the block completes,
+    so an interrupted write never leaves a file that reads as whole."""
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with open(partial, "w") as fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def write_visits_csv(timelines, fileobj):

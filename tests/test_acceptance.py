@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import pytest
 
 from fogrep.markov import SubModelSpec, TargetRecord, dynamic_topn, make_model
-from fogrep.metrics import availability, compute_report, excess_data
+from fogrep.metrics import compute_report
 from fogrep.policies import PolicyConfig
 from fogrep.simengine import run
 from fogrep.topology import (FixedDelay, FlowGraph, build_complex_network,
@@ -90,8 +90,8 @@ def test_criterion_3_baseline_zero_excess():
         for _ in range(100):
             timelines, topo, network, _ = make_micro_scenario(rng)
             ledger = run(timelines, topo, network, baseline, record_log=False).ledger
-            for tl in timelines:
-                assert excess_data(ledger, tl) == 0.0
+            for m in compute_report(ledger, timelines).per_client:
+                assert m.excess_ratio == 0.0
 
 
 def commuter_timeline(weeks, jitter=0.0, seed=None, varied_stays=False):
@@ -116,7 +116,7 @@ def test_criterion_4_periodic_trace_convergence():
                               topn_mode="fixed", topn_n=1, preload_buffer=86400.0)
         result = run([tl], topo, FixedDelay(300.0), config, record_log=False)
         window = (MONDAY_ANCHOR + 2 * WEEK, MONDAY_ANCHOR + 12 * WEEK)
-        measured = availability(result.ledger, tl, window=window)
+        measured = compute_report(result.ledger, [tl], window=window).per_client[0].availability
         # the best any policy can do without startup prediction: every session
         # start pays min(transfer, first stay), everything else is covered
         active = miss = 0.0
@@ -154,7 +154,8 @@ def test_criterion_5_preload_buffer_monotonicity():
             config = PolicyConfig(name=f"buf{buffer_s}", predictor="vomm", k=2,
                                   topn_mode="fixed", topn_n=1, preload_buffer=buffer_s)
             result = run([tl], topo, FixedDelay(300.0), config, record_log=False)
-            results.append((availability(result.ledger, tl), excess_data(result.ledger, tl)))
+            m = compute_report(result.ledger, [tl]).per_client[0]
+            results.append((m.availability, m.excess_ratio))
         avails = [a for a, _ in results]
         excesses = [e for _, e in results]
         assert avails == sorted(avails)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fogrep import experiment
+from fogrep import cli, experiment
 from fogrep.cli import main
 from fogrep.errors import ConfigError
 from fogrep.experiment import (load_experiment_config, load_traces,
@@ -221,6 +221,17 @@ class TestRun:
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.yaml")]) == 2
 
+    def test_config_path_that_is_a_directory_is_a_config_error(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: config path is not a file: {tmp_path}\n"
+
+    def test_visits_path_that_is_a_directory_is_a_data_error(self, tmp_path, capsys):
+        (tmp_path / "visits.csv").mkdir()
+        cfg = tmp_path / "dir.yaml"
+        cfg.write_text(error_config())
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"data error: visits path is not a file: {tmp_path / 'visits.csv'}\n"
+
     def test_window_without_activity_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "window.yaml"
         cfg.write_text(SMOKE_CONFIG.read_text().replace("window: [950400, 2160000]", "window: [0, 1000]"))
@@ -370,6 +381,31 @@ class TestIngest:
         assert ingested == [300.0, 150.0]
         assert len(list(out.glob("visits_strip-2_*.csv"))) == 2
 
+    def test_interrupted_cache_write_is_not_reused(self, tmp_path, monkeypatch):
+        """A run stopped while it writes the GeoLife cache leaves no cache
+        file, so the next run ingests again and sees every client."""
+        root = fake_geolife(tmp_path / "geolife")
+        cfg = tmp_path / "geo.yaml"
+        cfg.write_text(
+            "experiment: geo\n"
+            f"trace: {{source: geolife, path: {root}}}\n"
+            "topology: {name: strip-2, rows: 1, cols: 2, bbox: [0, 1, 0, 1], transfer_delay: 30}\n"
+            "policies: [{name: baseline}]\n")
+        out = tmp_path / "out"
+
+        def interrupted(timelines, fh):
+            write_visits_csv(timelines[:1], fh)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(experiment, "write_visits_csv", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", str(cfg), "--out", str(out)])
+        assert list(out.iterdir()) == []
+        monkeypatch.undo()
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        report = (out / "baseline__strip-2" / "report.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in report[1:]] == ["000", "001", "ALL"]
+
     @settings(max_examples=15, deadline=None)
     @given(rows=st.integers(1, 6), cols=st.integers(1, 6),
            bbox=st.sampled_from([(0.0, 1.0, 0.0, 1.0), BEIJING_BBOX, (39.9, 39.9 + 1e-9, 116.4, 116.4 + 1e-9)]),
@@ -512,15 +548,46 @@ class TestIngest:
         assert code == 3
         assert "GeoLife" in capsys.readouterr().err
 
+    def test_ingest_of_a_file_is_a_data_error(self, tmp_path, capsys):
+        plt = tmp_path / "20080101000000.plt"
+        write_plt(plt, ["0.5,0.2,0,0,0,2008-01-01,08:00:00"])
+        assert main(["ingest", str(plt), "--out", str(tmp_path / "v.csv")]) == 3
+        assert capsys.readouterr().err == f"data error: GeoLife path is not a directory: {plt}\n"
+
+    def test_overlapping_files_are_named(self, tmp_path, capsys):
+        traj = tmp_path / "geolife" / "Data" / "000" / "Trajectory"
+        for name, start, end in (("a", "08:00", "08:30"), ("b", "07:00", "07:10"), ("c", "08:10", "08:20")):
+            write_plt(traj / f"{name}.plt", [f"0.5,0.2,0,0,0,2008-01-01,{start}:00",
+                                             f"0.5,0.2,0,0,0,2008-01-01,{end}:00"])
+        code = main(["ingest", str(tmp_path / "geolife"), "--grid", "1x2", "--bbox", "0", "1", "0", "1",
+                     "--out", str(tmp_path / "v.csv")])
+        assert code == 3
+        a, c = (Path("Data", "000", "Trajectory", name) for name in ("a.plt", "c.plt"))
+        assert capsys.readouterr().err == \
+               f"data error: client 000: 1 overlapping trajectory file pair(s): {a} and {c}\n"
+
+    def test_interrupted_ingest_leaves_no_visits_file(self, tmp_path, monkeypatch):
+        root = fake_geolife(tmp_path / "geolife")
+
+        def interrupted(timelines, fh):
+            write_visits_csv(timelines[:1], fh)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "write_visits_csv", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["ingest", str(root), "--grid", "1x2", "--bbox", "0", "1", "0", "1",
+                  "--out", str(tmp_path / "v.csv")])
+        assert list(tmp_path.iterdir()) == [root]  # neither v.csv nor v.csv.partial
+
     def test_ingest_topology_dump(self, tmp_path):
         root = fake_geolife(tmp_path / "geolife")
         topo_file = tmp_path / "topo.txt"
         code = main(["ingest", str(root), "--grid", "1x2", "--bbox", "0", "1", "0", "1",
                      "--out", str(tmp_path / "v.csv"), "--dump-topology", str(topo_file)])
         assert code == 0
-        from fogrep.topology import load_topology
-        topo = load_topology(topo_file.read_text())
-        assert len(topo.edge_nodes) == 2
+        assert topo_file.read_text() == ("grid 1 2 0.0 1.0 0.0 1.0\n"
+                                         "node 0 edge 0.5 0.25\n"
+                                         "node 1 edge 0.5 0.75\n")
 
 
 class TestReport:
@@ -548,6 +615,10 @@ class TestReport:
 
     def test_missing_results_file(self, tmp_path):
         assert main(["report", str(tmp_path / "none.csv")]) == 3
+
+    def test_results_path_that_is_a_directory_is_a_data_error(self, tmp_path, capsys):
+        assert main(["report", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == f"data error: results path is not a file: {tmp_path}\n"
 
 
 def error_config(top="seed: 1", topo="rows: 1", policy="predictor: baseline",

@@ -281,14 +281,12 @@ class TestMemoryAndPersistence:
             assert size >= prev
             prev = size
 
-    def test_save_load_round_trip(self, tmp_path):
+    def test_save_load_round_trip(self):
         m = make_model("fomm", 2, day_splits=(1, 7), time_splits=(1, 24), tz_offset=8 * 3600.0)
         m.train_session(visits(("A", 0, 600), ("B", 600, 900), ("C", 900, 1000)),
                         ts("2008-10-23", "02:53:04"))
         m.train_session(visits(("A", 0, 500), ("C", 500, 900)), ts("2008-10-24", "08:00:00"))
-        path = tmp_path / "model.bin"
-        m.save(path)
-        loaded = MarkovPredictor.load(path)
+        loaded = MarkovPredictor.load_bytes(m.save_bytes())
         assert loaded.save_bytes() == m.save_bytes()
         assert loaded.predict([A, B], ts("2008-10-23", "02:53:04")) == \
                m.predict([A, B], ts("2008-10-23", "02:53:04"))

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from fogrep import metrics
 from fogrep.errors import ConfigError, UndefinedMetricError
-from fogrep.metrics import (_overlap, availability, availability_series, compute_report,
-                            excess_data, write_report_csv)
+from fogrep.metrics import _overlap, availability_series, compute_report, write_report_csv
 from fogrep.policies import PolicyConfig
 from fogrep.simengine import ReplicaLedger, run, snapshot_memory
 from fogrep.topology import FixedDelay, build_grid
@@ -30,6 +29,11 @@ def timeline(client_id, *sessions):
     return ClientTimeline(client_id, visit_sessions, pauses)
 
 
+def row(ledger, tl, window=None):
+    """The client's row of a one-client report."""
+    return compute_report(ledger, [tl], window=window).per_client[0]
+
+
 def ledger_of(client_id, entries):
     ledger = ReplicaLedger()
     for node, intervals in entries.items():
@@ -42,56 +46,59 @@ class TestAvailability:
     def test_half_covered(self):
         tl = timeline("c", [(A, 0, 100)])
         ledger = ledger_of("c", {A: [(0, 50)]})
-        assert availability(ledger, tl) == 0.50
+        assert row(ledger, tl).availability == 0.50
 
     def test_full_coverage(self):
         tl = timeline("c", [(A, 0, 100), (B, 100, 300)])
         ledger = ledger_of("c", {A: [(0, 100)], B: [(100, 300)]})
-        assert availability(ledger, tl) == 1.0
+        assert row(ledger, tl).availability == 1.0
 
     def test_presence_at_wrong_node_does_not_count(self):
         tl = timeline("c", [(A, 0, 100)])
         ledger = ledger_of("c", {B: [(0, 100)]})
-        assert availability(ledger, tl) == 0.0
+        assert row(ledger, tl).availability == 0.0
 
     def test_zero_active_time_undefined(self):
         tl = timeline("c", [(A, 5, 5)])
-        with pytest.raises(UndefinedMetricError):
-            availability(ledger_of("c", {}), tl)
+        with pytest.raises(UndefinedMetricError, match="no active time"):
+            compute_report(ledger_of("c", {}), [tl])
+        # one idle client among active ones has no ratios of its own
+        report = compute_report(ledger_of("c", {}), [tl, timeline("d", [(A, 0, 10)])])
+        assert math.isnan(report.per_client[0].availability) and report.availability == 0.0
 
     def test_window_restriction(self):
         tl = timeline("c", [(A, 0, 100)])
         ledger = ledger_of("c", {A: [(0, 50)]})
-        assert availability(ledger, tl, window=(0, 50)) == 1.0
-        assert availability(ledger, tl, window=(50, 100)) == 0.0
+        assert row(ledger, tl, window=(0, 50)).availability == 1.0
+        assert row(ledger, tl, window=(50, 100)).availability == 0.0
 
 
 class TestExcessData:
     def test_wrong_node_half(self):
         tl = timeline("c", [(A, 0, 100)])
         ledger = ledger_of("c", {A: [(0, 100)], B: [(25, 75)]})
-        assert excess_data(ledger, tl) == 0.50
+        assert row(ledger, tl).excess_ratio == 0.50
 
     def test_baseline_zero_exact(self):
         tl = timeline("c", [(A, 0, 1000), (B, 1000, 2000)], [(A, 3000, 4000)])
         result = run([tl], build_grid(1, 3, UNIT_BBOX), FixedDelay(300.0), PolicyConfig())
-        assert excess_data(result.ledger, tl) == 0.0
+        assert row(result.ledger, tl).excess_ratio == 0.0
 
     def test_preload_window_counts(self):
         # replica at B during [700, 1000) before the client arrives at 1000
         tl = timeline("c", [(A, 0, 1000), (B, 1000, 2000)])
         ledger = ledger_of("c", {A: [(300, 1000)], B: [(700, 2000)]})
-        assert excess_data(ledger, tl) == 300.0 / 2000.0
+        assert row(ledger, tl).excess_ratio == 300.0 / 2000.0
 
     def test_retention_during_pause_counts(self):
         tl = timeline("c", [(A, 0, 100)], [(A, 200, 300)])
         ledger = ledger_of("c", {A: [(0, 300)]})
-        assert excess_data(ledger, tl) == 100.0 / 200.0
+        assert row(ledger, tl).excess_ratio == 100.0 / 200.0
 
     def test_can_exceed_one(self):
         tl = timeline("c", [(A, 0, 100)])
         ledger = ledger_of("c", {B: [(0, 100)], C: [(0, 100)]})
-        assert excess_data(ledger, tl) == 2.0
+        assert row(ledger, tl).excess_ratio == 2.0
 
 
 class TestPartitionInvariant:
@@ -261,8 +268,8 @@ class TestAggregation:
         active = 1200.0
         pause = 1200.0
         expected = (n_nodes - 1) + n_nodes * pause / active
-        assert excess_data(ledger, tl) == expected
-        assert availability(ledger, tl) == 1.0
+        assert row(ledger, tl).excess_ratio == expected
+        assert row(ledger, tl).availability == 1.0
 
     def test_report_csv_shape(self, tmp_path):
         tl = timeline("c", [(A, 0, 100)])

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from fogrep.errors import ConfigError, TopologyError
 from fogrep.topology import (BEIJING_BBOX, FixedDelay, FlowGraph, FogNode,
-                             Link, Topology, build_complex_network, build_grid,
-                             dump_topology, load_topology, nearest_node,
-                             nearest_nodes, transfer_time)
+                             GridSpec, Link, Topology, build_complex_network,
+                             build_grid, dump_topology, nearest_nodes,
+                             transfer_time)
 
 from oracles import brute_force_nearest, min_hop_path
 
@@ -43,20 +43,20 @@ class TestBuildGrid:
 class TestNearestNode:
     def test_exact_position(self):
         topo = build_grid(3, 3, UNIT_BBOX)
-        for n in topo.nodes:
-            assert nearest_node(n.lat, n.lon, topo) == n.id
+        lats, lons = [n.lat for n in topo.nodes], [n.lon for n in topo.nodes]
+        assert nearest_nodes(lats, lons, topo).tolist() == [n.id for n in topo.nodes]
 
     def test_midpoint_tie_breaks_to_smaller_id(self):
         topo = build_grid(1, 2, UNIT_BBOX)  # nodes at lon 0.25 and 0.75
-        assert nearest_node(0.5, 0.5, topo) == 0
+        assert nearest_nodes([0.5], [0.5], topo).tolist() == [0]
 
     def test_matches_brute_force_scan(self):
         topo = build_grid(10, 10)
         rng = random.Random(7)
-        for _ in range(300):
-            lat = rng.uniform(39.0, 41.0)
-            lon = rng.uniform(115.0, 118.0)
-            assert nearest_node(lat, lon, topo) == brute_force_nearest(lat, lon, topo)
+        points = [(rng.uniform(39.0, 41.0), rng.uniform(115.0, 118.0)) for _ in range(300)]
+        lats, lons = zip(*points)
+        assert nearest_nodes(lats, lons, topo).tolist() == \
+               [brute_force_nearest(lat, lon, topo) for lat, lon in points]
 
     def test_vectorized_matches_scalar(self):
         topo = build_grid(4, 7, UNIT_BBOX)
@@ -65,16 +65,16 @@ class TestNearestNode:
         lons = [rng.uniform(-0.5, 1.5) for _ in range(200)]
         batch = nearest_nodes(lats, lons, topo)
         for lat, lon, nid in zip(lats, lons, batch):
-            assert nearest_node(lat, lon, topo) == nid
+            assert nearest_nodes([lat], [lon], topo).tolist() == [nid]
 
     def test_outside_grid_clamps(self):
         topo = build_grid(2, 2, UNIT_BBOX)
-        assert nearest_node(-50.0, -50.0, topo) == 0
+        assert nearest_nodes([-50.0], [-50.0], topo).tolist() == [0]
 
     def test_cloud_never_returned(self):
         topo = build_complex_network(2, 2, UNIT_BBOX)
         cloud = topo.nodes[topo.cloud_id]
-        assert nearest_node(cloud.lat, cloud.lon, topo) != topo.cloud_id
+        assert nearest_nodes([cloud.lat], [cloud.lon], topo).tolist() != [topo.cloud_id]
 
 
 def _grid(kind, rows, cols, bbox):
@@ -158,11 +158,11 @@ class TestGridLookup:
         expected = [brute_force_nearest(lat, lon, topo) for lat, lon in zip(lats, lons)]
         assert nearest_nodes(lats, lons, topo).tolist() == expected
 
-    def test_loaded_grid_file_with_other_nodes_takes_the_scan(self):
-        text = dump_topology(build_grid(2, 2, UNIT_BBOX)).replace("node 3 edge 0.75 0.75", "node 3 edge 0.9 0.1")
-        topo = load_topology(text)
-        assert topo.grid is not None and topo._axes is None
-        assert nearest_node(0.88, 0.12, topo) == 3 == brute_force_nearest(0.88, 0.12, topo)
+    def test_grid_spec_with_other_nodes_takes_the_scan(self):
+        nodes = [*build_grid(2, 2, UNIT_BBOX).nodes[:3], FogNode(3, 0.9, 0.1)]
+        topo = Topology(nodes, grid=GridSpec(2, 2, UNIT_BBOX))
+        assert topo._axes is None
+        assert nearest_nodes([0.88], [0.12], topo).tolist() == [3] == [brute_force_nearest(0.88, 0.12, topo)]
 
 
 def expected_link_count(rows, cols):
@@ -255,21 +255,24 @@ class TestTransferTime:
             FlowGraph(build_complex_network(2, 2, UNIT_BBOX), 0.0)
 
 
-class TestDumpLoad:
-    def test_round_trip_grid(self):
-        topo = build_grid(3, 4)
-        text = dump_topology(topo)
-        loaded = load_topology(text)
-        assert dump_topology(loaded) == text
-        assert [(n.id, n.lat, n.lon) for n in loaded.nodes] == \
-               [(n.id, n.lat, n.lon) for n in topo.nodes]
+class TestDump:
+    def test_grid_text(self):
+        assert dump_topology(build_grid(2, 1, (39.5, 40.5, 116.0, 117.0))) == (
+            "grid 2 1 39.5 40.5 116.0 117.0\n"
+            "node 0 edge 39.75 116.5\n"
+            "node 1 edge 40.25 116.5\n")
 
-    def test_round_trip_complex(self):
-        topo = build_complex_network(2, 3, UNIT_BBOX)
-        loaded = load_topology(dump_topology(topo))
-        assert loaded.routers == topo.routers
-        assert loaded.links == topo.links
-
-    def test_malformed_line_reports_lineno(self):
-        with pytest.raises(ConfigError, match="line 1"):
-            load_topology("node zero edge 1 2\n")
+    def test_complex_network_text(self):
+        """Every record kind, in node, router and link order, floats as repr."""
+        assert dump_topology(build_complex_network(1, 2, UNIT_BBOX, edge_rate=1e6)) == (
+            "grid 1 2 0.0 1.0 0.0 1.0\n"
+            "node 0 edge 0.5 0.25\n"
+            "node 1 edge 0.5 0.75\n"
+            "node 2 cloud 0.5 0.5\n"
+            "router 3\n"
+            "router 4\n"
+            "link 0 3 1000000.0\n"
+            "link 1 4 1000000.0\n"
+            "link 3 4 1000000.0\n"
+            "link 3 2 800000000.0\n"
+            "link 4 2 800000000.0\n")

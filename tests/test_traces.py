@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fogrep.errors import (ConfigError, DataError, EmptyTraceError,
                            TraceFormatError, TraceOverlapError)
+from fogrep.metrics import active_time
 from fogrep.topology import build_grid
 from fogrep.traces import (ClientTimeline, GeoPoint, NodeVisit, Pause,
                            SchedulePattern, Sessions, SyntheticSpec, Track,
@@ -192,20 +193,25 @@ def one_session(points):
     return Sessions("c", points, [0, len(points)])
 
 
+def spans(sessions):
+    """(start, end) of each session, read from its bounds in the time column."""
+    t, bounds = sessions.points.t, sessions.bounds
+    return [(float(t[a]), float(t[b - 1])) for a, b in zip(bounds, bounds[1:])]
+
+
 class TestSessionize:
     def test_one_file_one_session(self):
         sessions = sessionize([pts(0, 60, 120)])
         assert len(sessions) == 1
-        assert (sessions[0].start, sessions[0].end) == (0.0, 120.0)
+        assert spans(sessions) == [(0.0, 120.0)]
 
     def test_two_files_two_sessions(self):
         sessions = sessionize([pts(0, 100), pts(700, 800)])
-        assert len(sessions) == 2
-        assert sessions[1].start - sessions[0].end == 600.0
+        assert spans(sessions) == [(0.0, 100.0), (700.0, 800.0)]
 
     def test_intra_file_gap_splits(self):
         sessions = sessionize([pts(0, 100, 500, 600)], gap_threshold=300.0)
-        assert [(s.start, s.end) for s in sessions] == [(0.0, 100.0), (500.0, 600.0)]
+        assert spans(sessions) == [(0.0, 100.0), (500.0, 600.0)]
 
     def test_gap_at_threshold_does_not_split(self):
         sessions = sessionize([pts(0, 300)], gap_threshold=300.0)
@@ -217,27 +223,30 @@ class TestSessionize:
 
     def test_zero_gap_files_merge(self):
         sessions = sessionize([pts(0, 100), pts(100, 200)])
-        assert len(sessions) == 1
-        assert sessions[0].end == 200.0
+        assert spans(sessions) == [(0.0, 200.0)]
 
     def test_overlapping_files_rejected(self):
         with pytest.raises(TraceOverlapError) as err:
             sessionize([pts(0, 500), pts(400, 900)])
         assert err.value.pairs == [(0, 1)]
 
+    def test_overlap_pairs_are_input_positions(self):
+        """The pair names the files as they were given, not their places in time order."""
+        with pytest.raises(TraceOverlapError, match=r"\[\(0, 2\)\]") as err:
+            sessionize([pts(480, 510), pts(420, 430), pts(490, 500)], client_id="u")
+        assert err.value.pairs == [(0, 2)]
+
     def test_unsorted_points_within_file_sorted(self):
         sessions = sessionize([pts(100, 0, 50)])
-        assert [p.t for p in sessions[0].points] == [0.0, 50.0, 100.0]
+        assert sessions.points.t.tolist() == [0.0, 50.0, 100.0]
 
     def test_sessions_are_views_of_one_set_of_columns(self):
         sessions = sessionize([pts(0, 100, 500, 600), pts(900)], gap_threshold=300.0)
         assert sessions.bounds == [0, 2, 4, 5]
-        assert [s.start for s in sessions] == [0.0, 500.0, 900.0]
-        assert sessions[-1].end == 900.0
-        with pytest.raises(IndexError):
-            sessions[3]
-        assert all(s.points.t.base is sessions.points.t for s in sessions)  # no copy
-        assert len(sessionize([pts()])) == 0
+        assert len(sessions) == 3
+        assert spans(sessions) == [(0.0, 100.0), (500.0, 600.0), (900.0, 900.0)]
+        empty = sessionize([pts()])
+        assert len(empty) == 0 and empty.bounds == [0]
 
     def test_files_are_taken_as_they_come(self):
         """The files may come from a one-pass iterator, in any order, some
@@ -295,8 +304,10 @@ class TestMapToNodeVisits:
                          for t in range(k * 1000, k * 1000 + 400, 20)]) for k in range(5)]
         sessions = sessionize(groups, gap_threshold=100.0)
         assert len(sessions) == 5
+        bounds = sessions.bounds
         assert map_to_node_visits(sessions, topo) == \
-               [map_to_node_visits(one_session(s.points), topo)[0] for s in sessions]
+               [map_to_node_visits(one_session(sessions.points[a:b]), topo)[0]
+                for a, b in zip(bounds, bounds[1:])]
 
 
 class TestBuildTimeline:
@@ -326,7 +337,7 @@ class TestBuildTimeline:
         tl = build_timeline("c", groups, topo)
         tl.validate()
         observed = tl.last_t - tl.first_t
-        total = tl.active_seconds() + sum(p.duration for p in tl.pauses)
+        total = active_time(tl) + sum(p.duration for p in tl.pauses)
         assert total == pytest.approx(observed, abs=1e-9)
 
 
