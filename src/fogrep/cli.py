@@ -58,6 +58,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output(option, path, directory=False):
+    """Fail before any work when ``path`` exists but is not the kind of output ``option`` names."""
+    if path is not None and Path(path).exists() and Path(path).is_dir() != directory:
+        raise ConfigError(f"{option}: {path} is {'not a directory' if directory else 'a directory'}")
+
+
 def _cmd_ingest(args) -> int:
     try:
         rows_s, cols_s = args.grid.lower().split("x")
@@ -66,6 +72,8 @@ def _cmd_ingest(args) -> int:
         raise ConfigError(f"--grid: expected ROWSxCOLS, got {args.grid!r}")
     if args.clients == []:
         raise ConfigError("--clients: expected at least one user id; leave the option out to read every user")
+    _check_output("--out", args.out)
+    _check_output("--dump-topology", args.dump_topology)
     topo = build_grid(rows, cols, tuple(args.bbox))
     timelines = load_geolife_dir(args.geolife, topo, gap_threshold=args.gap_threshold,
                                  clients=args.clients)
@@ -85,6 +93,7 @@ def _cmd_run(args) -> int:
     cfg = load_experiment_config(args.config)
     if args.out:
         cfg.output = Path(args.out)
+    _check_output("--out" if args.out else "output", cfg.output, directory=True)
     if args.seed is not None:
         cfg.seed = args.seed
     if args.jobs is not None:
@@ -103,6 +112,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_report(args) -> int:
     from .experiment import merge_results, write_results_csv
+    _check_output("--out", args.out)
     for p in args.results:
         if not Path(p).exists():
             raise DataError(f"results file not found: {p}")

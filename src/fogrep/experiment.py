@@ -46,10 +46,15 @@ RESULTS_HEADER = list(RESULTS_TYPES)
 
 
 def load_yaml_with_lines(text: str, source="<config>"):
-    """Parse YAML and build a key-path -> line-number map for error anchors."""
+    """Parse YAML once: the document (as ``yaml.safe_load`` builds it) and,
+    from the same node tree, a key-path -> line-number map for error anchors."""
     try:
-        doc = yaml.safe_load(text)
-        tree = yaml.compose(text)
+        loader = yaml.SafeLoader(text)  # rejects unprintable characters
+        try:
+            tree = loader.get_single_node()
+            doc = None if tree is None else loader.construct_document(tree)
+        finally:
+            loader.dispose()
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"{source} line {mark.line + 1}" if mark else source

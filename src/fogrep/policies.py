@@ -1,12 +1,14 @@
 """Replica-placement decision logic reacting to simulation events.
 
 One policy instance serves one client. The reactive baseline keeps a replica
-at the current node only; predictive configurations add next-node preloading
-(fixed/variable-order or fusion predictor, optional end-of-trip handling,
-top-N selection, preload-buffer timing) and startup retention (short-pause or
-pause-length model). All combinations compose through the same class, so the
-combined policy is literally the predictive policy during sessions and the
-retention policy at session ends.
+at the current node only. A policy holds at most two models, both chosen once
+from its config: a next-node predictor (fixed/variable-order or fusion, with
+optional end-of-trip handling, top-N selection and preload-buffer timing)
+that acts on arrivals, and a restart model (``fogrep.startup``: a short-pause
+window or the pause-length model) that acts on session ends. So the combined
+policy is literally the predictive policy during sessions and the retention
+policy at session ends. ``PolicyConfig.validate`` checks every setting once,
+before any model is built.
 """
 from __future__ import annotations
 
@@ -16,9 +18,8 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .markov import EOT, KINDS, check_kind, dynamic_topn, make_model
 from .startup import (DEFAULT_MIN_SAMPLES, DEFAULT_PLMM_THRESHOLD,
-                      DEFAULT_RETENTION_FACTOR, FIXED, RETENTION_MODES,
-                      PauseStats, PlmmModel, plmm_retention, record_pause,
-                      short_pause_retention)
+                      DEFAULT_RETENTION_FACTOR, FIXED, RETENTION_MODES, Plmm,
+                      ShortPause)
 from .traces import NodeVisit
 
 PREDICTORS = ("baseline", *KINDS)
@@ -84,6 +85,16 @@ class PolicyConfig:
             raise ConfigError(f"startup.type: unknown mode {self.startup_mode!r}; expected one of {STARTUP_MODES}")
         if self.startup_mode == "short_pause" and self.short_pause_mode not in RETENTION_MODES:
             raise ConfigError(f"startup.mode: unknown short-pause mode {self.short_pause_mode!r}")
+        if not self.short_pause_duration >= 0:
+            raise ConfigError(f"startup.duration: must be >= 0, got {self.short_pause_duration}")
+        if self.short_pause_max is not None and not self.short_pause_max >= 0:
+            raise ConfigError(f"startup.max: must be >= 0, got {self.short_pause_max}")
+        if not self.plmm_threshold > 0:
+            raise ConfigError(f"startup.threshold: must be > 0, got {self.plmm_threshold}")
+        if not self.retention_factor > 0:
+            raise ConfigError(f"startup.factor: must be > 0, got {self.retention_factor}")
+        if self.min_samples < 1:
+            raise ConfigError(f"startup.min_samples: must be >= 1, got {self.min_samples}")
         if self.preload_buffer < 0:
             raise ConfigError("preload_buffer: must be >= 0")
         return self
@@ -106,10 +117,12 @@ class ReplicaPolicy:
         self.predictor = None if config.predictor == "baseline" else make_model(
             config.predictor, config.k, config.day_splits, config.time_splits,
             eot=config.eot, tz_offset=config.tz_offset)
-        needs_stats = (config.startup_mode == "short_pause"
-                       and config.short_pause_mode != FIXED)
-        self.pause_stats = PauseStats() if needs_stats else None
-        self.plmm = PlmmModel() if config.startup_mode == "plmm" else None
+        self.restart: ShortPause | Plmm | None = None
+        if config.startup_mode == "short_pause":
+            self.restart = ShortPause(config.short_pause_mode, config.short_pause_duration,
+                                      config.short_pause_max, config.min_samples)
+        elif config.startup_mode == "plmm":
+            self.restart = Plmm(config.plmm_threshold, config.retention_factor)
         self.trip_start: float | None = None
         self.trip_nodes: list[int] = []
         self._trip_visits: list[list] = []  # [node, arrival, departure]
@@ -151,14 +164,10 @@ class ReplicaPolicy:
     # -- internals -----------------------------------------------------------
 
     def _observe_pause(self, startup_node, t):
-        if self.last_shutdown is None:
-            return
-        if self.pause_stats is None and self.plmm is None:
-            return
-        shutdown_node, end_t = self.last_shutdown
-        duration = t - end_t
-        if duration > 0:
-            record_pause(self.pause_stats, self.plmm, shutdown_node, startup_node, duration)
+        if self.restart is not None and self.last_shutdown is not None:
+            shutdown_node, end_t = self.last_shutdown
+            if t > end_t:
+                self.restart.record(shutdown_node, startup_node, t - end_t)
 
     def _arrival_actions(self, node, t, view) -> list[PlacementAction]:
         selected: list[int] = []
@@ -196,16 +205,7 @@ class ReplicaPolicy:
         return actions
 
     def _retention_until(self, node, t) -> float | None:
-        cfg = self.config
-        if cfg.startup_mode == "short_pause":
-            return short_pause_retention(
-                cfg.short_pause_mode, t, shutdown_node=node, stats=self.pause_stats,
-                fixed_duration=cfg.short_pause_duration, max_duration=cfg.short_pause_max,
-                min_samples=cfg.min_samples)
-        if cfg.startup_mode == "plmm":
-            return plmm_retention(self.plmm, node, t,
-                                  threshold=cfg.plmm_threshold, factor=cfg.retention_factor)
-        return None
+        return None if self.restart is None else self.restart.until(node, t)
 
     def _train(self):
         if self.predictor is None:
@@ -214,11 +214,5 @@ class ReplicaPolicy:
         self.predictor.train_session(visits, self.trip_start)
 
     def memory_bytes(self) -> int:
-        total = 0
-        if self.predictor is not None:
-            total += self.predictor.memory_bytes()
-        if self.pause_stats is not None:
-            total += self.pause_stats.memory_bytes()
-        if self.plmm is not None:
-            total += self.plmm.memory_bytes()
-        return total
+        return sum(model.memory_bytes() for model in (self.predictor, self.restart)
+                   if model is not None)

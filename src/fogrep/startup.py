@@ -1,12 +1,16 @@
-"""Application-restart prediction: short-pause retention with fixed, learned
-or node-specific durations, and the pause-length Markov model (history size
-one) that predicts the startup node and expected pause duration.
+"""Application-restart prediction: how long the shutdown node's replica is
+kept when a session ends.
+
+A policy holds one restart model, chosen once from its ``startup_mode``:
+none, a ``ShortPause`` window (fixed, learned from the client's pauses, or
+learned per shutdown node) or a ``Plmm``, the pause-length Markov model of
+history size one that predicts the startup node and the expected pause.
+Both models have the same three methods: ``record`` feeds one observed
+pause, ``until`` gives the deadline until which the shutdown node's replica
+is kept (None keeps nothing), and ``memory_bytes`` their canonical size.
+The settings are checked once, by ``PolicyConfig.validate``.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-from .errors import ConfigError, DataError
 
 DEFAULT_PLMM_THRESHOLD = 1500.0  # seconds
 DEFAULT_RETENTION_FACTOR = 1.5   # retained for factor x predicted pause
@@ -18,125 +22,69 @@ NODE_SPECIFIC = "node_specific"
 RETENTION_MODES = (FIXED, LEARNED, NODE_SPECIFIC)
 
 
-class PauseStats:
-    """Per-client pause durations, overall and per shutdown node."""
+class ShortPause:
+    """A window after each shutdown: the fixed ``duration``, or the lower
+    middle of the client's pauses (``learned``) or of the shutdown node's once
+    it has ``min_samples`` of them, and the client's until then
+    (``node_specific``). Without any pause the fixed duration is used. ``max``
+    caps the window, and a window that is not positive keeps nothing."""
 
-    def __init__(self):
-        self.durations: list[float] = []
-        self.by_node: dict[int, list[float]] = {}
+    def __init__(self, mode, duration, max=None, min_samples=DEFAULT_MIN_SAMPLES):
+        self.mode = mode
+        self.duration = duration
+        self.max = max
+        self.min_samples = min_samples
+        self.pauses: list[float] = []              # the client's, in order
+        self.by_node: dict[int, list[float]] = {}  # per shutdown node
 
-    def add(self, node, duration):
-        if duration <= 0:
-            raise DataError(f"pause duration must be > 0, got {duration}")
-        self.durations.append(duration)
-        self.by_node.setdefault(node, []).append(duration)
+    def record(self, shutdown_node, startup_node, duration):
+        if self.mode != FIXED:  # a fixed window learns nothing
+            self.pauses.append(duration)
+            self.by_node.setdefault(shutdown_node, []).append(duration)
+
+    def until(self, node, t) -> float | None:
+        pauses = self.by_node.get(node, ()) if self.mode == NODE_SPECIFIC else ()
+        if len(pauses) < self.min_samples:
+            pauses = self.pauses
+        window = sorted(pauses)[(len(pauses) - 1) // 2] if pauses else self.duration
+        if self.max is not None:
+            window = min(window, self.max)
+        return t + window if window > 0 else None
 
     def memory_bytes(self) -> int:
         # canonical encoding: 8 bytes per duration in the client list,
         # 2 bytes per node key + 8 per duration in the per-node lists
-        return 8 * len(self.durations) + sum(2 + 8 * len(v) for v in self.by_node.values())
+        return 8 * len(self.pauses) + sum(2 + 8 * len(v) for v in self.by_node.values())
 
 
-@dataclass
-class _Successor:
-    count: int = 0
-    pause_sum: float = 0.0
+class Plmm:
+    """Per shutdown node, how often each startup node followed it and the
+    sum of those pauses. The replica is kept only when the most frequent
+    startup node (ties to the smaller id) is the shutdown node and its mean
+    pause is within ``threshold``, for that pause times ``factor``, which
+    pads right-skewed pauses."""
 
-
-class PlmmModel:
-    """shutdown node -> per startup-node transition counts and pause sums."""
-
-    def __init__(self):
-        self.entries: dict[int, dict[int, _Successor]] = {}
+    def __init__(self, threshold=DEFAULT_PLMM_THRESHOLD, factor=DEFAULT_RETENTION_FACTOR):
+        self.threshold = threshold
+        self.factor = factor
+        self.entries: dict[int, dict[int, list]] = {}  # shutdown -> startup -> [count, pause sum]
 
     def record(self, shutdown_node, startup_node, duration):
-        successors = self.entries.setdefault(shutdown_node, {})
-        rec = successors.get(startup_node)
-        if rec is None:
-            rec = successors[startup_node] = _Successor()
-        rec.count += 1
-        rec.pause_sum += duration
+        rec = self.entries.setdefault(shutdown_node, {}).setdefault(startup_node, [0, 0.0])
+        rec[0] += 1
+        rec[1] += duration
+
+    def until(self, node, t) -> float | None:
+        successors = self.entries.get(node)
+        if not successors:
+            return None
+        startup = min(successors, key=lambda n: (-successors[n][0], n))
+        count, pause_sum = successors[startup]
+        expected = pause_sum / count
+        if startup != node or expected > self.threshold:
+            return None
+        return t + expected * self.factor
 
     def memory_bytes(self) -> int:
         # 2 bytes per shutdown node + (4 id + 4 count + 8 sum) per successor
         return sum(2 + 16 * len(s) for s in self.entries.values())
-
-
-def record_pause(stats: PauseStats | None, plmm: PlmmModel | None,
-                 shutdown_node, startup_node, duration):
-    """Feed one observed pause into whichever models are in use."""
-    if duration <= 0:
-        raise DataError(f"pause duration must be > 0, got {duration}")
-    if stats is not None:
-        stats.add(shutdown_node, duration)
-    if plmm is not None:
-        plmm.record(shutdown_node, startup_node, duration)
-
-
-def _median_lower(values):
-    ordered = sorted(values)
-    return ordered[(len(ordered) - 1) // 2]
-
-
-def median_pause(stats: PauseStats, node=None, min_samples=DEFAULT_MIN_SAMPLES):
-    """Median pause duration; the node-specific list is used only when it has
-    at least min_samples entries, otherwise the client-level list. Returns
-    None without any data. Even-length medians take the lower middle element."""
-    if min_samples < 1:
-        raise ConfigError("min_samples must be >= 1")
-    if node is not None:
-        node_list = stats.by_node.get(node, ())
-        if len(node_list) >= min_samples:
-            return _median_lower(node_list)
-    if stats.durations:
-        return _median_lower(stats.durations)
-    return None
-
-
-def short_pause_retention(mode, shutdown_t, shutdown_node=None, stats=None,
-                          fixed_duration=600.0, max_duration=None,
-                          min_samples=DEFAULT_MIN_SAMPLES) -> float | None:
-    """The deadline until which the shutdown node's replica is kept, or None
-    for an empty window: the fixed duration, the client's learned median or
-    the node-specific median (falling back to the fixed duration when no
-    history exists), optionally capped by max_duration."""
-    if mode not in RETENTION_MODES:
-        raise ConfigError(f"unknown short-pause mode {mode!r}")
-    duration = fixed_duration
-    if mode != FIXED and stats is not None:
-        learned = median_pause(stats, node=shutdown_node if mode == NODE_SPECIFIC else None,
-                               min_samples=min_samples)
-        if learned is not None:
-            duration = learned
-    if max_duration is not None:
-        duration = min(duration, max_duration)
-    return shutdown_t + duration if duration > 0 else None
-
-
-def plmm_predict(plmm: PlmmModel, shutdown_node):
-    """Most frequent startup node after shutting down here (ties to the
-    smaller id) and its mean pause, or None for an unseen shutdown node."""
-    successors = plmm.entries.get(shutdown_node)
-    if not successors:
-        return None
-    node = min(successors, key=lambda n: (-successors[n].count, n))
-    rec = successors[node]
-    return node, rec.pause_sum / rec.count
-
-
-def plmm_retention(plmm: PlmmModel, shutdown_node, shutdown_t,
-                   threshold=DEFAULT_PLMM_THRESHOLD,
-                   factor=DEFAULT_RETENTION_FACTOR) -> float | None:
-    """The deadline until which the shutdown node's replica is kept, or None.
-    It is kept only when the predicted startup node is the shutdown node and
-    the expected pause is within the threshold, for that pause padded by
-    ``factor`` to cover right-skewed pauses."""
-    if threshold <= 0:
-        raise ConfigError("pause threshold must be > 0")
-    predicted = plmm_predict(plmm, shutdown_node)
-    if predicted is None:
-        return None
-    node, expected = predicted
-    if node != shutdown_node or expected > threshold:
-        return None
-    return shutdown_t + expected * factor

@@ -16,7 +16,10 @@ neighbour one hop closer at each step. The ingest oracle handles one point
 at a time: the row-by-row PLT parser, a loop over sorted points for the
 sessions and a scan over every node for each point. The Markov oracle keeps
 one transition table per sub-model, queries each sub-model by its own history
-slice and buckets, and sorts every answer into a list of predictions.
+slice and buckets, and sorts every answer into a list of predictions. The
+restart oracle recomputes a retention deadline from the whole list of pauses
+seen so far: a sorted-list lower median for the short-pause windows, and a
+count argmax with ties to the smaller id for the pause-length model.
 """
 import json
 import random
@@ -397,6 +400,59 @@ def point_ingest(root, topo, gap_threshold) -> list[ClientTimeline]:
                   for a, b in zip(visit_sessions, visit_sessions[1:])]
         timelines.append(ClientTimeline(user.name, visit_sessions, pauses))
     return timelines
+
+
+def _lower_median(values):
+    ordered = sorted(values)
+    return ordered[(len(ordered) - 1) // 2]
+
+
+def restart_until(config: PolicyConfig, pauses, node, t):
+    """The deadline until which ``config``'s restart model keeps ``node``'s
+    replica after a shutdown there at ``t``, given every earlier pause as a
+    (shutdown node, startup node, duration) triple; None keeps nothing."""
+    if config.startup_mode == "short_pause":
+        window = config.short_pause_duration
+        if config.short_pause_mode != "fixed":
+            here = [d for shutdown, _, d in pauses if shutdown == node]
+            if config.short_pause_mode == "node_specific" and len(here) >= config.min_samples:
+                window = _lower_median(here)
+            elif pauses:
+                window = _lower_median([d for _, _, d in pauses])
+        if config.short_pause_max is not None and window > config.short_pause_max:
+            window = config.short_pause_max
+        return t + window if window > 0 else None
+    if config.startup_mode == "plmm":
+        after = [(startup, d) for shutdown, startup, d in pauses if shutdown == node]
+        if not after:
+            return None
+        counts = {}
+        for startup, _ in after:
+            counts[startup] = counts.get(startup, 0) + 1
+        top = max(counts.values())
+        startup = min(n for n, c in counts.items() if c == top)
+        total = 0.0  # summed in order, as the model does: sum() may compensate
+        for n, d in after:
+            if n == startup:
+                total += d
+        mean = total / top
+        if startup != node or mean > config.plmm_threshold:
+            return None
+        return t + mean * config.retention_factor
+    return None
+
+
+def restart_memory_bytes(config: PolicyConfig, pauses) -> int:
+    """The canonical size of ``config``'s restart model after ``pauses``: 8
+    bytes per learned pause, once for the client and once under its shutdown
+    node's 2-byte key; 2 bytes per shutdown node and 16 per (shutdown,
+    startup) pair for the pause-length model."""
+    shutdowns = {shutdown for shutdown, _, _ in pauses}
+    if config.startup_mode == "short_pause" and config.short_pause_mode != "fixed":
+        return 16 * len(pauses) + 2 * len(shutdowns)
+    if config.startup_mode == "plmm":
+        return 2 * len(shutdowns) + 16 * len({(shutdown, startup) for shutdown, startup, _ in pauses})
+    return 0
 
 
 class TransitionTable:

@@ -27,6 +27,9 @@ REPO = Path(__file__).resolve().parent.parent
 SMOKE_CONFIG = REPO / "configs" / "smoke.yaml"
 SHIPPED_CONFIGS = sorted([*REPO.glob("configs/**/*.yaml"), *REPO.glob("perfbench/configs/*.yaml")])
 GOLDEN_RESULTS = Path(__file__).resolve().parent / "data" / "smoke_results.csv"
+# the four restart models: results.csv and each point's report.csv
+RESTART_CONFIG = REPO / "configs" / "restart.yaml"
+RESTART_GOLDEN = Path(__file__).resolve().parent / "data" / "restart"
 # SHA-256 of each point's events.csv when configs/smoke.yaml runs with dump_events
 SMOKE_EVENT_DIGESTS = {
     "baseline__strip-3": "92ffad89d310cf9c9481784da488d337a841ff78289d9f586b0a90373419936c",
@@ -121,6 +124,15 @@ class TestRun:
         # warmed-up combined policy serves every active second
         combo = [line for line in results.decode().splitlines() if ",combination," in line]
         assert combo and combo[0].split(",")[4] == "1.0"
+
+    def test_restart_config_matches_goldens(self, tmp_path):
+        assert main(["run", str(RESTART_CONFIG), "--out", str(tmp_path / "out")]) == 0
+        golden = sorted(p.relative_to(RESTART_GOLDEN) for p in RESTART_GOLDEN.rglob("*.csv"))
+        assert [str(p) for p in golden] == [
+            "fixed-max__grid-4/report.csv", "learned__grid-4/report.csv",
+            "node-specific__grid-4/report.csv", "plmm__grid-4/report.csv", "results.csv"]
+        for rel in golden:
+            assert (tmp_path / "out" / rel).read_bytes() == (RESTART_GOLDEN / rel).read_bytes(), rel
 
     def test_rerun_is_byte_identical(self, tmp_path):
         assert main(["run", str(SMOKE_CONFIG), "--out", str(tmp_path / "a")]) == 0
@@ -224,6 +236,11 @@ class TestRun:
     def test_config_path_that_is_a_directory_is_a_config_error(self, tmp_path, capsys):
         assert main(["run", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"config error: config path is not a file: {tmp_path}\n"
+
+    def test_out_that_is_a_file_is_a_config_error(self, tmp_path, capsys):
+        (tmp_path / "out").write_text("")
+        assert main(["run", str(SMOKE_CONFIG), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: --out: {tmp_path / 'out'} is not a directory\n"
 
     def test_visits_path_that_is_a_directory_is_a_data_error(self, tmp_path, capsys):
         (tmp_path / "visits.csv").mkdir()
@@ -554,6 +571,17 @@ class TestIngest:
         assert main(["ingest", str(plt), "--out", str(tmp_path / "v.csv")]) == 3
         assert capsys.readouterr().err == f"data error: GeoLife path is not a directory: {plt}\n"
 
+    @pytest.mark.parametrize("option", ["--out", "--dump-topology"])
+    def test_output_that_is_a_directory_is_a_config_error(self, tmp_path, capsys, option):
+        root = fake_geolife(tmp_path / "geolife")
+        (tmp_path / "taken").mkdir()
+        args = {"--out": str(tmp_path / "visits.csv"), option: str(tmp_path / "taken")}
+        code = main(["ingest", str(root), "--grid", "1x2", "--bbox", "0", "1", "0", "1",
+                     *(arg for pair in args.items() for arg in pair)])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {option}: {tmp_path / 'taken'} is a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["geolife", "taken"]  # nothing written
+
     def test_overlapping_files_are_named(self, tmp_path, capsys):
         traj = tmp_path / "geolife" / "Data" / "000" / "Trajectory"
         for name, start, end in (("a", "08:00", "08:30"), ("b", "07:00", "07:10"), ("c", "08:10", "08:20")):
@@ -615,6 +643,13 @@ class TestReport:
 
     def test_missing_results_file(self, tmp_path):
         assert main(["report", str(tmp_path / "none.csv")]) == 3
+
+    def test_out_that_is_a_directory_is_a_config_error(self, tmp_path, capsys):
+        assert main(["run", str(SMOKE_CONFIG), "--out", str(tmp_path / "a")]) == 0
+        capsys.readouterr()
+        (tmp_path / "merged").mkdir()
+        assert main(["report", str(tmp_path / "a" / "results.csv"), "--out", str(tmp_path / "merged")]) == 2
+        assert capsys.readouterr().err == f"config error: --out: {tmp_path / 'merged'} is a directory\n"
 
     def test_results_path_that_is_a_directory_is_a_data_error(self, tmp_path, capsys):
         assert main(["report", str(tmp_path)]) == 3

@@ -19,7 +19,7 @@ import pytest
 from fogrep.metrics import compute_report
 from fogrep.policies import PolicyConfig
 from fogrep.simengine import run, snapshot_memory
-from fogrep.startup import PauseStats, median_pause
+from fogrep.startup import LEARNED, ShortPause
 from fogrep.topology import FixedDelay, FlowGraph, build_complex_network, build_grid
 from fogrep.traces import load_geolife_dir, read_visits_csv, write_visits_csv
 
@@ -158,11 +158,11 @@ def test_criterion_13_short_pause_and_median():
         report = run_report(timelines, topo, network, SHORT_PAUSE)
         assert report.availability == pytest.approx(0.7198, abs=3 * PCT)
         assert report.excess_ratio == pytest.approx(0.4610, abs=8 * PCT)
-        stats = PauseStats()
+        pauses = ShortPause(LEARNED, 0.0)  # a learned window is the lower median pause
         for tl in timelines:
             for pause in tl.pauses:
-                stats.add(pause.node, pause.duration)
-        assert median_pause(stats) == pytest.approx(595.0, abs=60.0)
+                pauses.record(pause.node, None, pause.duration)
+        assert pauses.until(None, 0.0) == pytest.approx(595.0, abs=60.0)
 
 
 def test_criterion_14_sweep_performance():

@@ -213,6 +213,20 @@ class TestPolicyConfig:
         assert cfg.topn_mode == "dynamic" and cfg.topn_threshold == 0.9
         assert cfg.startup_mode == "short_pause"
 
+    @pytest.mark.parametrize("fields, key", [
+        (dict(plmm_threshold=0.0), "startup.threshold"),
+        (dict(plmm_threshold=float("nan")), "startup.threshold"),
+        (dict(retention_factor=-1.0), "startup.factor"),
+        (dict(min_samples=0), "startup.min_samples"),
+        (dict(short_pause_duration=-1.0), "startup.duration"),
+        (dict(short_pause_max=-1.0), "startup.max"),
+    ], ids=["threshold-zero", "threshold-nan", "factor-negative", "min-samples-zero",
+            "duration-negative", "max-negative"])
+    def test_restart_settings_fail_validate(self, fields, key):
+        # checked once, when the config is built, for every startup mode
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            PolicyConfig(**fields).validate()
+
     def test_unknown_predictor_named(self):
         with pytest.raises(ConfigError, match="predictor"):
             parse_policy({"predictor": "oracle"})
