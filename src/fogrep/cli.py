@@ -59,9 +59,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_output(option, path, directory=False):
-    """Fail before any work when ``path`` exists but is not the kind of output ``option`` names."""
-    if path is not None and Path(path).exists() and Path(path).is_dir() != directory:
+    """Fail before any work when ``path`` exists but is not the kind of output
+    ``option`` names, or when the nearest existing path above it is not a directory."""
+    if path is None:
+        return
+    path = Path(path)
+    if path.exists() and path.is_dir() != directory:
         raise ConfigError(f"{option}: {path} is {'not a directory' if directory else 'a directory'}")
+    above = next(p for p in path.absolute().parents if p.exists())
+    if not above.is_dir():
+        raise ConfigError(f"{option}: {above} is not a directory")
 
 
 def _cmd_ingest(args) -> int:

@@ -52,7 +52,11 @@ def load_yaml_with_lines(text: str, source="<config>"):
         loader = yaml.SafeLoader(text)  # rejects unprintable characters
         try:
             tree = loader.get_single_node()
-            doc = None if tree is None else loader.construct_document(tree)
+            try:
+                doc = None if tree is None else loader.construct_document(tree)
+            except (AttributeError, KeyError, ValueError) as exc:  # a tag PyYAML cannot build, as !!int abc
+                raise ConfigError(f"{source}: invalid YAML: a tagged value cannot be built "
+                                  f"({type(exc).__name__}: {exc})") from exc
         finally:
             loader.dispose()
     except yaml.YAMLError as exc:

@@ -21,9 +21,6 @@ and how the answers are fused (``KINDS``):
 """
 from __future__ import annotations
 
-import json
-import math
-import struct
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
@@ -35,10 +32,11 @@ EOT = -1  # end-of-trip pseudo target; real node ids are >= 0
 DAY_SPLITS = (1, 2, 7)
 TIME_SPLITS = (1, 4, 24)
 
-_MAGIC = b"FGMK1\n"
-_TARGET_STRUCT = struct.Struct("<iIdI")  # id, count, stay_sum, stay_count
-TARGET_BYTES = _TARGET_STRUCT.size  # 20
-MAX_NODE_ID = 0xFFFF  # histories are stored as unsigned 16-bit ids
+# The canonical size of a model (``memory_bytes``) counts each history
+# element and bucket as an unsigned 16-bit id, so node ids above MAX_NODE_ID
+# are refused, and each target as 4 id + 4 count + 8 stay_sum + 4 stay_count.
+TARGET_BYTES = 20
+MAX_NODE_ID = 0xFFFF
 
 
 def bucketize(t, day_split, time_split, tz_offset=0.0) -> tuple[int, int]:
@@ -141,7 +139,9 @@ def blend(model: "MarkovPredictor", history, trip_start):
                 stay_den[t] = stay_den.get(t, 0.0) + w
     if not raw:
         return None
-    total = sum(raw.values())
+    total = 0.0  # left to right: sum() compensates since Python 3.12
+    for share in raw.values():
+        total += share
     return [Prediction(t, raw[t] / total,
                        stay_num[t] / stay_den[t] if t in stay_den else None)
             for t in sorted(raw, key=lambda t: (t == EOT, t))]
@@ -252,38 +252,11 @@ class MarkovPredictor:
         return out
 
     def memory_bytes(self) -> int:
-        """Size of the canonical table serialization: per entry 2 bytes per
-        history element plus 2 bytes per bucket, then 20 bytes per target
-        (4 id + 4 count + 8 stay_sum + 4 stay_count)."""
+        """The model's canonical size: per trained context 2 bytes per history
+        element and 2 per bucket, then ``TARGET_BYTES`` per target."""
         return sum(2 * order + 4 + TARGET_BYTES * len(ctx)
                    for order, index in self.index.items()
                    for records in index.values() for ctx in records.values())
-
-    def save_bytes(self) -> bytes:
-        """Header, then per sub-model its entries sorted by context."""
-        header = json.dumps({
-            "kind": self.kind, "eot": self.eot, "tz_offset": self.tz_offset,
-            "submodels": [[s.order, s.day_split, s.time_split, s.weight] for s in self.submodels],
-        }, sort_keys=True).encode()
-        out = [_MAGIC, struct.pack("<I", len(header)), header]
-        for i, spec in enumerate(self.submodels):
-            entries = sorted((((history, day, tod), ctx) for history, records in self.index[spec.order].items()
-                              for (j, day, tod), ctx in records.items() if j == i), key=itemgetter(0))
-            out.append(struct.pack(f"<I{len(entries)}H", len(entries), *(len(ctx) for _, ctx in entries)))
-            for (history, day, tod), ctx in entries:
-                out.append(struct.pack(f"<{len(history)}HHH", *history, day, tod))
-                out.extend(_TARGET_STRUCT.pack(t, rec.count, rec.stay_sum, rec.stay_count)
-                           for t, rec in ctx.items())
-        return b"".join(out)
-
-    @staticmethod
-    def load_bytes(data: bytes) -> "MarkovPredictor":
-        if not data.startswith(_MAGIC):
-            raise DataError("not a predictor file")
-        try:
-            return _decode(data, len(_MAGIC))
-        except (struct.error, ValueError, KeyError, TypeError, ConfigError) as exc:
-            raise DataError(f"corrupt predictor file: {exc}") from exc
 
 
 def dynamic_topn(preds, threshold=None, fixed_n=None, include_eot=True) -> list[int]:
@@ -312,54 +285,3 @@ def dynamic_topn(preds, threshold=None, fixed_n=None, include_eot=True) -> list[
         if cum >= threshold:
             break
     return selected
-
-
-def _decode(data, off) -> MarkovPredictor:
-    (hlen,) = struct.unpack_from("<I", data, off)
-    cfg = json.loads(data[off + 4:off + 4 + hlen])
-    off += 4 + hlen
-    eot, tz_offset = cfg["eot"], cfg["tz_offset"]
-    _require("header", (isinstance(eot, bool), f"eot {eot!r} is not true or false"),
-             (type(tz_offset) in (int, float) and math.isfinite(tz_offset),
-              f"tz_offset {tz_offset!r} is not a finite number"))
-    model = MarkovPredictor(
-        cfg["kind"], [SubModelSpec(o, d, t, w) for o, d, t, w in cfg["submodels"]],
-        eot=eot, tz_offset=tz_offset)
-    for i, spec in enumerate(model.submodels):
-        (n_entries,) = struct.unpack_from("<I", data, off)
-        counts = struct.unpack_from(f"<{n_entries}H", data, off + 4)
-        off += 4 + 2 * n_entries
-        last = None
-        for n_targets in counts:
-            *history, day, tod = struct.unpack_from(f"<{spec.order}HHH", data, off)
-            off += 2 * spec.order + 4
-            context, ctx = (tuple(history), day, tod), Context()
-            where = f"sub-model {i}, context {context}"
-            _require(where, (last is None or context > last, f"does not follow {last}"),
-                     (day < spec.day_split and tod < spec.time_split,
-                      f"bucket outside the {spec.day_split} x {spec.time_split} split"),
-                     (n_targets > 0, "no targets"))
-            for _ in range(n_targets):
-                tid, count, stay_sum, stay_count = _TARGET_STRUCT.unpack_from(data, off)
-                off += TARGET_BYTES
-                prev = next(reversed(ctx), None)
-                _require(f"{where}, target {tid}",
-                         (EOT <= tid <= MAX_NODE_ID, f"id outside [{EOT}, {MAX_NODE_ID}]"),
-                         (prev is None or (prev == EOT, prev) < (tid == EOT, tid), f"does not follow {prev}"),
-                         (count > 0, "count 0"),
-                         (stay_count <= count, f"{stay_count} stays for a count of {count}"),
-                         (math.isfinite(stay_sum) and stay_sum >= 0, f"stay sum {stay_sum!r}"))
-                ctx[tid] = TargetRecord(count, stay_sum, stay_count)
-                ctx.total += count
-            model.index[spec.order].setdefault(context[0], {})[(i, day, tod)] = ctx
-            last = context
-    if off != len(data):
-        raise DataError("trailing bytes in predictor file")
-    return model
-
-
-def _require(where, *checks):
-    """DataError naming ``where`` and the first failed (holds, problem) check."""
-    for holds, problem in checks:
-        if not holds:
-            raise DataError(f"corrupt predictor file: {where}: {problem}")

@@ -189,9 +189,11 @@ def write_report_csv(report: MetricsReport, fileobj):
     """Per-client rows plus an aggregate row."""
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(REPORT_HEADER)
+    active = 0.0  # left to right: sum() compensates since Python 3.12
     for m in report.per_client:
         writer.writerow([m.client_id, repr(m.active_s), repr(m.availability),
                          repr(m.excess_ratio), m.memory_bytes])
-    writer.writerow(["ALL", repr(sum(m.active_s for m in report.per_client)),
+        active += m.active_s
+    writer.writerow(["ALL", repr(active),
                      repr(report.availability), repr(report.excess_ratio),
                      repr(report.memory_avg)])

@@ -16,7 +16,8 @@ neighbour one hop closer at each step. The ingest oracle handles one point
 at a time: the row-by-row PLT parser, a loop over sorted points for the
 sessions and a scan over every node for each point. The Markov oracle keeps
 one transition table per sub-model, queries each sub-model by its own history
-slice and buckets, and sorts every answer into a list of predictions. The
+slice and buckets, sorts every answer into a list of predictions, and writes
+the canonical serialization that a model's size counts. The
 restart oracle recomputes a retention deadline from the whole list of pauses
 seen so far: a sorted-list lower median for the short-pause windows, and a
 count argmax with ties to the smaller id for the pause-length model.
@@ -29,9 +30,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from fogrep.errors import ConfigError, DataError, TopologyError
-from fogrep.markov import (EOT, MAX_NODE_ID, TARGET_BYTES, MarkovPredictor,
-                           Prediction, SubModelSpec, TargetRecord, bucketize,
-                           check_kind)
+from fogrep.markov import (EOT, MAX_NODE_ID, TARGET_BYTES, Context,
+                           MarkovPredictor, Prediction, SubModelSpec,
+                           TargetRecord, bucketize, check_kind)
 from fogrep.metrics import active_time, covered_time
 from fogrep.policies import Delete, PolicyConfig, Replicate, ReplicaPolicy, Retain
 from fogrep.simengine import ReplicaLedger
@@ -491,9 +492,7 @@ def momm_predict(table: TransitionTable, history, buckets) -> list[Prediction] |
     if not targets:
         return None
     total = sum(rec.count for rec in targets.values())
-    preds = [Prediction(t, rec.count / total, rec.mean_stay)
-             for t, rec in sorted(targets.items(), key=lambda kv: (kv[0] == EOT, kv[0]))]
-    return preds
+    return [Prediction(t, rec.count / total, rec.mean_stay) for t, rec in target_order(targets)]
 
 
 def table_backoff(model: "TableModel", history, trip_start):
@@ -525,7 +524,9 @@ def table_blend(model: "TableModel", history, trip_start):
                 stay_den[p.target] = stay_den.get(p.target, 0.0) + w
     if not raw:
         return None
-    total = sum(raw.values())
+    total = 0.0  # summed in order, as the model does: sum() may compensate
+    for share in raw.values():
+        total += share
     return [Prediction(t, raw[t] / total,
                        stay_num[t] / stay_den[t] if t in stay_den else None)
             for t in sorted(raw, key=lambda t: (t == EOT, t))]
@@ -594,6 +595,8 @@ class TableModel:
         return sum(_table_bytes(sm.spec.order, sm.table) for sm in self.submodels)
 
     def save_bytes(self) -> bytes:
+        """The canonical serialization, whose data sections ``memory_bytes``
+        sizes: header, then per sub-model its entries sorted by context."""
         out = [b"FGMK1\n"]
         header = json.dumps(self._config_dict(), sort_keys=True).encode()
         out.append(struct.pack("<I", len(header)))
@@ -617,10 +620,34 @@ class TableModel:
         }
 
 
-def from_tables(kind, submodels, eot=True) -> MarkovPredictor:
-    """A ``fogrep.markov`` model holding exactly these sub-models' tables,
-    read through the file format: the oracle writes it, the model loads it."""
-    return MarkovPredictor.load_bytes(TableModel(kind, submodels, eot=eot).save_bytes())
+def target_order(targets) -> list:
+    """A table entry's (target, record) pairs, node ids ascending and end of trip last."""
+    return sorted(targets.items(), key=lambda kv: (kv[0] == EOT, kv[0]))
+
+
+def from_tables(kind, submodels, eot=True, tz_offset=0.0) -> MarkovPredictor:
+    """A ``fogrep.markov`` model holding exactly these sub-models' tables."""
+    model = MarkovPredictor(kind, [sm.spec for sm in submodels], eot=eot, tz_offset=tz_offset)
+    for i, sm in enumerate(submodels):
+        for (history, day, tod), targets in sm.table.entries.items():
+            ctx = model.index[sm.spec.order].setdefault(history, {})[(i, day, tod)] = Context()
+            for t, rec in target_order(targets):
+                ctx[t] = TargetRecord(rec.count, rec.stay_sum, rec.stay_count)
+                ctx.total += rec.count
+    return model
+
+
+def tables_of(model: MarkovPredictor) -> TableModel:
+    """The oracle's tables of a ``fogrep.markov`` model: one per sub-model,
+    each entry's targets in the model's order."""
+    tables = TableModel(model.kind, [SubModel(spec) for spec in model.submodels],
+                        eot=model.eot, tz_offset=model.tz_offset)
+    for index in model.index.values():
+        for history, records in index.items():
+            for (i, day, tod), ctx in records.items():
+                tables.submodels[i].table.entries[(history, day, tod)] = {
+                    t: TargetRecord(rec.count, rec.stay_sum, rec.stay_count) for t, rec in ctx.items()}
+    return tables
 
 
 def _table_bytes(order, table: TransitionTable) -> int:
@@ -631,6 +658,6 @@ def _table_bytes(order, table: TransitionTable) -> int:
 def _encode_entry(context, targets) -> bytes:
     history, day, tod = context
     parts = [struct.pack(f"<{len(history)}HHH", *history, day, tod)]
-    for target, rec in sorted(targets.items(), key=lambda kv: (kv[0] == EOT, kv[0])):
+    for target, rec in target_order(targets):
         parts.append(struct.pack("<iIdI", target, rec.count, rec.stay_sum, rec.stay_count))
     return b"".join(parts)

@@ -218,6 +218,15 @@ class TestRun:
         assert code == 2
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["!!timestamp nope", "!!int abc", "!!float abc",
+                                       "!!timestamp 2020-13-45", "!!bool maybe"])
+    def test_tag_that_cannot_be_built_is_a_config_error(self, tmp_path, capsys, value):
+        cfg = tmp_path / "tag.yaml"
+        cfg.write_text(f"seed: {value}\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: {cfg}: invalid YAML: a tagged value cannot be built (")
+
     def test_missing_dataset_hints_fetch(self, tmp_path, capsys):
         cfg = tmp_path / "geo.yaml"
         cfg.write_text(
@@ -241,6 +250,11 @@ class TestRun:
         (tmp_path / "out").write_text("")
         assert main(["run", str(SMOKE_CONFIG), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"config error: --out: {tmp_path / 'out'} is not a directory\n"
+
+    def test_out_below_a_file_is_a_config_error(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        assert main(["run", str(SMOKE_CONFIG), "--out", str(tmp_path / "file" / "sub")]) == 2
+        assert capsys.readouterr().err == f"config error: --out: {tmp_path / 'file'} is not a directory\n"
 
     def test_visits_path_that_is_a_directory_is_a_data_error(self, tmp_path, capsys):
         (tmp_path / "visits.csv").mkdir()
@@ -582,6 +596,17 @@ class TestIngest:
         assert capsys.readouterr().err == f"config error: {option}: {tmp_path / 'taken'} is a directory\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["geolife", "taken"]  # nothing written
 
+    @pytest.mark.parametrize("option", ["--out", "--dump-topology"])
+    def test_output_below_a_file_is_a_config_error(self, tmp_path, capsys, option):
+        root = fake_geolife(tmp_path / "geolife")
+        (tmp_path / "file").write_text("")
+        args = {"--out": str(tmp_path / "visits.csv"), option: str(tmp_path / "file" / "out")}
+        code = main(["ingest", str(root), "--grid", "1x2", "--bbox", "0", "1", "0", "1",
+                     *(arg for pair in args.items() for arg in pair)])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {option}: {tmp_path / 'file'} is not a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "geolife"]  # nothing written
+
     def test_overlapping_files_are_named(self, tmp_path, capsys):
         traj = tmp_path / "geolife" / "Data" / "000" / "Trajectory"
         for name, start, end in (("a", "08:00", "08:30"), ("b", "07:00", "07:10"), ("c", "08:10", "08:20")):
@@ -650,6 +675,11 @@ class TestReport:
         (tmp_path / "merged").mkdir()
         assert main(["report", str(tmp_path / "a" / "results.csv"), "--out", str(tmp_path / "merged")]) == 2
         assert capsys.readouterr().err == f"config error: --out: {tmp_path / 'merged'} is a directory\n"
+
+    def test_out_below_a_file_is_a_config_error(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        assert main(["report", str(GOLDEN_RESULTS), "--out", str(tmp_path / "file" / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"config error: --out: {tmp_path / 'file'} is not a directory\n"
 
     def test_results_path_that_is_a_directory_is_a_data_error(self, tmp_path, capsys):
         assert main(["report", str(tmp_path)]) == 3

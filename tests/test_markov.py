@@ -1,20 +1,18 @@
 import calendar
 import hashlib
-import json
-import math
 import random
-import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogrep.errors import ConfigError, DataError
-from fogrep.markov import (EOT, MarkovPredictor, Prediction, SubModelSpec,
-                           TargetRecord, bucketize, dynamic_topn, make_model)
+from fogrep.markov import (EOT, Prediction, SubModelSpec, TargetRecord,
+                           bucketize, dynamic_topn, make_model)
 from fogrep.traces import NodeVisit
 
-from oracles import SubModel, TransitionTable, from_tables, table_model
+from oracles import (SubModel, TransitionTable, from_tables, table_model,
+                     tables_of, target_order)
 
 
 def ts(date_s, time_s="00:00:00"):
@@ -187,6 +185,15 @@ class TestFommPredict:
         assert preds[B] == pytest.approx(5 / 6, abs=1e-12)
         assert preds[C] == pytest.approx(1 / 6, abs=1e-12)
 
+    def test_normalizes_by_the_left_to_right_sum(self):
+        # 1/6 + 4/6 + 1/6 is 1.0 under the compensated sum() of Python 3.12
+        # and later, but one ulp below it summed left to right, as on 3.11
+        t1 = table_of(1, {((A,), B): (1, 60.0, 1), ((A,), C): (4, 60.0, 1), ((A,), D): (1, 60.0, 1)})
+        total = 1 / 6 + 4 / 6 + 1 / 6
+        assert total != 1.0
+        preds = fomm_from_tables([((1, 1, 1, 1.0), t1)]).predict([A], 0.0)
+        assert [p.probability for p in preds] == [1 / 6 / total, 4 / 6 / total, 1 / 6 / total]
+
     def test_untrained_is_none(self):
         assert make_model("fomm", 2, (1, 2), (1, 4)).predict([A], 0.0) is None
 
@@ -196,6 +203,15 @@ class TestFommPredict:
         m = fomm_from_tables([((1, 1, 1, 1.0), t1), ((1, 1, 4, 3.0), t2)])
         (pred,) = m.predict([A], 0.0)
         assert pred.expected_stay == pytest.approx((1 * 100 + 3 * 400) / 4)
+
+    @pytest.mark.parametrize("spec, problem", [
+        ((0, 1, 1, 1.0), "order must be >= 1"),
+        ((1, 3, 1, 1.0), r"unsupported split sizes \(3, 1\)"),
+        ((1, 1, 1, float("nan")), "weight > 0"),
+    ], ids=["order-0", "split-3", "nan-weight"])
+    def test_impossible_submodel_is_config_error(self, spec, problem):
+        with pytest.raises(ConfigError, match=problem):
+            SubModelSpec(*spec)
 
     def test_submodel_count_is_cartesian_product(self):
         m = make_model("fomm", 2, day_splits=(1, 2, 7), time_splits=(1, 4, 24))
@@ -281,23 +297,13 @@ class TestMemoryAndPersistence:
             assert size >= prev
             prev = size
 
-    def test_save_load_round_trip(self):
-        m = make_model("fomm", 2, day_splits=(1, 7), time_splits=(1, 24), tz_offset=8 * 3600.0)
-        m.train_session(visits(("A", 0, 600), ("B", 600, 900), ("C", 900, 1000)),
-                        ts("2008-10-23", "02:53:04"))
-        m.train_session(visits(("A", 0, 500), ("C", 500, 900)), ts("2008-10-24", "08:00:00"))
-        loaded = MarkovPredictor.load_bytes(m.save_bytes())
-        assert loaded.save_bytes() == m.save_bytes()
-        assert loaded.predict([A, B], ts("2008-10-23", "02:53:04")) == \
-               m.predict([A, B], ts("2008-10-23", "02:53:04"))
-        assert loaded.memory_bytes() == m.memory_bytes()
-
-    def test_data_sections_equal_memory_metric(self, tmp_path):
-        import json
+    def test_data_sections_equal_memory_metric(self):
+        """``memory_bytes`` is the size of the canonical serialization's
+        data sections, as the oracle writes them."""
         import struct
         m = make_model("vomm", 3)
         m.train_session(visits(("A", 0, 600), ("B", 600, 900), ("C", 900, 1000)), 0.0)
-        blob = m.save_bytes()
+        blob = tables_of(m).save_bytes()
         off = len(b"FGMK1\n")
         (hlen,) = struct.unpack_from("<I", blob, off)
         off += 4 + hlen
@@ -385,8 +391,8 @@ class TestProperties:
             vomm_tables = table_model("vomm", 1)
             for sm_m, sm_v in zip(tables.submodels, vomm_tables.submodels):
                 sm_v.table.entries = sm_m.table.entries
-            momm = MarkovPredictor.load_bytes(tables.save_bytes())
-            vomm = MarkovPredictor.load_bytes(vomm_tables.save_bytes())
+            momm = from_tables("momm", tables.submodels)
+            vomm = from_tables("vomm", vomm_tables.submodels)
             for history in ([0], [1], [2], [3]):
                 a = momm.predict(history, 0.0)
                 b = vomm.predict(history, 0.0)
@@ -425,8 +431,9 @@ class TestOracleAgreement:
            st.sets(st.sampled_from((1, 2, 7)), min_size=1),
            st.sets(st.sampled_from((1, 4, 24)), min_size=1))
     def test_index_matches_tables(self, trips, k, eot, tz_offset, day_splits, time_splits):
-        """Every kind, trained on the same trips, predicts every prefix, saves
-        and sizes exactly as the one-table-per-sub-model oracle."""
+        """Every kind, trained on the same trips, predicts every prefix, holds
+        the same tables, targets in the same order, and sizes exactly as the
+        one-table-per-sub-model oracle."""
         for kind in ("momm", "vomm", "fomm"):
             splits = (day_splits, time_splits) if kind == "fomm" else ((1,), (1,))
             m = make_model(kind, k, *splits, eot=eot, tz_offset=tz_offset)
@@ -441,7 +448,11 @@ class TestOracleAgreement:
                     t += stay
                 m.train_session(trip, start)
                 oracle.train_session(trip, start)
-            assert m.save_bytes() == oracle.save_bytes()
+            got = tables_of(m)
+            assert [sm.spec for sm in got.submodels] == [sm.spec for sm in oracle.submodels]
+            for sm, want in zip(got.submodels, oracle.submodels):
+                assert {c: list(t.items()) for c, t in sm.table.entries.items()} == \
+                       {c: target_order(t) for c, t in want.table.entries.items()}
             assert m.memory_bytes() == oracle.memory_bytes()
 
 
@@ -453,9 +464,9 @@ GOLDEN_TRIPS = [
     ([(4464, 100), (1, 200), (2, 300)], ts("2008-10-26", "23:59:59")),
 ]
 
-# kind -> (SHA-256 of save_bytes(), memory_bytes()) for the models below,
-# recorded with the one-class-per-kind implementation this file format
-# started with; the format and the sizes must never drift.
+# kind -> (SHA-256 of the canonical serialization, memory_bytes()) for the
+# models below, recorded with the one-class-per-kind implementation the
+# models started with; the tables and the sizes must never drift.
 GOLDEN_FILES = {
     "momm": ("677c772683074a31e3930bd6ab6d155bd80ccc2002216031f3844a117ad99d42", 188),
     "vomm": ("d31c970e81f6fdacb7ffdf8e76639ce87f7fa9573b8fa8223fdd51b5a4798f92", 498),
@@ -481,14 +492,16 @@ def golden_model(kind):
 class TestGoldenPersistence:
     @pytest.mark.parametrize("kind", sorted(GOLDEN_FILES))
     def test_digest_sizes_and_round_trip(self, kind):
+        """The model's tables, written by the oracle, hash as recorded; the
+        model rebuilt from those tables predicts and sizes as it does."""
         m = golden_model(kind)
-        blob = m.save_bytes()
+        tables = tables_of(m)
+        blob = tables.save_bytes()
         digest, size = GOLDEN_FILES[kind]
         assert hashlib.sha256(blob).hexdigest() == digest
         assert m.memory_bytes() == size
-        loaded = MarkovPredictor.load_bytes(blob)
-        assert loaded.kind == kind
-        assert loaded.save_bytes() == blob
+        loaded = from_tables(kind, tables.submodels, eot=m.eot, tz_offset=m.tz_offset)
+        assert tables_of(loaded).save_bytes() == blob
         assert loaded.memory_bytes() == size
         for path, start in GOLDEN_TRIPS:
             nodes = [n for n, _ in path]
@@ -501,98 +514,4 @@ class TestGoldenPersistence:
             m.train_session(visits((0, 0, 10), (65536, 10, 20)), 0.0)
         assert m.memory_bytes() == 0
         m.train_session(visits((0, 0, 10), (65535, 10, 20)), 0.0)  # the largest id fits
-        assert MarkovPredictor.load_bytes(m.save_bytes()).save_bytes() == m.save_bytes()
-
-    def test_truncated_or_garbled_file_is_data_error(self):
-        blob = golden_model("fomm").save_bytes()
-        magic = b"FGMK1\n"
-        (hlen,) = struct.unpack_from("<I", blob, len(magic))
-        header_end = len(magic) + 4 + hlen
-        bad_files = [blob[:n] for n in (len(magic) + 1, len(magic) + 4, len(magic) + 20,
-                                        header_end, header_end + 7, len(blob) - 1)]
-        bad_files.append(blob[:len(magic) + 4] + b"#" + blob[len(magic) + 5:])  # header not JSON
-        bad_files.append(blob[:len(magic) + 4] + b"\xff" + blob[len(magic) + 5:])  # not UTF-8
-        for header in (b"[]", b"{}", b'{"kind": "hmm", "eot": true, "tz_offset": 0, "submodels": []}',
-                       b'{"kind": "vomm", "eot": true, "tz_offset": 0, "submodels": [[1, 1]]}'):
-            bad_files.append(magic + struct.pack("<I", len(header)) + header)
-        for bad in bad_files:
-            with pytest.raises(DataError):
-                MarkovPredictor.load_bytes(bad)
-
-
-def model_file(entries, submodel=(1, 1, 1, 1.0), **header_fields):
-    """A one-sub-model vomm file written field by field; ``entries`` lists
-    (history, day, time, [(target, count, stay_sum, stay_count), ...]) in
-    file order, and ``header_fields`` replace header values."""
-    header = json.dumps({"eot": True, "kind": "vomm", "submodels": [list(submodel)],
-                         "tz_offset": 0.0, **header_fields}, sort_keys=True).encode()
-    out = [b"FGMK1\n", struct.pack("<I", len(header)), header,
-           struct.pack(f"<I{len(entries)}H", len(entries), *(len(e[3]) for e in entries))]
-    for history, day, tod, targets in entries:
-        out.append(struct.pack(f"<{len(history)}HHH", *history, day, tod))
-        out.extend(struct.pack("<iIdI", *target) for target in targets)
-    return b"".join(out)
-
-
-GOOD_TARGETS = [(B, 2, 120.0, 2), (EOT, 1, 0.0, 0)]
-
-
-class TestImpossibleRecords:
-    def test_well_formed_file_loads(self):
-        blob = model_file([((A,), 0, 0, GOOD_TARGETS), ((B,), 0, 0, [(A, 1, 60.0, 1)])])
-        m = MarkovPredictor.load_bytes(blob)
-        assert m.save_bytes() == blob
-        assert m.predict([A], 0.0) == [Prediction(B, 2 / 3, 60.0), Prediction(EOT, 1 / 3, None)]
-
-    @pytest.mark.parametrize("entries, submodel, problem", [
-        ([((A,), 0, 0, [(B, 0, 0.0, 0)])], None, r"context \(\(0,\), 0, 0\), target 1: count 0$"),
-        ([((A,), 0, 0, [(B, 1, 60.0, 2)])], None, "target 1: 2 stays for a count of 1$"),
-        ([((A,), 0, 0, [(B, 1, math.nan, 1)])], None, "target 1: stay sum nan$"),
-        ([((A,), 0, 0, [(B, 1, math.inf, 1)])], None, "target 1: stay sum inf$"),
-        ([((A,), 0, 0, [(B, 1, -60.0, 1)])], None, r"target 1: stay sum -60\.0$"),
-        ([((A,), 0, 0, [(-7, 1, 0.0, 0)])], None, r"target -7: id outside \[-1, 65535\]$"),
-        ([((A,), 0, 0, [(65536, 1, 0.0, 0)])], None, r"target 65536: id outside \[-1, 65535\]$"),
-        ([((A,), 0, 0, [(B, 1, 60.0, 1), (B, 1, 60.0, 1)])], None, "target 1: does not follow 1$"),
-        ([((A,), 0, 0, [(EOT, 1, 0.0, 0), (B, 1, 60.0, 1)])], None, "target 1: does not follow -1$"),
-        ([((A,), 0, 0, [])], None, r"context \(\(0,\), 0, 0\): no targets$"),
-        ([((A,), 1, 0, GOOD_TARGETS)], None, r"context \(\(0,\), 1, 0\): bucket outside the 1 x 1 split$"),
-        ([((A,), 0, 1, GOOD_TARGETS)], None, "bucket outside the 1 x 1 split$"),
-        ([((A,), 0, 4, GOOD_TARGETS)], (1, 2, 4, 8.0), "bucket outside the 2 x 4 split$"),
-        ([((B,), 0, 0, GOOD_TARGETS), ((A,), 0, 0, GOOD_TARGETS)], None,
-         r"context \(\(0,\), 0, 0\): does not follow \(\(1,\), 0, 0\)$"),
-        ([((A,), 0, 0, GOOD_TARGETS), ((A,), 0, 0, GOOD_TARGETS)], None, "does not follow"),
-        ([], (0, 1, 1, 1.0), "order must be >= 1"),
-        ([], (1, 3, 1, 1.0), r"unsupported split sizes \(3, 1\)"),
-        ([], (1, 1, 1, math.nan), "weight > 0"),
-    ], ids=["count-0", "stays-above-count", "nan-stay-sum", "infinite-stay-sum",
-            "negative-stay-sum", "target-below-eot", "target-above-max", "target-twice",
-            "targets-out-of-order", "no-targets", "day-outside-split", "time-outside-split",
-            "time-outside-split-4", "contexts-out-of-order", "context-twice", "order-0",
-            "split-3", "nan-weight"])
-    def test_impossible_record_is_data_error(self, entries, submodel, problem):
-        blob = model_file(entries, submodel or (1, 1, 1, 1.0))
-        with pytest.raises(DataError, match=r"^corrupt predictor file: .*" + problem):
-            MarkovPredictor.load_bytes(blob)
-
-    @pytest.mark.parametrize("field, value, problem", [
-        ("eot", "no", "eot 'no' is not true or false"),
-        ("eot", 1, "eot 1 is not true or false"),
-        ("eot", None, "eot None is not true or false"),
-        ("tz_offset", "x", "tz_offset 'x' is not a finite number"),
-        ("tz_offset", math.nan, "tz_offset nan is not a finite number"),
-        ("tz_offset", math.inf, "tz_offset inf is not a finite number"),
-        ("tz_offset", True, "tz_offset True is not a finite number"),
-        ("tz_offset", [0], r"tz_offset \[0\] is not a finite number"),
-    ], ids=["eot-string", "eot-integer", "eot-null", "tz-string", "tz-nan", "tz-infinite",
-            "tz-boolean", "tz-list"])
-    def test_impossible_header_is_data_error(self, field, value, problem):
-        blob = model_file([((A,), 0, 0, GOOD_TARGETS)], **{field: value})
-        with pytest.raises(DataError, match=r"^corrupt predictor file: header: " + problem + "$"):
-            MarkovPredictor.load_bytes(blob)
-
-    @pytest.mark.parametrize("eot, tz_offset", [(False, 0), (True, 28800), (False, -3600.5)])
-    def test_valid_header_round_trips(self, eot, tz_offset):
-        blob = model_file([((A,), 0, 0, [(B, 2, 120.0, 2)])], eot=eot, tz_offset=tz_offset)
-        m = MarkovPredictor.load_bytes(blob)
-        assert (m.eot, m.tz_offset) == (eot, tz_offset)
-        assert m.save_bytes() == blob
+        assert m.predict([0], 0.0) == [Prediction(65535, 1.0, 10.0)]
