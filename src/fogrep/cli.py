@@ -138,13 +138,7 @@ def _cmd_report(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "ingest":
-            return _cmd_ingest(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return {"ingest": _cmd_ingest, "run": _cmd_run, "report": _cmd_report}[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -38,10 +38,6 @@ class TraceOverlapError(DataError):
         self.pairs = list(pairs)
 
 
-class TopologyError(FogrepError):
-    """Inconsistent topology (disconnected endpoints, unknown ids)."""
-
-
 class UndefinedMetricError(DataError):
     """Metric has no defined value for the input (e.g. zero active time)."""
 

@@ -31,10 +31,10 @@ from .simengine import (ReplicaLedger, merge_event_logs, snapshot_memory,
                         write_event_log_csv)
 from .topology import (BEIJING_BBOX, DEFAULT_EDGE_RATE, DEFAULT_UPLINK_RATE,
                        FixedDelay, FlowGraph, Topology, build_complex_network,
-                       build_grid)
+                       build_grid, check_bbox)
 from .traces import (DEFAULT_GAP_THRESHOLD, SchedulePattern, SyntheticSpec,
-                     load_geolife_dir, read_visits_csv, replacing_file,
-                     synth_generate, write_visits_csv)
+                     csv_rows, load_geolife_dir, read_visits_csv,
+                     replacing_file, synth_generate, write_visits_csv)
 
 GEOLIFE_TZ_OFFSET = 8 * 3600.0
 MAX_SERIES_POINTS = 1_000_000  # a year at one-minute buckets is 525,600 points
@@ -45,10 +45,12 @@ RESULTS_TYPES = {"experiment": str, "topology": str, "policy": str, "clients": i
 RESULTS_HEADER = list(RESULTS_TYPES)
 
 
-def load_yaml_with_lines(text: str, source="<config>"):
-    """Parse YAML once: the document (as ``yaml.safe_load`` builds it) and,
-    from the same node tree, a key-path -> line-number map for error anchors."""
+def load_yaml_with_lines(data: bytes | str, source="<config>"):
+    """Parse YAML once, from a file's bytes (read as UTF-8) or its text: the
+    document (as ``yaml.safe_load`` builds it) and, from the same node tree,
+    a key-path -> line-number map for error anchors."""
     try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
         loader = yaml.SafeLoader(text)  # rejects unprintable characters
         try:
             tree = loader.get_single_node()
@@ -63,6 +65,9 @@ def load_yaml_with_lines(text: str, source="<config>"):
         mark = getattr(exc, "problem_mark", None)
         where = f"{source} line {mark.line + 1}" if mark else source
         raise ConfigError(f"{where}: invalid YAML: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{source} line {line}: not UTF-8 text ({exc.reason})") from None
     lines: dict[str, int] = {}
 
     def walk(node, path):
@@ -96,7 +101,6 @@ _integer = _strict((int,), "an integer")
 _number = _strict((int, float), "a finite number", float, lambda v: -math.inf < v < math.inf)
 _boolean = _strict((bool,), "true or false")
 _text = _strict((str, int, float), "a string", str)
-_list = _strict((list,), "a list")
 _positive = _strict((int, float), "a finite number > 0", float, lambda v: 0 < v < math.inf)
 _non_negative = _strict((int, float), "a finite number >= 0", float, lambda v: 0 <= v < math.inf)
 _positive_integer = _strict((int,), "an integer > 0", ok=lambda v: v > 0)
@@ -222,18 +226,14 @@ class TopologySpec:
         if self.kind == "grid":
             topo = build_grid(self.rows, self.cols, self.bbox)
             return topo, FixedDelay(self.transfer_delay)
-        if self.kind == "complex":
-            topo = build_complex_network(self.rows, self.cols, self.bbox,
-                                         edge_rate=self.edge_rate,
-                                         uplink_rate=self.uplink_rate,
-                                         neighborhood=self.neighborhood)
-            return topo, FlowGraph(topo, self.data_size_gb * 8e9)
-        raise ConfigError(f"topology.kind: unknown kind {self.kind!r}")
+        topo = build_complex_network(self.rows, self.cols, self.bbox, edge_rate=self.edge_rate,
+                                     uplink_rate=self.uplink_rate, neighborhood=self.neighborhood)
+        return topo, FlowGraph(topo, self.data_size_gb * 8e9)
 
 
 TOPOLOGY_FIELDS = {key: (key, convert) for key, convert in dict(
     name=_file_name, kind=_one_of("grid", "complex"), rows=_positive_integer, cols=_positive_integer,
-    bbox=_list_of(_number, 4),  # lat_min, lat_max, lon_min, lon_max
+    bbox=lambda v: check_bbox(_list_of(_number, 4)(v)),  # lat_min, lat_max, lon_min, lon_max
     transfer_delay=_positive, data_size_gb=_positive, edge_rate=_positive, uplink_rate=_positive,
     neighborhood=_one_of(4, 8)).items()}
 
@@ -253,11 +253,11 @@ POLICY_FIELDS = {
     "startup": ("startup_mode", _text),
     "startup.type": ("startup_mode", _text),
     "startup.mode": ("short_pause_mode", _text),
-    "startup.duration": ("short_pause_duration", _non_negative),
-    "startup.max": ("short_pause_max", _non_negative),
-    "startup.threshold": ("plmm_threshold", _positive),
-    "startup.factor": ("retention_factor", _positive),
-    "startup.min_samples": ("min_samples", _positive_integer),
+    "startup.duration": ("short_pause_duration", _number),
+    "startup.max": ("short_pause_max", _number),
+    "startup.threshold": ("plmm_threshold", _number),
+    "startup.factor": ("retention_factor", _number),
+    "startup.min_samples": ("min_samples", _integer),
 }
 
 # the scalar keys of the top level and of the metrics section
@@ -290,11 +290,23 @@ SPEC_FIELDS = {
     "jitter": ("jitter", _non_negative),
     "seed": ("seed", _integer),
 }
-CLIENT_FIELDS = {**SPEC_FIELDS, "client": ("client_id", _text), "patterns": ("patterns", _list)}
+CLIENT_FIELDS = {**SPEC_FIELDS, "client": ("client_id", _text),
+                 "patterns": ("patterns", _list_of(lambda x: x, nonempty=True))}
+
+
+def _path(v):
+    """A pattern's [node, stay seconds] pairs: at least one, and no node twice in a row."""
+    path = _list_of(_pair(_integer, _non_negative), nonempty=True)(v)
+    for (a, _), (b, _) in zip(path, path[1:]):
+        if a == b:
+            raise ValueError(f"node {a} twice in a row")
+    return path
+
+
 PATTERN_FIELDS = {
-    "days": ("days", _list_of(_weekday)),
+    "days": ("days", _list_of(_weekday, nonempty=True)),
     "start": ("start_clock", _clock),
-    "path": ("path", _list_of(_pair(_integer, _non_negative))),  # [node, stay seconds]
+    "path": ("path", _path),
 }
 
 
@@ -336,7 +348,7 @@ def parse_policy(doc, lines=None, where="", **defaults) -> PolicyConfig:
     lines = lines or {}
     fields = {**defaults, **read_fields(doc or {}, POLICY_FIELDS, lines, where)}
     try:
-        return PolicyConfig(**fields).validate()
+        return PolicyConfig(**fields)
     except ConfigError as exc:
         raise _anchored(f"{where}.{exc}" if where else str(exc), lines) from None
 
@@ -344,7 +356,8 @@ def parse_policy(doc, lines=None, where="", **defaults) -> PolicyConfig:
 def parse_spec(doc, lines, where="") -> tuple[tuple[SyntheticSpec, int | None], ...]:
     """A synthetic spec mapping -> one (SyntheticSpec, seed or None) per
     client; the timelines are generated later, when the run seed is known."""
-    defaults = read_fields(doc, {**SPEC_FIELDS, "clients": ("clients", _list)}, lines, where, ("clients",))
+    table = {**SPEC_FIELDS, "clients": ("clients", _list_of(lambda x: x, nonempty=True))}
+    defaults = read_fields(doc, table, lines, where, ("clients",))
     clients = []
     for i, entry in enumerate(defaults.pop("clients")):
         at = f"{where}.clients[{i}]" if where else f"clients[{i}]"
@@ -374,8 +387,9 @@ def parse_trace(trace, lines, config_dir: Path) -> TraceConfig:
     else:
         spec_path = config_dir / fields["spec"]
         if not spec_path.is_file():
-            raise DataError(f"synthetic spec not found: {spec_path}")
-        spec_doc, spec_lines = load_yaml_with_lines(spec_path.read_text(), str(spec_path))
+            problem = "path is not a file" if spec_path.exists() else "not found"
+            raise DataError(f"synthetic spec {problem}: {spec_path}")
+        spec_doc, spec_lines = load_yaml_with_lines(spec_path.read_bytes(), str(spec_path))
         try:
             fields["spec"] = parse_spec(spec_doc, spec_lines)
         except ConfigError as exc:
@@ -383,8 +397,8 @@ def parse_trace(trace, lines, config_dir: Path) -> TraceConfig:
     return TraceConfig(**{"tz_offset": GEOLIFE_TZ_OFFSET if source == "geolife" else 0.0, **fields})
 
 
-def parse_experiment_config(text: str, source="<config>", config_dir=Path(".")) -> ExperimentConfig:
-    doc, lines = load_yaml_with_lines(text, source)
+def parse_experiment_config(data: bytes | str, source="<config>", config_dir=Path(".")) -> ExperimentConfig:
+    doc, lines = load_yaml_with_lines(data, source)
     if not isinstance(doc, dict):
         raise ConfigError(f"{source}: config must be a mapping")
     doc = dict(doc)
@@ -427,7 +441,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     if not path.is_file():
         raise ConfigError(f"config path is not a file: {path}")
-    return parse_experiment_config(path.read_text(), source=str(path), config_dir=path.parent)
+    return parse_experiment_config(path.read_bytes(), source=str(path), config_dir=path.parent)
 
 
 def _ingest_key(trace: TraceConfig, topo: Topology) -> str:
@@ -460,7 +474,7 @@ def load_traces(cfg: ExperimentConfig, topo: Topology, topo_name: str):
         raise DataError(f"visits file not found: {path}")
     if not path.is_file():
         raise DataError(f"visits path is not a file: {path}")
-    with open(path) as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         return read_visits_csv(fh)
 
 
@@ -527,26 +541,26 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
         })
         point_dir = cfg.output / point_dir_name(policy, topo_spec)
         point_dir.mkdir(parents=True, exist_ok=True)
-        with open(point_dir / "report.csv", "w") as fh:
+        with open(point_dir / "report.csv", "w", encoding="utf-8", newline="") as fh:
             write_report_csv(report, fh)
         for cid, series in report.series.items():
-            with open(point_dir / f"series_{cid}.csv", "w") as fh:
+            with open(point_dir / f"series_{cid}.csv", "w", encoding="utf-8") as fh:
                 fh.write("time,availability\n")
                 for t, a in series:
                     fh.write(f"{t!r},{a!r}\n")
         if event_log is not None:
-            with open(point_dir / "events.csv", "w") as fh:
+            with open(point_dir / "events.csv", "w", encoding="utf-8", newline="") as fh:
                 write_event_log_csv(event_log, fh)
     write_results_csv(rows, cfg.output / "results.csv")
     summary = {cfg.experiment: {"rows": rows, "seed": cfg.seed}}
     (cfg.output / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     if cfg.plot:
-        (cfg.output / cfg.plot).write_text(pareto_svg(rows))
+        (cfg.output / cfg.plot).write_text(pareto_svg(rows), encoding="utf-8")
     return rows
 
 
 def write_results_csv(rows, path):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RESULTS_HEADER)
         for row in rows:
@@ -557,18 +571,21 @@ def write_results_csv(rows, path):
 
 def read_results_csv(path) -> list[dict]:
     """The rows of a results.csv file, with its numbers read back as numbers."""
-    with open(path) as fh:
-        reader = csv.DictReader(fh, restval="")
-        if reader.fieldnames != RESULTS_HEADER:
-            raise DataError(f"{path}: unexpected results header {reader.fieldnames}")
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = csv_rows(fh)
+        _, header = next(lines, (1, None))
+        if header != RESULTS_HEADER:
+            raise DataError(f"{path}: unexpected results header {header}")
         rows = []
-        for row in reader:
+        for lineno, row in lines:
             try:
-                if None in row:
+                if len(row) > len(RESULTS_HEADER):
                     raise ValueError(f"more than {len(RESULTS_HEADER)} fields")
-                rows.append({key: convert(row[key]) for key, convert in RESULTS_TYPES.items()})
+                if row:  # a blank line is skipped, and a short row's missing fields are ""
+                    row += [""] * (len(RESULTS_HEADER) - len(row))
+                    rows.append({key: convert(v) for (key, convert), v in zip(RESULTS_TYPES.items(), row)})
             except ValueError as exc:
-                raise DataError(f"{path} line {reader.line_num}: {exc}") from None
+                raise DataError(f"{path} line {lineno}: {exc}") from None
         return rows
 
 

@@ -18,6 +18,9 @@ and how the answers are fused (``KINDS``):
   context answers alone;
 * ``fomm``: orders ``1..k`` x day splits x time splits, by blend: the
   weighted sum of every answering sub-model's distribution, normalized.
+
+Settings come checked: ``PolicyConfig`` calls ``check_kind`` and checks the
+top-N settings when it is made, so nothing here checks them again.
 """
 from __future__ import annotations
 
@@ -45,8 +48,6 @@ def bucketize(t, day_split, time_split, tz_offset=0.0) -> tuple[int, int]:
     day_split 7 -> weekday (Mon=0); 2 -> 0 weekday / 1 weekend; 1 -> 0.
     time_split 24 -> hour; 4 -> six-hour range; 1 -> 0.
     """
-    if day_split not in DAY_SPLITS or time_split not in TIME_SPLITS:
-        raise ConfigError(f"unsupported split sizes ({day_split}, {time_split})")
     wall = int(t + tz_offset)
     day = 0
     if day_split > 1:
@@ -101,11 +102,6 @@ class SubModelSpec:
     time_split: int
     weight: float
 
-    def __post_init__(self):
-        if self.order < 1 or not self.weight > 0:
-            raise ConfigError(f"sub-model order must be >= 1 and weight > 0, got {self}")
-        bucketize(0.0, self.day_split, self.time_split)  # ConfigError for an unknown split
-
 
 @dataclass(frozen=True)
 class Prediction:
@@ -156,11 +152,9 @@ KINDS = {
 }
 
 
-def check_kind(kind, k=1, day_splits=(1,), time_splits=(1,)):
-    """The ``KINDS`` row of ``kind``; ConfigError naming the predictor key
-    when the kind is unknown or cannot take these parameters."""
-    if kind not in KINDS:
-        raise ConfigError(f"predictor: unknown kind {kind!r}; expected one of {tuple(KINDS)}")
+def check_kind(kind, k, day_splits, time_splits):
+    """The ``KINDS`` row of ``kind``, a known kind; ConfigError naming the
+    predictor key when it cannot take these parameters."""
     if k < 1:
         raise ConfigError("predictor.k: must be >= 1")
     for key, given, allowed in (("day_splits", day_splits, DAY_SPLITS),
@@ -176,7 +170,7 @@ def check_kind(kind, k=1, day_splits=(1,), time_splits=(1,)):
 def make_model(kind, k, day_splits=(1,), time_splits=(1,), eot=True,
                tz_offset=0.0) -> "MarkovPredictor":
     """A fresh model of ``kind`` with maximum order ``k``."""
-    orders = check_kind(kind, k, day_splits, time_splits)[0]
+    orders = KINDS[kind][0]
     # more specific sub-models weigh more: order x day groups x time groups
     specs = [SubModelSpec(o, d, t, float(o * d * t))
              for o in orders(k) for d in sorted(day_splits) for t in sorted(time_splits)]
@@ -189,7 +183,7 @@ class MarkovPredictor:
 
     def __init__(self, kind, submodels, eot=True, tz_offset=0.0):
         self.kind = kind
-        self.fuse = check_kind(kind)[2]
+        self.fuse = KINDS[kind][2]
         self.submodels: list[SubModelSpec] = list(submodels)
         self.eot = eot
         self.tz_offset = tz_offset
@@ -267,15 +261,9 @@ def dynamic_topn(preds, threshold=None, fixed_n=None, include_eot=True) -> list[
     With include_eot=False, end-of-trip mass does not count toward the
     threshold but keeps its position in the ordering.
     """
-    if (threshold is None) == (fixed_n is None):
-        raise ConfigError("exactly one of threshold / fixed_n must be given")
     ordered = sorted(preds, key=lambda p: (-p.probability, p.target == EOT, p.target))
     if fixed_n is not None:
-        if fixed_n < 1:
-            raise ConfigError("fixed_n must be >= 1")
         return [p.target for p in ordered[:fixed_n]]
-    if not 0.0 < threshold <= 1.0:
-        raise ConfigError(f"topN threshold must be in (0, 1], got {threshold}")
     selected = []
     cum = 0.0
     for p in ordered:

@@ -123,15 +123,14 @@ def availability_series(ledger: ReplicaLedger, timeline: ClientTimeline, bucket)
 class ClientMetrics:
     client_id: str
     active_s: float
-    covered_s: float
     availability: float
-    excess_s: float
     excess_ratio: float
     memory_bytes: int
 
 
 @dataclass
 class MetricsReport:
+    active_s: float  # over all clients, summed in client-id order
     availability: float
     excess_ratio: float
     memory_avg: float
@@ -156,9 +155,7 @@ def compute_report(ledger: ReplicaLedger, timelines, memory_by_client=None,
         per_client.append(ClientMetrics(
             client_id=tl.client_id,
             active_s=active,
-            covered_s=covered,
             availability=covered / active if active > 0 else float("nan"),
-            excess_s=presence - covered,
             excess_ratio=(presence - covered) / active if active > 0 else float("nan"),
             memory_bytes=mem,
         ))
@@ -169,6 +166,7 @@ def compute_report(ledger: ReplicaLedger, timelines, memory_by_client=None,
         raise UndefinedMetricError("no active time across clients")
     mems = [m.memory_bytes for m in per_client]
     report = MetricsReport(
+        active_s=tot_active,
         availability=tot_covered / tot_active,
         excess_ratio=(tot_presence - tot_covered) / tot_active,
         memory_avg=sum(mems) / len(mems) if mems else 0.0,
@@ -189,11 +187,9 @@ def write_report_csv(report: MetricsReport, fileobj):
     """Per-client rows plus an aggregate row."""
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(REPORT_HEADER)
-    active = 0.0  # left to right: sum() compensates since Python 3.12
     for m in report.per_client:
         writer.writerow([m.client_id, repr(m.active_s), repr(m.availability),
                          repr(m.excess_ratio), m.memory_bytes])
-        active += m.active_s
-    writer.writerow(["ALL", repr(active),
+    writer.writerow(["ALL", repr(report.active_s),
                      repr(report.availability), repr(report.excess_ratio),
                      repr(report.memory_avg)])

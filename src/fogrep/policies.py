@@ -7,8 +7,8 @@ optional end-of-trip handling, top-N selection and preload-buffer timing)
 that acts on arrivals, and a restart model (``fogrep.startup``: a short-pause
 window or the pause-length model) that acts on session ends. So the combined
 policy is literally the predictive policy during sessions and the retention
-policy at session ends. ``PolicyConfig.validate`` checks every setting once,
-before any model is built.
+policy at session ends. ``PolicyConfig`` checks every setting when it is
+made, so the models built from it take their settings as given.
 """
 from __future__ import annotations
 
@@ -70,7 +70,7 @@ class PolicyConfig:
     min_samples: int = DEFAULT_MIN_SAMPLES
     tz_offset: float = 0.0            # local time of the trace; set from trace.tz_offset
 
-    def validate(self):
+    def __post_init__(self):
         if self.predictor not in PREDICTORS:
             raise ConfigError(f"predictor: unknown predictor {self.predictor!r}; expected one of {PREDICTORS}")
         if self.predictor != "baseline":
@@ -97,7 +97,6 @@ class PolicyConfig:
             raise ConfigError(f"startup.min_samples: must be >= 1, got {self.min_samples}")
         if self.preload_buffer < 0:
             raise ConfigError("preload_buffer: must be >= 0")
-        return self
 
 
 class ReplicaPolicy:

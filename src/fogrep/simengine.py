@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, EngineInvariantError
 from .policies import Delete, PolicyConfig, Replicate, ReplicaPolicy, Retain
-from .topology import FixedDelay, FlowGraph, Topology, transfer_time
+from .topology import Topology, transfer_time
 
 # event kinds, in tie-break order
 TRANSFER_START = 0
@@ -257,8 +257,6 @@ class _ClientRun:
 def run(timelines, topology: Topology, network, policy_config: PolicyConfig,
         record_log=True) -> RunResult:
     """Simulate the timelines under one policy configuration, one client at a time."""
-    if not isinstance(network, (FixedDelay, FlowGraph)):
-        raise ConfigError(f"unknown network model {network!r}")
     edge_ids = {n.id for n in topology.edge_nodes}
 
     def ttime(dst) -> float:

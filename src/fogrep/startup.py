@@ -8,7 +8,7 @@ history size one that predicts the startup node and the expected pause.
 Both models have the same three methods: ``record`` feeds one observed
 pause, ``until`` gives the deadline until which the shutdown node's replica
 is kept (None keeps nothing), and ``memory_bytes`` their canonical size.
-The settings are checked once, by ``PolicyConfig.validate``.
+The settings are checked once, when the ``PolicyConfig`` is made.
 """
 from __future__ import annotations
 

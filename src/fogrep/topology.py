@@ -11,6 +11,10 @@ topology, so the grid lookup and the scan over every node compare the same
 rounded distances and break ties alike. A query of any length works through
 its points in fixed-size slices, which bounds its temporary arrays.
 
+Inputs come checked, by a config's field table or, for ``fogrep ingest``, by
+``build_grid``; ``Topology``, ``FixedDelay`` and ``FlowGraph`` take theirs as
+given (dense ids, one connected cloud, finite positive rates).
+
 Only the nearest-node queries use numpy: ``nearest_nodes``,
 ``_grid_nearest``, ``_scan``, ``_bracket`` and ``Topology._coords`` import it
 when first called, so building a topology or timing its transfers never
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError, TopologyError
+from .errors import ConfigError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -79,7 +83,6 @@ class Topology:
             self._rates[(link.b, link.a)] = link.rate
         for nbrs in self._adj.values():
             nbrs.sort()
-        self._validate()
         self._edge_nodes = [n for n in self.nodes if n.kind == EDGE]
         self._axes = _grid_axes(self._edge_nodes)
 
@@ -99,25 +102,6 @@ class Topology:
             mid_lat = float(np.mean(self._coords[0])) if self._edge_nodes else 0.0
         return math.cos(math.radians(mid_lat))
 
-    def _validate(self):
-        ids = [n.id for n in self.nodes]
-        if ids != list(range(len(ids))):
-            raise TopologyError("node ids must be unique and dense from 0")
-        clouds = [n for n in self.nodes if n.kind == CLOUD]
-        if len(clouds) > 1:
-            raise TopologyError("at most one cloud node is allowed")
-        endpoint_ids = set(ids) | set(self.routers)
-        if len(endpoint_ids) != len(ids) + len(self.routers):
-            raise TopologyError("router ids collide with node ids")
-        for link in self.links:
-            if not 0 < link.rate < math.inf:
-                raise TopologyError(f"link {link.a}-{link.b} rate must be finite and > 0, got {link.rate!r}")
-            if link.a not in endpoint_ids or link.b not in endpoint_ids:
-                raise TopologyError(f"link {link.a}-{link.b} references unknown endpoint")
-        # with links present the graph must be connected
-        if self.links and _bottlenecks(self, next(iter(endpoint_ids))).keys() != endpoint_ids:
-            raise TopologyError("link graph is not connected")
-
     @property
     def edge_nodes(self) -> list[FogNode]:
         return self._edge_nodes
@@ -130,13 +114,22 @@ class Topology:
         return None
 
 
+def check_bbox(bbox) -> tuple:
+    """``bbox`` as a tuple; ValueError unless finite with lat_min < lat_max and lon_min < lon_max."""
+    lat_min, lat_max, lon_min, lon_max = bbox
+    if not (all(map(math.isfinite, bbox)) and lat_max > lat_min and lon_max > lon_min):
+        raise ValueError(f"expected finite lat_min < lat_max and lon_min < lon_max, got {tuple(bbox)}")
+    return tuple(bbox)
+
+
 def build_grid(rows, cols, bbox=BEIJING_BBOX) -> Topology:
     """rows x cols edge nodes at cell centers of the bounding box, row-major ids."""
     if rows < 1 or cols < 1:
         raise ConfigError("grid dimensions must be >= 1")
-    lat_min, lat_max, lon_min, lon_max = bbox
-    if not (all(map(math.isfinite, bbox)) and lat_max > lat_min and lon_max > lon_min):
-        raise ConfigError(f"bbox: expected finite lat_min < lat_max and lon_min < lon_max, got {tuple(bbox)}")
+    try:
+        lat_min, lat_max, lon_min, lon_max = check_bbox(bbox)
+    except ValueError as exc:
+        raise ConfigError(f"bbox: {exc}") from None
     dlat = (lat_max - lat_min) / rows
     dlon = (lon_max - lon_min) / cols
     nodes = []
@@ -160,8 +153,6 @@ def build_complex_network(rows, cols, bbox=BEIJING_BBOX,
     Edge node ids are 0..rows*cols-1 (row-major), the cloud node follows at
     rows*cols, and routers occupy rows*cols+1 .. 2*rows*cols.
     """
-    if neighborhood not in (4, 8):
-        raise ConfigError("router mesh neighborhood must be 4 or 8")
     base = build_grid(rows, cols, bbox)
     n = rows * cols
     cloud_id = n
@@ -254,8 +245,6 @@ def nearest_nodes(lats, lons, topo: Topology) -> np.ndarray:
     topology, go to the scan. A grid takes the points _NEAREST_SLICE at a time.
     """
     import numpy as np
-    if not topo.edge_nodes:
-        raise TopologyError("topology has no edge nodes")
     lats = np.asarray(lats, dtype=float)
     lons = np.asarray(lons, dtype=float)
     if topo._axes is None:
@@ -305,10 +294,6 @@ class FixedDelay:
     """Every transfer takes the same time, whatever its destination."""
     delay: float  # seconds
 
-    def __post_init__(self):
-        if self.delay <= 0:
-            raise ConfigError("fixed transfer delay must be > 0")
-
 
 @dataclass(frozen=True)
 class FlowGraph:
@@ -320,14 +305,7 @@ class FlowGraph:
     times: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.data_size <= 0:
-            raise ConfigError("transfer data size must be > 0")
-        if not self.topology.links:
-            raise ConfigError("flow model requires a topology with links")
-        cloud = self.topology.cloud_id
-        if cloud is None:
-            raise TopologyError("flow model topology has no cloud node")
-        bottlenecks = _bottlenecks(self.topology, cloud)
+        bottlenecks = _bottlenecks(self.topology, self.topology.cloud_id)
         object.__setattr__(self, "times", {n.id: self.data_size / bottlenecks[n.id]
                                            for n in self.topology.edge_nodes})
 

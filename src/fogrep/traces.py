@@ -61,10 +61,6 @@ class GeoPoint:
     lon: float
     t: float  # epoch seconds
 
-    def __post_init__(self):
-        if not (-90.0 <= self.lat <= 90.0 and -180.0 <= self.lon <= 180.0):
-            raise TraceFormatError(f"coordinates out of range: {self.lat}, {self.lon}")
-
 
 @dataclass(frozen=True, eq=False)
 class Track:
@@ -344,9 +340,7 @@ def build_timeline(client_id, point_groups, topo: Topology,
     if not sessions:
         raise EmptyTraceError(f"client {client_id}: no sessions")
     visit_sessions = map_to_node_visits(sessions, topo)
-    timeline = ClientTimeline(client_id, visit_sessions, _pauses_between(client_id, visit_sessions))
-    timeline.validate()
-    return timeline
+    return ClientTimeline(client_id, visit_sessions, _pauses_between(client_id, visit_sessions))
 
 
 def _parsed(files, root):
@@ -439,8 +433,6 @@ def synth_generate(spec: SyntheticSpec, noise_seed=None) -> ClientTimeline:
     rng = random.Random(noise_seed) if noise_seed is not None else None
     entries = []
     for pat in spec.patterns:
-        if not pat.path:
-            raise ConfigError("schedule pattern has an empty node path")
         for w in range(spec.weeks):
             for day in pat.days:
                 start = spec.anchor + (w * 7 + day) * 86400.0 + pat.start_clock
@@ -453,8 +445,6 @@ def synth_generate(spec: SyntheticSpec, noise_seed=None) -> ClientTimeline:
         visits = []
         t = start
         for node, stay in pat.path:
-            if stay < 0:
-                raise ConfigError("negative stay duration in schedule")
             visits.append(NodeVisit(int(node), t, t + stay))
             t += stay
         if sessions and visits[0].arrival <= sessions[-1][-1].departure:
@@ -462,11 +452,7 @@ def synth_generate(spec: SyntheticSpec, noise_seed=None) -> ClientTimeline:
                 f"client {spec.client_id}: synthetic session {idx} starting {_local(spec, visits[0].arrival)} "
                 f"overlaps session {idx - 1} starting {_local(spec, sessions[-1][0].arrival)}")
         sessions.append(visits)
-    if not sessions:
-        return ClientTimeline(spec.client_id, [], [])
-    timeline = ClientTimeline(spec.client_id, sessions, _pauses_between(spec.client_id, sessions))
-    timeline.validate()
-    return timeline
+    return ClientTimeline(spec.client_id, sessions, _pauses_between(spec.client_id, sessions))
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +469,7 @@ def replacing_file(path):
     path = Path(path)
     partial = path.with_name(path.name + ".partial")
     try:
-        with open(partial, "w") as fh:
+        with open(partial, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(partial, path)
     except BaseException:
@@ -500,15 +486,28 @@ def write_visits_csv(timelines, fileobj):
                 writer.writerow([tl.client_id, sid, v.node, repr(v.arrival), repr(v.departure)])
 
 
-def read_visits_csv(fileobj) -> list[ClientTimeline]:
-    """Timelines from a visits CSV. The rows are checked for everything
-    ``ClientTimeline.validate`` checks, and a fault names its line."""
+def csv_rows(fileobj):
+    """(line, row) of each row csv reads from a file opened as UTF-8 with ``newline=""``;
+    DataError naming the file for a byte that is not UTF-8, and its line for a row csv cannot split."""
     reader = csv.reader(fileobj)
-    header = next(reader, None)
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{getattr(fileobj, 'name', 'CSV')}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataError(f"{getattr(fileobj, 'name', 'CSV')} line {reader.line_num}: {exc}") from None
+
+
+def read_visits_csv(fileobj) -> list[ClientTimeline]:
+    """Timelines from a visits CSV (see ``csv_rows``). The rows are checked for
+    everything ``ClientTimeline.validate`` checks, and a fault names its line."""
+    lines = csv_rows(fileobj)
+    _, header = next(lines, (1, None))
     if header != VISITS_HEADER:
         raise TraceFormatError(f"unexpected visits header {header!r}", line=1)
     by_client: dict[str, dict[int, list[tuple[int, NodeVisit]]]] = {}
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in lines:
         if not row:
             continue
         if len(row) != len(VISITS_HEADER):

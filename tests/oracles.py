@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from fogrep.errors import ConfigError, DataError, TopologyError
+from fogrep.errors import ConfigError, DataError
 from fogrep.markov import (EOT, MAX_NODE_ID, TARGET_BYTES, Context,
                            MarkovPredictor, Prediction, SubModelSpec,
                            TargetRecord, bucketize, check_kind)
@@ -270,7 +270,7 @@ def random_policy_config(rng: random.Random, predictors=("baseline", "momm", "vo
             kwargs["short_pause_max"] = float(rng.choice([120, 600]))
     elif startup == "plmm":
         kwargs.update(startup_mode="plmm", plmm_threshold=float(rng.choice([300, 1500])))
-    return PolicyConfig(name="random", predictor=predictor, **kwargs).validate()
+    return PolicyConfig(name="random", predictor=predictor, **kwargs)
 
 
 def make_micro_scenario(rng: random.Random, clients=(1, 2)):
@@ -353,7 +353,7 @@ def min_hop_path(topo: Topology, src, dst) -> list[int]:
         return [src]
     dist = _hop_counts(topo, dst)
     if src not in dist:
-        raise TopologyError(f"no path between {src} and {dst}")
+        raise ValueError(f"no path between {src} and {dst}")
     path = [src]
     cur = src
     while cur != dst:

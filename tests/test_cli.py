@@ -755,6 +755,18 @@ class TestConfigErrors:
         ({"policy": "startup: {type: short_pause, max: .inf}"}, "policies[0].startup.max", 10),
         ({"topo": "data_size_gb: 1" + "0" * 400}, "topologies[0].data_size_gb", 6),
         ({"top": 'metrics: {series_clients: ["000", "001", "000"]}'}, "metrics.series_clients", 3),
+        ({"trace": spec_trace().replace("[[0, 60]]", "[]")}, f"{SPEC_CLIENT}.patterns[0].path", 2),
+        ({"trace": spec_trace().replace("[[0, 60]]", "[[0, 60], [0, 30]]")}, f"{SPEC_CLIENT}.patterns[0].path", 2),
+        ({"trace": spec_trace(pattern="days: [], start: '08:00'")}, f"{SPEC_CLIENT}.patterns[0].days", 2),
+        ({"trace": "{source: synthetic, spec: {clients: [{client: c, patterns: []}]}}"},
+         f"{SPEC_CLIENT}.patterns", 2),
+        ({"trace": "{source: synthetic, spec: {clients: []}}"}, "trace.spec.clients", 2),
+        ({"topo": "bbox: [1.0, 0.0, 0.0, 1.0]"}, "topologies[0].bbox", 6),
+        ({"policy": "predictor: {type: vomm, k: 0}"}, "policies[0].predictor.k", 10),
+        ({"policy": "predictor: {type: fomm, k: 1, day_splits: [1, 3]}"}, "policies[0].predictor.day_splits", 10),
+        ({"policy": "topn: {type: dynamic, threshold: 1.5}"}, "policies[0].topn.threshold", 10),
+        ({"policy": "topn: {type: dynamic, threshold: 0}"}, "policies[0].topn.threshold", 10),
+        ({"policy": "topn: {type: fixed, n: 0}"}, "policies[0].topn.n", 10),
     ], ids=["k-word", "jobs-word", "eot-string", "k-float", "vomm-day-splits",
             "momm-time-splits", "bbox-three", "kind-unknown", "spec-wekks", "spec-weeks-word",
             "spec-start-8am", "spec-start-unquoted", "spec-start-25-90", "spec-day-fry",
@@ -763,7 +775,9 @@ class TestConfigErrors:
             "jobs-zero", "plmm-threshold-zero", "plmm-factor-negative", "min-samples-zero",
             "pause-duration-negative", "pause-max-negative", "window-nan", "tz-offset-nan",
             "transfer-delay-inf", "bbox-nan", "spec-anchor-nan", "pause-max-inf",
-            "data-size-too-large", "series-clients-twice"])
+            "data-size-too-large", "series-clients-twice", "spec-path-empty", "spec-path-node-twice",
+            "spec-days-empty", "spec-patterns-empty", "spec-clients-empty", "bbox-reversed",
+            "k-zero", "fomm-day-split-3", "topn-threshold-over-one", "topn-threshold-zero", "topn-n-zero"])
     def test_run_names_key_path_and_line(self, tmp_path, capsys, override, key_path, line):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(error_config(**override))
@@ -771,6 +785,7 @@ class TestConfigErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{key_path}:" in err and f"(line {line})" in err
+        assert not (tmp_path / "out").exists()  # caught before any output is made
 
     def test_overlapping_patterns_name_client_and_local_times(self, tmp_path, capsys):
         trace = spec_trace(pattern="days: [mon], start: '08:00'").replace(
@@ -920,9 +935,66 @@ class TestTraceSection:
         assert b.sessions == synth_generate(spec_b, noise_seed=3).sessions
 
 
+SHIPPED_POINTS = {  # shipped config -> its sweep points, topologies x policies
+    "configs/geolife/combination.yaml": 2 * 4,
+    "configs/geolife/preload_buffers.yaml": 1 * 5,
+    "configs/restart.yaml": 1 * 4,
+    "configs/smoke.yaml": 1 * 3,
+    "perfbench/configs/sweep-flow.yaml": 1 * 4,
+}
+
+
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: str(p.relative_to(REPO)))
 def test_shipped_config_parses(path):
-    """Every config the repository ships reads through the field tables, so a
-    table change that drops a key one of them uses fails here."""
-    cfg = parse_experiment_config(path.read_text(), source=str(path), config_dir=path.parent)
-    assert cfg.topologies and cfg.policies
+    """Every config the repository ships loads as `fogrep run` loads it, with
+    all its sweep points, so a table change that drops or renames a key one
+    of them uses fails here. A new config needs its row in SHIPPED_POINTS."""
+    cfg = load_experiment_config(path)
+    assert len(cfg.topologies) * len(cfg.policies) == SHIPPED_POINTS[str(path.relative_to(REPO))]
+
+
+class TestUnreadableFiles:
+    """A file fogrep reads that is not UTF-8 text, or that has a field over
+    csv's size limit, fails with its file named (and the line, where it is
+    known), never with a traceback."""
+
+    SPEC = b"clients: [{client: c, patterns: [{days: [mon], start: '08:00', path: [[0, 60]]}]}]\n"
+    VISITS = "client_id,session_id,node_id,arrival_epoch_s,departure_epoch_s\nb,0,1,0.0,1000.0\n"
+
+    @pytest.mark.parametrize("bad", ["run.yaml", "spec.yaml"])
+    def test_yaml_file_that_is_not_utf8(self, tmp_path, capsys, bad):
+        (tmp_path / "spec.yaml").write_bytes(self.SPEC)
+        (tmp_path / "run.yaml").write_text(error_config(trace="{source: synthetic, spec: spec.yaml}"))
+        (tmp_path / bad).write_bytes(b"# caf\xe9\n" + (tmp_path / bad).read_bytes())
+        assert main(["run", str(tmp_path / "run.yaml"), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (f"config error: {tmp_path / bad} line 1: "
+                                           "not UTF-8 text (invalid continuation byte)\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_spec_path_that_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "spec").mkdir()
+        cfg = tmp_path / "dir.yaml"
+        cfg.write_text(error_config(trace="{source: synthetic, spec: spec}"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"data error: synthetic spec path is not a file: {tmp_path / 'spec'}\n"
+
+    @pytest.mark.parametrize("first_field, problem", [
+        (b"\xff", ": not UTF-8 text (invalid start byte)"),
+        (b"b" * 200_000, " line 3: field larger than field limit (131072)"),
+    ], ids=["not-utf8", "field-over-limit"])
+    def test_visits_file(self, tmp_path, capsys, first_field, problem):
+        (tmp_path / "visits.csv").write_bytes(self.VISITS.encode() + first_field + b",1,0,2000.0,3000.0\n")
+        cfg = tmp_path / "visits.yaml"
+        cfg.write_text(error_config())
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"data error: {tmp_path / 'visits.csv'}{problem}\n"
+
+    @pytest.mark.parametrize("experiment, problem", [
+        (b"sm\xf6ke", ": not UTF-8 text (invalid start byte)"),
+        (b"x" * 200_000, " line 2: field larger than field limit (131072)"),
+    ], ids=["not-utf8", "field-over-limit"])
+    def test_results_file(self, tmp_path, capsys, experiment, problem):
+        bad = tmp_path / "results.csv"
+        bad.write_bytes(GOLDEN_RESULTS.read_bytes().replace(b"\nsmoke,", b"\n" + experiment + b",", 1))
+        assert main(["report", str(bad)]) == 3
+        assert capsys.readouterr().err == f"data error: {bad}{problem}\n"

@@ -47,7 +47,7 @@ def test_point_matches_the_whole_point_run(seed, make, dump_events):
 
 def test_each_clients_model_is_freed_before_the_next_client_runs(monkeypatch):
     timelines, topo, network, _ = make_micro_scenario(random.Random(5), clients=(3, 3))
-    config = PolicyConfig(name="vomm", predictor="vomm", k=2).validate()
+    config = PolicyConfig(name="vomm", predictor="vomm", k=2)
     simulate = experiment.run_simulation
     calls, earlier = [], []
 

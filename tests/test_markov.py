@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fogrep.errors import ConfigError, DataError
+from fogrep.errors import DataError
 from fogrep.markov import (EOT, Prediction, SubModelSpec, TargetRecord,
                            bucketize, dynamic_topn, make_model)
 from fogrep.traces import NodeVisit
@@ -60,10 +60,6 @@ class TestBucketize:
         t = ts("2008-10-23", "02:53:04")
         assert bucketize(t, 1, 24) == (0, 2)
         assert bucketize(t, 1, 24, tz_offset=8 * 3600) == (0, 10)
-
-    def test_invalid_split(self):
-        with pytest.raises(ConfigError):
-            bucketize(0.0, 3, 1)
 
 
 class TestTrainSession:
@@ -204,15 +200,6 @@ class TestFommPredict:
         (pred,) = m.predict([A], 0.0)
         assert pred.expected_stay == pytest.approx((1 * 100 + 3 * 400) / 4)
 
-    @pytest.mark.parametrize("spec, problem", [
-        ((0, 1, 1, 1.0), "order must be >= 1"),
-        ((1, 3, 1, 1.0), r"unsupported split sizes \(3, 1\)"),
-        ((1, 1, 1, float("nan")), "weight > 0"),
-    ], ids=["order-0", "split-3", "nan-weight"])
-    def test_impossible_submodel_is_config_error(self, spec, problem):
-        with pytest.raises(ConfigError, match=problem):
-            SubModelSpec(*spec)
-
     def test_submodel_count_is_cartesian_product(self):
         m = make_model("fomm", 2, day_splits=(1, 2, 7), time_splits=(1, 4, 24))
         assert len(m.submodels) == 2 * 3 * 3
@@ -259,14 +246,6 @@ class TestDynamicTopN:
                             include_eot=False) == [EOT, B]
         assert dynamic_topn(preds_of({B: 0.6, EOT: 0.4}), threshold=0.5,
                             include_eot=False) == [B]
-
-    def test_invalid_threshold(self):
-        with pytest.raises(ConfigError):
-            dynamic_topn(preds_of({B: 1.0}), threshold=1.5)
-        with pytest.raises(ConfigError):
-            dynamic_topn(preds_of({B: 1.0}), threshold=0.0)
-        with pytest.raises(ConfigError):
-            dynamic_topn(preds_of({B: 1.0}))
 
 
 class TestMemoryAndPersistence:

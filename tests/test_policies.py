@@ -29,7 +29,7 @@ def predictive(transfer=300.0, **kwargs):
     defaults = dict(predictor="vomm", k=2)
     defaults.update(kwargs)
     cfg = PolicyConfig(name="pred", **defaults)
-    return ReplicaPolicy(cfg.validate(), transfer_estimate=lambda node: transfer)
+    return ReplicaPolicy(cfg, transfer_estimate=lambda node: transfer)
 
 
 def train_commute(policy, days=2, path=((A, 600.0), (B, 600.0), (C, 600.0)), pause=80000.0):
@@ -225,7 +225,7 @@ class TestPolicyConfig:
     def test_restart_settings_fail_validate(self, fields, key):
         # checked once, when the config is built, for every startup mode
         with pytest.raises(ConfigError, match=f"^{key}: "):
-            PolicyConfig(**fields).validate()
+            PolicyConfig(**fields)
 
     def test_unknown_predictor_named(self):
         with pytest.raises(ConfigError, match="predictor"):

@@ -95,7 +95,7 @@ class TestMedianPause:
     def test_invalid_min_samples(self):
         # checked once, by the config, before any model is built
         with pytest.raises(ConfigError, match="^startup.min_samples: "):
-            PolicyConfig(startup_mode="short_pause", short_pause_mode=LEARNED, min_samples=0).validate()
+            PolicyConfig(startup_mode="short_pause", short_pause_mode=LEARNED, min_samples=0)
 
 
 class TestShortPauseRetention:
@@ -123,9 +123,9 @@ class TestShortPauseRetention:
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError, match="^startup.mode: "):
-            PolicyConfig(startup_mode="short_pause", short_pause_mode="sometimes").validate()
+            PolicyConfig(startup_mode="short_pause", short_pause_mode="sometimes")
         with pytest.raises(ConfigError, match="^startup.type: "):
-            PolicyConfig(startup_mode="sometimes").validate()
+            PolicyConfig(startup_mode="sometimes")
 
 
 class TestPlmm:
@@ -217,7 +217,7 @@ pause_lists = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
 @example(PolicyConfig(startup_mode="plmm"),  # count ties, won by the smaller id
          [(B, A, 100.0), (B, B, 100.0), (A, B, 100.0), (A, A, 100.0)], 0.0)
 def test_restart_models_match_the_reference(config, pauses, t):
-    model = ReplicaPolicy(config.validate()).restart
+    model = ReplicaPolicy(config).restart
     for i in range(len(pauses) + 1):
         seen = pauses[:i]
         for node in (A, B, C):

@@ -1,4 +1,5 @@
 import calendar
+import io
 import pickle
 import random
 import re
@@ -449,3 +450,9 @@ class TestVisitsCsv:
         with open(path) as fh:
             with pytest.raises(TraceFormatError):
                 read_visits_csv(fh)
+
+    def test_field_over_the_csv_limit_in_a_stream(self):
+        # a stream without a file name still fails as a DataError naming the line
+        text = "client_id,session_id,node_id,arrival_epoch_s,departure_epoch_s\n" + "x" * 200_000 + ",0,0,1.0,2.0\n"
+        with pytest.raises(DataError, match=r"^CSV line 2: field larger than field limit"):
+            read_visits_csv(io.StringIO(text))
