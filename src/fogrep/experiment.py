@@ -29,9 +29,7 @@ from .policies import PolicyConfig
 from .simengine import run as run_simulation
 from .simengine import (ReplicaLedger, merge_event_logs, snapshot_memory,
                         write_event_log_csv)
-from .topology import (BEIJING_BBOX, DEFAULT_EDGE_RATE, DEFAULT_UPLINK_RATE,
-                       FixedDelay, FlowGraph, Topology, build_complex_network,
-                       build_grid, check_bbox)
+from .topology import BEIJING_BBOX, FixedDelay, Topology, build_grid, check_bbox
 from .traces import (DEFAULT_GAP_THRESHOLD, SchedulePattern, SyntheticSpec,
                      csv_rows, load_geolife_dir, read_visits_csv,
                      replacing_file, synth_generate, write_visits_csv)
@@ -99,6 +97,8 @@ def _strict(types, what, cast=None, ok=lambda v: True):
 
 _integer = _strict((int,), "an integer")
 _number = _strict((int, float), "a finite number", float, lambda v: -math.inf < v < math.inf)
+_number_or_inf = _strict((int, float), "a finite number or .inf", float,
+                         lambda v: -math.inf < v <= math.inf)
 _boolean = _strict((bool,), "true or false")
 _text = _strict((str, int, float), "a string", str)
 _positive = _strict((int, float), "a finite number > 0", float, lambda v: 0 < v < math.inf)
@@ -211,6 +211,11 @@ def read_fields(doc, table, lines, where="", required=()) -> dict:
 
 @dataclass
 class TopologySpec:
+    """A grid of rows x cols edge nodes and its transfer time. ``grid`` takes
+    ``transfer_delay``. ``complex`` puts a router behind each edge node, with
+    an ``edge_rate`` link, and gives every router its own ``uplink_rate`` link
+    to the cloud: every min-hop path is edge-router-cloud, so every transfer
+    of ``data_size_gb`` takes the same time, at the slower link's rate."""
     name: str
     kind: str = "grid"  # grid | complex
     rows: int = 10
@@ -218,24 +223,20 @@ class TopologySpec:
     bbox: tuple = BEIJING_BBOX
     transfer_delay: float = 300.0
     data_size_gb: float = 1.0
-    edge_rate: float = DEFAULT_EDGE_RATE
-    uplink_rate: float = DEFAULT_UPLINK_RATE
-    neighborhood: int = 4
+    edge_rate: float = 40e6  # bits/s
+    uplink_rate: float = 800e6  # bits/s
 
-    def build(self) -> tuple[Topology, object]:
+    def build(self) -> tuple[Topology, FixedDelay]:
+        topo = build_grid(self.rows, self.cols, self.bbox)
         if self.kind == "grid":
-            topo = build_grid(self.rows, self.cols, self.bbox)
             return topo, FixedDelay(self.transfer_delay)
-        topo = build_complex_network(self.rows, self.cols, self.bbox, edge_rate=self.edge_rate,
-                                     uplink_rate=self.uplink_rate, neighborhood=self.neighborhood)
-        return topo, FlowGraph(topo, self.data_size_gb * 8e9)
+        return topo, FixedDelay(self.data_size_gb * 8e9 / min(self.edge_rate, self.uplink_rate))
 
 
 TOPOLOGY_FIELDS = {key: (key, convert) for key, convert in dict(
     name=_file_name, kind=_one_of("grid", "complex"), rows=_positive_integer, cols=_positive_integer,
     bbox=lambda v: check_bbox(_list_of(_number, 4)(v)),  # lat_min, lat_max, lon_min, lon_max
-    transfer_delay=_positive, data_size_gb=_positive, edge_rate=_positive, uplink_rate=_positive,
-    neighborhood=_one_of(4, 8)).items()}
+    transfer_delay=_positive, data_size_gb=_positive, edge_rate=_positive, uplink_rate=_positive).items()}
 
 POLICY_FIELDS = {
     "name": ("name", _file_name),
@@ -249,7 +250,7 @@ POLICY_FIELDS = {
     "topn.n": ("topn_n", _integer),
     "topn.threshold": ("topn_threshold", _number),
     "topn.include_eot": ("topn_include_eot", _boolean),
-    "preload_buffer": ("preload_buffer", _number),
+    "preload_buffer": ("preload_buffer", _number_or_inf),  # .inf: replicate right away
     "startup": ("startup_mode", _text),
     "startup.type": ("startup_mode", _text),
     "startup.mode": ("short_pause_mode", _text),

@@ -205,8 +205,6 @@ class MarkovPredictor:
     def train_session(self, visits, trip_start):
         """Enter every transition of a completed trip, plus an end-of-trip
         transition when enabled. Buckets come from the trip start time."""
-        if not visits:
-            raise DataError("cannot train on an empty visit sequence")
         nodes = [v.node for v in visits]
         top = max(nodes)
         if top > MAX_NODE_ID:

@@ -1,19 +1,19 @@
 """Discrete-event engine: replays client timelines against a topology,
 executes policy actions, models transfers, and records the replica ledger.
 
-Clients never interact (each has its own policy and replicas, and flow
-transfers do not contend), so each client runs its own event loop. Its events
-are processed in non-decreasing time; ties break by kind (transfer starts,
-then transfer completions, arrivals, session starts, session ends, retention
-expiries), then insertion order. A preloaded transfer completing exactly at
-the arrival it targets therefore counts as available. A client's own timeline
-events (session starts, arrivals, session ends) enter its queue one at a time,
-each when the one before it is taken, so they keep timeline order where the
-tie order of kinds would not: a zero-length first visit's session start comes
-before the next visit's arrival at the same time. The global event log merges
-the clients' logs by taking the smallest next event by (time, kind, client)
-each time. That replays one queue shared by all clients; a sort would not
-(see ``merge_event_logs``).
+Clients never interact (each has its own policy and replicas, and every
+transfer takes its network's fixed time), so each client runs its own event
+loop. Its events are processed in non-decreasing time; ties break by kind
+(transfer starts, then transfer completions, arrivals, session starts, session
+ends, retention expiries), then insertion order. A preloaded transfer
+completing exactly at the arrival it targets therefore counts as available. A
+client's own timeline events (session starts, arrivals, session ends) enter
+its queue one at a time, each when the one before it is taken, so they keep
+timeline order where the tie order of kinds would not: a zero-length first
+visit's session start comes before the next visit's arrival at the same time.
+The global event log merges the clients' logs by taking the smallest next
+event by (time, kind, client) each time. That replays one queue shared by all
+clients; a sort would not (see ``merge_event_logs``).
 
 Scheduled events are invalidated by their unique id and never removed from
 the heap: a replica's state keeps the id of the one event that may still act
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, EngineInvariantError
 from .policies import Delete, PolicyConfig, Replicate, ReplicaPolicy, Retain
-from .topology import Topology, transfer_time
+from .topology import FixedDelay, Topology, transfer_time
 
 # event kinds, in tie-break order
 TRANSFER_START = 0
@@ -127,12 +127,11 @@ class _ClientRun:
     """One client's event loop; also the view of its replicas that its
     policy's handlers read (see ``ReplicaPolicy``)."""
 
-    def __init__(self, timeline, policy, ttime, edge_ids, ledger, record_log):
+    def __init__(self, timeline, policy, ttime, ledger, record_log):
         self.client = timeline.client_id
         self.timeline = timeline
         self.policy = policy
         self._ttime = ttime
-        self._edge_ids = edge_ids
         self._ledger = ledger
         self.log: list[EventRecord] | None = [] if record_log else None
         self._states: dict[int, _NodeState] = {}
@@ -224,8 +223,6 @@ class _ClientRun:
 
     def _apply(self, now, action):
         node = action.node
-        if node not in self._edge_ids:
-            raise ConfigError(f"action references unknown node id {node}")
         st = self._states.get(node)
         if isinstance(action, Replicate):
             at = action.at
@@ -254,10 +251,10 @@ class _ClientRun:
             raise EngineInvariantError(f"unknown action {action!r}")
 
 
-def run(timelines, topology: Topology, network, policy_config: PolicyConfig,
+def run(timelines, topology: Topology, network: FixedDelay, policy_config: PolicyConfig,
         record_log=True) -> RunResult:
     """Simulate the timelines under one policy configuration, one client at a time."""
-    edge_ids = {n.id for n in topology.edge_nodes}
+    node_ids = {n.id for n in topology.nodes}
 
     def ttime(dst) -> float:
         return transfer_time(dst, network)
@@ -271,10 +268,9 @@ def run(timelines, topology: Topology, network, policy_config: PolicyConfig,
             raise ConfigError(f"client {tl.client_id}: duplicate client id")
         for visits in tl.sessions:
             for v in visits:
-                if v.node not in edge_ids:
+                if v.node not in node_ids:
                     raise ConfigError(f"client {tl.client_id}: unknown node id {v.node}")
-        runs[tl.client_id] = _ClientRun(tl, ReplicaPolicy(policy_config, ttime), ttime,
-                                        edge_ids, ledger, record_log)
+        runs[tl.client_id] = _ClientRun(tl, ReplicaPolicy(policy_config, ttime), ttime, ledger, record_log)
     for client_run in runs.values():
         client_run.run()
     ledger.validate()

@@ -1,9 +1,12 @@
-"""Fog topologies: node grids over a bounding box, optional router/cloud
-graphs, nearest-node queries, and transfer-time models.
+"""Fog topologies: node grids over a bounding box, nearest-node queries, and
+the transfer-time model.
 
 Every transfer brings a client's data from the cloud, which stores all of it,
-to an edge node. A flow network's time to each edge node is filled once, when
-the model is built, by one breadth-first pass from the cloud.
+to an edge node, and takes a fixed time (``FixedDelay``). A config's
+``complex`` topology is a grid too: it puts one router behind each edge node
+and gives every router its own uplink to the cloud, so every edge node's
+min-hop path is edge-router-cloud, and every transfer takes the data size over
+the slower of the edge link and the uplink (``TopologySpec.build``).
 
 Distances are equirectangular at city scale: longitude differences are scaled
 by the cosine of the mid-bounding-box latitude. The scale is a constant per
@@ -12,8 +15,8 @@ rounded distances and break ties alike. A query of any length works through
 its points in fixed-size slices, which bounds its temporary arrays.
 
 Inputs come checked, by a config's field table or, for ``fogrep ingest``, by
-``build_grid``; ``Topology``, ``FixedDelay`` and ``FlowGraph`` take theirs as
-given (dense ids, one connected cloud, finite positive rates).
+``build_grid``; ``Topology`` and ``FixedDelay`` take theirs as given (dense
+ids, a finite positive delay).
 
 Only the nearest-node queries use numpy: ``nearest_nodes``,
 ``_grid_nearest``, ``_scan``, ``_bracket`` and ``Topology._coords`` import it
@@ -23,8 +26,7 @@ loads it.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -36,26 +38,12 @@ if TYPE_CHECKING:
 # Default study area when only grid dimensions are given.
 BEIJING_BBOX = (39.6, 40.3, 116.0, 116.8)  # lat_min, lat_max, lon_min, lon_max
 
-EDGE = "edge"
-CLOUD = "cloud"
-
-DEFAULT_EDGE_RATE = 40e6  # bits/s
-DEFAULT_UPLINK_RATE = 800e6  # bits/s
-
 
 @dataclass(frozen=True)
 class FogNode:
     id: int
     lat: float
     lon: float
-    kind: str = EDGE
-
-
-@dataclass(frozen=True)
-class Link:
-    a: int
-    b: int
-    rate: float  # bits per second
 
 
 @dataclass(frozen=True)
@@ -69,49 +57,26 @@ class Topology:
     """Immutable after construction; all queries are read-only. The
     nearest-node arrays are built once, by the first query that needs them."""
 
-    def __init__(self, nodes, routers=(), links=(), grid=None):
+    def __init__(self, nodes, grid=None):
         self.nodes: list[FogNode] = list(nodes)
-        self.routers: list[int] = list(routers)
-        self.links: list[Link] = list(links)
         self.grid: GridSpec | None = grid
-        self._adj: dict[int, list[int]] = {}
-        self._rates: dict[tuple[int, int], float] = {}
-        for link in self.links:
-            self._adj.setdefault(link.a, []).append(link.b)
-            self._adj.setdefault(link.b, []).append(link.a)
-            self._rates[(link.a, link.b)] = link.rate
-            self._rates[(link.b, link.a)] = link.rate
-        for nbrs in self._adj.values():
-            nbrs.sort()
-        self._edge_nodes = [n for n in self.nodes if n.kind == EDGE]
-        self._axes = _grid_axes(self._edge_nodes)
+        self._axes = _grid_axes(self.nodes)
 
     @cached_property
     def _coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """The edge nodes' latitudes and longitudes, for the nearest-node scan."""
+        """The nodes' latitudes and longitudes, for the nearest-node scan."""
         import numpy as np
-        return np.array([n.lat for n in self._edge_nodes]), np.array([n.lon for n in self._edge_nodes])
+        return np.array([n.lat for n in self.nodes]), np.array([n.lon for n in self.nodes])
 
     @cached_property
     def _lon_scale(self) -> float:
-        """Cosine of the mid latitude: the bounding box's, else the edge nodes' mean."""
+        """Cosine of the mid latitude: the bounding box's, else the nodes' mean."""
         if self.grid is not None:
             mid_lat = 0.5 * (self.grid.bbox[0] + self.grid.bbox[1])
         else:
             import numpy as np
-            mid_lat = float(np.mean(self._coords[0])) if self._edge_nodes else 0.0
+            mid_lat = float(np.mean(self._coords[0])) if self.nodes else 0.0
         return math.cos(math.radians(mid_lat))
-
-    @property
-    def edge_nodes(self) -> list[FogNode]:
-        return self._edge_nodes
-
-    @property
-    def cloud_id(self) -> int | None:
-        for n in self.nodes:
-            if n.kind == CLOUD:
-                return n.id
-        return None
 
 
 def check_bbox(bbox) -> tuple:
@@ -143,43 +108,8 @@ def build_grid(rows, cols, bbox=BEIJING_BBOX) -> Topology:
     return Topology(nodes, grid=GridSpec(rows, cols, tuple(bbox)))
 
 
-def build_complex_network(rows, cols, bbox=BEIJING_BBOX,
-                          edge_rate=DEFAULT_EDGE_RATE,
-                          uplink_rate=DEFAULT_UPLINK_RATE,
-                          neighborhood=4) -> Topology:
-    """Grid of edge nodes, one router per node, a router mesh between grid
-    neighbors, and one cloud node uplinked from every router.
-
-    Edge node ids are 0..rows*cols-1 (row-major), the cloud node follows at
-    rows*cols, and routers occupy rows*cols+1 .. 2*rows*cols.
-    """
-    base = build_grid(rows, cols, bbox)
-    n = rows * cols
-    cloud_id = n
-    lat_min, lat_max, lon_min, lon_max = bbox
-    nodes = list(base.nodes)
-    nodes.append(FogNode(cloud_id, 0.5 * (lat_min + lat_max), 0.5 * (lon_min + lon_max), CLOUD))
-    router_of = lambda node_id: n + 1 + node_id
-    routers = [router_of(i) for i in range(n)]
-    links = []
-    for i in range(n):
-        links.append(Link(i, router_of(i), edge_rate))
-    offsets = [(0, 1), (1, 0)]
-    if neighborhood == 8:
-        offsets += [(1, 1), (1, -1)]
-    for r in range(rows):
-        for c in range(cols):
-            for dr, dc in offsets:
-                r2, c2 = r + dr, c + dc
-                if 0 <= r2 < rows and 0 <= c2 < cols:
-                    links.append(Link(router_of(r * cols + c), router_of(r2 * cols + c2), edge_rate))
-    for i in range(n):
-        links.append(Link(router_of(i), cloud_id, uplink_rate))
-    return Topology(nodes, routers=routers, links=links, grid=GridSpec(rows, cols, tuple(bbox)))
-
-
 def _grid_axes(nodes):
-    """(row latitudes, column longitudes) when the edge nodes are build_grid's
+    """(row latitudes, column longitudes) when the nodes are build_grid's
     layout: ids row-major from 0, every stored coordinate taken from one
     latitude per row and one longitude per column, both strictly increasing.
     None for any other node set, which the nearest-node scan then serves.
@@ -208,10 +138,10 @@ _NEAREST_SLICE = 1 << 11
 
 
 def _scan(lats, lons, topo: Topology) -> np.ndarray:
-    """Nearest edge node by comparing every point with every node."""
+    """Nearest node by comparing every point with every node."""
     import numpy as np
     out = np.empty(len(lats), dtype=np.int64)
-    ids = np.array([n.id for n in topo.edge_nodes])
+    ids = np.array([n.id for n in topo.nodes])
     node_lats, node_lons = topo._coords
     # bound the points x nodes distance matrix to ~20M doubles
     chunk = max(1024, 20_000_000 // max(1, len(ids)))
@@ -233,9 +163,9 @@ def _bracket(centres, x):
 
 
 def nearest_nodes(lats, lons, topo: Topology) -> np.ndarray:
-    """Edge node minimizing equirectangular distance for each point; ties go
-    to the smaller id. The cloud node is never returned. Points outside the
-    grid clamp to the nearest node by distance, no rejection.
+    """Node minimizing equirectangular distance for each point; ties go to
+    the smaller id. Points outside the grid clamp to the nearest node by
+    distance, no rejection.
 
     On build_grid's layout the distance is a row term plus a column term, so
     only the 2 x 2 nodes around a point can be nearest, and they are compared
@@ -295,60 +225,17 @@ class FixedDelay:
     delay: float  # seconds
 
 
-@dataclass(frozen=True)
-class FlowGraph:
-    """Flow-level transfer model: a fixed-size payload moves from the cloud
-    along the min-hop path at the bottleneck link rate, without contention."""
-    topology: Topology
-    data_size: float  # bits
-    # edge node id -> seconds from the cloud, filled at construction
-    times: dict = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        bottlenecks = _bottlenecks(self.topology, self.topology.cloud_id)
-        object.__setattr__(self, "times", {n.id: self.data_size / bottlenecks[n.id]
-                                           for n in self.topology.edge_nodes})
-
-
-NetworkModel = FixedDelay | FlowGraph
-
-
-def _bottlenecks(topo: Topology, root) -> dict[int, float]:
-    """Bottleneck rate of the minimum-hop path from ``root`` to every endpoint
-    reachable from it (breadth-first; ``root`` itself maps to infinity).
-
-    Equal-hop ties go to the lexicographically smallest id sequence: the FIFO
-    queue pops each layer in the order of its nodes' smallest min-hop paths,
-    and the adjacency lists are sorted, so each node is first reached along
-    its smallest path."""
-    rate = {root: math.inf}
-    queue = deque([root])
-    while queue:
-        cur = queue.popleft()
-        for nb in topo._adj.get(cur, ()):
-            if nb not in rate:
-                rate[nb] = min(rate[cur], topo._rates[(cur, nb)])
-                queue.append(nb)
-    return rate
-
-
-def transfer_time(dst, model: NetworkModel) -> float:
+def transfer_time(dst, model: FixedDelay) -> float:
     """Seconds to move one client data set from the cloud to edge node dst."""
-    if isinstance(model, FixedDelay):
-        return model.delay
-    return model.times[dst]
+    return model.delay
 
 
 def dump_topology(topo: Topology) -> str:
-    """Plain text node table + link table, reproducible byte-for-byte."""
+    """Plain text grid line and node table, reproducible byte-for-byte."""
     lines = []
     if topo.grid is not None:
         g = topo.grid
         lines.append("grid %d %d %r %r %r %r" % (g.rows, g.cols, *g.bbox))
     for n in topo.nodes:
-        lines.append("node %d %s %r %r" % (n.id, n.kind, n.lat, n.lon))
-    for r in topo.routers:
-        lines.append("router %d" % r)
-    for link in topo.links:
-        lines.append("link %d %d %r" % (link.a, link.b, link.rate))
+        lines.append("node %d edge %r %r" % (n.id, n.lat, n.lon))
     return "\n".join(lines) + "\n"

@@ -277,7 +277,8 @@ def sessionize(point_groups, gap_threshold=DEFAULT_GAP_THRESHOLD, client_id="") 
     starting before the previous one ends is an overlap error, whose pairs
     are the files' positions in ``point_groups``. A file starting exactly
     when the previous ends merges into the same session (a pause must have
-    positive duration).
+    positive duration). The groups hold at least one point, as every file
+    ``parse_plt`` reads does.
     """
     import numpy as np
     if not gap_threshold > 0:  # a NaN fails this too
@@ -291,8 +292,6 @@ def sessionize(point_groups, gap_threshold=DEFAULT_GAP_THRESHOLD, client_id="") 
         raise TraceOverlapError(
             f"client {client_id or '?'}: {len(overlaps)} overlapping trajectory file pair(s): {overlaps}",
             pairs=overlaps)
-    if not groups:
-        return Sessions(client_id, Track(*np.empty((3, 0))), [0])
     lat, lon, t = (np.concatenate([getattr(g, name) for _, g in groups]) for name in ("lat", "lon", "t"))
     joins = np.cumsum([len(g) for _, g in groups[:-1]], dtype=np.int64) - 1  # gap before each later file
     del groups  # the per-file columns are freed before the client is mapped
@@ -308,8 +307,6 @@ def map_to_node_visits(sessions: Sessions, topo: Topology) -> list[list[NodeVisi
     session collapse into one visit. A visit's departure is the next visit's
     arrival, the last departure is the session end."""
     import numpy as np
-    if not sessions:
-        return []
     points, starts = sessions.points, np.array(sessions.bounds)
     nodes = nearest_nodes(points.lat, points.lon, topo)
     cut = nodes[1:] != nodes[:-1]
@@ -337,8 +334,6 @@ def build_timeline(client_id, point_groups, topo: Topology,
     """Full pipeline for one client: sessionize per-file point groups and map
     all the sessions onto node visits for the given topology."""
     sessions = sessionize(point_groups, gap_threshold, client_id=client_id)
-    if not sessions:
-        raise EmptyTraceError(f"client {client_id}: no sessions")
     visit_sessions = map_to_node_visits(sessions, topo)
     return ClientTimeline(client_id, visit_sessions, _pauses_between(client_id, visit_sessions))
 

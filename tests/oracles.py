@@ -1,5 +1,5 @@
-"""Independent oracles for the simulation engine, the interval metrics,
-flow transfer paths and GeoLife ingestion.
+"""Independent oracles for the simulation engine, the interval metrics and
+GeoLife ingestion.
 
 The engine oracle re-runs a scenario as a naive per-second state machine (no
 event queue), sharing only the policy layer with the real engine; it takes
@@ -10,9 +10,7 @@ before a given next node) and the pause after it are constant (so learned
 means stay integral) and pause durations are even (so padded retention
 windows stay integral). The series oracle recomputes the active and
 covered time from scratch at every bucket boundary, and the overlap oracle
-scans every interval of a (client, node) pair. The path oracle runs one
-breadth-first search from each destination and walks the smallest-id
-neighbour one hop closer at each step. The ingest oracle handles one point
+scans every interval of a (client, node) pair. The ingest oracle handles one point
 at a time: the row-by-row PLT parser, a loop over sorted points for the
 sessions and a scan over every node for each point. The Markov oracle keeps
 one transition table per sub-model, queries each sub-model by its own history
@@ -25,7 +23,6 @@ count argmax with ties to the smaller id for the pause-length model.
 import json
 import random
 import struct
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,7 +33,7 @@ from fogrep.markov import (EOT, MAX_NODE_ID, TARGET_BYTES, Context,
 from fogrep.metrics import active_time, covered_time
 from fogrep.policies import Delete, PolicyConfig, Replicate, ReplicaPolicy, Retain
 from fogrep.simengine import ReplicaLedger
-from fogrep.topology import FixedDelay, Topology, build_grid, transfer_time
+from fogrep.topology import FixedDelay, build_grid, transfer_time
 from fogrep.traces import ClientTimeline, NodeVisit, Pause, parse_plt_rows
 
 _START, _ARRIVE, _END = "start", "arrive", "end"
@@ -324,42 +321,13 @@ def make_rescheduling_scenario(rng: random.Random, clients=(1, 2)):
 def brute_force_nearest(lat, lon, topo):
     """Independent linear scan with the same equirectangular metric."""
     best_id, best_d2 = None, None
-    for n in topo.edge_nodes:
+    for n in topo.nodes:
         dlat = lat - n.lat
         dlon = (lon - n.lon) * topo._lon_scale
         d2 = dlat * dlat + dlon * dlon
         if best_d2 is None or d2 < best_d2:
             best_id, best_d2 = n.id, d2
     return best_id
-
-
-def _hop_counts(topo: Topology, root) -> dict[int, int]:
-    """Hops from ``root`` to every endpoint reachable from it (breadth-first)."""
-    dist = {root: 0}
-    queue = deque([root])
-    while queue:
-        cur = queue.popleft()
-        for nb in topo._adj.get(cur, ()):
-            if nb not in dist:
-                dist[nb] = dist[cur] + 1
-                queue.append(nb)
-    return dist
-
-
-def min_hop_path(topo: Topology, src, dst) -> list[int]:
-    """Minimum-hop path src->dst; equal-hop ties resolve to the
-    lexicographically smallest id sequence."""
-    if src == dst:
-        return [src]
-    dist = _hop_counts(topo, dst)
-    if src not in dist:
-        raise ValueError(f"no path between {src} and {dst}")
-    path = [src]
-    cur = src
-    while cur != dst:
-        cur = min(nb for nb in topo._adj[cur] if dist.get(nb, -1) == dist[cur] - 1)
-        path.append(cur)
-    return path
 
 
 def _point_sessions(groups, gap_threshold):
@@ -561,8 +529,6 @@ class TableModel:
     def train_session(self, visits, trip_start):
         """Enter every transition of a completed trip, plus an end-of-trip
         transition when enabled. Buckets come from the trip start time."""
-        if not visits:
-            raise DataError("cannot train on an empty visit sequence")
         nodes = [v.node for v in visits]
         top = max(nodes)
         if top > MAX_NODE_ID:

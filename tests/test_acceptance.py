@@ -9,12 +9,12 @@ from contextlib import contextmanager
 
 import pytest
 
+from fogrep.experiment import TopologySpec
 from fogrep.markov import SubModelSpec, TargetRecord, dynamic_topn, make_model
 from fogrep.metrics import compute_report
 from fogrep.policies import PolicyConfig
 from fogrep.simengine import run
-from fogrep.topology import (FixedDelay, FlowGraph, build_complex_network,
-                             build_grid, transfer_time)
+from fogrep.topology import FixedDelay, build_grid, transfer_time
 from fogrep.traces import (ClientTimeline, NodeVisit, Pause, SchedulePattern,
                            SyntheticSpec, synth_generate)
 
@@ -263,8 +263,7 @@ def test_criterion_7_model_properties_on_1000_tables():
 
 def test_criterion_8_transfer_times_exact():
     with criterion(8, "transfer times: 1 GB over the complex network and the fixed delay"):
-        topo = build_complex_network(9, 9)
-        flow = FlowGraph(topo, 8e9)
+        _, flow = TopologySpec("complex-81", kind="complex", rows=9, cols=9).build()
         for dst in (0, 40, 80):
             assert transfer_time(dst, flow) == 200.0
         assert transfer_time(77, FixedDelay(300.0)) == 300.0

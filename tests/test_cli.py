@@ -767,6 +767,10 @@ class TestConfigErrors:
         ({"policy": "topn: {type: dynamic, threshold: 1.5}"}, "policies[0].topn.threshold", 10),
         ({"policy": "topn: {type: dynamic, threshold: 0}"}, "policies[0].topn.threshold", 10),
         ({"policy": "topn: {type: fixed, n: 0}"}, "policies[0].topn.n", 10),
+        ({"topo": "neighborhood: 8"}, "topologies[0].neighborhood", 6),
+        ({"policy": "preload_buffer: -.inf"}, "policies[0].preload_buffer", 10),
+        ({"policy": "preload_buffer: .nan"}, "policies[0].preload_buffer", 10),
+        ({"policy": "preload_buffer: -1"}, "policies[0].preload_buffer", 10),
     ], ids=["k-word", "jobs-word", "eot-string", "k-float", "vomm-day-splits",
             "momm-time-splits", "bbox-three", "kind-unknown", "spec-wekks", "spec-weeks-word",
             "spec-start-8am", "spec-start-unquoted", "spec-start-25-90", "spec-day-fry",
@@ -777,7 +781,9 @@ class TestConfigErrors:
             "transfer-delay-inf", "bbox-nan", "spec-anchor-nan", "pause-max-inf",
             "data-size-too-large", "series-clients-twice", "spec-path-empty", "spec-path-node-twice",
             "spec-days-empty", "spec-patterns-empty", "spec-clients-empty", "bbox-reversed",
-            "k-zero", "fomm-day-split-3", "topn-threshold-over-one", "topn-threshold-zero", "topn-n-zero"])
+            "k-zero", "fomm-day-split-3", "topn-threshold-over-one", "topn-threshold-zero", "topn-n-zero",
+            "neighborhood-unknown", "preload-buffer-minus-inf", "preload-buffer-nan",
+            "preload-buffer-negative"])
     def test_run_names_key_path_and_line(self, tmp_path, capsys, override, key_path, line):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(error_config(**override))
@@ -786,6 +792,12 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert f"{key_path}:" in err and f"(line {line})" in err
         assert not (tmp_path / "out").exists()  # caught before any output is made
+
+    def test_infinite_preload_buffer_is_the_default(self, tmp_path):
+        written, left_out = tmp_path / "inf.yaml", tmp_path / "default.yaml"
+        written.write_text(error_config(policy="preload_buffer: .inf"))
+        left_out.write_text(error_config())
+        assert load_experiment_config(written).policies == load_experiment_config(left_out).policies
 
     def test_overlapping_patterns_name_client_and_local_times(self, tmp_path, capsys):
         trace = spec_trace(pattern="days: [mon], start: '08:00'").replace(

@@ -16,11 +16,12 @@ from pathlib import Path
 
 import pytest
 
+from fogrep.experiment import TopologySpec
 from fogrep.metrics import compute_report
 from fogrep.policies import PolicyConfig
 from fogrep.simengine import run, snapshot_memory
 from fogrep.startup import LEARNED, ShortPause
-from fogrep.topology import FixedDelay, FlowGraph, build_complex_network, build_grid
+from fogrep.topology import FixedDelay, build_grid
 from fogrep.traces import load_geolife_dir, read_visits_csv, write_visits_csv
 
 GEOLIFE_DIR = os.environ.get("GEOLIFE_DATA_DIR")
@@ -72,8 +73,7 @@ def simple_grid(rows):
 
 
 def complex_net(rows):
-    topo = build_complex_network(rows, rows)
-    return topo, FlowGraph(topo, 8e9)
+    return TopologySpec("complex", kind="complex", rows=rows, cols=rows).build()
 
 
 BASELINE = PolicyConfig(name="baseline", tz_offset=TZ)

@@ -12,8 +12,7 @@ from fogrep.policies import PolicyConfig, ReplicaPolicy
 from fogrep.metrics import compute_report
 from fogrep.simengine import (EventRecord, ReplicaLedger, merge_event_logs, run,
                               snapshot_memory, write_event_log_csv)
-from fogrep.topology import (FixedDelay, FlowGraph, build_complex_network, build_grid,
-                             transfer_time)
+from fogrep.topology import FixedDelay, build_grid, transfer_time
 from fogrep.traces import ClientTimeline, NodeVisit, Pause
 
 from oracles import (brute_force_run, make_micro_scenario, make_rescheduling_scenario,
@@ -183,11 +182,10 @@ class TestEngineBehavior:
                          "Arrival", "TransferStart", "TransferComplete", "SessionEnd"]
 
     def test_cloud_is_not_a_valid_target(self):
-        topo = build_complex_network(1, 3, UNIT_BBOX)
-        cloud = topo.cloud_id
-        tl = timeline("c", [(cloud, 0, 100)])
-        with pytest.raises(ConfigError):
-            run([tl], topo, FixedDelay(300.0), BASELINE)
+        # rows * cols, the id the cloud had beside a grid: now simply unknown
+        tl = timeline("c", [(3, 0, 100)])
+        with pytest.raises(ConfigError, match="unknown node id 3"):
+            run([tl], topo3(), FixedDelay(300.0), BASELINE)
 
     def test_one_transfer_time_call_per_transfer_start(self, monkeypatch):
         # perfbench counts transfers by proxying fogrep.simengine:transfer_time;
@@ -200,10 +198,10 @@ class TestEngineBehavior:
             return transfer_time(dst, model)
 
         monkeypatch.setattr(simengine, "transfer_time", counting)
-        topo = build_complex_network(3, 3, UNIT_BBOX)
+        topo = build_grid(3, 3, UNIT_BBOX)
         a = timeline("a", [(0, 0, 1000), (1, 1000, 1100), (4, 1100, 3000)], [(8, 5000, 6000)])
         b = timeline("b", [(2, 0, 50), (5, 50, 4000)])
-        result = run([a, b], topo, FlowGraph(topo, 8e9), BASELINE)
+        result = run([a, b], topo, FixedDelay(200.0), BASELINE)
         starts = [e.node for e in result.event_log if e.kind == "TransferStart"]
         assert len(starts) == 6
         assert sorted(calls) == sorted(starts)

@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogrep.errors import ConfigError
-from fogrep.topology import (BEIJING_BBOX, FixedDelay, FlowGraph, FogNode,
-                             GridSpec, Link, Topology, build_complex_network,
-                             build_grid, dump_topology, nearest_nodes,
-                             transfer_time)
+from fogrep.experiment import TopologySpec
+from fogrep.topology import (BEIJING_BBOX, FixedDelay, FogNode, GridSpec,
+                             Topology, build_grid, dump_topology,
+                             nearest_nodes, transfer_time)
 
-from oracles import brute_force_nearest, min_hop_path
+from oracles import brute_force_nearest
 
 UNIT_BBOX = (0.0, 1.0, 0.0, 1.0)
 
@@ -30,7 +30,6 @@ class TestBuildGrid:
     def test_10x10_has_dense_ids(self):
         topo = build_grid(10, 10)
         assert [n.id for n in topo.nodes] == list(range(100))
-        assert all(n.kind == "edge" for n in topo.nodes)
 
     def test_degenerate_bbox_rejected(self):
         with pytest.raises(ConfigError):
@@ -70,16 +69,10 @@ class TestNearestNode:
         topo = build_grid(2, 2, UNIT_BBOX)
         assert nearest_nodes([-50.0], [-50.0], topo).tolist() == [0]
 
-    def test_cloud_never_returned(self):
-        topo = build_complex_network(2, 2, UNIT_BBOX)
-        cloud = topo.nodes[topo.cloud_id]
-        assert nearest_nodes([cloud.lat], [cloud.lon], topo).tolist() != [topo.cloud_id]
-
 
 def _grid(kind, rows, cols, bbox):
-    if kind == "grid":
-        return build_grid(rows, cols, bbox)
-    return build_complex_network(rows, cols, bbox, neighborhood=int(kind[-1]))
+    """The nodes of a config's topology of that kind."""
+    return TopologySpec("t", kind=kind, rows=rows, cols=cols, bbox=bbox).build()[0]
 
 
 def _probe_points(rng, topo, bbox, count):
@@ -87,15 +80,15 @@ def _probe_points(rng, topo, bbox, count):
     points inside the bbox and points far outside it (within the lat/lon
     ranges PLT parsing accepts)."""
     lat0, lat1, lon0, lon1 = bbox
-    lats = sorted({n.lat for n in topo.edge_nodes})
-    lons = sorted({n.lon for n in topo.edge_nodes})
+    lats = sorted({n.lat for n in topo.nodes})
+    lons = sorted({n.lon for n in topo.nodes})
     mid_lats = [(a + b) / 2 for a, b in zip(lats, lats[1:])] or lats
     mid_lons = [(a + b) / 2 for a, b in zip(lons, lons[1:])] or lons
     points = []
     for _ in range(count):
         kind = rng.randrange(4)
         if kind == 0:
-            node = rng.choice(topo.edge_nodes)
+            node = rng.choice(topo.nodes)
             points.append((node.lat, node.lon))
         elif kind == 1:
             points.append((rng.choice(mid_lats + lats), rng.choice(mid_lons + lons)))
@@ -111,7 +104,7 @@ class TestGridLookup:
     point; it must return exactly what the scan over every node returns."""
 
     @settings(max_examples=120, deadline=None)
-    @given(kind=st.sampled_from(["grid", "complex4", "complex8"]),
+    @given(kind=st.sampled_from(["grid", "complex"]),
            rows=st.integers(1, 30), cols=st.integers(1, 30),
            lat0=st.floats(-89.0, 80.0), lon0=st.floats(-179.0, 170.0),
            height_exp=st.floats(-12.0, 0.9), width_exp=st.floats(-12.0, 0.9),
@@ -123,7 +116,7 @@ class TestGridLookup:
         expected = [brute_force_nearest(lat, lon, topo) for lat, lon in zip(lats, lons)]
         assert nearest_nodes(lats, lons, topo).tolist() == expected
 
-    @pytest.mark.parametrize("kind", ["grid", "complex4", "complex8"])
+    @pytest.mark.parametrize("kind", ["grid", "complex"])
     @pytest.mark.parametrize("rows,cols", [(1, 7), (7, 1), (1, 1), (25, 25)])
     def test_grid_layouts_take_the_lookup(self, kind, rows, cols):
         topo = _grid(kind, rows, cols, BEIJING_BBOX)
@@ -164,28 +157,33 @@ class TestGridLookup:
         assert nearest_nodes([0.88], [0.12], topo).tolist() == [3] == [brute_force_nearest(0.88, 0.12, topo)]
 
 
-def expected_link_count(rows, cols):
-    # node-router pairs + 4-neighborhood router mesh + uplinks, by construction
-    return rows * cols + (2 * rows * cols - rows - cols) + rows * cols
+# (rows, cols, spec settings, seconds per transfer to every node), recorded
+# from the router/cloud flow network this model replaced: the first two at
+# the default rates, then two with the slower uplink and two with the slower
+# edge link
+COMPLEX_TIMES = [
+    (25, 25, {"data_size_gb": 1.0}, 200.0),
+    (1, 1, {"data_size_gb": 0.3}, 60.0),
+    (3, 4, {"edge_rate": 1e9, "uplink_rate": 3e8, "data_size_gb": 2.5}, 66.66666666666667),
+    (5, 2, {"edge_rate": 6e8, "uplink_rate": 1.1e7, "data_size_gb": 1.3}, 945.4545454545455),
+    (4, 3, {"edge_rate": 3.3e7, "uplink_rate": 9.1e7, "data_size_gb": 0.7}, 169.6969696969697),
+    (6, 1, {"edge_rate": 1.5e8, "uplink_rate": 2.5e8, "data_size_gb": 1.7}, 90.66666666666667),
+]
+
+
+def complex_spec(rows, cols, **settings):
+    return TopologySpec("c", kind="complex", rows=rows, cols=cols, **settings)
 
 
 class TestComplexNetwork:
     def test_9x9_node_counts(self):
-        topo = build_complex_network(9, 9)
-        assert len(topo.edge_nodes) == 81
-        assert len(topo.routers) == 81
-        assert sum(1 for n in topo.nodes if n.kind == "cloud") == 1
-
-    @pytest.mark.parametrize("rows,cols", [(2, 2), (3, 3), (1, 1), (2, 5)])
-    def test_link_count_formula(self, rows, cols):
-        topo = build_complex_network(rows, cols, UNIT_BBOX)
-        assert len(topo.links) == expected_link_count(rows, cols)
+        topo, _ = complex_spec(9, 9).build()
+        assert len(topo.nodes) == 81
 
     def test_1x1_chain(self):
-        topo = build_complex_network(1, 1, UNIT_BBOX)
-        assert len(topo.links) == 2
-        assert min_hop_path(topo, topo.cloud_id, 0) == [1, 2, 0]
-        assert transfer_time(0, FlowGraph(topo, 8e9)) == 200.0
+        topo, model = complex_spec(1, 1, bbox=UNIT_BBOX).build()
+        assert len(topo.nodes) == 1
+        assert transfer_time(0, model) == 200.0
 
 
 class TestTransferTime:
@@ -194,41 +192,23 @@ class TestTransferTime:
         assert transfer_time(5, model) == 300.0
 
     def test_cloud_to_edge_bottleneck(self):
-        topo = build_complex_network(9, 9)
-        model = FlowGraph(topo, 8e9)  # 1 GB
+        _, model = complex_spec(9, 9).build()  # 1 GB
         assert transfer_time(0, model) == 8e9 / 4e7  # == 200 s
 
     def test_lower_bound_is_size_over_max_rate(self):
-        topo = build_complex_network(5, 5, UNIT_BBOX)
-        model = FlowGraph(topo, 8e9)
-        max_rate = max(l.rate for l in topo.links)
-        for node in topo.edge_nodes:
-            assert transfer_time(node.id, model) >= 8e9 / max_rate
+        spec = complex_spec(5, 5, bbox=UNIT_BBOX)
+        topo, model = spec.build()
+        for node in topo.nodes:
+            assert transfer_time(node.id, model) >= 8e9 / max(spec.edge_rate, spec.uplink_rate)
 
-    @settings(max_examples=40, deadline=None)
-    @given(rows=st.integers(1, 5), cols=st.integers(1, 5), neighborhood=st.sampled_from([4, 8]),
-           seed=st.integers(0, 2**32 - 1))
-    def test_times_match_min_hop_bottleneck(self, rows, cols, neighborhood, seed):
-        base = build_complex_network(rows, cols, UNIT_BBOX, neighborhood=neighborhood)
-        rng = random.Random(seed)
-        cloud = base.cloud_id
-        # Dropped uplinks give edge nodes several min-hop paths through the
-        # router mesh, so the tie rule decides their times. The mesh keeps
-        # every such graph connected.
-        uplinks = [l for l in base.links if cloud in (l.a, l.b)]
-        kept = set(rng.sample(range(len(uplinks)), rng.randint(1, len(uplinks))))
-        dropped = {l for i, l in enumerate(uplinks) if i not in kept}
-        links = [Link(l.a, l.b, rng.choice([1e6, 4e7, 1e8, 8e8]) * rng.uniform(0.5, 2.0))
-                 for l in base.links if l not in dropped]
-        topo = Topology(base.nodes, routers=base.routers, links=links, grid=base.grid)
-        model = FlowGraph(topo, 8e9)
-        rates = {(l.a, l.b): l.rate for l in links} | {(l.b, l.a): l.rate for l in links}
-        assert model.times.keys() == {node.id for node in topo.edge_nodes}
-        for node in topo.edge_nodes:
-            path = min_hop_path(topo, cloud, node.id)
-            bottleneck = min(rates[hop] for hop in zip(path, path[1:]))
-            assert model.times[node.id] == 8e9 / bottleneck
-        assert model == FlowGraph(topo, 8e9)  # the table takes no part in equality
+    def test_times_match_min_hop_bottleneck(self):
+        """Every edge node of a complex topology is build_grid's and takes
+        the time its edge-router-cloud path took, bit for bit."""
+        for rows, cols, settings, seconds in COMPLEX_TIMES:
+            topo, model = complex_spec(rows, cols, **settings).build()
+            grid = build_grid(rows, cols)
+            assert (topo.nodes, topo.grid) == (grid.nodes, grid.grid)
+            assert [transfer_time(n.id, model) for n in topo.nodes] == [seconds] * rows * cols
 
 
 class TestDump:
@@ -237,18 +217,3 @@ class TestDump:
             "grid 2 1 39.5 40.5 116.0 117.0\n"
             "node 0 edge 39.75 116.5\n"
             "node 1 edge 40.25 116.5\n")
-
-    def test_complex_network_text(self):
-        """Every record kind, in node, router and link order, floats as repr."""
-        assert dump_topology(build_complex_network(1, 2, UNIT_BBOX, edge_rate=1e6)) == (
-            "grid 1 2 0.0 1.0 0.0 1.0\n"
-            "node 0 edge 0.5 0.25\n"
-            "node 1 edge 0.5 0.75\n"
-            "node 2 cloud 0.5 0.5\n"
-            "router 3\n"
-            "router 4\n"
-            "link 0 3 1000000.0\n"
-            "link 1 4 1000000.0\n"
-            "link 3 4 1000000.0\n"
-            "link 3 2 800000000.0\n"
-            "link 4 2 800000000.0\n")

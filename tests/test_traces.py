@@ -246,8 +246,6 @@ class TestSessionize:
         assert sessions.bounds == [0, 2, 4, 5]
         assert len(sessions) == 3
         assert spans(sessions) == [(0.0, 100.0), (500.0, 600.0), (900.0, 900.0)]
-        empty = sessionize([pts()])
-        assert len(empty) == 0 and empty.bounds == [0]
 
     def test_files_are_taken_as_they_come(self):
         """The files may come from a one-pass iterator, in any order, some
