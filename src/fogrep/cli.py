@@ -127,11 +127,11 @@ def _cmd_report(args) -> int:
             raise DataError(f"results path is not a file: {p}")
     rows = merge_results(args.results)
     if args.out:
-        write_results_csv(rows, args.out)
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            write_results_csv(rows, fh)
         print(f"merged {len(rows)} rows into {args.out}")
     else:
-        for row in rows:
-            print(",".join(str(row[k]) for k in row))
+        write_results_csv(rows, sys.stdout)
     return EXIT_OK
 
 

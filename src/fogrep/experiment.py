@@ -24,6 +24,7 @@ import yaml
 
 from . import __version__
 from .errors import ConfigError, DataError
+from .markov import MAX_NODE_ID
 from .metrics import active_time, compute_report, series_step, write_report_csv
 from .policies import PolicyConfig
 from .simengine import run as run_simulation
@@ -211,11 +212,10 @@ def read_fields(doc, table, lines, where="", required=()) -> dict:
 
 @dataclass
 class TopologySpec:
-    """A grid of rows x cols edge nodes and its transfer time. ``grid`` takes
-    ``transfer_delay``. ``complex`` puts a router behind each edge node, with
-    an ``edge_rate`` link, and gives every router its own ``uplink_rate`` link
-    to the cloud: every min-hop path is edge-router-cloud, so every transfer
-    of ``data_size_gb`` takes the same time, at the slower link's rate."""
+    """A grid of rows x cols edge nodes and the one time every transfer from
+    the cloud takes. ``grid`` sets it as ``transfer_delay``; ``complex`` as
+    ``data_size_gb`` over the slower of the ``edge_rate`` and ``uplink_rate``
+    links the data crosses."""
     name: str
     kind: str = "grid"  # grid | complex
     rows: int = 10
@@ -420,6 +420,11 @@ def parse_experiment_config(data: bytes | str, source="<config>", config_dir=Pat
     names = [p.name for p in policies]
     if len(set(names)) != len(names):
         raise ConfigError("policies: names must be unique")
+    for i, topo in enumerate(topologies):
+        if topo.rows * topo.cols > MAX_NODE_ID + 1 and any(p.predictor != "baseline" for p in policies):
+            raise _anchored(f"{'topology' if single else f'topologies[{i}]'}.rows: {topo.rows} x {topo.cols} "
+                            f"nodes do not fit the predictor's 16-bit node ids (at most {MAX_NODE_ID + 1})",
+                            lines)
     points: dict[str, str] = {}  # output directory -> the point that writes it
     for i, topo in enumerate(topologies):
         for j, policy in enumerate(policies):
@@ -552,7 +557,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
         if event_log is not None:
             with open(point_dir / "events.csv", "w", encoding="utf-8", newline="") as fh:
                 write_event_log_csv(event_log, fh)
-    write_results_csv(rows, cfg.output / "results.csv")
+    with open(cfg.output / "results.csv", "w", encoding="utf-8", newline="") as fh:
+        write_results_csv(rows, fh)
     summary = {cfg.experiment: {"rows": rows, "seed": cfg.seed}}
     (cfg.output / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     if cfg.plot:
@@ -560,14 +566,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def write_results_csv(rows, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULTS_HEADER)
-        for row in rows:
-            writer.writerow([row["experiment"], row["topology"], row["policy"], row["clients"],
-                             repr(row["availability"]), repr(row["excess_ratio"]),
-                             repr(row["memory_avg_bytes"]), row["memory_max_bytes"]])
+def write_results_csv(rows, fileobj):
+    writer = csv.writer(fileobj, lineterminator="\n")
+    writer.writerow(RESULTS_HEADER)
+    for row in rows:
+        writer.writerow([row["experiment"], row["topology"], row["policy"], row["clients"],
+                         repr(row["availability"]), repr(row["excess_ratio"]),
+                         repr(row["memory_avg_bytes"]), row["memory_max_bytes"]])
 
 
 def read_results_csv(path) -> list[dict]:
@@ -636,7 +641,9 @@ def pareto_svg(rows, width=640, height=480) -> str:
         path = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in front)
         parts.append(f"<polyline points='{path}' fill='none' stroke='#888' stroke-width='1'/>")
     for x, y, label in pts:
+        # not xml.sax.saxutils.escape: it imports urllib.request and ssl, megabytes of RSS per run
+        text = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(f"<circle cx='{sx(x):.1f}' cy='{sy(y):.1f}' r='4' fill='#1f77b4'/>")
-        parts.append(f"<text x='{sx(x) + 6:.1f}' y='{sy(y) - 6:.1f}' font-size='11'>{label}</text>")
+        parts.append(f"<text x='{sx(x) + 6:.1f}' y='{sy(y) - 6:.1f}' font-size='11'>{text}</text>")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 
 EOT = -1  # end-of-trip pseudo target; real node ids are >= 0
 
@@ -36,8 +36,9 @@ DAY_SPLITS = (1, 2, 7)
 TIME_SPLITS = (1, 4, 24)
 
 # The canonical size of a model (``memory_bytes``) counts each history
-# element and bucket as an unsigned 16-bit id, so node ids above MAX_NODE_ID
-# are refused, and each target as 4 id + 4 count + 8 stay_sum + 4 stay_count.
+# element and bucket as an unsigned 16-bit id, so a config whose grid has
+# node ids above MAX_NODE_ID is refused when a policy predicts, and each
+# target as 4 id + 4 count + 8 stay_sum + 4 stay_count.
 TARGET_BYTES = 20
 MAX_NODE_ID = 0xFFFF
 
@@ -206,10 +207,6 @@ class MarkovPredictor:
         """Enter every transition of a completed trip, plus an end-of-trip
         transition when enabled. Buckets come from the trip start time."""
         nodes = [v.node for v in visits]
-        top = max(nodes)
-        if top > MAX_NODE_ID:
-            raise DataError(f"node id {top} does not fit the predictor's 16-bit node ids "
-                            f"(at most {MAX_NODE_ID})")
         for order, keyed in self._runs(trip_start):
             index, keys = self.index[order], [key for key, _ in keyed]
             steps = [(tuple(nodes[i - order:i]), nodes[i], visits[i - 1].departure - visits[i - 1].arrival)

@@ -254,7 +254,7 @@ class _ClientRun:
 def run(timelines, topology: Topology, network: FixedDelay, policy_config: PolicyConfig,
         record_log=True) -> RunResult:
     """Simulate the timelines under one policy configuration, one client at a time."""
-    node_ids = {n.id for n in topology.nodes}
+    node_ids = range(topology.node_count)
 
     def ttime(dst) -> float:
         return transfer_time(dst, network)

@@ -1,12 +1,12 @@
-"""Fog topologies: node grids over a bounding box, nearest-node queries, and
-the transfer-time model.
+"""Fog topologies: a grid of edge nodes over a bounding box, nearest-node
+queries, and the transfer-time model.
 
-Every transfer brings a client's data from the cloud, which stores all of it,
-to an edge node, and takes a fixed time (``FixedDelay``). A config's
-``complex`` topology is a grid too: it puts one router behind each edge node
-and gives every router its own uplink to the cloud, so every edge node's
-min-hop path is edge-router-cloud, and every transfer takes the data size over
-the slower of the edge link and the uplink (``TopologySpec.build``).
+A topology is ``rows`` x ``cols`` edge nodes at the cell centres of a
+bounding box, with row-major ids: node ``i`` sits at row ``i // cols`` and
+column ``i % cols``. Every transfer brings a client's data from the cloud,
+which stores all of it, to an edge node, and takes a fixed time
+(``FixedDelay``), whatever the node; a config's topology kind only chooses
+how that time is set (``TopologySpec.build``).
 
 Distances are equirectangular at city scale: longitude differences are scaled
 by the cosine of the mid-bounding-box latitude. The scale is a constant per
@@ -15,8 +15,7 @@ rounded distances and break ties alike. A query of any length works through
 its points in fixed-size slices, which bounds its temporary arrays.
 
 Inputs come checked, by a config's field table or, for ``fogrep ingest``, by
-``build_grid``; ``Topology`` and ``FixedDelay`` take theirs as given (dense
-ids, a finite positive delay).
+``build_grid``; ``Topology`` and ``FixedDelay`` take theirs as given.
 
 Only the nearest-node queries use numpy: ``nearest_nodes``,
 ``_grid_nearest``, ``_scan``, ``_bracket`` and ``Topology._coords`` import it
@@ -40,13 +39,6 @@ BEIJING_BBOX = (39.6, 40.3, 116.0, 116.8)  # lat_min, lat_max, lon_min, lon_max
 
 
 @dataclass(frozen=True)
-class FogNode:
-    id: int
-    lat: float
-    lon: float
-
-
-@dataclass(frozen=True)
 class GridSpec:
     rows: int
     cols: int
@@ -54,29 +46,30 @@ class GridSpec:
 
 
 class Topology:
-    """Immutable after construction; all queries are read-only. The
-    nearest-node arrays are built once, by the first query that needs them."""
+    """The edge nodes of a grid: ``lat_c`` holds each row's latitude and
+    ``lon_c`` each column's longitude, so node ``i`` sits at
+    ``(lat_c[i // cols], lon_c[i % cols])``. Immutable after construction;
+    the scan's node arrays are built once, by the first query that needs them."""
 
-    def __init__(self, nodes, grid=None):
-        self.nodes: list[FogNode] = list(nodes)
-        self.grid: GridSpec | None = grid
-        self._axes = _grid_axes(self.nodes)
+    def __init__(self, grid: GridSpec):
+        self.grid = grid
+        lat_min, lat_max, lon_min, lon_max = grid.bbox
+        dlat = (lat_max - lat_min) / grid.rows
+        dlon = (lon_max - lon_min) / grid.cols
+        self.lat_c = [lat_min + (i + 0.5) * dlat for i in range(grid.rows)]
+        self.lon_c = [lon_min + (j + 0.5) * dlon for j in range(grid.cols)]
+        self.node_count = grid.rows * grid.cols
+        self._lon_scale = math.cos(math.radians(0.5 * (lat_min + lat_max)))
+        # the grid lookup needs strictly increasing centres; a bbox only a few
+        # ulps across rounds some neighbours to one value, and the scan serves it
+        increasing = all(a < b for axis in (self.lat_c, self.lon_c) for a, b in zip(axis, axis[1:]))
+        self._axes = (self.lat_c, self.lon_c) if increasing else None
 
     @cached_property
     def _coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """The nodes' latitudes and longitudes, for the nearest-node scan."""
+        """Every node's latitude and longitude, in id order, for the nearest-node scan."""
         import numpy as np
-        return np.array([n.lat for n in self.nodes]), np.array([n.lon for n in self.nodes])
-
-    @cached_property
-    def _lon_scale(self) -> float:
-        """Cosine of the mid latitude: the bounding box's, else the nodes' mean."""
-        if self.grid is not None:
-            mid_lat = 0.5 * (self.grid.bbox[0] + self.grid.bbox[1])
-        else:
-            import numpy as np
-            mid_lat = float(np.mean(self._coords[0])) if self.nodes else 0.0
-        return math.cos(math.radians(mid_lat))
+        return np.repeat(self.lat_c, self.grid.cols), np.tile(self.lon_c, self.grid.rows)
 
 
 def check_bbox(bbox) -> tuple:
@@ -92,43 +85,10 @@ def build_grid(rows, cols, bbox=BEIJING_BBOX) -> Topology:
     if rows < 1 or cols < 1:
         raise ConfigError("grid dimensions must be >= 1")
     try:
-        lat_min, lat_max, lon_min, lon_max = check_bbox(bbox)
+        bbox = check_bbox(bbox)
     except ValueError as exc:
         raise ConfigError(f"bbox: {exc}") from None
-    dlat = (lat_max - lat_min) / rows
-    dlon = (lon_max - lon_min) / cols
-    nodes = []
-    for i in range(rows):
-        for j in range(cols):
-            nodes.append(FogNode(
-                id=i * cols + j,
-                lat=lat_min + (i + 0.5) * dlat,
-                lon=lon_min + (j + 0.5) * dlon,
-            ))
-    return Topology(nodes, grid=GridSpec(rows, cols, tuple(bbox)))
-
-
-def _grid_axes(nodes):
-    """(row latitudes, column longitudes) when the nodes are build_grid's
-    layout: ids row-major from 0, every stored coordinate taken from one
-    latitude per row and one longitude per column, both strictly increasing.
-    None for any other node set, which the nearest-node scan then serves.
-    Plain Python lists, so that building a topology never loads numpy;
-    nearest_nodes turns them into arrays."""
-    n = len(nodes)
-    if n == 0:
-        return None
-    cols = next((i for i in range(1, n) if nodes[i].lat != nodes[0].lat), n)
-    rows, rest = divmod(n, cols)
-    if rest or any(node.id != i for i, node in enumerate(nodes)):
-        return None
-    lat_c = [nodes[r * cols].lat for r in range(rows)]
-    lon_c = [node.lon for node in nodes[:cols]]
-    if any(node.lat != lat_c[i // cols] or node.lon != lon_c[i % cols] for i, node in enumerate(nodes)):
-        return None
-    if not all(a < b for axis in (lat_c, lon_c) for a, b in zip(axis, axis[1:])):
-        return None
-    return lat_c, lon_c
+    return Topology(GridSpec(rows, cols, bbox))
 
 
 # points per pass of nearest_nodes on a grid: bounds its ~20 temporary
@@ -141,16 +101,15 @@ def _scan(lats, lons, topo: Topology) -> np.ndarray:
     """Nearest node by comparing every point with every node."""
     import numpy as np
     out = np.empty(len(lats), dtype=np.int64)
-    ids = np.array([n.id for n in topo.nodes])
     node_lats, node_lons = topo._coords
     # bound the points x nodes distance matrix to ~20M doubles
-    chunk = max(1024, 20_000_000 // max(1, len(ids)))
+    chunk = max(1024, 20_000_000 // topo.node_count)
     for start in range(0, len(lats), chunk):
         end = min(start + chunk, len(lats))
         dlat = node_lats[None, :] - lats[start:end, None]
         dlon = (node_lons[None, :] - lons[start:end, None]) * topo._lon_scale
         d2 = dlat * dlat + dlon * dlon
-        out[start:end] = ids[np.argmin(d2, axis=1)]
+        out[start:end] = np.argmin(d2, axis=1)
     return out
 
 
@@ -167,12 +126,13 @@ def nearest_nodes(lats, lons, topo: Topology) -> np.ndarray:
     the smaller id. Points outside the grid clamp to the nearest node by
     distance, no rejection.
 
-    On build_grid's layout the distance is a row term plus a column term, so
-    only the 2 x 2 nodes around a point can be nearest, and they are compared
-    with the scan's own rounded expression. Rounding keeps each term monotone
-    along its axis, so another node can tie them only if the next row or
-    column outward ties too; such points, and every point of any other
-    topology, go to the scan. A grid takes the points _NEAREST_SLICE at a time.
+    On a grid the distance is a row term plus a column term, so only the
+    2 x 2 nodes around a point can be nearest, and they are compared with the
+    scan's own rounded expression. Rounding keeps each term monotone along its
+    axis, so another node can tie them only if the next row or column outward
+    ties too; such points, and every point of a grid whose centres are not
+    strictly increasing, go to the scan. The lookup takes the points
+    _NEAREST_SLICE at a time.
     """
     import numpy as np
     lats = np.asarray(lats, dtype=float)
@@ -188,8 +148,8 @@ def nearest_nodes(lats, lons, topo: Topology) -> np.ndarray:
 
 
 def _grid_nearest(lats, lons, lat_c, lon_c, topo: Topology) -> np.ndarray:
-    """nearest_nodes on build_grid's layout, whose row latitudes and column
-    longitudes are lat_c and lon_c, for one slice of points."""
+    """nearest_nodes on a grid whose row latitudes and column longitudes are
+    lat_c and lon_c, both strictly increasing, for one slice of points."""
     import numpy as np
     rows, cols = len(lat_c), len(lon_c)
 
@@ -232,10 +192,8 @@ def transfer_time(dst, model: FixedDelay) -> float:
 
 def dump_topology(topo: Topology) -> str:
     """Plain text grid line and node table, reproducible byte-for-byte."""
-    lines = []
-    if topo.grid is not None:
-        g = topo.grid
-        lines.append("grid %d %d %r %r %r %r" % (g.rows, g.cols, *g.bbox))
-    for n in topo.nodes:
-        lines.append("node %d edge %r %r" % (n.id, n.lat, n.lon))
+    g = topo.grid
+    lines = ["grid %d %d %r %r %r %r" % (g.rows, g.cols, *g.bbox)]
+    lines += ["node %d edge %r %r" % (i * g.cols + j, lat, lon)
+              for i, lat in enumerate(topo.lat_c) for j, lon in enumerate(topo.lon_c)]
     return "\n".join(lines) + "\n"

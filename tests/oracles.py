@@ -21,13 +21,14 @@ seen so far: a sorted-list lower median for the short-pause windows, and a
 count argmax with ties to the smaller id for the pause-length model.
 """
 import json
+import math
 import random
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from fogrep.errors import ConfigError, DataError
-from fogrep.markov import (EOT, MAX_NODE_ID, TARGET_BYTES, Context,
+from fogrep.errors import ConfigError
+from fogrep.markov import (EOT, TARGET_BYTES, Context,
                            MarkovPredictor, Prediction, SubModelSpec,
                            TargetRecord, bucketize, check_kind)
 from fogrep.metrics import active_time, covered_time
@@ -318,15 +319,27 @@ def make_rescheduling_scenario(rng: random.Random, clients=(1, 2)):
     return timelines, topo, network, config
 
 
+def node_coords(topo):
+    """Every node's (lat, lon) in id order, from the row latitudes and column
+    longitudes the topology holds."""
+    return [(lat, lon) for lat in topo.lat_c for lon in topo.lon_c]
+
+
 def brute_force_nearest(lat, lon, topo):
-    """Independent linear scan with the same equirectangular metric."""
+    """Independent linear scan with the same equirectangular metric, over
+    node coordinates worked out from the grid spec alone: cell centres of the
+    bbox, ids row-major."""
+    g = topo.grid
+    lat_min, lat_max, lon_min, lon_max = g.bbox
+    dlat_cell, dlon_cell = (lat_max - lat_min) / g.rows, (lon_max - lon_min) / g.cols
+    lon_scale = math.cos(math.radians(0.5 * (lat_min + lat_max)))
     best_id, best_d2 = None, None
-    for n in topo.nodes:
-        dlat = lat - n.lat
-        dlon = (lon - n.lon) * topo._lon_scale
+    for node in range(g.rows * g.cols):
+        dlat = lat - (lat_min + (node // g.cols + 0.5) * dlat_cell)
+        dlon = (lon - (lon_min + (node % g.cols + 0.5) * dlon_cell)) * lon_scale
         d2 = dlat * dlat + dlon * dlon
         if best_d2 is None or d2 < best_d2:
-            best_id, best_d2 = n.id, d2
+            best_id, best_d2 = node, d2
     return best_id
 
 
@@ -530,10 +543,6 @@ class TableModel:
         """Enter every transition of a completed trip, plus an end-of-trip
         transition when enabled. Buckets come from the trip start time."""
         nodes = [v.node for v in visits]
-        top = max(nodes)
-        if top > MAX_NODE_ID:
-            raise DataError(f"node id {top} does not fit the predictor's 16-bit node ids "
-                            f"(at most {MAX_NODE_ID})")
         for sm in self.submodels:
             k = sm.spec.order
             day, tod = self._buckets(sm.spec, trip_start)

@@ -8,6 +8,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from fogrep.experiment import (load_experiment_config, load_traces,
 from fogrep.topology import _NEAREST_SLICE, BEIJING_BBOX, build_grid
 from fogrep.traces import GeoPoint, format_plt, synth_generate, write_visits_csv
 
-from oracles import point_ingest
+from oracles import node_coords, point_ingest
 
 REPO = Path(__file__).resolve().parent.parent
 SMOKE_CONFIG = REPO / "configs" / "smoke.yaml"
@@ -447,8 +448,8 @@ class TestIngest:
         rng = random.Random(seed)
         topo = build_grid(rows, cols, bbox)
         lat0, lat1, lon0, lon1 = bbox
-        lats = [n.lat for n in topo.nodes] + [lat0, lat1, (lat0 + lat1) / 2, -89.0, 89.0]
-        lons = [n.lon for n in topo.nodes] + [lon0, lon1, (lon0 + lon1) / 2, -179.0, 179.0]
+        lats = [lat for lat, _ in node_coords(topo)] + [lat0, lat1, (lat0 + lat1) / 2, -89.0, 89.0]
+        lons = [lon for _, lon in node_coords(topo)] + [lon0, lon1, (lon0 + lon1) / 2, -179.0, 179.0]
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp) / "geolife"
             for user in range(rng.randint(1, 3)):
@@ -669,6 +670,16 @@ class TestReport:
     def test_missing_results_file(self, tmp_path):
         assert main(["report", str(tmp_path / "none.csv")]) == 3
 
+    def test_stdout_is_the_out_file(self, tmp_path, capsys):
+        """Without --out the merged table goes to stdout, header and quoting included."""
+        results = tmp_path / "results.csv"
+        results.write_text(GOLDEN_RESULTS.read_text().replace("\nsmoke,", '\n"a,b",'))
+        assert main(["report", str(results)]) == 0
+        stdout = capsys.readouterr().out
+        assert main(["report", str(results), "--out", str(tmp_path / "merged.csv")]) == 0
+        assert stdout.encode() == (tmp_path / "merged.csv").read_bytes()
+        assert stdout.splitlines()[1].startswith('"a,b",strip-3,')
+
     def test_out_that_is_a_directory_is_a_config_error(self, tmp_path, capsys):
         assert main(["run", str(SMOKE_CONFIG), "--out", str(tmp_path / "a")]) == 0
         capsys.readouterr()
@@ -771,6 +782,7 @@ class TestConfigErrors:
         ({"policy": "preload_buffer: -.inf"}, "policies[0].preload_buffer", 10),
         ({"policy": "preload_buffer: .nan"}, "policies[0].preload_buffer", 10),
         ({"policy": "preload_buffer: -1"}, "policies[0].preload_buffer", 10),
+        ({"topo": "rows: 32769", "policy": "predictor: {type: vomm, k: 2}"}, "topologies[0].rows", 6),
     ], ids=["k-word", "jobs-word", "eot-string", "k-float", "vomm-day-splits",
             "momm-time-splits", "bbox-three", "kind-unknown", "spec-wekks", "spec-weeks-word",
             "spec-start-8am", "spec-start-unquoted", "spec-start-25-90", "spec-day-fry",
@@ -783,7 +795,7 @@ class TestConfigErrors:
             "spec-days-empty", "spec-patterns-empty", "spec-clients-empty", "bbox-reversed",
             "k-zero", "fomm-day-split-3", "topn-threshold-over-one", "topn-threshold-zero", "topn-n-zero",
             "neighborhood-unknown", "preload-buffer-minus-inf", "preload-buffer-nan",
-            "preload-buffer-negative"])
+            "preload-buffer-negative", "grid-too-large-for-predictor"])
     def test_run_names_key_path_and_line(self, tmp_path, capsys, override, key_path, line):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(error_config(**override))
@@ -792,6 +804,15 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert f"{key_path}:" in err and f"(line {line})" in err
         assert not (tmp_path / "out").exists()  # caught before any output is made
+
+    def test_predictor_takes_up_to_65536_nodes(self):
+        """Node ids are 16-bit in a predictor's model; a grid without one may be larger."""
+        vomm = "predictor: {type: vomm, k: 2}"
+        assert parse_experiment_config(error_config(topo="rows: 32768", policy=vomm)).topologies[0].rows == 32768
+        assert parse_experiment_config(error_config(topo="rows: 32769")).topologies[0].rows == 32769
+        with pytest.raises(ConfigError, match=r"^topology\.rows: 70000 x 1 nodes do not fit .* \(line 3\)$"):
+            parse_experiment_config("trace: {source: visits, path: v.csv}\ntopology:\n  rows: 70000\n  cols: 1\n"
+                                    f"policies:\n  - {{name: p, {vomm}}}\n")
 
     def test_infinite_preload_buffer_is_the_default(self, tmp_path):
         written, left_out = tmp_path / "inf.yaml", tmp_path / "default.yaml"
@@ -906,6 +927,14 @@ class TestOutputNames:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"config error: plot: {plot!r} would overwrite {taken} (line {line})\n"
         assert not (tmp_path / "out").exists()
+
+    def test_plot_escapes_names(self, tmp_path):
+        cfg = tmp_path / "markup.yaml"
+        cfg.write_text(SMOKE_CONFIG.read_text().replace("  - name: vomm-k2\n", "  - name: p&q\n")
+                       .replace("  name: strip-3\n", "  name: <x]]>\n"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        svg = ElementTree.fromstring((tmp_path / "out" / "pareto.svg").read_text())
+        assert "p&q/<x]]>" in [t.text for t in svg.iter("{http://www.w3.org/2000/svg}text")]
 
     def test_dots_inside_a_name_are_plain(self, tmp_path):
         cfg = tmp_path / "dots.yaml"

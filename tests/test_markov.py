@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fogrep.errors import DataError
 from fogrep.markov import (EOT, Prediction, SubModelSpec, TargetRecord,
                            bucketize, dynamic_topn, make_model)
 from fogrep.traces import NodeVisit
@@ -486,11 +485,3 @@ class TestGoldenPersistence:
             nodes = [n for n, _ in path]
             for i in range(1, len(nodes) + 1):
                 assert loaded.predict(nodes[:i], start) == m.predict(nodes[:i], start)
-
-    def test_node_id_above_16_bits_is_data_error(self):
-        m = make_model("vomm", 2)
-        with pytest.raises(DataError, match="65536"):
-            m.train_session(visits((0, 0, 10), (65536, 10, 20)), 0.0)
-        assert m.memory_bytes() == 0
-        m.train_session(visits((0, 0, 10), (65535, 10, 20)), 0.0)  # the largest id fits
-        assert m.predict([0], 0.0) == [Prediction(65535, 1.0, 10.0)]

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,11 +7,10 @@ from hypothesis import strategies as st
 
 from fogrep.errors import ConfigError
 from fogrep.experiment import TopologySpec
-from fogrep.topology import (BEIJING_BBOX, FixedDelay, FogNode, GridSpec,
-                             Topology, build_grid, dump_topology,
-                             nearest_nodes, transfer_time)
+from fogrep.topology import (BEIJING_BBOX, FixedDelay, build_grid,
+                             dump_topology, nearest_nodes, transfer_time)
 
-from oracles import brute_force_nearest
+from oracles import brute_force_nearest, node_coords
 
 UNIT_BBOX = (0.0, 1.0, 0.0, 1.0)
 
@@ -18,18 +18,17 @@ UNIT_BBOX = (0.0, 1.0, 0.0, 1.0)
 class TestBuildGrid:
     def test_single_cell_is_bbox_center(self):
         topo = build_grid(1, 1, UNIT_BBOX)
-        assert len(topo.nodes) == 1
-        assert topo.nodes[0].lat == 0.5
-        assert topo.nodes[0].lon == 0.5
+        assert topo.node_count == 1
+        assert node_coords(topo) == [(0.5, 0.5)]
 
     def test_2x2_cell_centers(self):
         topo = build_grid(2, 2, UNIT_BBOX)
-        coords = [(n.lat, n.lon) for n in topo.nodes]
-        assert coords == [(0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75)]
+        assert node_coords(topo) == [(0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75)]
 
     def test_10x10_has_dense_ids(self):
         topo = build_grid(10, 10)
-        assert [n.id for n in topo.nodes] == list(range(100))
+        assert topo.node_count == 100
+        assert [int(line.split()[1]) for line in dump_topology(topo).splitlines()[1:]] == list(range(100))
 
     def test_degenerate_bbox_rejected(self):
         with pytest.raises(ConfigError):
@@ -41,8 +40,8 @@ class TestBuildGrid:
 class TestNearestNode:
     def test_exact_position(self):
         topo = build_grid(3, 3, UNIT_BBOX)
-        lats, lons = [n.lat for n in topo.nodes], [n.lon for n in topo.nodes]
-        assert nearest_nodes(lats, lons, topo).tolist() == [n.id for n in topo.nodes]
+        lats, lons = zip(*node_coords(topo))
+        assert nearest_nodes(lats, lons, topo).tolist() == list(range(topo.node_count))
 
     def test_midpoint_tie_breaks_to_smaller_id(self):
         topo = build_grid(1, 2, UNIT_BBOX)  # nodes at lon 0.25 and 0.75
@@ -80,16 +79,15 @@ def _probe_points(rng, topo, bbox, count):
     points inside the bbox and points far outside it (within the lat/lon
     ranges PLT parsing accepts)."""
     lat0, lat1, lon0, lon1 = bbox
-    lats = sorted({n.lat for n in topo.nodes})
-    lons = sorted({n.lon for n in topo.nodes})
+    lats = sorted(set(topo.lat_c))
+    lons = sorted(set(topo.lon_c))
     mid_lats = [(a + b) / 2 for a, b in zip(lats, lats[1:])] or lats
     mid_lons = [(a + b) / 2 for a, b in zip(lons, lons[1:])] or lons
     points = []
     for _ in range(count):
         kind = rng.randrange(4)
         if kind == 0:
-            node = rng.choice(topo.nodes)
-            points.append((node.lat, node.lon))
+            points.append(rng.choice(node_coords(topo)))
         elif kind == 1:
             points.append((rng.choice(mid_lats + lats), rng.choice(mid_lons + lons)))
         elif kind == 2:
@@ -134,27 +132,15 @@ class TestGridLookup:
         assert nearest_nodes(lats, lons, topo).tolist() == [870, 0] == \
                [brute_force_nearest(lat, lon, topo) for lat, lon in zip(lats, lons)]
 
-    @settings(max_examples=40, deadline=None)
-    @given(rows=st.integers(1, 8), cols=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
-    def test_shuffled_nodes_take_the_scan(self, rows, cols, seed):
-        rng = random.Random(seed)
-        base = build_grid(rows, cols, BEIJING_BBOX)
-        coords = [(n.lat, n.lon) for n in base.nodes]
-        if len(coords) > 1:
-            shuffled = rng.sample(coords, len(coords))
-            coords = shuffled if shuffled != coords else coords[1:] + coords[:1]
-        topo = Topology([FogNode(i, lat, lon) for i, (lat, lon) in enumerate(coords)],
-                        grid=base.grid)
-        assert (topo._axes is None) == (len(coords) > 1)
-        lats, lons = _probe_points(rng, topo, BEIJING_BBOX, 40)
+    def test_sub_ulp_bbox_takes_the_scan(self):
+        # ten rows over a bbox one ulp high round to two distinct latitudes,
+        # which the lookup cannot bracket; the scan serves every point
+        bbox = (39.6, 39.60000000000001, 116.0, 116.8)
+        topo = build_grid(10, 4, bbox)
+        assert len(set(topo.lat_c)) == 2 and topo._axes is None
+        lats, lons = _probe_points(random.Random(3), topo, bbox, 200)
         expected = [brute_force_nearest(lat, lon, topo) for lat, lon in zip(lats, lons)]
         assert nearest_nodes(lats, lons, topo).tolist() == expected
-
-    def test_grid_spec_with_other_nodes_takes_the_scan(self):
-        nodes = [*build_grid(2, 2, UNIT_BBOX).nodes[:3], FogNode(3, 0.9, 0.1)]
-        topo = Topology(nodes, grid=GridSpec(2, 2, UNIT_BBOX))
-        assert topo._axes is None
-        assert nearest_nodes([0.88], [0.12], topo).tolist() == [3] == [brute_force_nearest(0.88, 0.12, topo)]
 
 
 # (rows, cols, spec settings, seconds per transfer to every node), recorded
@@ -178,11 +164,11 @@ def complex_spec(rows, cols, **settings):
 class TestComplexNetwork:
     def test_9x9_node_counts(self):
         topo, _ = complex_spec(9, 9).build()
-        assert len(topo.nodes) == 81
+        assert topo.node_count == 81
 
     def test_1x1_chain(self):
         topo, model = complex_spec(1, 1, bbox=UNIT_BBOX).build()
-        assert len(topo.nodes) == 1
+        assert topo.node_count == 1
         assert transfer_time(0, model) == 200.0
 
 
@@ -198,8 +184,8 @@ class TestTransferTime:
     def test_lower_bound_is_size_over_max_rate(self):
         spec = complex_spec(5, 5, bbox=UNIT_BBOX)
         topo, model = spec.build()
-        for node in topo.nodes:
-            assert transfer_time(node.id, model) >= 8e9 / max(spec.edge_rate, spec.uplink_rate)
+        for node in range(topo.node_count):
+            assert transfer_time(node, model) >= 8e9 / max(spec.edge_rate, spec.uplink_rate)
 
     def test_times_match_min_hop_bottleneck(self):
         """Every edge node of a complex topology is build_grid's and takes
@@ -207,8 +193,8 @@ class TestTransferTime:
         for rows, cols, settings, seconds in COMPLEX_TIMES:
             topo, model = complex_spec(rows, cols, **settings).build()
             grid = build_grid(rows, cols)
-            assert (topo.nodes, topo.grid) == (grid.nodes, grid.grid)
-            assert [transfer_time(n.id, model) for n in topo.nodes] == [seconds] * rows * cols
+            assert (node_coords(topo), topo.grid) == (node_coords(grid), grid.grid)
+            assert [transfer_time(n, model) for n in range(topo.node_count)] == [seconds] * rows * cols
 
 
 class TestDump:
@@ -217,3 +203,9 @@ class TestDump:
             "grid 2 1 39.5 40.5 116.0 117.0\n"
             "node 0 edge 39.75 116.5\n"
             "node 1 edge 40.25 116.5\n")
+
+    def test_25x25_text_is_unchanged(self):
+        # recorded from the node-list topology that the grid's axes replaced
+        text = dump_topology(build_grid(25, 25))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "a003e8d952209188e10bc52a162f489766ea48750ed8c3770244a54f6dcb3081"
