@@ -3,9 +3,10 @@ file, run every (policy, topology) sweep point deterministically, and emit
 results.csv, per-client availability series, a machine-readable summary, and
 an optional Pareto scatter SVG.
 
-A point runs one client at a time: each client's model is freed right after
-its memory snapshot, before the next client runs, so a point holds one model
-at a time however many clients the trace has.
+A point runs one client at a time and folds their report rows: a client's
+row is computed right after its run, and its ledger and model are freed
+before the next client runs, so a point holds one ledger and one model at a
+time however many clients the trace has.
 
 The config file is the single source of truth; only the output directory and
 the seed can be overridden from the command line, so experiments stay
@@ -25,11 +26,11 @@ import yaml
 from . import __version__
 from .errors import ConfigError, DataError
 from .markov import MAX_NODE_ID
-from .metrics import active_time, compute_report, series_step, write_report_csv
+from .metrics import active_time, compute_report, point_report, series_step, write_report_csv
 from .policies import PolicyConfig
 from .simengine import run as run_simulation
-from .simengine import (ReplicaLedger, merge_event_logs, snapshot_memory,
-                        write_event_log_csv)
+from .simengine import merge_event_logs, snapshot_memory, write_event_log_csv
+from .startup import FIXED
 from .topology import BEIJING_BBOX, FixedDelay, Topology, build_grid, check_bbox
 from .traces import (DEFAULT_GAP_THRESHOLD, SchedulePattern, SyntheticSpec,
                      csv_rows, load_geolife_dir, read_visits_csv,
@@ -420,11 +421,14 @@ def parse_experiment_config(data: bytes | str, source="<config>", config_dir=Pat
     names = [p.name for p in policies]
     if len(set(names)) != len(names):
         raise ConfigError("policies: names must be unique")
+    # a predictor, a PLMM and a learning short-pause window key their models by 16-bit node ids
+    keyed = [p.name for p in policies if p.predictor != "baseline" or p.startup_mode == "plmm"
+             or (p.startup_mode == "short_pause" and p.short_pause_mode != FIXED)]
     for i, topo in enumerate(topologies):
-        if topo.rows * topo.cols > MAX_NODE_ID + 1 and any(p.predictor != "baseline" for p in policies):
+        if topo.rows * topo.cols > MAX_NODE_ID + 1 and keyed:
             raise _anchored(f"{'topology' if single else f'topologies[{i}]'}.rows: {topo.rows} x {topo.cols} "
-                            f"nodes do not fit the predictor's 16-bit node ids (at most {MAX_NODE_ID + 1})",
-                            lines)
+                            f"nodes do not fit the 16-bit node ids of policy {keyed[0]!r}'s model "
+                            f"(at most {MAX_NODE_ID + 1})", lines)
     points: dict[str, str] = {}  # output directory -> the point that writes it
     for i, topo in enumerate(topologies):
         for j, policy in enumerate(policies):
@@ -487,20 +491,19 @@ def load_traces(cfg: ExperimentConfig, topo: Topology, topo_name: str):
 def _run_point(topo, network, policy: PolicyConfig, timelines,
                window, series_clients, series_bucket, dump_events):
     """One sweep point, run one client at a time in client-id order. Each
-    client's ledger (and, with ``dump_events``, its event log) joins the
-    point's after its memory snapshot, and its model is freed before the next
-    client runs; the report is computed once, over the merged ledger."""
-    ledger, memory, logs = ReplicaLedger(), {}, []
+    client's report row is computed from its ledger and memory snapshot right
+    after its run, and its ledger and model are freed before the next client
+    runs (its event log is kept, with ``dump_events``); the point's report is
+    the fold of the rows."""
+    rows, logs = [], []
     for tl in sorted(timelines, key=lambda tl: tl.client_id):
+        cid = tl.client_id
         result = run_simulation([tl], topo, network, policy, record_log=dump_events)
-        memory.update(snapshot_memory(result.policies))
-        ledger.update(result.ledger)
+        rows.append(compute_report(result.ledger, tl, snapshot_memory(result.policies)[cid], window,
+                                   series_bucket if cid in series_clients else None))
         logs.append(result.event_log)
-        del result  # frees the client's model before the next client's run
-    report = compute_report(ledger, timelines, memory_by_client=memory,
-                            window=window, series_clients=series_clients,
-                            series_bucket=series_bucket)
-    return report, (merge_event_logs(logs) if dump_events else None)
+        del result  # frees the client's ledger and model before the next client's run
+    return point_report(rows), (merge_event_logs(logs) if dump_events else None)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[dict]:
@@ -549,11 +552,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
         point_dir.mkdir(parents=True, exist_ok=True)
         with open(point_dir / "report.csv", "w", encoding="utf-8", newline="") as fh:
             write_report_csv(report, fh)
-        for cid, series in report.series.items():
-            with open(point_dir / f"series_{cid}.csv", "w", encoding="utf-8") as fh:
-                fh.write("time,availability\n")
-                for t, a in series:
-                    fh.write(f"{t!r},{a!r}\n")
+        for m in report.per_client:
+            if m.series is not None:
+                with open(point_dir / f"series_{m.client_id}.csv", "w", encoding="utf-8") as fh:
+                    fh.write("time,availability\n")
+                    for t, a in m.series:
+                        fh.write(f"{t!r},{a!r}\n")
         if event_log is not None:
             with open(point_dir / "events.csv", "w", encoding="utf-8", newline="") as fh:
                 write_event_log_csv(event_log, fh)

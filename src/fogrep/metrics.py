@@ -1,25 +1,27 @@
-"""Availability, excess-data and memory metrics over a replica ledger.
+"""Availability, excess-data and memory metrics over a replica ledger, the
+dict from (client, node) to sorted, disjoint presence intervals [from, to)
+that ``simengine.run`` records.
 
 Everything is computed by interval intersection, never by time stepping:
 availability is the fraction of application-active time during which the
 current closest node held the replica, excess data is all remaining presence
 time divided by active time (preloads before arrival, late deletions, wrong
 nodes, and retention during pauses all land here). Data in transit counts as
-present nowhere. ``compute_report`` is the one place both ratios are formed:
-per client from ``active_time``, ``covered_time`` and ``presence_time``, and
-over all clients from their sums. The cumulative availability series is one
-forward sweep over a client's sessions and visits, and ignores
-``metrics.window``.
+present nowhere. Both ratios are formed in two places only: ``compute_report``
+gives one client's row from ``active_time``, ``covered_time`` and
+``presence_time``, and ``point_report`` folds a sweep point's rows, forming
+the ratios over all clients from their sums in client-id order. The
+cumulative availability series is one forward sweep over a client's sessions
+and visits, and ignores ``metrics.window``.
 """
 from __future__ import annotations
 
 import csv
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import ConfigError, UndefinedMetricError
-from .simengine import ReplicaLedger
 from .traces import ClientTimeline
 
 
@@ -54,21 +56,22 @@ def active_time(timeline: ClientTimeline, window=None) -> float:
     return total
 
 
-def covered_time(ledger: ReplicaLedger, timeline: ClientTimeline, window=None) -> float:
+def covered_time(ledger: dict, timeline: ClientTimeline, window=None) -> float:
     """Active time during which the current closest node held the replica."""
     total = 0.0
     for visits in timeline.sessions:
         for v in visits:
             a, b = _clip(v.arrival, v.departure, window)
             if b > a:
-                total += _overlap(ledger.intervals(timeline.client_id, v.node), a, b)
+                total += _overlap(ledger.get((timeline.client_id, v.node), ()), a, b)
     return total
 
 
-def presence_time(ledger: ReplicaLedger, client, window=None) -> float:
+def presence_time(ledger: dict, client, window=None) -> float:
+    """Time any replica of the client was present, over its nodes in ascending order."""
     total = 0.0
-    for node in ledger.nodes(client):
-        for a, b in ledger.intervals(client, node):
+    for key in sorted(key for key in ledger if key[0] == client):
+        for a, b in ledger[key]:
             a, b = _clip(a, b, window)
             if b > a:
                 total += b - a
@@ -83,7 +86,7 @@ def series_step(t, bucket) -> float:
     return t + bucket
 
 
-def availability_series(ledger: ReplicaLedger, timeline: ClientTimeline, bucket) -> list[tuple[float, float]]:
+def availability_series(ledger: dict, timeline: ClientTimeline, bucket) -> list[tuple[float, float]]:
     """Cumulative availability at each bucket boundary after the client's first
     arrival, starting at the first bucket with any activity; ``metrics.window``
     does not apply. One forward sweep keeps totals over the sessions and visits
@@ -106,14 +109,14 @@ def availability_series(ledger: ReplicaLedger, timeline: ClientTimeline, bucket)
         while j < len(visits) and visits[j][1] <= t:
             a, b, node = visits[j]
             if b > a:
-                covered += _overlap(ledger.intervals(cid, node), a, b)
+                covered += _overlap(ledger.get((cid, node), ()), a, b)
             j += 1
         active_now, covered_now = active, covered
         if i < len(sessions) and sessions[i][0] < t:
             active_now += t - sessions[i][0]
         if active_now > 0:
             if j < len(visits) and visits[j][0] < t:
-                covered_now += _overlap(ledger.intervals(cid, visits[j][2]), visits[j][0], t)
+                covered_now += _overlap(ledger.get((cid, visits[j][2]), ()), visits[j][0], t)
             points.append((t, covered_now / active_now))
         if t >= timeline.last_t:
             return points
@@ -121,11 +124,15 @@ def availability_series(ledger: ReplicaLedger, timeline: ClientTimeline, bucket)
 
 @dataclass
 class ClientMetrics:
+    """One client's row of a point's report, with the sums the point's totals add up."""
     client_id: str
     active_s: float
     availability: float
     excess_ratio: float
     memory_bytes: int
+    covered_s: float
+    presence_s: float
+    series: list[tuple[float, float]] | None = None
 
 
 @dataclass
@@ -135,49 +142,48 @@ class MetricsReport:
     excess_ratio: float
     memory_avg: float
     memory_max: int
-    per_client: list[ClientMetrics] = field(default_factory=list)
-    series: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
+    per_client: list[ClientMetrics]
 
 
-def compute_report(ledger: ReplicaLedger, timelines, memory_by_client=None,
-                   window=None, series_clients=(), series_bucket=86400.0) -> MetricsReport:
-    """Aggregate metrics: the availability and excess numerators/denominators
-    sum over clients (global active-time denominator); per-client rows keep
-    the breakdown."""
-    memory_by_client = memory_by_client or {}
-    per_client = []
+def compute_report(ledger: dict, timeline: ClientTimeline, memory_bytes=0, window=None,
+                   series_bucket=None) -> ClientMetrics:
+    """One client's row: its ratios (NaN without active time), the sums a
+    point's report adds up and, given ``series_bucket``, its availability series."""
+    active = active_time(timeline, window)
+    covered = covered_time(ledger, timeline, window)
+    presence = presence_time(ledger, timeline.client_id, window)
+    return ClientMetrics(
+        client_id=timeline.client_id,
+        active_s=active,
+        availability=covered / active if active > 0 else float("nan"),
+        excess_ratio=(presence - covered) / active if active > 0 else float("nan"),
+        memory_bytes=memory_bytes,
+        covered_s=covered,
+        presence_s=presence,
+        series=None if series_bucket is None else availability_series(ledger, timeline, series_bucket),
+    )
+
+
+def point_report(rows) -> MetricsReport:
+    """A sweep point's report from its clients' rows, given in client-id
+    order: the availability and excess numerators and the active-time
+    denominator sum over the clients in that order."""
     tot_active = tot_covered = tot_presence = 0.0
-    for tl in sorted(timelines, key=lambda t: t.client_id):
-        active = active_time(tl, window)
-        covered = covered_time(ledger, tl, window)
-        presence = presence_time(ledger, tl.client_id, window)
-        mem = memory_by_client.get(tl.client_id, 0)
-        per_client.append(ClientMetrics(
-            client_id=tl.client_id,
-            active_s=active,
-            availability=covered / active if active > 0 else float("nan"),
-            excess_ratio=(presence - covered) / active if active > 0 else float("nan"),
-            memory_bytes=mem,
-        ))
-        tot_active += active
-        tot_covered += covered
-        tot_presence += presence
+    for m in rows:
+        tot_active += m.active_s
+        tot_covered += m.covered_s
+        tot_presence += m.presence_s
     if tot_active <= 0:
         raise UndefinedMetricError("no active time across clients")
-    mems = [m.memory_bytes for m in per_client]
-    report = MetricsReport(
+    mems = [m.memory_bytes for m in rows]
+    return MetricsReport(
         active_s=tot_active,
         availability=tot_covered / tot_active,
         excess_ratio=(tot_presence - tot_covered) / tot_active,
-        memory_avg=sum(mems) / len(mems) if mems else 0.0,
-        memory_max=max(mems) if mems else 0,
-        per_client=per_client,
+        memory_avg=sum(mems) / len(mems),
+        memory_max=max(mems),
+        per_client=rows,
     )
-    by_id = {tl.client_id: tl for tl in timelines}
-    for cid in series_clients:
-        if cid in by_id:
-            report.series[cid] = availability_series(ledger, by_id[cid], series_bucket)
-    return report
 
 
 REPORT_HEADER = ["client_id", "active_s", "availability", "excess_ratio", "memory_bytes"]

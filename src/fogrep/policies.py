@@ -108,11 +108,9 @@ class ReplicaPolicy:
     any standing (present, retained, or a transfer pending or in flight).
     """
 
-    def __init__(self, config: PolicyConfig, transfer_estimate=None):
+    def __init__(self, config: PolicyConfig, transfer_estimate):
         self.config = config
-        # estimated seconds to move the data set to a node; the simulator
-        # wires in the true transfer time, other estimators can be plugged in
-        self.transfer_estimate = transfer_estimate or (lambda node: 0.0)
+        self.transfer_estimate = transfer_estimate  # seconds to move the data set to a node
         self.predictor = None if config.predictor == "baseline" else make_model(
             config.predictor, config.k, config.day_splits, config.time_splits,
             eot=config.eot, tz_offset=config.tz_offset)

@@ -1,5 +1,6 @@
 """Discrete-event engine: replays client timelines against a topology,
-executes policy actions, models transfers, and records the replica ledger.
+executes policy actions, models transfers, and records the replica ledger,
+(client, node) -> that replica's sorted, disjoint presence intervals [from, to).
 
 Clients never interact (each has its own policy and replicas, and every
 transfer takes its network's fixed time), so each client runs its own event
@@ -57,43 +58,6 @@ _IN_FLIGHT = 1
 _PRESENT = 2
 
 
-class ReplicaLedger:
-    """Per client, per node: sorted disjoint presence intervals [from, to)."""
-
-    def __init__(self):
-        self._by_client: dict[str, dict[int, list[tuple[float, float]]]] = {}
-
-    def add(self, client, node, start, end):
-        if end > start:
-            self._by_client.setdefault(client, {}).setdefault(node, []).append((start, end))
-
-    def intervals(self, client, node) -> list[tuple[float, float]]:
-        return self._by_client.get(client, {}).get(node, [])
-
-    def nodes(self, client) -> list[int]:
-        return sorted(self._by_client.get(client, ()))
-
-    def update(self, other: "ReplicaLedger"):
-        """Add the intervals of another ledger's clients, none of which this one has."""
-        self._by_client.update(other._by_client)
-
-    def items(self):
-        """((client, node), intervals) pairs."""
-        return (((c, n), ivs) for c, nodes in self._by_client.items() for n, ivs in nodes.items())
-
-    def validate(self):
-        for (c, n), ivs in self.items():
-            for (a1, b1), (a2, b2) in zip(ivs, ivs[1:]):
-                if a2 < b1:
-                    raise EngineInvariantError(f"overlapping intervals for ({c}, {n})")
-            for a, b in ivs:
-                if b <= a:
-                    raise EngineInvariantError(f"empty interval for ({c}, {n})")
-
-    def __eq__(self, other):
-        return isinstance(other, ReplicaLedger) and self._by_client == other._by_client
-
-
 @dataclass
 class EventRecord:
     t: float
@@ -104,7 +68,7 @@ class EventRecord:
 
 @dataclass
 class RunResult:
-    ledger: ReplicaLedger
+    ledger: dict[tuple[str, int], list[tuple[float, float]]]
     event_log: list[EventRecord]
     policies: dict[str, ReplicaPolicy]
 
@@ -154,8 +118,8 @@ class _ClientRun:
     def _close(self, node, t):
         """Drop a replica; a present copy leaves its presence interval."""
         st = self._states.pop(node)
-        if st.status == _PRESENT:
-            self._ledger.add(self.client, node, st.open_since, t)
+        if st.status == _PRESENT and t > st.open_since:
+            self._ledger.setdefault((self.client, node), []).append((st.open_since, t))
 
     def _timeline_events(self):
         """(time, kind, node) of each session start, arrival and session end, in timeline order."""
@@ -260,7 +224,7 @@ def run(timelines, topology: Topology, network: FixedDelay, policy_config: Polic
         return transfer_time(dst, network)
 
     runs: dict[str, _ClientRun] = {}
-    ledger = ReplicaLedger()
+    ledger = {}
     for tl in sorted(timelines, key=lambda tl: tl.client_id):
         if not tl.sessions:
             raise ConfigError(f"client {tl.client_id}: empty timeline")
@@ -273,9 +237,16 @@ def run(timelines, topology: Topology, network: FixedDelay, policy_config: Polic
         runs[tl.client_id] = _ClientRun(tl, ReplicaPolicy(policy_config, ttime), ttime, ledger, record_log)
     for client_run in runs.values():
         client_run.run()
-    ledger.validate()
+    check_ledger(ledger)
     return RunResult(ledger, merge_event_logs(r.log or () for r in runs.values()),
                      {cid: r.policy for cid, r in runs.items()})
+
+
+def check_ledger(ledger):
+    """The engine's invariant: each replica's presence intervals are non-empty, sorted and disjoint."""
+    for (client, node), ivs in ledger.items():
+        if any(b <= a for a, b in ivs) or any(a2 < b1 for (_, b1), (a2, _) in zip(ivs, ivs[1:])):
+            raise EngineInvariantError(f"empty or overlapping intervals for ({client}, {node})")
 
 
 def merge_event_logs(logs) -> list[EventRecord]:

@@ -19,6 +19,8 @@ the canonical serialization that a model's size counts. The
 restart oracle recomputes a retention deadline from the whole list of pauses
 seen so far: a sorted-list lower median for the short-pause windows, and a
 count argmax with ties to the smaller id for the pause-length model.
+``fold_report`` gives a sweep point's report from the ledger of one run of
+all its clients, as a reference for the point that runs them one at a time.
 """
 import json
 import math
@@ -31,9 +33,8 @@ from fogrep.errors import ConfigError
 from fogrep.markov import (EOT, TARGET_BYTES, Context,
                            MarkovPredictor, Prediction, SubModelSpec,
                            TargetRecord, bucketize, check_kind)
-from fogrep.metrics import active_time, covered_time
+from fogrep.metrics import active_time, compute_report, covered_time, point_report
 from fogrep.policies import Delete, PolicyConfig, Replicate, ReplicaPolicy, Retain
-from fogrep.simengine import ReplicaLedger
 from fogrep.topology import FixedDelay, build_grid, transfer_time
 from fogrep.traces import ClientTimeline, NodeVisit, Pause, parse_plt_rows
 
@@ -55,11 +56,12 @@ class _SetView:
                       | set(self._present) | set(self._retained))
 
 
-def brute_force_run(timelines, topology, network, config: PolicyConfig) -> ReplicaLedger:
+def brute_force_run(timelines, topology, network, config: PolicyConfig) -> dict:
+    """The ledger: (client, node) -> presence intervals, as ``simengine.run`` records it."""
     def ttime(dst):
         return transfer_time(dst, network)
 
-    ledger = ReplicaLedger()
+    ledger = {}
     for tl in timelines:
         policy = ReplicaPolicy(config, ttime)
         pending: dict[int, float] = {}
@@ -70,10 +72,13 @@ def brute_force_run(timelines, topology, network, config: PolicyConfig) -> Repli
 
         def close(node, t):
             if node in present:
-                ledger.add(tl.client_id, node, present.pop(node), t)
+                open_since = present.pop(node)
             elif node in retained:
                 open_since, _ = retained.pop(node)
-                ledger.add(tl.client_id, node, open_since, t)
+            else:
+                return
+            if t > open_since:
+                ledger.setdefault((tl.client_id, node), []).append((open_since, t))
 
         def apply(action, now):
             node = action.node
@@ -143,7 +148,22 @@ def brute_force_run(timelines, topology, network, config: PolicyConfig) -> Repli
     return ledger
 
 
-def per_second_client_metrics(ledger: ReplicaLedger, timeline: ClientTimeline,
+def client_ledger(ledger, client) -> dict:
+    """One client's part of a ledger: node -> presence intervals."""
+    return {node: ivs for (c, node), ivs in ledger.items() if c == client}
+
+
+def fold_report(ledger, timelines, memory_by_client=None, window=None, series_clients=(), series_bucket=86400.0):
+    """A sweep point's report over the ledger of a run of all its clients:
+    each client's row from the whole ledger, folded in client-id order as
+    ``_run_point`` folds them."""
+    memory_by_client = memory_by_client or {}
+    return point_report([compute_report(ledger, tl, memory_by_client.get(tl.client_id, 0), window,
+                                        series_bucket if tl.client_id in series_clients else None)
+                         for tl in sorted(timelines, key=lambda tl: tl.client_id)])
+
+
+def per_second_client_metrics(ledger, timeline: ClientTimeline,
                               window=None):
     """(active, covered, presence) in whole seconds, by stepping."""
     cid = timeline.client_id
@@ -154,11 +174,11 @@ def per_second_client_metrics(ledger: ReplicaLedger, timeline: ClientTimeline,
         for v in visits:
             for s in range(int(max(v.arrival, lo)), int(min(v.departure, hi))):
                 active += 1
-                if any(a <= s < b for a, b in ledger.intervals(cid, v.node)):
+                if any(a <= s < b for a, b in ledger.get((cid, v.node), ())):
                     covered += 1
     presence = 0
-    for node in ledger.nodes(cid):
-        for a, b in ledger.intervals(cid, node):
+    for ivs in client_ledger(ledger, cid).values():
+        for a, b in ivs:
             presence += int(min(b, hi)) - int(max(a, lo)) if min(b, hi) > max(a, lo) else 0
     return active, covered, presence
 
@@ -184,7 +204,7 @@ def overlap(intervals, a, b) -> float:
     return total
 
 
-def availability_series(ledger: ReplicaLedger, timeline: ClientTimeline, bucket) -> list[tuple[float, float]]:
+def availability_series(ledger, timeline: ClientTimeline, bucket) -> list[tuple[float, float]]:
     """Cumulative availability recomputed at each bucket boundary, starting at
     the first bucket with any activity."""
     if bucket <= 0:

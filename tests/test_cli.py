@@ -31,17 +31,36 @@ GOLDEN_RESULTS = Path(__file__).resolve().parent / "data" / "smoke_results.csv"
 # the four restart models: results.csv and each point's report.csv
 RESTART_CONFIG = REPO / "configs" / "restart.yaml"
 RESTART_GOLDEN = Path(__file__).resolve().parent / "data" / "restart"
-# SHA-256 of each point's events.csv when configs/smoke.yaml runs with dump_events
-SMOKE_EVENT_DIGESTS = {
-    "baseline__strip-3": "92ffad89d310cf9c9481784da488d337a841ff78289d9f586b0a90373419936c",
-    "combination__strip-3": "6bd43cef3c7371cfae39a87ce10a4a286fabb875b968830c0007afb8ad80245b",
-    "vomm-k2__strip-3": "2aadbed50ce0c450f2883c1ad76b4be525a3a629f30f7ee8f2a7748dc4091d8e",
+# SHA-256 of every file of each point directory when configs/smoke.yaml runs
+# with dump_events; without it, the same files but events.csv
+SMOKE_POINT_DIGESTS = {
+    "baseline__strip-3/events.csv": "92ffad89d310cf9c9481784da488d337a841ff78289d9f586b0a90373419936c",
+    "baseline__strip-3/report.csv": "8883f8df112fed894cbf36de1f85a37eb00892132e78f9a44a5a3dc9cbbcd1a4",
+    "baseline__strip-3/series_commuter.csv": "3173f9b4e5713cd2bd40081724fc9aeb40f7d50405ea3236155655b8e684aff1",
+    "combination__strip-3/events.csv": "6bd43cef3c7371cfae39a87ce10a4a286fabb875b968830c0007afb8ad80245b",
+    "combination__strip-3/report.csv": "859ff7241cdc498eaa14d621406a2bfb66260920b8d9609a1fc43c4b68a43392",
+    "combination__strip-3/series_commuter.csv": "ef077211b7f60ab4e569b50fc29525f51c8f0d1b5884ae0ff574706832020d6c",
+    "vomm-k2__strip-3/events.csv": "2aadbed50ce0c450f2883c1ad76b4be525a3a629f30f7ee8f2a7748dc4091d8e",
+    "vomm-k2__strip-3/report.csv": "6087e06d01d2d321793f1b0e8f4d27fd794e67fa91779da17e0e54173cc09609",
+    "vomm-k2__strip-3/series_commuter.csv": "71beefe444dcd2cbd335ebbb406158ce812c880691a1acb75f531fc961bdab2a",
 }
 # the same with three clients (see three_client_smoke)
-THREE_CLIENT_EVENT_DIGESTS = {
-    "baseline__strip-3": "f3d46d033a868ab0d106ffe4188c6fba5e87e48a43ae190c1b568f5687d1d182",
-    "combination__strip-3": "ef8679ca2506bddb50c19659e9dddea84a3016a9664b1976d8d502eb4faa1cae",
-    "vomm-k2__strip-3": "c4c813e3a16d551766f40aabd63fe7e8c52cc7255cd3aeb9e6ca2f230479d99a",
+THREE_CLIENT_POINT_DIGESTS = {
+    "baseline__strip-3/events.csv": "f3d46d033a868ab0d106ffe4188c6fba5e87e48a43ae190c1b568f5687d1d182",
+    "baseline__strip-3/report.csv": "6b314378ee4d5e210f37457d709b92fc779f9fe7fec5bd98556bfa0b9f5826df",
+    "baseline__strip-3/series_commuter.csv": "3173f9b4e5713cd2bd40081724fc9aeb40f7d50405ea3236155655b8e684aff1",
+    "baseline__strip-3/series_late.csv": "8a83ee5b33ec4e0415df4c9879cc7a9239af2e75139dee8fba70981a6e06b2e0",
+    "baseline__strip-3/series_reverse.csv": "3173f9b4e5713cd2bd40081724fc9aeb40f7d50405ea3236155655b8e684aff1",
+    "combination__strip-3/events.csv": "ef8679ca2506bddb50c19659e9dddea84a3016a9664b1976d8d502eb4faa1cae",
+    "combination__strip-3/report.csv": "1438a2b230600651581581ef4ae6c5d14628e4f12994bee160463ddc60f26023",
+    "combination__strip-3/series_commuter.csv": "ef077211b7f60ab4e569b50fc29525f51c8f0d1b5884ae0ff574706832020d6c",
+    "combination__strip-3/series_late.csv": "4bfa4d4a37a82de9dd2769280f51b58e5414b8f7853a057d54755ce28a5964ec",
+    "combination__strip-3/series_reverse.csv": "b055c13ec915623339f752fef9bf0bcc535e2c8c4ccf9321a467f24748f7f72a",
+    "vomm-k2__strip-3/events.csv": "c4c813e3a16d551766f40aabd63fe7e8c52cc7255cd3aeb9e6ca2f230479d99a",
+    "vomm-k2__strip-3/report.csv": "a2d2fcacfcd9f67fd2cc34099612f64f16c5928716a197450a81bb291de737ea",
+    "vomm-k2__strip-3/series_commuter.csv": "71beefe444dcd2cbd335ebbb406158ce812c880691a1acb75f531fc961bdab2a",
+    "vomm-k2__strip-3/series_late.csv": "41d0bc25fcb9a7da006e46a5afa279f33afb70157303417c8aa14d6dc5c05995",
+    "vomm-k2__strip-3/series_reverse.csv": "658e5149ff37318cabd3ffea1773c06053d51bcfe334c70a8ae325f0551d7191",
 }
 
 PLT_HEADER = ("Geolife trajectory\nWGS 84\nAltitude is in Feet\nReserved 3\n"
@@ -49,9 +68,9 @@ PLT_HEADER = ("Geolife trajectory\nWGS 84\nAltitude is in Feet\nReserved 3\n"
 
 
 def three_client_smoke(tmp_path):
-    """configs/smoke.yaml with three clients and event dumps: two start at
-    08:00, the third at 08:05, when the first transfers of the other two
-    complete (the strip's transfer delay is 300 s)."""
+    """configs/smoke.yaml with three clients, a series for each and event
+    dumps: two start at 08:00, the third at 08:05, when the first transfers
+    of the other two complete (the strip's transfer delay is 300 s)."""
     clients = ("    clients:\n"
                "      - client: commuter\n"
                "        weeks: 3\n"
@@ -69,15 +88,17 @@ def three_client_smoke(tmp_path):
                "          - {days: [mon, tue, wed, thu, fri], start: \"08:05\", path: [[1, 600], [0, 300], [1, 600]]}\n")
     text = SMOKE_CONFIG.read_text()
     head, rest = text.split("    clients:\n", 1)
-    tail = rest[rest.index("\ntopology:"):]
+    tail = rest[rest.index("\ntopology:"):].replace("series_clients: [commuter]",
+                                                    "series_clients: [commuter, reverse, late]")
     cfg = tmp_path / "three.yaml"
     cfg.write_text(head + "    jitter: 0\n" + clients + tail + "\ndump_events: true\n")
     return cfg
 
 
-def event_digests(out):
-    return {p.parent.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in out.glob("*/events.csv")}
+def point_digests(out):
+    """SHA-256 of every file in the point directories under ``out``, by ``point/file`` name."""
+    return {f"{p.parent.name}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.glob("*/*.csv")}
 
 
 def run_python(script, *args):
@@ -122,6 +143,8 @@ class TestRun:
         assert elapsed < 5.0
         results = (tmp_path / "out" / "results.csv").read_bytes()
         assert results == GOLDEN_RESULTS.read_bytes()
+        assert point_digests(tmp_path / "out") == {
+            name: digest for name, digest in SMOKE_POINT_DIGESTS.items() if not name.endswith("/events.csv")}
         # warmed-up combined policy serves every active second
         combo = [line for line in results.decode().splitlines() if ",combination," in line]
         assert combo and combo[0].split(",")[4] == "1.0"
@@ -149,7 +172,7 @@ class TestRun:
         cfg = tmp_path / "events.yaml"
         cfg.write_text(SMOKE_CONFIG.read_text() + "\ndump_events: true\n")
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
-        assert event_digests(tmp_path / "out") == SMOKE_EVENT_DIGESTS
+        assert point_digests(tmp_path / "out") == SMOKE_POINT_DIGESTS
 
     def test_run_needs_no_numpy(self, tmp_path):
         # a None entry in sys.modules makes every `import numpy` raise ImportError
@@ -173,7 +196,7 @@ class TestRun:
 
     def test_three_client_event_logs_match_recorded_digests(self, tmp_path):
         assert main(["run", str(three_client_smoke(tmp_path)), "--out", str(tmp_path / "out")]) == 0
-        assert event_digests(tmp_path / "out") == THREE_CLIENT_EVENT_DIGESTS
+        assert point_digests(tmp_path / "out") == THREE_CLIENT_POINT_DIGESTS
 
     def test_unknown_series_client_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "series.yaml"
@@ -783,6 +806,10 @@ class TestConfigErrors:
         ({"policy": "preload_buffer: .nan"}, "policies[0].preload_buffer", 10),
         ({"policy": "preload_buffer: -1"}, "policies[0].preload_buffer", 10),
         ({"topo": "rows: 32769", "policy": "predictor: {type: vomm, k: 2}"}, "topologies[0].rows", 6),
+        ({"topo": "rows: 32769", "policy": "startup: {type: plmm}"}, "topologies[0].rows", 6),
+        ({"topo": "rows: 32769", "policy": "startup: {type: short_pause, mode: learned}"}, "topologies[0].rows", 6),
+        ({"topo": "rows: 32769", "policy": "startup: {type: short_pause, mode: node_specific}"},
+         "topologies[0].rows", 6),
     ], ids=["k-word", "jobs-word", "eot-string", "k-float", "vomm-day-splits",
             "momm-time-splits", "bbox-three", "kind-unknown", "spec-wekks", "spec-weeks-word",
             "spec-start-8am", "spec-start-unquoted", "spec-start-25-90", "spec-day-fry",
@@ -795,7 +822,8 @@ class TestConfigErrors:
             "spec-days-empty", "spec-patterns-empty", "spec-clients-empty", "bbox-reversed",
             "k-zero", "fomm-day-split-3", "topn-threshold-over-one", "topn-threshold-zero", "topn-n-zero",
             "neighborhood-unknown", "preload-buffer-minus-inf", "preload-buffer-nan",
-            "preload-buffer-negative", "grid-too-large-for-predictor"])
+            "preload-buffer-negative", "grid-too-large-for-predictor", "grid-too-large-for-plmm",
+            "grid-too-large-for-learned-pause", "grid-too-large-for-node-specific-pause"])
     def test_run_names_key_path_and_line(self, tmp_path, capsys, override, key_path, line):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(error_config(**override))
@@ -806,10 +834,15 @@ class TestConfigErrors:
         assert not (tmp_path / "out").exists()  # caught before any output is made
 
     def test_predictor_takes_up_to_65536_nodes(self):
-        """Node ids are 16-bit in a predictor's model; a grid without one may be larger."""
+        """Node ids are 16-bit in a predictor's model, a PLMM and a short-pause
+        window that learns; a grid without any of them may be larger."""
         vomm = "predictor: {type: vomm, k: 2}"
         assert parse_experiment_config(error_config(topo="rows: 32768", policy=vomm)).topologies[0].rows == 32768
         assert parse_experiment_config(error_config(topo="rows: 32769")).topologies[0].rows == 32769
+        fixed = parse_experiment_config(  # a fixed window keeps no node ids
+            "trace: {source: visits, path: v.csv}\ntopology: {rows: 300, cols: 300}\n"
+            "policies:\n  - {name: p, startup: {type: short_pause, mode: fixed}}\n")
+        assert fixed.topologies[0].rows * fixed.topologies[0].cols == 90000
         with pytest.raises(ConfigError, match=r"^topology\.rows: 70000 x 1 nodes do not fit .* \(line 3\)$"):
             parse_experiment_config("trace: {source: visits, path: v.csv}\ntopology:\n  rows: 70000\n  cols: 1\n"
                                     f"policies:\n  - {{name: p, {vomm}}}\n")

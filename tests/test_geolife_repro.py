@@ -17,12 +17,13 @@ from pathlib import Path
 import pytest
 
 from fogrep.experiment import TopologySpec
-from fogrep.metrics import compute_report
 from fogrep.policies import PolicyConfig
 from fogrep.simengine import run, snapshot_memory
 from fogrep.startup import LEARNED, ShortPause
 from fogrep.topology import FixedDelay, build_grid
 from fogrep.traces import load_geolife_dir, read_visits_csv, write_visits_csv
+
+from oracles import fold_report
 
 GEOLIFE_DIR = os.environ.get("GEOLIFE_DATA_DIR")
 
@@ -58,11 +59,11 @@ def timelines_for(key, topo):
         return _TIMELINES[key]
     cache = cache_dir() / f"visits_{key}.csv"
     if cache.exists():
-        with open(cache) as fh:
+        with open(cache, encoding="utf-8", newline="") as fh:
             timelines = read_visits_csv(fh)
     else:
         timelines = load_geolife_dir(GEOLIFE_DIR, topo)
-        with open(cache, "w") as fh:
+        with open(cache, "w", encoding="utf-8", newline="") as fh:
             write_visits_csv(timelines, fh)
     _TIMELINES[key] = timelines
     return timelines
@@ -104,7 +105,7 @@ COMBINATION = fomm(name="combination", startup_mode="short_pause",
 def run_report(timelines, topo, network, config):
     result = run(timelines, topo, network, config, record_log=False)
     memory = snapshot_memory(result.policies)
-    return compute_report(result.ledger, timelines, memory_by_client=memory)
+    return fold_report(result.ledger, timelines, memory_by_client=memory)
 
 
 def test_criterion_9_baseline_availability():

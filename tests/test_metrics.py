@@ -11,11 +11,11 @@ from fogrep import metrics
 from fogrep.errors import ConfigError, UndefinedMetricError
 from fogrep.metrics import _overlap, availability_series, compute_report, write_report_csv
 from fogrep.policies import PolicyConfig
-from fogrep.simengine import ReplicaLedger, run, snapshot_memory
+from fogrep.simengine import check_ledger, run
 from fogrep.topology import FixedDelay, build_grid
 from fogrep.traces import ClientTimeline, NodeVisit, Pause
 
-from oracles import make_micro_scenario, per_second_metrics
+from oracles import fold_report, make_micro_scenario, per_second_metrics
 
 UNIT_BBOX = (0.0, 1.0, 0.0, 1.0)
 A, B, C = 0, 1, 2
@@ -31,15 +31,12 @@ def timeline(client_id, *sessions):
 
 def row(ledger, tl, window=None):
     """The client's row of a one-client report."""
-    return compute_report(ledger, [tl], window=window).per_client[0]
+    return fold_report(ledger, [tl], window=window).per_client[0]
 
 
 def ledger_of(client_id, entries):
-    ledger = ReplicaLedger()
-    for node, intervals in entries.items():
-        for a, b in intervals:
-            ledger.add(client_id, node, float(a), float(b))
-    return ledger
+    return {(client_id, node): [(float(a), float(b)) for a, b in intervals]
+            for node, intervals in entries.items()}
 
 
 class TestAvailability:
@@ -61,9 +58,9 @@ class TestAvailability:
     def test_zero_active_time_undefined(self):
         tl = timeline("c", [(A, 5, 5)])
         with pytest.raises(UndefinedMetricError, match="no active time"):
-            compute_report(ledger_of("c", {}), [tl])
+            fold_report(ledger_of("c", {}), [tl])
         # one idle client among active ones has no ratios of its own
-        report = compute_report(ledger_of("c", {}), [tl, timeline("d", [(A, 0, 10)])])
+        report = fold_report(ledger_of("c", {}), [tl, timeline("d", [(A, 0, 10)])])
         assert math.isnan(report.per_client[0].availability) and report.availability == 0.0
 
     def test_window_restriction(self):
@@ -169,9 +166,16 @@ class TestSeries:
         calls = []
         monkeypatch.setattr(metrics, "availability_series",
                             lambda *args: calls.append(args[1].client_id) or availability_series(*args))
-        report = compute_report(ledger, tls, series_clients=("c2", "c3"), series_bucket=50.0)
+        report = fold_report(ledger, tls, series_clients=("c2", "c3"), series_bucket=50.0)
         assert calls == ["c2", "c3"]
-        assert report.series == {"c2": [(50.0, 1.0), (100.0, 0.5)], "c3": [(50.0, 0.0), (100.0, 0.0)]}
+        assert {m.client_id: m.series for m in report.per_client if m.series is not None} == \
+               {"c2": [(50.0, 1.0), (100.0, 0.5)], "c3": [(50.0, 0.0), (100.0, 0.0)]}
+
+    def test_row_has_a_series_only_given_a_bucket(self):
+        tl = timeline("c", [(A, 0, 100)])
+        ledger = ledger_of("c", {A: [(0, 50)]})
+        assert compute_report(ledger, tl).series is None
+        assert compute_report(ledger, tl, series_bucket=50.0).series == [(50.0, 1.0), (100.0, 0.5)]
 
 
 NODES = (A, B, C)
@@ -212,11 +216,9 @@ def series_cases(draw):
     tl.validate()
     times = sorted({x for visits in sessions for _, a, d in visits for x in (a, d)})
     lo, hi = times[0] - 4 * quantum, times[-1] + 4 * quantum
-    ledger = ReplicaLedger()
-    for node in (*NODES, UNVISITED):
-        for a, b in draw(sorted_disjoint(times, lo, hi)):
-            ledger.add("c", node, a, b)
-    ledger.validate()
+    ledger = {("c", node): intervals for node in (*NODES, UNVISITED)
+              if (intervals := draw(sorted_disjoint(times, lo, hi)))}
+    check_ledger(ledger)
     bucket = draw(st.integers(1, 8).map(lambda k: k * quantum)
                   | st.floats(quantum / 2, 20 * quantum, exclude_min=True))
     return tl, ledger, bucket
@@ -248,10 +250,9 @@ class TestAggregation:
     def test_excess_additive_over_clients_by_active_time(self):
         t1 = timeline("c1", [(A, 0, 100)])
         t2 = timeline("c2", [(B, 0, 300)])
-        ledger = ReplicaLedger()
-        ledger.add("c1", B, 0.0, 50.0)    # 50 s excess on 100 s active
-        ledger.add("c2", A, 0.0, 150.0)   # 150 s excess on 300 s active
-        report = compute_report(ledger, [t1, t2])
+        ledger = {("c1", B): [(0.0, 50.0)],    # 50 s excess on 100 s active
+                  ("c2", A): [(0.0, 150.0)]}   # 150 s excess on 300 s active
+        report = fold_report(ledger, [t1, t2])
         assert report.excess_ratio == (50.0 + 150.0) / (100.0 + 300.0)
         per = {m.client_id: m.excess_ratio for m in report.per_client}
         assert per == {"c1": 0.5, "c2": 0.5}
@@ -262,9 +263,7 @@ class TestAggregation:
         tl = timeline("c", [(A, 0, 600)], [(B, 1800, 2400)])
         n_nodes = 3
         lifetime = (0.0, 2400.0)
-        ledger = ReplicaLedger()
-        for node in range(n_nodes):
-            ledger.add("c", node, *lifetime)
+        ledger = {("c", node): [lifetime] for node in range(n_nodes)}
         active = 1200.0
         pause = 1200.0
         expected = (n_nodes - 1) + n_nodes * pause / active
@@ -274,7 +273,7 @@ class TestAggregation:
     def test_report_csv_shape(self, tmp_path):
         tl = timeline("c", [(A, 0, 100)])
         ledger = ledger_of("c", {A: [(0, 100)]})
-        report = compute_report(ledger, [tl], memory_by_client={"c": 42})
+        report = fold_report(ledger, [tl], memory_by_client={"c": 42})
         out = tmp_path / "report.csv"
         with open(out, "w") as fh:
             write_report_csv(report, fh)
@@ -290,7 +289,7 @@ class TestPerSecondOracle:
         for _ in range(30):
             timelines, topo, network, config = make_micro_scenario(rng)
             ledger = run(timelines, topo, network, config).ledger
-            report = compute_report(ledger, timelines)
+            report = fold_report(ledger, timelines)
             oracle_avail, oracle_excess = per_second_metrics(ledger, timelines)
             assert report.availability == oracle_avail
             assert report.excess_ratio == oracle_excess

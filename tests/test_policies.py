@@ -22,7 +22,7 @@ class FakeView:
 
 
 def baseline():
-    return ReplicaPolicy(PolicyConfig())
+    return ReplicaPolicy(PolicyConfig(), lambda node: 0.0)
 
 
 def predictive(transfer=300.0, **kwargs):
@@ -141,13 +141,13 @@ class TestPredictive:
 class TestSessionEnd:
     def test_short_pause_fixed_retains(self):
         policy = ReplicaPolicy(PolicyConfig(
-            startup_mode="short_pause", short_pause_mode="fixed", short_pause_duration=600.0))
+            startup_mode="short_pause", short_pause_mode="fixed", short_pause_duration=600.0), lambda node: 0.0)
         policy.on_session_start(A, 0.0, FakeView())
         actions = policy.on_session_end(A, 1000.0, FakeView(present={A}))
         assert actions == [Retain(A, 1600.0)]
 
     def test_plmm_mismatch_deletes(self):
-        policy = ReplicaPolicy(PolicyConfig(startup_mode="plmm"))
+        policy = ReplicaPolicy(PolicyConfig(startup_mode="plmm"), lambda node: 0.0)
         # teach the pause model that shutting down at A restarts at B
         policy.on_session_start(A, 0.0, FakeView())
         policy.on_session_end(A, 100.0, FakeView(present={A}))
@@ -158,7 +158,7 @@ class TestSessionEnd:
         assert actions == [Delete(A)]
 
     def test_plmm_match_retains_padded(self):
-        policy = ReplicaPolicy(PolicyConfig(startup_mode="plmm", plmm_threshold=1500.0))
+        policy = ReplicaPolicy(PolicyConfig(startup_mode="plmm", plmm_threshold=1500.0), lambda node: 0.0)
         policy.on_session_start(A, 0.0, FakeView())
         policy.on_session_end(A, 100.0, FakeView(present={A}))
         policy.on_session_start(A, 700.0, FakeView())  # pause 600 at same node
@@ -185,7 +185,7 @@ class TestCombinationComposes:
         pure_pred = ReplicaPolicy(PolicyConfig(name="fomm", startup_mode="none", **kwargs),
                                   transfer_estimate=lambda n: 300.0)
         pure_pause = ReplicaPolicy(PolicyConfig(name="pause", startup_mode="short_pause",
-                                                short_pause_duration=600.0))
+                                                short_pause_duration=600.0), lambda n: 0.0)
         for policy in (combo, pure_pred):
             train_commute(policy, days=2)
         t0 = 50_000_000.0
@@ -243,7 +243,7 @@ class TestPolicyConfig:
         cfg = parse_policy({
             "predictor": {"type": "fomm", "k": 3, "day_splits": [1, 2, 7],
                           "time_splits": [1, 4, 24]}})
-        policy = ReplicaPolicy(cfg)
+        policy = ReplicaPolicy(cfg, lambda node: 0.0)
         assert len(policy.predictor.submodels) == 3 * 3 * 3
 
 

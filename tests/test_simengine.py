@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from fogrep import simengine
 from fogrep.errors import ConfigError
 from fogrep.policies import PolicyConfig, ReplicaPolicy
-from fogrep.metrics import compute_report
-from fogrep.simengine import (EventRecord, ReplicaLedger, merge_event_logs, run,
+from fogrep.simengine import (EventRecord, check_ledger, merge_event_logs, run,
                               snapshot_memory, write_event_log_csv)
 from fogrep.topology import FixedDelay, build_grid, transfer_time
 from fogrep.traces import ClientTimeline, NodeVisit, Pause
 
-from oracles import (brute_force_run, make_micro_scenario, make_rescheduling_scenario,
-                     make_zero_stay_scenario)
+from oracles import (brute_force_run, client_ledger, fold_report, make_micro_scenario,
+                     make_rescheduling_scenario, make_zero_stay_scenario)
 
 UNIT_BBOX = (0.0, 1.0, 0.0, 1.0)
 A, B, C = 0, 1, 2
@@ -44,13 +43,13 @@ class TestHandWalkedRuns:
     def test_single_session_presence(self):
         tl = timeline("c", [(A, 0, 1000)])
         result = run([tl], topo3(), FixedDelay(300.0), BASELINE)
-        assert result.ledger.intervals("c", A) == [(300.0, 1000.0)]
+        assert result.ledger[("c", A)] == [(300.0, 1000.0)]
 
     def test_two_visits_reactive(self):
         tl = timeline("c", [(A, 0, 1000), (B, 1000, 2000)])
         result = run([tl], topo3(), FixedDelay(300.0), BASELINE)
-        assert result.ledger.intervals("c", A) == [(300.0, 1000.0)]
-        assert result.ledger.intervals("c", B) == [(1300.0, 2000.0)]
+        assert result.ledger[("c", A)] == [(300.0, 1000.0)]
+        assert result.ledger[("c", B)] == [(1300.0, 2000.0)]
 
     def test_perfect_preload_available_on_arrival(self):
         # day 1 teaches A -> B with stay 1000; day 2 the preload lands exactly
@@ -60,7 +59,7 @@ class TestHandWalkedRuns:
         day2 = [(n, a + 86400, d + 86400) for n, a, d in day]
         tl = timeline("c", day, day2)
         result = run([tl], topo3(), FixedDelay(300.0), config)
-        assert result.ledger.intervals("c", B) == [(1300.0, 2000.0),
+        assert result.ledger[("c", B)] == [(1300.0, 2000.0),
                                                    (86400.0 + 1000.0, 86400.0 + 2000.0)]
 
     def test_preload_excess_window(self):
@@ -71,7 +70,7 @@ class TestHandWalkedRuns:
         day2 = [(n, a + 86400, d + 86400) for n, a, d in day]
         tl = timeline("c", day, day2)
         result = run([tl], topo3(), FixedDelay(300.0), config)
-        assert result.ledger.intervals("c", B)[1] == (86400.0 + 300.0, 86400.0 + 2000.0)
+        assert result.ledger[("c", B)][1] == (86400.0 + 300.0, 86400.0 + 2000.0)
 
     def test_default_buffer_preloads_right_away_for_any_stay(self):
         # a stay of 100,000 s at A, longer than a day: with no preload_buffer
@@ -94,30 +93,30 @@ class TestRetention:
         result = run([tl], topo3(), FixedDelay(300.0), self.retained_config(600.0))
         # one seamless interval: reactive fill, retention over the pause,
         # normal presence through the second session
-        assert result.ledger.intervals("c", A) == [(300.0, 2000.0)]
+        assert result.ledger[("c", A)] == [(300.0, 2000.0)]
 
     def test_retention_expires_mid_pause(self):
         tl = timeline("c", [(A, 0, 1000)], [(A, 2000, 3000)])
         result = run([tl], topo3(), FixedDelay(300.0), self.retained_config(600.0))
-        assert result.ledger.intervals("c", A) == [(300.0, 1600.0), (2300.0, 3000.0)]
+        assert result.ledger[("c", A)] == [(300.0, 1600.0), (2300.0, 3000.0)]
 
     def test_restart_elsewhere_drops_retained_replica(self):
         tl = timeline("c", [(A, 0, 1000)], [(B, 1400, 2400)])
         result = run([tl], topo3(), FixedDelay(300.0), self.retained_config(600.0))
-        assert result.ledger.intervals("c", A) == [(300.0, 1400.0)]
-        assert result.ledger.intervals("c", B) == [(1700.0, 2400.0)]
+        assert result.ledger[("c", A)] == [(300.0, 1400.0)]
+        assert result.ledger[("c", B)] == [(1700.0, 2400.0)]
 
     def test_session_shorter_than_transfer_completes_into_retention(self):
         tl = timeline("c", [(A, 0, 100)], [(A, 300, 1000)])
         result = run([tl], topo3(), FixedDelay(300.0), self.retained_config(600.0))
         # transfer finishes at 300 during the pause and is kept: the restart
         # at 300 finds the replica present
-        assert result.ledger.intervals("c", A) == [(300.0, 1000.0)]
+        assert result.ledger[("c", A)] == [(300.0, 1000.0)]
 
     def test_baseline_deletes_in_flight_at_session_end(self):
         tl = timeline("c", [(A, 0, 100)], [(A, 300, 1000)])
         result = run([tl], topo3(), FixedDelay(300.0), BASELINE)
-        assert result.ledger.intervals("c", A) == [(600.0, 1000.0)]
+        assert result.ledger[("c", A)] == [(600.0, 1000.0)]
 
 
 class TestSupersededTransfers:
@@ -134,7 +133,7 @@ class TestSupersededTransfers:
         assert [(t, kind) for t, kind, node in day3 if node == B] == [
             (21800.0, "TransferStart"), (22100.0, "TransferComplete"),
             (22100.0, "Arrival"), (23000.0, "SessionEnd")]
-        assert result.ledger.intervals("c", B)[-1] == (22100.0, 23000.0)
+        assert result.ledger[("c", B)][-1] == (22100.0, 23000.0)
 
     # about one scenario in seven catches an engine that lets a superseded start act
     @settings(max_examples=50, deadline=None)
@@ -158,7 +157,7 @@ class TestEngineBehavior:
         for _ in range(20):
             timelines, topo, network, config = make_micro_scenario(rng)
             result = run(timelines, topo, network, config)
-            result.ledger.validate()
+            check_ledger(result.ledger)
             horizons = {tl.client_id: tl.last_t for tl in timelines}
             for (cid, node), intervals in result.ledger.items():
                 for a, b in intervals:
@@ -250,8 +249,7 @@ class TestClients:
         for tl in timelines:
             alone = run([tl], topo, network, config)
             cid = tl.client_id
-            assert {n: together.ledger.intervals(cid, n) for n in together.ledger.nodes(cid)} == \
-                   {n: alone.ledger.intervals(cid, n) for n in alone.ledger.nodes(cid)}
+            assert client_ledger(together.ledger, cid) == client_ledger(alone.ledger, cid)
             assert [e for e in together.event_log if e.client == cid] == alone.event_log
 
 
@@ -308,7 +306,7 @@ class TestSnapshotMemory:
 
     def test_untrained_predictive_zero(self):
         config = PolicyConfig(name="vomm", predictor="vomm", k=2)
-        policies = {"c": ReplicaPolicy(config)}
+        policies = {"c": ReplicaPolicy(config, lambda node: 0.0)}
         assert snapshot_memory(policies) == {"c": 0}
 
     def test_average_and_max(self):
@@ -323,5 +321,5 @@ class TestSnapshotMemory:
         assert list(per_client.items()) == [("a", 10), ("b", 30)]
         # the report's average and maximum are taken over these numbers
         timelines = [timeline("a", [(A, 0, 100)]), timeline("b", [(B, 0, 100)])]
-        report = compute_report(ReplicaLedger(), timelines, memory_by_client=per_client)
+        report = fold_report({}, timelines, memory_by_client=per_client)
         assert report.memory_avg == 20.0 and report.memory_max == 30
