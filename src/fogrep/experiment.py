@@ -48,12 +48,33 @@ RESULTS_HEADER = list(RESULTS_TYPES)
 def load_yaml_with_lines(data: bytes | str, source="<config>"):
     """Parse YAML once, from a file's bytes (read as UTF-8) or its text: the
     document (as ``yaml.safe_load`` builds it) and, from the same node tree,
-    a key-path -> line-number map for error anchors."""
+    a key-path -> line-number map for error anchors. A key given twice in one
+    mapping is a ConfigError, where PyYAML would keep the last value."""
+    lines: dict[str, int] = {}
+
+    def walk(node, path):
+        if isinstance(node, yaml.MappingNode):
+            seen = {}
+            for key_node, val_node in node.value:
+                p = f"{path}.{key_node.value}" if path else str(key_node.value)
+                line = key_node.start_mark.line + 1
+                if p in seen:
+                    raise ConfigError(f"{source}: {p}: key given twice (lines {seen[p]} and {line})")
+                seen[p] = lines[p] = line
+                walk(val_node, p)
+        elif isinstance(node, yaml.SequenceNode):
+            for i, item in enumerate(node.value):
+                p = f"{path}[{i}]"
+                lines[p] = item.start_mark.line + 1
+                walk(item, p)
+
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
         loader = yaml.SafeLoader(text)  # rejects unprintable characters
         try:
             tree = loader.get_single_node()
+            if tree is not None:  # before construction, which merges `<<` keys into their mapping
+                walk(tree, "")
             try:
                 doc = None if tree is None else loader.construct_document(tree)
             except (AttributeError, KeyError, ValueError) as exc:  # a tag PyYAML cannot build, as !!int abc
@@ -68,22 +89,6 @@ def load_yaml_with_lines(data: bytes | str, source="<config>"):
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ConfigError(f"{source} line {line}: not UTF-8 text ({exc.reason})") from None
-    lines: dict[str, int] = {}
-
-    def walk(node, path):
-        if isinstance(node, yaml.MappingNode):
-            for key_node, val_node in node.value:
-                p = f"{path}.{key_node.value}" if path else str(key_node.value)
-                lines[p] = key_node.start_mark.line + 1
-                walk(val_node, p)
-        elif isinstance(node, yaml.SequenceNode):
-            for i, item in enumerate(node.value):
-                p = f"{path}[{i}]"
-                lines[p] = item.start_mark.line + 1
-                walk(item, p)
-
-    if tree is not None:
-        walk(tree, "")
     return doc, lines
 
 
@@ -175,13 +180,13 @@ def _anchored(message, lines) -> ConfigError:
     return ConfigError(f"{message} (line {lines[path]})" if path else message)
 
 
-def read_fields(doc, table, lines, where="", required=()) -> dict:
+def read_fields(doc, table, lines, where="", required=(), unknown="unknown key") -> dict:
     """Keyword arguments from a YAML mapping, driven by a table of key path
     (``topn.threshold``, relative to ``where``) -> (field name, converter).
     A path that is also a section (``predictor``) takes a scalar or a
-    mapping; a null value leaves the field at its default. An unknown key,
-    a value its converter rejects or a missing ``required`` key raises
-    ConfigError naming the full key path and its line."""
+    mapping; a null value leaves the field at its default. A key the table
+    lacks (``unknown`` says why), a value its converter rejects or a missing
+    ``required`` key raises ConfigError naming the full key path and its line."""
     out = {}
     pending = [("", doc)]
     while pending:
@@ -194,7 +199,7 @@ def read_fields(doc, table, lines, where="", required=()) -> dict:
             full = f"{where}.{path}" if where else path
             section = any(p.startswith(path + ".") for p in table)
             if not section and path not in table:
-                raise _anchored(f"{full}: unknown key", lines)
+                raise _anchored(f"{full}: {unknown}", lines)
             if value is None:
                 continue
             if section and (isinstance(value, dict) or path not in table):
@@ -234,10 +239,14 @@ class TopologySpec:
         return topo, FixedDelay(self.data_size_gb * 8e9 / min(self.edge_rate, self.uplink_rate))
 
 
-TOPOLOGY_FIELDS = {key: (key, convert) for key, convert in dict(
+# the keys every topology kind reads, then the table of each kind
+_TOPOLOGY_COMMON = dict(
     name=_file_name, kind=_one_of("grid", "complex"), rows=_positive_integer, cols=_positive_integer,
-    bbox=lambda v: check_bbox(_list_of(_number, 4)(v)),  # lat_min, lat_max, lon_min, lon_max
-    transfer_delay=_positive, data_size_gb=_positive, edge_rate=_positive, uplink_rate=_positive).items()}
+    bbox=lambda v: check_bbox(_list_of(_number, 4)(v)))  # lat_min, lat_max, lon_min, lon_max
+TOPOLOGY_FIELDS = {kind: {key: (key, convert) for key, convert in {**_TOPOLOGY_COMMON, **own}.items()}
+                   for kind, own in (("grid", dict(transfer_delay=_positive)),
+                                     ("complex", dict(data_size_gb=_positive, edge_rate=_positive,
+                                                      uplink_rate=_positive)))}
 
 POLICY_FIELDS = {
     "name": ("name", _file_name),
@@ -260,6 +269,16 @@ POLICY_FIELDS = {
     "startup.threshold": ("plmm_threshold", _number),
     "startup.factor": ("retention_factor", _number),
     "startup.min_samples": ("min_samples", _integer),
+}
+
+# the keys a policy reads only with some settings: setting -> (the top-level
+# keys it decides on, the keys each of its values reads); other values read them all
+POLICY_READS = {
+    "predictor.type": (("predictor", "eot", "topn", "preload_buffer"), {"baseline": ()}),
+    "startup.type": (("startup",), {
+        "none": (), "plmm": ("startup.threshold", "startup.factor"),
+        "short_pause": ("startup.mode", "startup.duration", "startup.max", "startup.min_samples")}),
+    "topn.type": (("topn",), {"fixed": ("topn.n",), "dynamic": ("topn.threshold", "topn.include_eot")}),
 }
 
 # the scalar keys of the top level and of the metrics section
@@ -345,14 +364,23 @@ def point_dir_name(policy: PolicyConfig, topology: TopologySpec) -> str:
 
 
 def parse_policy(doc, lines=None, where="", **defaults) -> PolicyConfig:
-    """One policy mapping of an experiment file, validated; ``defaults``
-    holds field values the mapping does not set."""
+    """One policy mapping of an experiment file, validated, each key read by its
+    settings (``POLICY_READS``); ``defaults`` holds fields the mapping does not set."""
     lines = lines or {}
-    fields = {**defaults, **read_fields(doc or {}, POLICY_FIELDS, lines, where)}
+    given = read_fields(doc or {}, POLICY_FIELDS, lines, where)
     try:
-        return PolicyConfig(**fields)
+        policy = PolicyConfig(**{**defaults, **given})
     except ConfigError as exc:
         raise _anchored(f"{where}.{exc}" if where else str(exc), lines) from None
+    for setting, (decides, reads) in POLICY_READS.items():
+        setting_field = POLICY_FIELDS[setting][0]
+        chosen = getattr(policy, setting_field)
+        for path, (field, _) in POLICY_FIELDS.items():
+            if (field in given and field != setting_field and path.split(".")[0] in decides
+                    and path not in reads.get(chosen, (path,))):
+                raise _anchored(f"{f'{where}.' if where else ''}{path}: not read when {setting} is {chosen!r}",
+                                lines)
+    return policy
 
 
 def parse_spec(doc, lines, where="") -> tuple[tuple[SyntheticSpec, int | None], ...]:
@@ -378,10 +406,11 @@ def parse_spec(doc, lines, where="") -> tuple[tuple[SyntheticSpec, int | None], 
 def parse_trace(trace, lines, config_dir: Path) -> TraceConfig:
     """The ``trace:`` section, read through the field table of its source."""
     source = trace.get("source") if isinstance(trace, dict) else None
-    if source not in TRACE_FIELDS:
+    if source not in tuple(TRACE_FIELDS):  # by equality: a list or mapping source is unhashable
         raise _anchored(f"trace.source: expected one of {tuple(TRACE_FIELDS)}, got {source!r}", lines)
     table = TRACE_FIELDS[source]
-    fields = read_fields(trace, table, lines, "trace", [key for key in ("spec", "path") if key in table])
+    fields = read_fields(trace, table, lines, "trace", [key for key in ("spec", "path") if key in table],
+                         f"unknown key for source {source!r}")
     if "path" in fields:
         fields["path"] = config_dir / fields["path"]  # an absolute path stays as it is
     elif isinstance(fields["spec"], dict):
@@ -409,9 +438,12 @@ def parse_experiment_config(data: bytes | str, source="<config>", config_dir=Pat
     topo_docs = [doc.pop("topology", None)] if single else doc.pop("topologies")
     if not isinstance(topo_docs, list) or not topo_docs:
         raise _anchored("topologies: sweep list must be non-empty", lines)
-    topologies = [TopologySpec(**{"name": f"topo{i}", **read_fields(
-                      td or {}, TOPOLOGY_FIELDS, lines, "topology" if single else f"topologies[{i}]")})
-                  for i, td in enumerate(topo_docs)]
+    topologies = []
+    for i, td in enumerate(topo_docs):
+        kind = "complex" if isinstance(td, dict) and td.get("kind") == "complex" else "grid"
+        topologies.append(TopologySpec(**{"name": f"topo{i}", **read_fields(
+            td or {}, TOPOLOGY_FIELDS[kind], lines, "topology" if single else f"topologies[{i}]",
+            unknown=f"unknown key for kind {kind!r}")}))
     pol_docs = doc.pop("policies", None)
     if not isinstance(pol_docs, list) or not pol_docs:
         raise _anchored("policies: sweep list must be non-empty", lines)

@@ -810,6 +810,19 @@ class TestConfigErrors:
         ({"topo": "rows: 32769", "policy": "startup: {type: short_pause, mode: learned}"}, "topologies[0].rows", 6),
         ({"topo": "rows: 32769", "policy": "startup: {type: short_pause, mode: node_specific}"},
          "topologies[0].rows", 6),
+        ({"trace": "{source: [visits], path: visits.csv}"}, "trace.source", 2),
+        ({"topo": "kind: complex\n    transfer_delay: 10"}, "topologies[0].transfer_delay", 7),
+        ({"topo": "kind: grid\n    data_size_gb: 2"}, "topologies[0].data_size_gb", 7),
+        ({"topo": "uplink_rate: 800000000"}, "topologies[0].uplink_rate", 6),
+        ({"policy": "startup: {type: plmm, duration: 5}"}, "policies[0].startup.duration", 10),
+        ({"policy": "startup: {type: short_pause, factor: 2}"}, "policies[0].startup.factor", 10),
+        ({"policy": "startup: {mode: learned}"}, "policies[0].startup.mode", 10),
+        ({"policy": "predictor: vomm\n    topn: {type: fixed, threshold: 0.5}"}, "policies[0].topn.threshold", 11),
+        ({"policy": "predictor: vomm\n    topn: {type: dynamic, n: 2}"}, "policies[0].topn.n", 11),
+        ({"policy": "predictor: {type: baseline, k: 5}"}, "policies[0].predictor.k", 10),
+        ({"policy": "eot: true"}, "policies[0].eot", 10),
+        ({"policy": "topn: {type: fixed, n: 2}"}, "policies[0].topn.type", 10),
+        ({"policy": "preload_buffer: 60"}, "policies[0].preload_buffer", 10),
     ], ids=["k-word", "jobs-word", "eot-string", "k-float", "vomm-day-splits",
             "momm-time-splits", "bbox-three", "kind-unknown", "spec-wekks", "spec-weeks-word",
             "spec-start-8am", "spec-start-unquoted", "spec-start-25-90", "spec-day-fry",
@@ -823,7 +836,10 @@ class TestConfigErrors:
             "k-zero", "fomm-day-split-3", "topn-threshold-over-one", "topn-threshold-zero", "topn-n-zero",
             "neighborhood-unknown", "preload-buffer-minus-inf", "preload-buffer-nan",
             "preload-buffer-negative", "grid-too-large-for-predictor", "grid-too-large-for-plmm",
-            "grid-too-large-for-learned-pause", "grid-too-large-for-node-specific-pause"])
+            "grid-too-large-for-learned-pause", "grid-too-large-for-node-specific-pause",
+            "trace-source-list", "complex-transfer-delay", "grid-data-size", "grid-uplink-rate",
+            "plmm-duration", "short-pause-factor", "no-startup-mode", "fixed-topn-threshold",
+            "dynamic-topn-n", "baseline-k", "baseline-eot", "baseline-topn", "baseline-preload-buffer"])
     def test_run_names_key_path_and_line(self, tmp_path, capsys, override, key_path, line):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(error_config(**override))
@@ -832,6 +848,40 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert f"{key_path}:" in err and f"(line {line})" in err
         assert not (tmp_path / "out").exists()  # caught before any output is made
+
+    @pytest.mark.parametrize("override, message", [
+        ({"policy": "startup: {type: short_pause, duration: 5}\n    startup: plmm"},
+         "policies[0].startup: key given twice (lines 10 and 11)"),
+        ({"policy": "predictor: {type: vomm, k: 2, k: 3}"}, "policies[0].predictor.k: key given twice (lines 10 and 10)"),
+        ({"policy": "predictor: baseline\npolicies:\n  - name: q"}, "policies: key given twice (lines 8 and 11)"),
+    ], ids=["policy-startup", "flow-mapping", "top-level-policies"])
+    def test_key_given_twice_is_a_config_error(self, tmp_path, capsys, override, message):
+        cfg = tmp_path / "twice.yaml"
+        cfg.write_text(error_config(**override))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {cfg}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_key_given_twice_in_a_spec_file_is_a_config_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text("clients:\n"
+                        "  - client: c\n"
+                        "    weeks: 1\n"
+                        "    weeks: 2\n"
+                        "    patterns: [{days: [mon], start: '08:00', path: [[0, 60]]}]\n")
+        cfg = tmp_path / "spec-twice.yaml"
+        cfg.write_text(error_config(trace="{source: synthetic, spec: spec.yaml}"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {spec}: clients[0].weeks: key given twice (lines 3 and 4)\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_merged_keys_may_be_overridden(self):
+        """A `<<` merge key brings a mapping's keys in; a key after it overrides one of them."""
+        cfg = parse_experiment_config("trace: {source: visits, path: v.csv}\n"
+                                      "policies:\n"
+                                      "  - {name: p, predictor: &vomm {type: vomm, k: 2}}\n"
+                                      "  - {name: q, predictor: {<<: *vomm, k: 3}}\n")
+        assert [(p.predictor, p.k) for p in cfg.policies] == [("vomm", 2), ("vomm", 3)]
 
     def test_predictor_takes_up_to_65536_nodes(self):
         """Node ids are 16-bit in a predictor's model, a PLMM and a short-pause
@@ -849,8 +899,8 @@ class TestConfigErrors:
 
     def test_infinite_preload_buffer_is_the_default(self, tmp_path):
         written, left_out = tmp_path / "inf.yaml", tmp_path / "default.yaml"
-        written.write_text(error_config(policy="preload_buffer: .inf"))
-        left_out.write_text(error_config())
+        written.write_text(error_config(policy="predictor: vomm\n    preload_buffer: .inf"))
+        left_out.write_text(error_config(policy="predictor: vomm"))
         assert load_experiment_config(written).policies == load_experiment_config(left_out).policies
 
     def test_overlapping_patterns_name_client_and_local_times(self, tmp_path, capsys):
@@ -1011,7 +1061,8 @@ class TestTraceSection:
 
 SHIPPED_POINTS = {  # shipped config -> its sweep points, topologies x policies
     "configs/geolife/combination.yaml": 2 * 4,
-    "configs/geolife/preload_buffers.yaml": 1 * 5,
+    "configs/geolife/networks.yaml": 5 * 2,
+    "configs/geolife/preload_buffers.yaml": 1 * 6,
     "configs/restart.yaml": 1 * 4,
     "configs/smoke.yaml": 1 * 3,
     "perfbench/configs/sweep-flow.yaml": 1 * 4,

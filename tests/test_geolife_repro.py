@@ -5,10 +5,28 @@ Trajectories 1.3 dataset (the directory containing Data/<user>/Trajectory).
 Sessionization and fusion weights are underdetermined in the reference
 results, so the tolerances are deliberately wide.
 
-Node-visit ingestion is cached per topology under FOGREP_CACHE_DIR (defaults
-to <GEOLIFE_DATA_DIR>/.fogrep_cache) because mapping 24M GPS points is the
-slow part.
+Each criterion runs a shipped config of configs/geolife/ as `fogrep run`
+does, with its trace path set to GEOLIFE_DATA_DIR, and reads the result rows
+of the points it names (policy on topology):
+
+- 9: networks.yaml, baseline on simple-100 and on simple-900;
+- 10: preload_buffers.yaml, vomm-k2-buf24h and vomm-k5-buf24h on simple-100;
+- 11: networks.yaml, baseline and fomm on complex-81, complex-256 and
+  complex-625;
+- 12: combination.yaml, baseline and combination on simple-100 and on
+  complex-625;
+- 13: combination.yaml, short-pause-10m on simple-100, and the median pause
+  of the simple-100 timelines;
+- 14: preload_buffers.yaml with vomm-k2-buf24h alone, timed.
+
+Every config writes its outputs to FOGREP_CACHE_DIR (defaults to
+<GEOLIFE_DATA_DIR>/.fogrep_cache), and so does each run's node-visit cache
+(``visits_<topology>_<key>.csv``): mapping 24M GPS points is the slow part,
+and the configs share their trace and topology names, so each grid is
+ingested once.
 """
+import dataclasses
+import functools
 import os
 import time
 from contextlib import contextmanager
@@ -16,22 +34,16 @@ from pathlib import Path
 
 import pytest
 
-from fogrep.experiment import TopologySpec
-from fogrep.policies import PolicyConfig
-from fogrep.simengine import run, snapshot_memory
+from fogrep.experiment import load_experiment_config, load_traces, run_experiment
 from fogrep.startup import LEARNED, ShortPause
-from fogrep.topology import FixedDelay, build_grid
-from fogrep.traces import load_geolife_dir, read_visits_csv, write_visits_csv
-
-from oracles import fold_report
 
 GEOLIFE_DIR = os.environ.get("GEOLIFE_DATA_DIR")
+CONFIGS = Path(__file__).resolve().parent.parent / "configs" / "geolife"
 
 pytestmark = pytest.mark.skipif(
     not GEOLIFE_DIR,
     reason="set GEOLIFE_DATA_DIR to the GeoLife dataset root to run the reproduction harness")
 
-TZ = 8 * 3600.0
 PCT = 0.01  # one percentage point
 
 
@@ -45,132 +57,78 @@ def criterion(num, name):
     print(f"[criterion {num:02d}] {name}: PASS")
 
 
-def cache_dir() -> Path:
-    d = Path(os.environ.get("FOGREP_CACHE_DIR", Path(GEOLIFE_DIR) / ".fogrep_cache"))
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+def geolife_config(name, root, output):
+    """configs/geolife/<name> as `fogrep run` loads it, with its trace read
+    from the GeoLife root ``root`` and its outputs written to ``output``."""
+    cfg = load_experiment_config(CONFIGS / name)
+    return dataclasses.replace(cfg, trace=dataclasses.replace(cfg.trace, path=Path(root)), output=Path(output))
 
 
-_TIMELINES = {}
+def dataset_config(name):
+    """configs/geolife/<name> on the dataset, writing to the cache directory."""
+    return geolife_config(name, GEOLIFE_DIR,
+                          os.environ.get("FOGREP_CACHE_DIR", Path(GEOLIFE_DIR) / ".fogrep_cache"))
 
 
-def timelines_for(key, topo):
-    if key in _TIMELINES:
-        return _TIMELINES[key]
-    cache = cache_dir() / f"visits_{key}.csv"
-    if cache.exists():
-        with open(cache, encoding="utf-8", newline="") as fh:
-            timelines = read_visits_csv(fh)
-    else:
-        timelines = load_geolife_dir(GEOLIFE_DIR, topo)
-        with open(cache, "w", encoding="utf-8", newline="") as fh:
-            write_visits_csv(timelines, fh)
-    _TIMELINES[key] = timelines
-    return timelines
-
-
-def simple_grid(rows):
-    return build_grid(rows, rows), FixedDelay(300.0)
-
-
-def complex_net(rows):
-    return TopologySpec("complex", kind="complex", rows=rows, cols=rows).build()
-
-
-BASELINE = PolicyConfig(name="baseline", tz_offset=TZ)
-
-
-def vomm(k, **kwargs):
-    defaults = dict(name=f"vomm-k{k}", predictor="vomm", k=k, topn_mode="fixed",
-                    topn_n=1, preload_buffer=86400.0, tz_offset=TZ)
-    defaults.update(kwargs)
-    return PolicyConfig(**defaults)
-
-
-def fomm(**kwargs):
-    defaults = dict(name="fomm", predictor="fomm", k=2, day_splits=(1, 2, 7),
-                    time_splits=(1, 4, 24), eot=True, topn_mode="dynamic",
-                    topn_threshold=0.9, preload_buffer=86400.0, tz_offset=TZ)
-    defaults.update(kwargs)
-    return PolicyConfig(**defaults)
-
-
-SHORT_PAUSE = PolicyConfig(name="short-pause", startup_mode="short_pause",
-                           short_pause_mode="fixed", short_pause_duration=600.0,
-                           tz_offset=TZ)
-COMBINATION = fomm(name="combination", startup_mode="short_pause",
-                   short_pause_mode="fixed", short_pause_duration=600.0)
-
-
-def run_report(timelines, topo, network, config):
-    result = run(timelines, topo, network, config, record_log=False)
-    memory = snapshot_memory(result.policies)
-    return fold_report(result.ledger, timelines, memory_by_client=memory)
+@functools.cache
+def results(name):
+    """The result rows of one run of configs/geolife/<name>, by (policy, topology)."""
+    return {(row["policy"], row["topology"]): row for row in run_experiment(dataset_config(name))}
 
 
 def test_criterion_9_baseline_availability():
     with criterion(9, "baseline availability on the 10x10 and 30x30 grids"):
-        topo, network = simple_grid(10)
-        report = run_report(timelines_for("grid10", topo), topo, network, BASELINE)
-        assert report.availability == pytest.approx(0.6143, abs=3 * PCT)
-        topo30, network30 = simple_grid(30)
-        report30 = run_report(timelines_for("grid30", topo30), topo30, network30, BASELINE)
-        assert report30.availability == pytest.approx(0.4640, abs=4 * PCT)
+        rows = results("networks.yaml")
+        assert rows["baseline", "simple-100"]["availability"] == pytest.approx(0.6143, abs=3 * PCT)
+        assert rows["baseline", "simple-900"]["availability"] == pytest.approx(0.4640, abs=4 * PCT)
 
 
 def test_criterion_10_vomm_metrics_and_model_size():
     with criterion(10, "plain variable-order model metrics and model size"):
-        topo, network = simple_grid(10)
-        timelines = timelines_for("grid10", topo)
-        report = run_report(timelines, topo, network, vomm(2))
-        assert report.availability == pytest.approx(0.690, abs=3 * PCT)
-        assert report.excess_ratio == pytest.approx(0.548, abs=8 * PCT)
-        report5 = run_report(timelines, topo, network, vomm(5))
+        rows = results("preload_buffers.yaml")
+        k2 = rows["vomm-k2-buf24h", "simple-100"]
+        assert k2["availability"] == pytest.approx(0.690, abs=3 * PCT)
+        assert k2["excess_ratio"] == pytest.approx(0.548, abs=8 * PCT)
         # same order of magnitude as 23 kB per client (within 5x either way)
-        assert 23_000 / 5 <= report5.memory_avg <= 23_000 * 5
+        assert 23_000 / 5 <= rows["vomm-k5-buf24h", "simple-100"]["memory_avg_bytes"] <= 23_000 * 5
 
 
 def test_criterion_11_fomm_beats_baseline_on_complex_networks():
     with criterion(11, "fusion model beats the baseline by >= 7 pts on complex networks"):
-        for rows in (9, 16, 25):
-            topo, network = complex_net(rows)
-            timelines = timelines_for(f"grid{rows}c", topo)
-            base = run_report(timelines, topo, network, BASELINE)
-            pred = run_report(timelines, topo, network, fomm())
-            delta = pred.availability - base.availability
-            assert delta >= 7 * PCT, f"{rows * rows} nodes: delta {delta:.4f}"
+        rows = results("networks.yaml")
+        for topology in ("complex-81", "complex-256", "complex-625"):
+            delta = rows["fomm", topology]["availability"] - rows["baseline", topology]["availability"]
+            assert delta >= 7 * PCT, f"{topology}: delta {delta:.4f}"
 
 
 def test_criterion_12_combination_improvement_band():
     with criterion(12, "combined policy improves availability by 16-21 (+-4) pts"):
-        for key, (topo, network) in (("grid10", simple_grid(10)),
-                                     ("grid25c", complex_net(25))):
-            timelines = timelines_for(key, topo)
-            base = run_report(timelines, topo, network, BASELINE)
-            combo = run_report(timelines, topo, network, COMBINATION)
-            delta = combo.availability - base.availability
-            assert (16 - 4) * PCT <= delta <= (21 + 4) * PCT, f"{key}: delta {delta:.4f}"
+        rows = results("combination.yaml")
+        for topology in ("simple-100", "complex-625"):
+            delta = rows["combination", topology]["availability"] - rows["baseline", topology]["availability"]
+            assert (16 - 4) * PCT <= delta <= (21 + 4) * PCT, f"{topology}: delta {delta:.4f}"
 
 
 def test_criterion_13_short_pause_and_median():
     with criterion(13, "fixed 10-minute retention metrics and the median pause"):
-        topo, network = simple_grid(10)
-        timelines = timelines_for("grid10", topo)
-        report = run_report(timelines, topo, network, SHORT_PAUSE)
-        assert report.availability == pytest.approx(0.7198, abs=3 * PCT)
-        assert report.excess_ratio == pytest.approx(0.4610, abs=8 * PCT)
+        row = results("combination.yaml")["short-pause-10m", "simple-100"]
+        assert row["availability"] == pytest.approx(0.7198, abs=3 * PCT)
+        assert row["excess_ratio"] == pytest.approx(0.4610, abs=8 * PCT)
+        cfg = dataset_config("combination.yaml")
+        spec = next(t for t in cfg.topologies if t.name == "simple-100")
         pauses = ShortPause(LEARNED, 0.0)  # a learned window is the lower median pause
-        for tl in timelines:
-            for pause in tl.pauses:
-                pauses.record(pause.node, None, pause.duration)
+        for tl in load_traces(cfg, spec.build()[0], spec.name):
+            for before, after in zip(tl.sessions, tl.sessions[1:]):
+                pauses.record(before[-1].node, None, after[0].arrival - before[-1].departure)
         assert pauses.until(None, 0.0) == pytest.approx(595.0, abs=60.0)
 
 
 def test_criterion_14_sweep_performance():
     with criterion(14, "one-policy sweep on the 100-node network in under 5 minutes"):
-        topo, network = simple_grid(10)
-        timelines = timelines_for("grid10", topo)
+        cfg = dataset_config("preload_buffers.yaml")
+        cfg.policies = [p for p in cfg.policies if p.name == "vomm-k2-buf24h"]
+        load_traces(cfg, cfg.topologies[0].build()[0], cfg.topologies[0].name)  # ingest outside the timing
         start = time.monotonic()
-        run_report(timelines, topo, network, vomm(2))
+        run_experiment(cfg)
         elapsed = time.monotonic() - start
         assert elapsed <= 300.0, f"sweep took {elapsed:.1f} s"
