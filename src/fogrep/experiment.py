@@ -49,10 +49,14 @@ def load_yaml_with_lines(data: bytes | str, source="<config>"):
     """Parse YAML once, from a file's bytes (read as UTF-8) or its text: the
     document (as ``yaml.safe_load`` builds it) and, from the same node tree,
     a key-path -> line-number map for error anchors. A key given twice in one
-    mapping is a ConfigError, where PyYAML would keep the last value."""
+    mapping is a ConfigError, where PyYAML would keep the last value, and so
+    is a value that contains itself through an alias."""
     lines: dict[str, int] = {}
 
-    def walk(node, path):
+    def walk(node, path, above=()):
+        if node in above:
+            raise ConfigError(f"{source}: {path}: contains itself through an alias (line {lines[path]})")
+        above = (*above, node)
         if isinstance(node, yaml.MappingNode):
             seen = {}
             for key_node, val_node in node.value:
@@ -61,12 +65,12 @@ def load_yaml_with_lines(data: bytes | str, source="<config>"):
                 if p in seen:
                     raise ConfigError(f"{source}: {p}: key given twice (lines {seen[p]} and {line})")
                 seen[p] = lines[p] = line
-                walk(val_node, p)
+                walk(val_node, p, above)
         elif isinstance(node, yaml.SequenceNode):
             for i, item in enumerate(node.value):
                 p = f"{path}[{i}]"
                 lines[p] = item.start_mark.line + 1
-                walk(item, p)
+                walk(item, p, above)
 
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
@@ -271,14 +275,16 @@ POLICY_FIELDS = {
     "startup.min_samples": ("min_samples", _integer),
 }
 
-# the keys a policy reads only with some settings: setting -> (the top-level
-# keys it decides on, the keys each of its values reads); other values read them all
+# the keys a policy reads only with some settings: setting -> (the keys, or
+# top-level keys, it decides on, the keys each of its values reads); other
+# values read them all
 POLICY_READS = {
     "predictor.type": (("predictor", "eot", "topn", "preload_buffer"), {"baseline": ()}),
     "startup.type": (("startup",), {
         "none": (), "plmm": ("startup.threshold", "startup.factor"),
         "short_pause": ("startup.mode", "startup.duration", "startup.max", "startup.min_samples")}),
     "topn.type": (("topn",), {"fixed": ("topn.n",), "dynamic": ("topn.threshold", "topn.include_eot")}),
+    "startup.mode": (("startup.min_samples",), {"fixed": (), "learned": ()}),
 }
 
 # the scalar keys of the top level and of the metrics section
@@ -376,7 +382,8 @@ def parse_policy(doc, lines=None, where="", **defaults) -> PolicyConfig:
         setting_field = POLICY_FIELDS[setting][0]
         chosen = getattr(policy, setting_field)
         for path, (field, _) in POLICY_FIELDS.items():
-            if (field in given and field != setting_field and path.split(".")[0] in decides
+            if (field in given and field != setting_field
+                    and (path in decides or path.split(".")[0] in decides)
                     and path not in reads.get(chosen, (path,))):
                 raise _anchored(f"{f'{where}.' if where else ''}{path}: not read when {setting} is {chosen!r}",
                                 lines)

@@ -6,28 +6,31 @@ Clients never interact (each has its own policy and replicas, and every
 transfer takes its network's fixed time), so each client runs its own event
 loop. Its events are processed in non-decreasing time; ties break by kind
 (transfer starts, then transfer completions, arrivals, session starts, session
-ends, retention expiries), then insertion order. A preloaded transfer
-completing exactly at the arrival it targets therefore counts as available. A
-client's own timeline events (session starts, arrivals, session ends) enter
-its queue one at a time, each when the one before it is taken, so they keep
-timeline order where the tie order of kinds would not: a zero-length first
-visit's session start comes before the next visit's arrival at the same time.
+ends, retention expiries), then scheduling order. A preloaded transfer
+completing exactly at the arrival it targets therefore counts as available.
+
+The loop walks the client's timeline (session starts, arrivals, session ends)
+in its own order, so a zero-length first visit's session start comes before
+the next visit's arrival at the same time, where the tie order of kinds would
+not. Only live replicas (a transfer pending or in flight, or a copy present)
+have a state, and each holds its one next scheduled event: a transfer start,
+completion or retention expiry. Before each timeline event, and at the end up
+to the horizon, the loop runs the smallest of these events that comes before
+it in the tie order, again and again, since each may schedule another.
+Planning a replica again replaces its event, and dropping it removes it. A
+retained replica is one with a deadline: a present copy waits for its expiry,
+an in-flight one keeps the deadline until it completes, and the client's
+return to the node drops it.
+
 The global event log merges the clients' logs by taking the smallest next
 event by (time, kind, client) each time. That replays one queue shared by all
 clients; a sort would not (see ``merge_event_logs``).
-
-Scheduled events are invalidated by their unique id and never removed from
-the heap: a replica's state keeps the id of the one event that may still act
-on it, and any other event for it, or for a replica that is gone, is stale.
-So only live replicas (a transfer pending or in flight, or a copy present)
-have a state. A retained replica is one with a deadline: a present copy waits
-for its expiry, an in-flight one keeps the deadline until it completes, and
-the client's return to the node drops it.
 """
 from __future__ import annotations
 
 import csv
 import heapq
+import itertools
 from dataclasses import dataclass
 
 from .errors import ConfigError, EngineInvariantError
@@ -75,16 +78,15 @@ class RunResult:
 
 class _NodeState:
     """One live replica: a transfer pending or in flight, or a copy present.
-    ``event`` is the id of the one scheduled event that may still act on it,
-    or None; ``retained_until`` is the retention deadline, or None."""
-    __slots__ = ("status", "event", "open_since", "retained_until", "pending_start")
+    ``next`` is its one scheduled event, (time, kind, scheduling order), or
+    None; ``retained_until`` is the retention deadline, or None."""
+    __slots__ = ("status", "next", "open_since", "retained_until")
 
     def __init__(self):
         self.status = _PENDING
-        self.event = None
+        self.next = None
         self.open_since = 0.0
         self.retained_until = None
-        self.pending_start = 0.0
 
 
 class _ClientRun:
@@ -99,8 +101,7 @@ class _ClientRun:
         self._ledger = ledger
         self.log: list[EventRecord] | None = [] if record_log else None
         self._states: dict[int, _NodeState] = {}
-        self._heap: list = []
-        self._seq = 0
+        self._order = itertools.count()  # scheduling order
 
     def present(self, node) -> bool:
         st = self._states.get(node)
@@ -108,12 +109,6 @@ class _ClientRun:
 
     def tracked(self):
         return list(self._states)
-
-    def _push(self, t, kind, node) -> int:
-        """Schedule an event; returns its id."""
-        self._seq += 1
-        heapq.heappush(self._heap, (t, kind, self._seq, node))
-        return self._seq
 
     def _close(self, node, t):
         """Drop a replica; a present copy leaves its presence interval."""
@@ -130,60 +125,52 @@ class _ClientRun:
             yield visits[-1].departure, SESSION_END, visits[-1].node
 
     def run(self):
-        timeline = self._timeline_events()
-        self._push(*next(timeline))
-        horizon = self.timeline.last_t
-        last_t = float("-inf")
-        while self._heap:
-            t, kind, seq, node = heapq.heappop(self._heap)
-            if t < last_t:
-                raise EngineInvariantError(f"event time regression: {t} after {last_t}")
-            last_t = t
-            if t > horizon:
-                break  # every later event is past the horizon too
-            if ARRIVAL <= kind <= SESSION_END:  # a timeline event: the next one enters
-                upcoming = next(timeline, None)
-                if upcoming is not None:
-                    self._push(*upcoming)
-            if self._dispatch(t, kind, node, seq) and self.log is not None:
+        policy = self.policy
+        handlers = {SESSION_START: policy.on_session_start, ARRIVAL: policy.on_arrival,
+                    SESSION_END: policy.on_session_end}
+        for t, kind, node in self._timeline_events():
+            self._run_scheduled(t, kind)
+            st = self._states.get(node)
+            if st is not None:  # the client is back, so a retention ends
+                st.retained_until = None
+                if st.status == _PRESENT:
+                    st.next = None  # and so does its expiry
+            for action in handlers[kind](node, t, self):
+                self._apply(t, action)
+            if self.log is not None:
                 self.log.append(EventRecord(t, self.client, KIND_NAMES[kind], node))
+        horizon = self.timeline.last_t
+        self._run_scheduled(horizon, RETENTION_EXPIRE + 1)  # every event up to the horizon, of any kind
         for node in sorted(self._states):
             self._close(node, horizon)
 
-    def _dispatch(self, t, kind, node, seq) -> bool:
-        """Returns False for stale (cancelled) events."""
-        st = self._states.get(node)
-        if kind in (TRANSFER_START, TRANSFER_COMPLETE, RETENTION_EXPIRE):
-            if st is None or st.event != seq:
-                return False
+    def _run_scheduled(self, t, kind):
+        """Run, smallest first, every scheduled event that comes before (t, kind)."""
+        states = self._states
+        while True:
+            first, node = (t, kind), None
+            for n, st in states.items():
+                if st.next is not None and st.next < first:
+                    first, node = st.next, n
+            if node is None:
+                return
+            st = states[node]
+            at, event, _ = first
+            st.next = None
             until = st.retained_until
-            if kind == TRANSFER_START:
+            if event == TRANSFER_START:
                 st.status = _IN_FLIGHT
-                st.event = self._push(t + self._ttime(node), TRANSFER_COMPLETE, node)
-            elif kind == RETENTION_EXPIRE or (until is not None and until <= t):
+                st.next = (at + self._ttime(node), TRANSFER_COMPLETE, next(self._order))
+            elif event == RETENTION_EXPIRE or (until is not None and until <= at):
                 # an expiry, or a completion after the retention granted in flight
-                self._close(node, t)
+                self._close(node, at)
             else:
                 st.status = _PRESENT
-                st.open_since = t
-                st.event = None if until is None else self._push(until, RETENTION_EXPIRE, node)
-            return True
-        # timeline events: the client is back, so a retention ends
-        if st is not None:
-            st.retained_until = None
-            if st.status == _PRESENT:
-                st.event = None  # a retention expiry goes stale
-        if kind == SESSION_START:
-            actions = self.policy.on_session_start(node, t, self)
-        elif kind == ARRIVAL:
-            actions = self.policy.on_arrival(node, t, self)
-        elif kind == SESSION_END:
-            actions = self.policy.on_session_end(node, t, self)
-        else:
-            raise EngineInvariantError(f"unknown event kind {kind}")
-        for action in actions:
-            self._apply(t, action)
-        return True
+                st.open_since = at
+                if until is not None:
+                    st.next = (until, RETENTION_EXPIRE, next(self._order))
+            if self.log is not None:
+                self.log.append(EventRecord(at, self.client, KIND_NAMES[event], node))
 
     def _apply(self, now, action):
         node = action.node
@@ -194,10 +181,9 @@ class _ClientRun:
                 raise EngineInvariantError(f"replicate scheduled in the past: {at} < {now}")
             if st is None:
                 st = self._states[node] = _NodeState()
-            elif st.status != _PENDING or at == st.pending_start:
+            elif st.status != _PENDING or at == st.next[0]:
                 return  # a copy is there or on its way, or this start is planned already
-            st.pending_start = at
-            st.event = self._push(at, TRANSFER_START, node)
+            st.next = (at, TRANSFER_START, next(self._order))
         elif isinstance(action, Delete):
             if st is not None:
                 self._close(node, now)
@@ -210,7 +196,7 @@ class _ClientRun:
             # an in-flight transfer is paid for: it finishes into the retention
             st.retained_until = action.until
             if st.status == _PRESENT:
-                st.event = self._push(action.until, RETENTION_EXPIRE, node)
+                st.next = (action.until, RETENTION_EXPIRE, next(self._order))
         else:
             raise EngineInvariantError(f"unknown action {action!r}")
 
@@ -255,8 +241,7 @@ def merge_event_logs(logs) -> list[EventRecord]:
     client) each time, with the kind's tie order, not its name's.
 
     That replays the one shared queue: a client's next event depends only on
-    its own past, and a stale or out-of-horizon event, which is not logged,
-    schedules nothing. A sort by the same key would not: it puts the transfer
+    its own past, and an event past its horizon is neither run nor logged. A sort by the same key would not: it puts the transfer
     start that a session start schedules for the same time before that
     session start."""
     return list(heapq.merge(*logs, key=lambda e: (e.t, _KIND_ORDER[e.kind], e.client)))

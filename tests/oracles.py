@@ -21,7 +21,11 @@ seen so far: a sorted-list lower median for the short-pause windows, and a
 count argmax with ties to the smaller id for the pause-length model.
 ``fold_report`` gives a sweep point's report from the ledger of one run of
 all its clients, as a reference for the point that runs them one at a time.
+``reference_run`` is the engine as a per-client event heap with stale-event
+ids, which ``simengine`` replaced by a walk over each client's timeline; the
+two must give the same ledger and event log.
 """
+import heapq
 import json
 import math
 import random
@@ -29,12 +33,15 @@ import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from fogrep.errors import ConfigError
+from fogrep.errors import ConfigError, EngineInvariantError
 from fogrep.markov import (EOT, TARGET_BYTES, Context,
                            MarkovPredictor, Prediction, SubModelSpec,
                            TargetRecord, bucketize, check_kind)
 from fogrep.metrics import active_time, compute_report, covered_time, point_report
 from fogrep.policies import Delete, PolicyConfig, Replicate, ReplicaPolicy, Retain
+from fogrep.simengine import (ARRIVAL, KIND_NAMES, RETENTION_EXPIRE, SESSION_END,
+                              SESSION_START, TRANSFER_COMPLETE, TRANSFER_START, EventRecord,
+                              merge_event_logs)
 from fogrep.topology import FixedDelay, build_grid, transfer_time
 from fogrep.traces import ClientTimeline, NodeVisit, Pause, parse_plt_rows
 
@@ -656,3 +663,172 @@ def _encode_entry(context, targets) -> bytes:
     for target, rec in target_order(targets):
         parts.append(struct.pack("<iIdI", target, rec.count, rec.stay_sum, rec.stay_count))
     return b"".join(parts)
+
+
+# The reference engine: the per-client event heap that ``simengine`` ran
+# before it walked each client's timeline directly. Scheduled events carry
+# unique ids and are never removed from the heap; a replica's state keeps the
+# id of the one event that may still act on it, and any other event for it is
+# stale. Timeline events enter the heap one at a time, each when the one
+# before it is taken.
+
+# status of a live replica per node; an absent one has no state
+_PENDING = 0
+_IN_FLIGHT = 1
+_PRESENT = 2
+
+
+class _NodeState:
+    """One live replica: a transfer pending or in flight, or a copy present.
+    ``event`` is the id of the one scheduled event that may still act on it,
+    or None; ``retained_until`` is the retention deadline, or None."""
+    __slots__ = ("status", "event", "open_since", "retained_until", "pending_start")
+
+    def __init__(self):
+        self.status = _PENDING
+        self.event = None
+        self.open_since = 0.0
+        self.retained_until = None
+        self.pending_start = 0.0
+
+
+class _ClientRun:
+    """One client's event loop; also the view of its replicas that its
+    policy's handlers read (see ``ReplicaPolicy``)."""
+
+    def __init__(self, timeline, policy, ttime, ledger, record_log):
+        self.client = timeline.client_id
+        self.timeline = timeline
+        self.policy = policy
+        self._ttime = ttime
+        self._ledger = ledger
+        self.log: list[EventRecord] | None = [] if record_log else None
+        self._states: dict[int, _NodeState] = {}
+        self._heap: list = []
+        self._seq = 0
+
+    def present(self, node) -> bool:
+        st = self._states.get(node)
+        return st is not None and st.status == _PRESENT
+
+    def tracked(self):
+        return list(self._states)
+
+    def _push(self, t, kind, node) -> int:
+        """Schedule an event; returns its id."""
+        self._seq += 1
+        heapq.heappush(self._heap, (t, kind, self._seq, node))
+        return self._seq
+
+    def _close(self, node, t):
+        """Drop a replica; a present copy leaves its presence interval."""
+        st = self._states.pop(node)
+        if st.status == _PRESENT and t > st.open_since:
+            self._ledger.setdefault((self.client, node), []).append((st.open_since, t))
+
+    def _timeline_events(self):
+        """(time, kind, node) of each session start, arrival and session end, in timeline order."""
+        for visits in self.timeline.sessions:
+            yield visits[0].arrival, SESSION_START, visits[0].node
+            for v in visits[1:]:
+                yield v.arrival, ARRIVAL, v.node
+            yield visits[-1].departure, SESSION_END, visits[-1].node
+
+    def run(self):
+        timeline = self._timeline_events()
+        self._push(*next(timeline))
+        horizon = self.timeline.last_t
+        last_t = float("-inf")
+        while self._heap:
+            t, kind, seq, node = heapq.heappop(self._heap)
+            if t < last_t:
+                raise EngineInvariantError(f"event time regression: {t} after {last_t}")
+            last_t = t
+            if t > horizon:
+                break  # every later event is past the horizon too
+            if ARRIVAL <= kind <= SESSION_END:  # a timeline event: the next one enters
+                upcoming = next(timeline, None)
+                if upcoming is not None:
+                    self._push(*upcoming)
+            if self._dispatch(t, kind, node, seq) and self.log is not None:
+                self.log.append(EventRecord(t, self.client, KIND_NAMES[kind], node))
+        for node in sorted(self._states):
+            self._close(node, horizon)
+
+    def _dispatch(self, t, kind, node, seq) -> bool:
+        """Returns False for stale (cancelled) events."""
+        st = self._states.get(node)
+        if kind in (TRANSFER_START, TRANSFER_COMPLETE, RETENTION_EXPIRE):
+            if st is None or st.event != seq:
+                return False
+            until = st.retained_until
+            if kind == TRANSFER_START:
+                st.status = _IN_FLIGHT
+                st.event = self._push(t + self._ttime(node), TRANSFER_COMPLETE, node)
+            elif kind == RETENTION_EXPIRE or (until is not None and until <= t):
+                # an expiry, or a completion after the retention granted in flight
+                self._close(node, t)
+            else:
+                st.status = _PRESENT
+                st.open_since = t
+                st.event = None if until is None else self._push(until, RETENTION_EXPIRE, node)
+            return True
+        # timeline events: the client is back, so a retention ends
+        if st is not None:
+            st.retained_until = None
+            if st.status == _PRESENT:
+                st.event = None  # a retention expiry goes stale
+        if kind == SESSION_START:
+            actions = self.policy.on_session_start(node, t, self)
+        elif kind == ARRIVAL:
+            actions = self.policy.on_arrival(node, t, self)
+        elif kind == SESSION_END:
+            actions = self.policy.on_session_end(node, t, self)
+        else:
+            raise EngineInvariantError(f"unknown event kind {kind}")
+        for action in actions:
+            self._apply(t, action)
+        return True
+
+    def _apply(self, now, action):
+        node = action.node
+        st = self._states.get(node)
+        if isinstance(action, Replicate):
+            at = action.at
+            if at < now:
+                raise EngineInvariantError(f"replicate scheduled in the past: {at} < {now}")
+            if st is None:
+                st = self._states[node] = _NodeState()
+            elif st.status != _PENDING or at == st.pending_start:
+                return  # a copy is there or on its way, or this start is planned already
+            st.pending_start = at
+            st.event = self._push(at, TRANSFER_START, node)
+        elif isinstance(action, Delete):
+            if st is not None:
+                self._close(node, now)
+        elif isinstance(action, Retain):
+            if st is None:
+                return
+            if action.until <= now or st.status == _PENDING:
+                self._close(node, now)
+                return
+            # an in-flight transfer is paid for: it finishes into the retention
+            st.retained_until = action.until
+            if st.status == _PRESENT:
+                st.event = self._push(action.until, RETENTION_EXPIRE, node)
+        else:
+            raise EngineInvariantError(f"unknown action {action!r}")
+
+
+def reference_run(timelines, topology, network, config: PolicyConfig):
+    """(ledger, event log) of ``simengine.run``, from the heap engine."""
+    def ttime(dst):
+        return transfer_time(dst, network)
+
+    ledger = {}
+    logs = []
+    for tl in sorted(timelines, key=lambda tl: tl.client_id):
+        client_run = _ClientRun(tl, ReplicaPolicy(config, ttime), ttime, ledger, True)
+        client_run.run()
+        logs.append(client_run.log)
+    return ledger, merge_event_logs(logs)

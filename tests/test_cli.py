@@ -62,6 +62,14 @@ THREE_CLIENT_POINT_DIGESTS = {
     "vomm-k2__strip-3/series_late.csv": "41d0bc25fcb9a7da006e46a5afa279f33afb70157303417c8aa14d6dc5c05995",
     "vomm-k2__strip-3/series_reverse.csv": "658e5149ff37318cabd3ffea1773c06053d51bcfe334c70a8ae325f0551d7191",
 }
+# SHA-256 of each point's events.csv when configs/restart.yaml runs with
+# dump_events: the one shipped config whose logs hold retention expiries
+RESTART_EVENT_DIGESTS = {
+    "fixed-max__grid-4/events.csv": "e3b999bc3a50b6b90f3f7920ec40db74510069fbddb168f01ca6c3e3d426b57e",
+    "learned__grid-4/events.csv": "5a50b2d20a2bf540722215868cbb4349baaaa5436d8e4121a365fbc128ba78f4",
+    "node-specific__grid-4/events.csv": "8555f4ed53268c8008eb991f20ecbd3d7c0cf47d198aafe13db22b50f0f4d104",
+    "plmm__grid-4/events.csv": "84ed765954fcce7f5b13b238987eb40685d131d1d7313730925af4320bf2097a",
+}
 
 PLT_HEADER = ("Geolife trajectory\nWGS 84\nAltitude is in Feet\nReserved 3\n"
               "0,2,255,My Track,0,0,2,8421376\n0\n")
@@ -157,6 +165,16 @@ class TestRun:
             "node-specific__grid-4/report.csv", "plmm__grid-4/report.csv", "results.csv"]
         for rel in golden:
             assert (tmp_path / "out" / rel).read_bytes() == (RESTART_GOLDEN / rel).read_bytes(), rel
+
+    def test_restart_event_logs_match_recorded_digests(self, tmp_path):
+        cfg = tmp_path / "restart.yaml"
+        cfg.write_text(RESTART_CONFIG.read_text() + "\ndump_events: true\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        digests = point_digests(tmp_path / "out")
+        assert {name: digests[name] for name in RESTART_EVENT_DIGESTS} == RESTART_EVENT_DIGESTS
+        retention_expiries = [(tmp_path / "out" / name).read_text().count(",RetentionExpire,")
+                              for name in sorted(RESTART_EVENT_DIGESTS)]
+        assert retention_expiries == [92, 70, 75, 12]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         assert main(["run", str(SMOKE_CONFIG), "--out", str(tmp_path / "a")]) == 0
@@ -823,6 +841,9 @@ class TestConfigErrors:
         ({"policy": "eot: true"}, "policies[0].eot", 10),
         ({"policy": "topn: {type: fixed, n: 2}"}, "policies[0].topn.type", 10),
         ({"policy": "preload_buffer: 60"}, "policies[0].preload_buffer", 10),
+        ({"top": "seed: &s [*s]"}, "seed[0]", 3),
+        ({"top": "metrics: &m {window: *m}"}, "metrics.window", 3),
+        ({"policy": "startup: {type: short_pause, min_samples: 5}"}, "policies[0].startup.min_samples", 10),
     ], ids=["k-word", "jobs-word", "eot-string", "k-float", "vomm-day-splits",
             "momm-time-splits", "bbox-three", "kind-unknown", "spec-wekks", "spec-weeks-word",
             "spec-start-8am", "spec-start-unquoted", "spec-start-25-90", "spec-day-fry",
@@ -839,7 +860,8 @@ class TestConfigErrors:
             "grid-too-large-for-learned-pause", "grid-too-large-for-node-specific-pause",
             "trace-source-list", "complex-transfer-delay", "grid-data-size", "grid-uplink-rate",
             "plmm-duration", "short-pause-factor", "no-startup-mode", "fixed-topn-threshold",
-            "dynamic-topn-n", "baseline-k", "baseline-eot", "baseline-topn", "baseline-preload-buffer"])
+            "dynamic-topn-n", "baseline-k", "baseline-eot", "baseline-topn", "baseline-preload-buffer",
+            "alias-in-itself", "alias-in-a-mapping", "default-pause-min-samples"])
     def test_run_names_key_path_and_line(self, tmp_path, capsys, override, key_path, line):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(error_config(**override))
@@ -861,6 +883,14 @@ class TestConfigErrors:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"config error: {cfg}: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode", ["fixed", "learned"])
+    def test_min_samples_is_read_only_per_node(self, tmp_path, capsys, mode):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(error_config(policy=f"startup: {{type: short_pause, mode: {mode}, min_samples: 5}}"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ("config error: policies[0].startup.min_samples: "
+                                           f"not read when startup.mode is '{mode}' (line 10)\n")
 
     def test_key_given_twice_in_a_spec_file_is_a_config_error(self, tmp_path, capsys):
         spec = tmp_path / "spec.yaml"

@@ -1,21 +1,23 @@
 import csv
 import io
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogrep import simengine
-from fogrep.errors import ConfigError
-from fogrep.policies import PolicyConfig, ReplicaPolicy
+from fogrep.errors import ConfigError, EngineInvariantError
+from fogrep.policies import PolicyConfig, Replicate, ReplicaPolicy
 from fogrep.simengine import (EventRecord, check_ledger, merge_event_logs, run,
                               snapshot_memory, write_event_log_csv)
 from fogrep.topology import FixedDelay, build_grid, transfer_time
 from fogrep.traces import ClientTimeline, NodeVisit, Pause
 
+import oracles
 from oracles import (brute_force_run, client_ledger, fold_report, make_micro_scenario,
-                     make_rescheduling_scenario, make_zero_stay_scenario)
+                     make_rescheduling_scenario, make_zero_stay_scenario, reference_run)
 
 UNIT_BBOX = (0.0, 1.0, 0.0, 1.0)
 A, B, C = 0, 1, 2
@@ -37,6 +39,26 @@ def timeline(client_id, *sessions):
 
 
 BASELINE = PolicyConfig()
+
+
+@pytest.fixture
+def script(monkeypatch):
+    """Makes ``run``, and the reference engine, drive a stub policy whose
+    handlers return ``script[t]`` for an event at time t."""
+    actions = {}
+
+    class Scripted:
+        def __init__(self, config, transfer_estimate):
+            pass
+
+        def on_session_start(self, node, t, view):
+            return actions.get(t, [])
+
+        on_arrival = on_session_end = on_session_start
+
+    monkeypatch.setattr(simengine, "ReplicaPolicy", Scripted)
+    monkeypatch.setattr(oracles, "ReplicaPolicy", Scripted)
+    return actions
 
 
 class TestHandWalkedRuns:
@@ -141,6 +163,55 @@ class TestSupersededTransfers:
     def test_ledger_matches_per_second_simulation(self, seed):
         timelines, topo, network, config = make_rescheduling_scenario(random.Random(seed))
         assert run(timelines, topo, network, config).ledger == brute_force_run(timelines, topo, network, config)
+
+
+class TestReferenceEngine:
+    """The engine against the event heap it replaced (``oracles.reference_run``)."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           make=st.sampled_from([make_micro_scenario, make_zero_stay_scenario, make_rescheduling_scenario]))
+    def test_ledger_and_event_log_match(self, seed, make):
+        timelines, topo, network, config = make(random.Random(seed), clients=(1, 3))
+        result = run(timelines, topo, network, config)
+        assert (result.ledger, result.event_log) == reference_run(timelines, topo, network, config)
+
+    def test_same_time_starts_run_in_scheduling_order(self, script):
+        # B is planned for 900 and C for 1000, then B again for 1000: both
+        # start at 1000, C first, although B comes first among the replicas
+        script[0.0] = [Replicate(B, 900.0), Replicate(C, 1000.0)]
+        script[500.0] = [Replicate(B, 1000.0)]
+        tl = timeline("c", [(A, 0, 500), (B, 500, 2000)])
+        result = run([tl], topo3(), FixedDelay(300.0), BASELINE)
+        assert [(e.t, e.kind, e.node) for e in result.event_log] == [
+            (0.0, "SessionStart", A), (500.0, "Arrival", B),
+            (1000.0, "TransferStart", C), (1000.0, "TransferStart", B),
+            (1300.0, "TransferComplete", C), (1300.0, "TransferComplete", B),
+            (2000.0, "SessionEnd", B)]
+        assert result.ledger == {("c", B): [(1300.0, 2000.0)], ("c", C): [(1300.0, 2000.0)]}
+        assert (result.ledger, result.event_log) == reference_run([tl], topo3(), FixedDelay(300.0), BASELINE)
+
+
+class TestEngineInvariants:
+    def test_replicate_before_now_is_an_invariant_error(self, script):
+        script[500.0] = [Replicate(B, 499.0)]
+        tl = timeline("c", [(A, 0, 500), (B, 500, 1000)])
+        with pytest.raises(EngineInvariantError, match="replicate scheduled in the past: 499.0 < 500.0"):
+            run([tl], topo3(), FixedDelay(300.0), BASELINE)
+
+    def test_unknown_action_is_an_invariant_error(self, script):
+        script[0.0] = [SimpleNamespace(node=B)]
+        with pytest.raises(EngineInvariantError, match=r"unknown action namespace\(node=1\)"):
+            run([timeline("c", [(A, 0, 500)])], topo3(), FixedDelay(300.0), BASELINE)
+
+    @pytest.mark.parametrize("intervals", [[(0.0, 10.0), (5.0, 20.0)], [(0.0, 10.0), (0.0, 10.0)],
+                                           [(10.0, 20.0), (0.0, 5.0)], [(5.0, 5.0)]])
+    def test_check_ledger_rejects_empty_or_overlapping_intervals(self, intervals):
+        with pytest.raises(EngineInvariantError, match=r"empty or overlapping intervals for \(c, 1\)"):
+            check_ledger({("c", B): intervals})
+
+    def test_check_ledger_accepts_touching_intervals(self):
+        check_ledger({("c", B): [(0.0, 10.0), (10.0, 20.0)]})
 
 
 class TestEngineBehavior:
