@@ -45,6 +45,20 @@ RESULTS_TYPES = {"experiment": str, "topology": str, "policy": str, "clients": i
 RESULTS_HEADER = list(RESULTS_TYPES)
 
 
+class _FileError(ConfigError):
+    """A ConfigError whose message already names the file it comes from."""
+
+
+def _in_file(source, parse, *args):
+    """``parse(*args)``, each ConfigError of which names the file ``source`` once."""
+    try:
+        return parse(*args)
+    except _FileError:
+        raise
+    except ConfigError as exc:
+        raise _FileError(f"{source}: {exc}") from None
+
+
 def load_yaml_with_lines(data: bytes | str, source="<config>"):
     """Parse YAML once, from a file's bytes (read as UTF-8) or its text: the
     document (as ``yaml.safe_load`` builds it) and, from the same node tree,
@@ -55,7 +69,7 @@ def load_yaml_with_lines(data: bytes | str, source="<config>"):
 
     def walk(node, path, above=()):
         if node in above:
-            raise ConfigError(f"{source}: {path}: contains itself through an alias (line {lines[path]})")
+            raise _FileError(f"{source}: {path}: contains itself through an alias (line {lines[path]})")
         above = (*above, node)
         if isinstance(node, yaml.MappingNode):
             seen = {}
@@ -63,7 +77,7 @@ def load_yaml_with_lines(data: bytes | str, source="<config>"):
                 p = f"{path}.{key_node.value}" if path else str(key_node.value)
                 line = key_node.start_mark.line + 1
                 if p in seen:
-                    raise ConfigError(f"{source}: {p}: key given twice (lines {seen[p]} and {line})")
+                    raise _FileError(f"{source}: {p}: key given twice (lines {seen[p]} and {line})")
                 seen[p] = lines[p] = line
                 walk(val_node, p, above)
         elif isinstance(node, yaml.SequenceNode):
@@ -82,17 +96,17 @@ def load_yaml_with_lines(data: bytes | str, source="<config>"):
             try:
                 doc = None if tree is None else loader.construct_document(tree)
             except (AttributeError, KeyError, ValueError) as exc:  # a tag PyYAML cannot build, as !!int abc
-                raise ConfigError(f"{source}: invalid YAML: a tagged value cannot be built "
-                                  f"({type(exc).__name__}: {exc})") from exc
+                raise _FileError(f"{source}: invalid YAML: a tagged value cannot be built "
+                                 f"({type(exc).__name__}: {exc})") from exc
         finally:
             loader.dispose()
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"{source} line {mark.line + 1}" if mark else source
-        raise ConfigError(f"{where}: invalid YAML: {exc}") from exc
+        raise _FileError(f"{where}: invalid YAML: {exc}") from exc
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        raise ConfigError(f"{source} line {line}: not UTF-8 text ({exc.reason})") from None
+        raise _FileError(f"{source} line {line}: not UTF-8 text ({exc.reason})") from None
     return doc, lines
 
 
@@ -428,17 +442,20 @@ def parse_trace(trace, lines, config_dir: Path) -> TraceConfig:
             problem = "path is not a file" if spec_path.exists() else "not found"
             raise DataError(f"synthetic spec {problem}: {spec_path}")
         spec_doc, spec_lines = load_yaml_with_lines(spec_path.read_bytes(), str(spec_path))
-        try:
-            fields["spec"] = parse_spec(spec_doc, spec_lines)
-        except ConfigError as exc:
-            raise ConfigError(f"{spec_path}: {exc}") from None
+        fields["spec"] = _in_file(spec_path, parse_spec, spec_doc, spec_lines)
     return TraceConfig(**{"tz_offset": GEOLIFE_TZ_OFFSET if source == "geolife" else 0.0, **fields})
 
 
 def parse_experiment_config(data: bytes | str, source="<config>", config_dir=Path(".")) -> ExperimentConfig:
+    """The experiment that the YAML ``data`` of file ``source`` declares; each
+    ConfigError names that file, or the spec file it comes from."""
     doc, lines = load_yaml_with_lines(data, source)
+    return _in_file(source, _parse_document, doc, lines, config_dir)
+
+
+def _parse_document(doc, lines, config_dir: Path) -> ExperimentConfig:
     if not isinstance(doc, dict):
-        raise ConfigError(f"{source}: config must be a mapping")
+        raise ConfigError("config must be a mapping")
     doc = dict(doc)
     trace = parse_trace(doc.pop("trace", None), lines, config_dir)
     single = "topologies" not in doc
@@ -458,8 +475,10 @@ def parse_experiment_config(data: bytes | str, source="<config>", config_dir=Pat
     policies = [parse_policy(pd, lines, f"policies[{i}]", name=f"policy{i}", tz_offset=trace.tz_offset)
                 for i, pd in enumerate(pol_docs)]
     names = [p.name for p in policies]
-    if len(set(names)) != len(names):
-        raise ConfigError("policies: names must be unique")
+    for i, name in enumerate(names):
+        if names.index(name) < i:
+            raise _anchored(f"policies[{i}].name: names must be unique, and {name!r} "
+                            f"is also the name of policies[{names.index(name)}]", lines)
     # a predictor, a PLMM and a learning short-pause window key their models by 16-bit node ids
     keyed = [p.name for p in policies if p.predictor != "baseline" or p.startup_mode == "plmm"
              or (p.startup_mode == "short_pause" and p.short_pause_mode != FIXED)]
@@ -559,7 +578,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
             if cid not in clients:
                 raise ConfigError(f"metrics.series_clients: no client {cid!r} in the trace")
             tl = clients[cid]
-            series_step(tl.first_t, cfg.series_bucket)  # a bucket too small to move time
+            # a bucket too small to move time, at the end where floats are farthest apart
+            series_step(max(tl.first_t, tl.last_t, key=abs), cfg.series_bucket)
             span = tl.last_t - tl.first_t
             if span / cfg.series_bucket > MAX_SERIES_POINTS:
                 raise ConfigError(f"metrics.series_bucket: {cfg.series_bucket!r} s over client {cid!r}'s "

@@ -1,14 +1,16 @@
-"""Replica-placement decision logic reacting to simulation events.
+"""Replica-placement decisions, one policy instance per client.
 
-One policy instance serves one client. The reactive baseline keeps a replica
-at the current node only. A policy holds at most two models, both chosen once
-from its config: a next-node predictor (fixed/variable-order or fusion, with
-optional end-of-trip handling, top-N selection and preload-buffer timing)
-that acts on arrivals, and a restart model (``fogrep.startup``: a short-pause
-window or the pause-length model) that acts on session ends. So the combined
-policy is literally the predictive policy during sessions and the retention
-policy at session ends. ``PolicyConfig`` checks every setting when it is
-made, so the models built from it take their settings as given.
+Each handler returns the replicas its client should hold from that event on.
+The engine (``fogrep.simengine``) alone owns replica state: it drops the live
+replicas the list leaves out and keeps retention deadlines, so a decision
+reads the client's timeline only. A policy holds at most two models, both
+chosen once from its config: a next-node predictor (fixed/variable-order or
+fusion, with optional end-of-trip handling, top-N selection and preload-buffer
+timing) that adds targets at arrivals, and a restart model (``fogrep.startup``:
+a short-pause window or the pause-length model) that keeps the copy at a
+session end. The reactive baseline has neither, and the combined policy both.
+``PolicyConfig`` checks every setting when it is made, so the models built
+from it take their settings as given.
 """
 from __future__ import annotations
 
@@ -35,17 +37,12 @@ class Replicate:
 
 
 @dataclass(frozen=True)
-class Delete:
-    node: int
-
-
-@dataclass(frozen=True)
 class Retain:
     node: int
     until: float
 
 
-PlacementAction = Replicate | Delete | Retain
+PlacementAction = Replicate | Retain
 
 
 @dataclass(frozen=True)
@@ -102,10 +99,11 @@ class PolicyConfig:
 class ReplicaPolicy:
     """Per-client decision state; driven by the simulation event loop.
 
-    Each handler reads the client's replicas through ``view``:
-    ``view.present(node)`` is true where a replica is fully available there
-    (including a retained one), and ``view.tracked()`` lists the nodes with
-    any standing (present, retained, or a transfer pending or in flight).
+    A session start or an arrival returns a ``Replicate`` of the current node
+    and of each selected target, at its planned transfer start; a session end
+    returns ``[Retain(node, until)]`` when the restart model keeps the copy,
+    else ``[]``. Whether a wanted copy is present, on its way or retained is
+    the engine's concern (``fogrep.simengine``, where D4's mend goes).
     """
 
     def __init__(self, config: PolicyConfig, transfer_estimate):
@@ -127,88 +125,53 @@ class ReplicaPolicy:
 
     # -- event handlers ------------------------------------------------------
 
-    def on_session_start(self, node, t, view) -> list[PlacementAction]:
-        self._observe_pause(node, t)
+    def on_session_start(self, node, t) -> list[PlacementAction]:
+        if self.restart is not None and self.last_shutdown is not None and t > self.last_shutdown[1]:
+            shutdown_node, end_t = self.last_shutdown
+            self.restart.record(shutdown_node, node, t - end_t)
         self.trip_start = t
         self.trip_nodes = [node]
         self._trip_visits = [[node, t, None]]
-        return self._arrival_actions(node, t, view)
+        return self._arrival_actions(node, t)
 
-    def on_arrival(self, node, t, view) -> list[PlacementAction]:
+    def on_arrival(self, node, t) -> list[PlacementAction]:
         self._trip_visits[-1][2] = t
         self._trip_visits.append([node, t, None])
         self.trip_nodes.append(node)
-        return self._arrival_actions(node, t, view)
+        return self._arrival_actions(node, t)
 
-    def on_session_end(self, node, t, view) -> list[PlacementAction]:
+    def on_session_end(self, node, t) -> list[PlacementAction]:
         self._trip_visits[-1][2] = t
-        actions: list[PlacementAction] = []
-        for other in sorted(view.tracked()):
-            if other != node:
-                actions.append(Delete(other))
-        until = self._retention_until(node, t)
-        if until is not None and until > t:
-            actions.append(Retain(node, until))
-        elif node in view.tracked():
-            actions.append(Delete(node))
-        self._train()
+        until = None if self.restart is None else self.restart.until(node, t)
+        if self.predictor is not None:
+            self.predictor.train_session([NodeVisit(*v) for v in self._trip_visits], self.trip_start)
         self.last_shutdown = (node, t)
         self.trip_start = None
         self.trip_nodes = []
         self._trip_visits = []
-        return actions
+        return [Retain(node, until)] if until is not None and until > t else []
 
     # -- internals -----------------------------------------------------------
 
-    def _observe_pause(self, startup_node, t):
-        if self.restart is not None and self.last_shutdown is not None:
-            shutdown_node, end_t = self.last_shutdown
-            if t > end_t:
-                self.restart.record(shutdown_node, startup_node, t - end_t)
-
-    def _arrival_actions(self, node, t, view) -> list[PlacementAction]:
-        selected: list[int] = []
-        stays: dict[int, float | None] = {}
-        preds = None
-        if self.predictor is not None:
-            preds = self.predictor.predict(self.trip_nodes, self.trip_start)
-        if preds:
-            cfg = self.config
-            if cfg.topn_mode == "dynamic":
-                targets = dynamic_topn(preds, threshold=cfg.topn_threshold,
-                                       include_eot=cfg.topn_include_eot)
-            else:
-                targets = dynamic_topn(preds, fixed_n=cfg.topn_n)
-            if not (cfg.eot and targets and targets[0] == EOT):
-                # a predicted trip end schedules nothing at all
-                selected = [x for x in targets if x != EOT]
-                stays = {p.target: p.expected_stay for p in preds}
-        actions: list[PlacementAction] = []
-        justified = {node} | set(selected)
-        for other in sorted(view.tracked()):
-            if other not in justified:
-                actions.append(Delete(other))
-        if not view.present(node):
-            actions.append(Replicate(node, t))
-        for target in selected:
-            if target == node or view.present(target):
-                continue
-            stay = stays.get(target)
-            if stay is None:
-                at = t
-            else:
-                at = max(t, t + stay - self.transfer_estimate(target) - self.config.preload_buffer)
-            actions.append(Replicate(target, at))
+    def _arrival_actions(self, node, t) -> list[PlacementAction]:
+        actions: list[PlacementAction] = [Replicate(node, t)]
+        preds = None if self.predictor is None else self.predictor.predict(self.trip_nodes, self.trip_start)
+        if not preds:
+            return actions
+        cfg = self.config
+        if cfg.topn_mode == "dynamic":
+            targets = dynamic_topn(preds, threshold=cfg.topn_threshold, include_eot=cfg.topn_include_eot)
+        else:
+            targets = dynamic_topn(preds, fixed_n=cfg.topn_n)
+        if cfg.eot and targets and targets[0] == EOT:
+            return actions  # a predicted trip end schedules nothing at all
+        stays = {p.target: p.expected_stay for p in preds}
+        for target in targets:
+            if target not in (node, EOT):
+                stay = stays[target]
+                at = t if stay is None else max(t, t + stay - self.transfer_estimate(target) - cfg.preload_buffer)
+                actions.append(Replicate(target, at))
         return actions
-
-    def _retention_until(self, node, t) -> float | None:
-        return None if self.restart is None else self.restart.until(node, t)
-
-    def _train(self):
-        if self.predictor is None:
-            return
-        visits = [NodeVisit(*v) for v in self._trip_visits]
-        self.predictor.train_session(visits, self.trip_start)
 
     def memory_bytes(self) -> int:
         return sum(model.memory_bytes() for model in (self.predictor, self.restart)

@@ -12,15 +12,19 @@ completing exactly at the arrival it targets therefore counts as available.
 The loop walks the client's timeline (session starts, arrivals, session ends)
 in its own order, so a zero-length first visit's session start comes before
 the next visit's arrival at the same time, where the tie order of kinds would
-not. Only live replicas (a transfer pending or in flight, or a copy present)
-have a state, and each holds its one next scheduled event: a transfer start,
-completion or retention expiry. Before each timeline event, and at the end up
-to the horizon, the loop runs the smallest of these events that comes before
-it in the tie order, again and again, since each may schedule another.
-Planning a replica again replaces its event, and dropping it removes it. A
-retained replica is one with a deadline: a present copy waits for its expiry,
+not. At each of these events the client's policy returns the replicas it
+wants (see ``ReplicaPolicy``); the engine drops every live replica the list
+does not name, in node order, and then applies the list. Only live replicas
+(a transfer pending or in flight, or a copy present) have a state, and each
+holds its one next scheduled event: a transfer start, completion or retention
+expiry. Before each timeline event, and at the end up to the horizon, the
+loop runs the smallest of these events that comes before it in the tie order,
+again and again, since each may schedule another. Planning a replica again
+replaces its event, and dropping it removes it. Retention is engine state: a
+retained replica is one with a deadline. A present copy waits for its expiry,
 an in-flight one keeps the deadline until it completes, and the client's
-return to the node drops it.
+return to the node drops it, but a later event that wants the copy does not
+(ROADMAP's D4; its mend clears the deadline in ``_apply``'s ``Replicate``).
 
 The global event log merges the clients' logs by taking the smallest next
 event by (time, kind, client) each time. That replays one queue shared by all
@@ -34,7 +38,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ConfigError, EngineInvariantError
-from .policies import Delete, PolicyConfig, Replicate, ReplicaPolicy, Retain
+from .policies import PolicyConfig, Replicate, ReplicaPolicy, Retain
 from .topology import FixedDelay, Topology, transfer_time
 
 # event kinds, in tie-break order
@@ -90,8 +94,7 @@ class _NodeState:
 
 
 class _ClientRun:
-    """One client's event loop; also the view of its replicas that its
-    policy's handlers read (see ``ReplicaPolicy``)."""
+    """One client's event loop and the only owner of its replicas."""
 
     def __init__(self, timeline, policy, ttime, ledger, record_log):
         self.client = timeline.client_id
@@ -102,13 +105,6 @@ class _ClientRun:
         self.log: list[EventRecord] | None = [] if record_log else None
         self._states: dict[int, _NodeState] = {}
         self._order = itertools.count()  # scheduling order
-
-    def present(self, node) -> bool:
-        st = self._states.get(node)
-        return st is not None and st.status == _PRESENT
-
-    def tracked(self):
-        return list(self._states)
 
     def _close(self, node, t):
         """Drop a replica; a present copy leaves its presence interval."""
@@ -135,7 +131,10 @@ class _ClientRun:
                 st.retained_until = None
                 if st.status == _PRESENT:
                     st.next = None  # and so does its expiry
-            for action in handlers[kind](node, t, self):
+            actions = handlers[kind](node, t)
+            for other in sorted(self._states.keys() - {action.node for action in actions}):
+                self._close(other, t)
+            for action in actions:
                 self._apply(t, action)
             if self.log is not None:
                 self.log.append(EventRecord(t, self.client, KIND_NAMES[kind], node))
@@ -184,9 +183,6 @@ class _ClientRun:
             elif st.status != _PENDING or at == st.next[0]:
                 return  # a copy is there or on its way, or this start is planned already
             st.next = (at, TRANSFER_START, next(self._order))
-        elif isinstance(action, Delete):
-            if st is not None:
-                self._close(node, now)
         elif isinstance(action, Retain):
             if st is None:
                 return

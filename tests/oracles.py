@@ -38,7 +38,7 @@ from fogrep.markov import (EOT, TARGET_BYTES, Context,
                            MarkovPredictor, Prediction, SubModelSpec,
                            TargetRecord, bucketize, check_kind)
 from fogrep.metrics import active_time, compute_report, covered_time, point_report
-from fogrep.policies import Delete, PolicyConfig, Replicate, ReplicaPolicy, Retain
+from fogrep.policies import PolicyConfig, Replicate, ReplicaPolicy, Retain
 from fogrep.simengine import (ARRIVAL, KIND_NAMES, RETENTION_EXPIRE, SESSION_END,
                               SESSION_START, TRANSFER_COMPLETE, TRANSFER_START, EventRecord,
                               merge_event_logs)
@@ -46,21 +46,6 @@ from fogrep.topology import FixedDelay, build_grid, transfer_time
 from fogrep.traces import ClientTimeline, NodeVisit, Pause, parse_plt_rows
 
 _START, _ARRIVE, _END = "start", "arrive", "end"
-
-
-class _SetView:
-    def __init__(self, pending, inflight, present, retained):
-        self._pending = pending
-        self._inflight = inflight
-        self._present = present
-        self._retained = retained
-
-    def present(self, node):
-        return node in self._present or node in self._retained
-
-    def tracked(self):
-        return sorted(set(self._pending) | set(self._inflight)
-                      | set(self._present) | set(self._retained))
 
 
 def brute_force_run(timelines, topology, network, config: PolicyConfig) -> dict:
@@ -75,9 +60,10 @@ def brute_force_run(timelines, topology, network, config: PolicyConfig) -> dict:
         inflight: dict[int, list] = {}   # node -> [complete_t, retained_until|None]
         present: dict[int, float] = {}   # node -> open_since
         retained: dict[int, tuple] = {}  # node -> (open_since, until)
-        view = _SetView(pending, inflight, present, retained)
 
         def close(node, t):
+            pending.pop(node, None)
+            inflight.pop(node, None)
             if node in present:
                 open_since = present.pop(node)
             elif node in retained:
@@ -98,16 +84,10 @@ def brute_force_run(timelines, topology, network, config: PolicyConfig) -> dict:
                     inflight[node] = [now + ttime(node), None]
                 else:
                     pending[node] = action.at
-            elif isinstance(action, Delete):
-                close(node, now)
-                pending.pop(node, None)
-                inflight.pop(node, None)
             elif isinstance(action, Retain):
                 assert action.until == int(action.until), "oracle needs integer times"
                 if action.until <= now:
                     close(node, now)
-                    pending.pop(node, None)
-                    inflight.pop(node, None)
                 elif node in present:
                     retained[node] = (present.pop(node), action.until)
                 elif node in retained:
@@ -141,11 +121,14 @@ def brute_force_run(timelines, topology, network, config: PolicyConfig) -> dict:
                 elif node in inflight and inflight[node][1] is not None:
                     inflight[node][1] = None
                 if kind == _START:
-                    actions = policy.on_session_start(node, float(t), view)
+                    actions = policy.on_session_start(node, float(t))
                 elif kind == _ARRIVE:
-                    actions = policy.on_arrival(node, float(t), view)
+                    actions = policy.on_arrival(node, float(t))
                 else:
-                    actions = policy.on_session_end(node, float(t), view)
+                    actions = policy.on_session_end(node, float(t))
+                held = set(pending) | set(inflight) | set(present) | set(retained)
+                for other in sorted(held - {action.node for action in actions}):
+                    close(other, t)
                 for action in actions:
                     apply(action, t)
             for node in sorted(n for n, (_, u) in retained.items() if u == t):
@@ -693,8 +676,7 @@ class _NodeState:
 
 
 class _ClientRun:
-    """One client's event loop; also the view of its replicas that its
-    policy's handlers read (see ``ReplicaPolicy``)."""
+    """One client's event loop and the only owner of its replicas."""
 
     def __init__(self, timeline, policy, ttime, ledger, record_log):
         self.client = timeline.client_id
@@ -706,13 +688,6 @@ class _ClientRun:
         self._states: dict[int, _NodeState] = {}
         self._heap: list = []
         self._seq = 0
-
-    def present(self, node) -> bool:
-        st = self._states.get(node)
-        return st is not None and st.status == _PRESENT
-
-    def tracked(self):
-        return list(self._states)
 
     def _push(self, t, kind, node) -> int:
         """Schedule an event; returns its id."""
@@ -779,13 +754,15 @@ class _ClientRun:
             if st.status == _PRESENT:
                 st.event = None  # a retention expiry goes stale
         if kind == SESSION_START:
-            actions = self.policy.on_session_start(node, t, self)
+            actions = self.policy.on_session_start(node, t)
         elif kind == ARRIVAL:
-            actions = self.policy.on_arrival(node, t, self)
+            actions = self.policy.on_arrival(node, t)
         elif kind == SESSION_END:
-            actions = self.policy.on_session_end(node, t, self)
+            actions = self.policy.on_session_end(node, t)
         else:
             raise EngineInvariantError(f"unknown event kind {kind}")
+        for other in sorted(self._states.keys() - {action.node for action in actions}):
+            self._close(other, t)
         for action in actions:
             self._apply(t, action)
         return True
@@ -803,9 +780,6 @@ class _ClientRun:
                 return  # a copy is there or on its way, or this start is planned already
             st.pending_start = at
             st.event = self._push(at, TRANSFER_START, node)
-        elif isinstance(action, Delete):
-            if st is not None:
-                self._close(node, now)
         elif isinstance(action, Retain):
             if st is None:
                 return

@@ -230,6 +230,25 @@ class TestRun:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("config error: metrics.series_bucket: a step of 1e-09 s ")
 
+    @pytest.mark.parametrize("first, last, end", [
+        (1073741823.95, 1073741824.05, 1073741824.05),
+        (-1073741824.05, -1073741823.95, -1073741824.05),
+    ], ids=["last", "first-when-negative"])
+    def test_series_bucket_is_checked_where_floats_are_farthest_apart(self, tmp_path, capsys, monkeypatch,
+                                                                       first, last, end):
+        # 1e-7 s advances time below 2**30 s, where floats are 2**-23 s apart,
+        # but not above it, where they are 2**-22 s apart
+        (tmp_path / "visits.csv").write_text("client_id,session_id,node_id,arrival_epoch_s,departure_epoch_s\n"
+                                             f"c,0,0,{first!r},{last!r}\n")
+        cfg = tmp_path / "tiny.yaml"
+        cfg.write_text(error_config(top="metrics: {series_clients: [c], series_bucket: 1.0e-7}"))
+        calls = []
+        monkeypatch.setattr(experiment, "run_simulation", lambda *args, **kwargs: calls.append(args))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: metrics.series_bucket: a step of 1e-07 s does not advance past {end!r}\n"
+        assert calls == []  # before any client runs
+
     def test_series_bucket_with_too_many_points_is_a_config_error(self, tmp_path, capsys):
         # Monday 08:00 to Tuesday 08:01 in 0.05 s buckets is 1,729,200 points
         cfg = tmp_path / "fine.yaml"
@@ -588,7 +607,7 @@ class TestIngest:
             "policies: [{name: baseline}]\n")
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == \
-            "config error: trace.clients: expected a list of at least one item, got [] (line 5)\n"
+            f"config error: {cfg}: trace.clients: expected a list of at least one item, got [] (line 5)\n"
 
     def test_ingest_without_numpy_is_a_config_error(self, tmp_path):
         script = ("import sys\n"
@@ -889,8 +908,28 @@ class TestConfigErrors:
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(error_config(policy=f"startup: {{type: short_pause, mode: {mode}, min_samples: 5}}"))
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == ("config error: policies[0].startup.min_samples: "
+        assert capsys.readouterr().err == (f"config error: {cfg}: policies[0].startup.min_samples: "
                                            f"not read when startup.mode is '{mode}' (line 10)\n")
+
+    def test_duplicate_policy_name_names_the_file_the_duplicate_and_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(error_config(policy="predictor: baseline\n  - name: q\n  - name: p"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (f"config error: {cfg}: policies[2].name: names must be unique, "
+                                           "and 'p' is also the name of policies[0] (line 12)\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_parse_error_in_a_spec_file_names_that_file_once(self, tmp_path, capsys):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text("clients:\n"
+                        "  - client: c\n"
+                        "    weeks: 0\n"
+                        "    patterns: [{days: [mon], start: '08:00', path: [[0, 60]]}]\n")
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(error_config(trace="{source: synthetic, spec: spec.yaml}"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {spec}: clients[0].weeks: ") and err.endswith(" (line 3)\n")
 
     def test_key_given_twice_in_a_spec_file_is_a_config_error(self, tmp_path, capsys):
         spec = tmp_path / "spec.yaml"
@@ -923,7 +962,7 @@ class TestConfigErrors:
             "trace: {source: visits, path: v.csv}\ntopology: {rows: 300, cols: 300}\n"
             "policies:\n  - {name: p, startup: {type: short_pause, mode: fixed}}\n")
         assert fixed.topologies[0].rows * fixed.topologies[0].cols == 90000
-        with pytest.raises(ConfigError, match=r"^topology\.rows: 70000 x 1 nodes do not fit .* \(line 3\)$"):
+        with pytest.raises(ConfigError, match=r"^<config>: topology\.rows: 70000 x 1 nodes do not fit .* \(line 3\)$"):
             parse_experiment_config("trace: {source: visits, path: v.csv}\ntopology:\n  rows: 70000\n  cols: 1\n"
                                     f"policies:\n  - {{name: p, {vomm}}}\n")
 
@@ -1024,7 +1063,7 @@ class TestOutputNames:
                        + "policies:\n" + "".join(f"  - {{name: {p}}}\n" for p in policies))
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == \
-            f"config error: {first} and {second} both write the directory {directory!r}\n"
+            f"config error: {cfg}: {first} and {second} both write the directory {directory!r}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("plot, taken", [
@@ -1038,7 +1077,7 @@ class TestOutputNames:
         cfg = tmp_path / "plot.yaml"
         cfg.write_text(text.replace("plot: pareto.svg", f"plot: {plot}"))
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == f"config error: plot: {plot!r} would overwrite {taken} (line {line})\n"
+        assert capsys.readouterr().err == f"config error: {cfg}: plot: {plot!r} would overwrite {taken} (line {line})\n"
         assert not (tmp_path / "out").exists()
 
     def test_plot_escapes_names(self, tmp_path):

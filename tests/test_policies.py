@@ -3,26 +3,44 @@ import pytest
 from fogrep.errors import ConfigError
 from fogrep.experiment import parse_policy
 from fogrep.markov import EOT
-from fogrep.policies import Delete, PolicyConfig, Replicate, ReplicaPolicy, Retain
-from fogrep.traces import NodeVisit
+from fogrep.policies import PolicyConfig, Replicate, ReplicaPolicy, Retain
+from fogrep.simengine import run
+from fogrep.topology import FixedDelay, build_grid
+from fogrep.traces import ClientTimeline, NodeVisit, Pause
 
 A, B, C, D = 0, 1, 2, 3
 
+COMMUTE = ((A, 600.0), (B, 600.0), (C, 600.0))
 
-class FakeView:
-    def __init__(self, present=(), tracked_only=()):
-        self._present = set(present)
-        self._tracked = set(present) | set(tracked_only)
 
-    def present(self, node):
-        return node in self._present
+def engine_run(config, *sessions, transfer=300.0):
+    """``simengine.run`` of one client on a 1x4 grid; sessions are lists of
+    (node, arrival, departure)."""
+    visits = [[NodeVisit(n, float(a), float(d)) for n, a, d in sess] for sess in sessions]
+    pauses = [Pause("c", before[-1].node, before[-1].departure, after[0].arrival)
+              for before, after in zip(visits, visits[1:])]
+    return run([ClientTimeline("c", visits, pauses)], build_grid(1, 4, (0.0, 1.0, 0.0, 1.0)),
+               FixedDelay(transfer), config)
 
-    def tracked(self):
-        return sorted(self._tracked)
+
+def commute_sessions(days, path=COMMUTE, pause=80000.0):
+    """The sessions ``train_commute`` drives, as engine input, and the time after them."""
+    sessions, t = [], 0.0
+    for _ in range(days):
+        session = []
+        for node, stay in path:
+            session.append((node, t, t + stay))
+            t += stay
+        sessions.append(session)
+        t += pause
+    return sessions, t
+
+
+BASELINE = PolicyConfig()
 
 
 def baseline():
-    return ReplicaPolicy(PolicyConfig(), lambda node: 0.0)
+    return ReplicaPolicy(BASELINE, lambda node: 0.0)
 
 
 def predictive(transfer=300.0, **kwargs):
@@ -32,41 +50,50 @@ def predictive(transfer=300.0, **kwargs):
     return ReplicaPolicy(cfg, transfer_estimate=lambda node: transfer)
 
 
-def train_commute(policy, days=2, path=((A, 600.0), (B, 600.0), (C, 600.0)), pause=80000.0):
+def train_commute(policy, days=2, path=COMMUTE, pause=80000.0):
     """Drive full sessions through the policy so its model learns the route."""
-    t = 0.0
-    for _ in range(days):
-        nodes = [n for n, _ in path]
-        policy.on_session_start(nodes[0], t, FakeView())
-        tt = t
-        for (n0, stay), n1 in zip(path, nodes[1:]):
-            tt += stay
-            policy.on_arrival(n1, tt, FakeView(present={n0}))
-        policy.on_session_end(nodes[-1], tt + path[-1][1], FakeView(present={nodes[-1]}))
-        t = tt + path[-1][1] + pause
+    sessions, t = commute_sessions(days, path, pause)
+    for session in sessions:
+        policy.on_session_start(session[0][0], session[0][1])
+        for node, arrival, _ in session[1:]:
+            policy.on_arrival(node, arrival)
+        policy.on_session_end(session[-1][0], session[-1][2])
     return t
 
 
 class TestBaseline:
     def test_cold_start_replicates(self):
-        actions = baseline().on_session_start(A, 100.0, FakeView())
+        actions = baseline().on_session_start(A, 100.0)
         assert actions == [Replicate(A, 100.0)]
 
     def test_retained_hit_needs_no_replicate(self):
-        actions = baseline().on_session_start(A, 100.0, FakeView(present={A}))
-        assert actions == []
+        # the handler wants A again at the restart; the engine has it retained,
+        # so no transfer starts for it
+        config = PolicyConfig(startup_mode="short_pause", short_pause_duration=600.0)
+        policy = ReplicaPolicy(config, lambda node: 0.0)
+        policy.on_session_start(A, 0.0)
+        policy.on_session_end(A, 1000.0)
+        assert policy.on_session_start(A, 1400.0) == [Replicate(A, 1400.0)]
+        result = engine_run(config, [(A, 0, 1000)], [(A, 1400, 2000)])
+        assert [(e.t, e.node) for e in result.event_log if e.kind == "TransferStart"] == [(0.0, A)]
+        assert result.ledger[("c", A)] == [(300.0, 2000.0)]
 
     def test_arrival_drops_previous(self):
         policy = baseline()
-        policy.on_session_start(A, 0.0, FakeView())
-        actions = policy.on_arrival(B, 50.0, FakeView(present={A}))
-        assert actions == [Delete(A), Replicate(B, 50.0)]
+        policy.on_session_start(A, 0.0)
+        actions = policy.on_arrival(B, 50.0)
+        assert actions == [Replicate(B, 50.0)]
+        # the engine drops the copy at A, which the handler no longer names
+        result = engine_run(BASELINE, [(A, 0, 500), (B, 500, 1000)])
+        assert result.ledger[("c", A)] == [(300.0, 500.0)]
 
     def test_session_end_deletes(self):
         policy = baseline()
-        policy.on_session_start(A, 0.0, FakeView())
-        actions = policy.on_session_end(A, 500.0, FakeView(present={A}))
-        assert actions == [Delete(A)]
+        policy.on_session_start(A, 0.0)
+        actions = policy.on_session_end(A, 500.0)
+        assert actions == []
+        result = engine_run(BASELINE, [(A, 0, 500)], [(B, 1000, 2000)])
+        assert result.ledger[("c", A)] == [(300.0, 500.0)]
 
     def test_no_memory(self):
         assert baseline().memory_bytes() == 0
@@ -75,16 +102,15 @@ class TestBaseline:
 class TestPredictive:
     def test_untrained_behaves_as_baseline(self):
         policy = predictive()
-        assert policy.on_session_start(A, 0.0, FakeView()) == [Replicate(A, 0.0)]
-        actions = policy.on_arrival(B, 60.0, FakeView(present={A}))
-        assert actions == [Delete(A), Replicate(B, 60.0)]
+        assert policy.on_session_start(A, 0.0) == [Replicate(A, 0.0)]
+        assert policy.on_arrival(B, 60.0) == [Replicate(B, 60.0)]
 
     def test_preload_timing_rule(self):
         # expected stay 600, transfer 300, buffer 10 -> replicate at t + 290
         policy = predictive(transfer=300.0, preload_buffer=10.0)
         train_commute(policy, days=1)
         t0 = 1_000_000.0
-        actions = policy.on_session_start(A, t0, FakeView())
+        actions = policy.on_session_start(A, t0)
         assert Replicate(A, t0) in actions
         assert Replicate(B, t0 + 600.0 - 300.0 - 10.0) in actions
 
@@ -92,42 +118,43 @@ class TestPredictive:
         policy = predictive(transfer=300.0, preload_buffer=86400.0)
         train_commute(policy, days=1)
         t0 = 1_000_000.0
-        actions = policy.on_session_start(A, t0, FakeView())
+        actions = policy.on_session_start(A, t0)
         assert Replicate(B, t0) in actions
 
     def test_buffer_larger_than_lead_clamps_to_now(self):
         policy = predictive(transfer=300.0, preload_buffer=500.0)
         train_commute(policy, days=1)
         t0 = 2_000.0
-        actions = policy.on_session_start(A, t0, FakeView())
+        actions = policy.on_session_start(A, t0)
         assert Replicate(B, t0) in actions
 
     def test_eot_top1_schedules_nothing(self):
         policy = predictive(eot=True, topn_mode="dynamic", topn_threshold=0.9)
         train_commute(policy, days=3)
         # at the end of the commute path, C's only successor in training is EOT
-        policy.on_session_start(A, 10_000_000.0, FakeView())
-        policy.on_arrival(B, 10_000_600.0, FakeView(present={A}))
-        actions = policy.on_arrival(C, 10_001_200.0, FakeView(present={B}))
-        replicates = [a for a in actions if isinstance(a, Replicate)]
-        assert replicates == [Replicate(C, 10_001_200.0)]
+        policy.on_session_start(A, 10_000_000.0)
+        policy.on_arrival(B, 10_000_600.0)
+        actions = policy.on_arrival(C, 10_001_200.0)
+        assert actions == [Replicate(C, 10_001_200.0)]
 
     def test_unjustified_predicted_replicas_deleted_on_next_arrival(self):
         policy = predictive()
-        train_commute(policy, days=2)
-        t0 = 20_000_000.0
-        policy.on_session_start(A, t0, FakeView())
-        # the preload for B is pending/in-flight; client unexpectedly moves to D
-        actions = policy.on_arrival(D, t0 + 60.0, FakeView(present={A}, tracked_only={B}))
-        deletes = {a.node for a in actions if isinstance(a, Delete)}
-        assert {A, B} <= deletes
+        t0 = train_commute(policy, days=2)
+        assert Replicate(B, t0) in policy.on_session_start(A, t0)
+        # the preload for B is in flight when the client unexpectedly moves to D
+        assert policy.on_arrival(D, t0 + 60.0) == [Replicate(D, t0 + 60.0)]
+        sessions, t0 = commute_sessions(days=2)
+        result = engine_run(policy.config, *sessions, [(A, t0, t0 + 60), (D, t0 + 60, t0 + 660)])
+        day3 = [(e.t, e.kind) for e in result.event_log if e.t >= t0 and e.node in (A, B)]
+        assert day3 == [(t0, "SessionStart"), (t0, "TransferStart"), (t0, "TransferStart")]
+        assert all(b <= t0 for node in (A, B) for _, b in result.ledger[("c", node)])
 
     def test_fixed_top1_single_replication(self):
         policy = predictive(topn_mode="fixed", topn_n=1, eot=False,
                             preload_buffer=86400.0)
         train_commute(policy, days=2)
         t0 = 30_000_000.0
-        actions = policy.on_session_start(A, t0, FakeView())
+        actions = policy.on_session_start(A, t0)
         replicates = [a for a in actions if isinstance(a, Replicate) and a.node != A]
         assert len(replicates) == 1
 
@@ -142,37 +169,43 @@ class TestSessionEnd:
     def test_short_pause_fixed_retains(self):
         policy = ReplicaPolicy(PolicyConfig(
             startup_mode="short_pause", short_pause_mode="fixed", short_pause_duration=600.0), lambda node: 0.0)
-        policy.on_session_start(A, 0.0, FakeView())
-        actions = policy.on_session_end(A, 1000.0, FakeView(present={A}))
+        policy.on_session_start(A, 0.0)
+        actions = policy.on_session_end(A, 1000.0)
         assert actions == [Retain(A, 1600.0)]
 
     def test_plmm_mismatch_deletes(self):
-        policy = ReplicaPolicy(PolicyConfig(startup_mode="plmm"), lambda node: 0.0)
+        config = PolicyConfig(startup_mode="plmm")
+        policy = ReplicaPolicy(config, lambda node: 0.0)
         # teach the pause model that shutting down at A restarts at B
-        policy.on_session_start(A, 0.0, FakeView())
-        policy.on_session_end(A, 100.0, FakeView(present={A}))
-        policy.on_session_start(B, 400.0, FakeView())
-        policy.on_session_end(B, 500.0, FakeView(present={B}))
-        policy.on_session_start(A, 900.0, FakeView())
-        actions = policy.on_session_end(A, 1000.0, FakeView(present={A}))
-        assert actions == [Delete(A)]
+        sessions = [[(A, 0, 1000)], [(B, 1400, 2400)], [(A, 2800, 3800)], [(B, 4200, 5200)]]
+        for (session,) in sessions[:3]:
+            policy.on_session_start(session[0], float(session[1]))
+            actions = policy.on_session_end(session[0], float(session[2]))
+        assert actions == []
+        # the engine drops A's copy at the session end
+        result = engine_run(config, *sessions)
+        assert result.ledger[("c", A)] == [(300.0, 1000.0), (3100.0, 3800.0)]
 
     def test_plmm_match_retains_padded(self):
         policy = ReplicaPolicy(PolicyConfig(startup_mode="plmm", plmm_threshold=1500.0), lambda node: 0.0)
-        policy.on_session_start(A, 0.0, FakeView())
-        policy.on_session_end(A, 100.0, FakeView(present={A}))
-        policy.on_session_start(A, 700.0, FakeView())  # pause 600 at same node
-        actions = policy.on_session_end(A, 800.0, FakeView(present={A}))
+        policy.on_session_start(A, 0.0)
+        policy.on_session_end(A, 100.0)
+        policy.on_session_start(A, 700.0)  # pause 600 at same node
+        actions = policy.on_session_end(A, 800.0)
         assert actions == [Retain(A, 800.0 + 600.0 * 1.5)]
 
     def test_outstanding_predictions_deleted_at_end(self):
         policy = predictive(startup_mode="none")
-        train_commute(policy, days=1)
-        t0 = 40_000_000.0
-        policy.on_session_start(A, t0, FakeView())
-        actions = policy.on_session_end(A, t0 + 50.0, FakeView(present={A}, tracked_only={B}))
-        assert Delete(B) in actions
-        assert Delete(A) in actions
+        t0 = train_commute(policy, days=1)
+        assert Replicate(B, t0) in policy.on_session_start(A, t0)
+        assert policy.on_session_end(A, t0 + 50.0) == []
+        # B's preload is in flight at the session end: the engine drops it
+        sessions, t0 = commute_sessions(days=1)
+        result = engine_run(policy.config, *sessions, [(A, t0, t0 + 50)], [(C, t0 + 1000, t0 + 2000)])
+        assert [(e.t, e.kind, e.node) for e in result.event_log if t0 <= e.t < t0 + 1000] == [
+            (t0, "SessionStart", A), (t0, "TransferStart", A), (t0, "TransferStart", B),
+            (t0 + 50.0, "SessionEnd", A)]
+        assert all(b <= t0 for node in (A, B) for _, b in result.ledger[("c", node)])
 
 
 class TestCombinationComposes:
@@ -190,12 +223,10 @@ class TestCombinationComposes:
             train_commute(policy, days=2)
         t0 = 50_000_000.0
         for policy in (combo, pure_pred, pure_pause):
-            policy.on_session_start(A, t0, FakeView())
-        view = FakeView(present={A})
-        assert combo.on_arrival(B, t0 + 600.0, view) == pure_pred.on_arrival(B, t0 + 600.0, view)
-        end_view = FakeView(present={B})
-        combo_end = combo.on_session_end(B, t0 + 1200.0, end_view)
-        pause_end = pure_pause.on_session_end(B, t0 + 1200.0, end_view)
+            policy.on_session_start(A, t0)
+        assert combo.on_arrival(B, t0 + 600.0) == pure_pred.on_arrival(B, t0 + 600.0)
+        combo_end = combo.on_session_end(B, t0 + 1200.0)
+        pause_end = pure_pause.on_session_end(B, t0 + 1200.0)
         assert combo_end == pause_end == [Retain(B, t0 + 1800.0)]
 
 
@@ -254,17 +285,17 @@ class TestCausality:
         def drive(policy, steps):
             log = []
             events = [
-                ("start", A, 0.0, FakeView()),
-                ("arrive", B, 600.0, FakeView(present={A})),
-                ("end", B, 1200.0, FakeView(present={B})),
-                ("start", B, 2000.0, FakeView()),
-                ("arrive", C, 2600.0, FakeView(present={B})),
-                ("end", C, 3200.0, FakeView(present={C})),
+                ("start", A, 0.0),
+                ("arrive", B, 600.0),
+                ("end", B, 1200.0),
+                ("start", B, 2000.0),
+                ("arrive", C, 2600.0),
+                ("end", C, 3200.0),
             ]
-            for kind, node, t, view in events[:steps]:
+            for kind, node, t in events[:steps]:
                 fn = {"start": policy.on_session_start, "arrive": policy.on_arrival,
                       "end": policy.on_session_end}[kind]
-                log.append(fn(node, t, view))
+                log.append(fn(node, t))
             return log
 
         full = drive(predictive(), 6)

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import io
+import math
 import random
 from types import SimpleNamespace
 
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from fogrep import simengine
 from fogrep.errors import ConfigError, EngineInvariantError
+from fogrep.metrics import covered_time, presence_time
 from fogrep.policies import PolicyConfig, Replicate, ReplicaPolicy
 from fogrep.simengine import (EventRecord, check_ledger, merge_event_logs, run,
                               snapshot_memory, write_event_log_csv)
@@ -51,7 +54,7 @@ def script(monkeypatch):
         def __init__(self, config, transfer_estimate):
             pass
 
-        def on_session_start(self, node, t, view):
+        def on_session_start(self, node, t):
             return actions.get(t, [])
 
         on_arrival = on_session_end = on_session_start
@@ -177,10 +180,11 @@ class TestReferenceEngine:
         assert (result.ledger, result.event_log) == reference_run(timelines, topo, network, config)
 
     def test_same_time_starts_run_in_scheduling_order(self, script):
-        # B is planned for 900 and C for 1000, then B again for 1000: both
-        # start at 1000, C first, although B comes first among the replicas
+        # B is planned for 900 and C for 1000, then B again for 1000 while C
+        # keeps its plan: both start at 1000, C first, although B comes first
+        # among the replicas
         script[0.0] = [Replicate(B, 900.0), Replicate(C, 1000.0)]
-        script[500.0] = [Replicate(B, 1000.0)]
+        script[500.0] = [Replicate(B, 1000.0), Replicate(C, 1000.0)]
         tl = timeline("c", [(A, 0, 500), (B, 500, 2000)])
         result = run([tl], topo3(), FixedDelay(300.0), BASELINE)
         assert [(e.t, e.kind, e.node) for e in result.event_log] == [
@@ -367,6 +371,42 @@ class TestCausality:
                        e.client in {tl.client_id for tl in truncated}]
         part_events = [e for e in part.event_log if e.t < horizon]
         assert part_events == full_events
+
+
+class TestSweepProperties:
+    """Predictions read only the timeline, never the replicas, so on one
+    timeline more of a knob should never cover less (ROADMAP item 1). Sums
+    are compared, not ratios: on these integer-second scenarios they are exact."""
+
+    @staticmethod
+    def sums(timelines, topo, network, config):
+        ledger = run(timelines, topo, network, config).ledger
+        return [(covered_time(ledger, tl), presence_time(ledger, tl.client_id)) for tl in timelines]
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           make=st.sampled_from([make_micro_scenario, make_rescheduling_scenario, make_zero_stay_scenario]))
+    def test_covered_and_presence_time_do_not_drop_as_preload_buffer_grows(self, seed, make):
+        timelines, topo, network, config = make(random.Random(seed))
+        runs = [self.sums(timelines, topo, network, dataclasses.replace(config, preload_buffer=buffer))
+                for buffer in (0.0, 10.0, 60.0, 300.0, 86400.0, math.inf)]
+        for smaller, larger in zip(runs, runs[1:]):
+            for (covered, presence), (covered_more, presence_more) in zip(smaller, larger):
+                assert covered <= covered_more and presence <= presence_more
+
+    @pytest.mark.xfail(strict=True, reason="D4")
+    def test_longer_short_pause_window_covers_no_less(self):
+        # ROADMAP's minimal D4 case: with the 600 s window node 0's copy is
+        # retained until 1166, wanted again at 1166 and yet expires then, so
+        # the visit at 1406 is never covered; the 60 s window covers 60 s
+        tl = timeline("c", [(2, 206, 446), (0, 446, 566)], [(2, 1166, 1406), (0, 1406, 1526)])
+        covered = {}
+        for duration in (60.0, 600.0):
+            config = PolicyConfig(name="d4", predictor="vomm", k=2, eot=True, topn_mode="dynamic",
+                                  topn_threshold=1.0, preload_buffer=86400.0, startup_mode="short_pause",
+                                  short_pause_mode="fixed", short_pause_duration=duration)
+            covered[duration] = covered_time(run([tl], topo3(), FixedDelay(300.0), config).ledger, tl)
+        assert covered[600.0] >= covered[60.0]
 
 
 class TestSnapshotMemory:

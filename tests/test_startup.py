@@ -12,14 +12,6 @@ from oracles import restart_memory_bytes, restart_until
 A, B, C = 0, 1, 2
 
 
-class FakeView:
-    def present(self, node):
-        return False
-
-    def tracked(self):
-        return []
-
-
 class TestRecordPause:
     def test_first_pause(self):
         plmm = Plmm()
@@ -46,12 +38,12 @@ class TestRecordPause:
     def test_a_pause_that_is_not_positive_is_not_recorded(self):
         policy = ReplicaPolicy(PolicyConfig(startup_mode="short_pause", short_pause_mode=LEARNED),
                                lambda node: 0.0)
-        policy.on_session_start(A, 0.0, FakeView())
-        policy.on_session_end(A, 100.0, FakeView())
-        policy.on_session_start(A, 100.0, FakeView())  # starts when the last session ended
+        policy.on_session_start(A, 0.0)
+        policy.on_session_end(A, 100.0)
+        policy.on_session_start(A, 100.0)  # starts when the last session ended
         assert policy.restart.pauses == []
-        policy.on_session_end(A, 200.0, FakeView())
-        policy.on_session_start(B, 250.0, FakeView())
+        policy.on_session_end(A, 200.0)
+        policy.on_session_start(B, 250.0)
         assert policy.restart.pauses == [50.0]
 
 
