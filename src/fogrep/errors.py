@@ -19,10 +19,11 @@ class DataError(FogrepError):
 
 
 class TraceFormatError(DataError):
-    """Malformed trace record; carries the 1-based line number."""
+    """Malformed trace record; carries the 1-based line number, which the message
+    gives after the name of the file ``source`` when there is one."""
 
-    def __init__(self, message, line=None):
-        super().__init__(message if line is None else f"line {line}: {message}")
+    def __init__(self, message, line=None, source=None):
+        super().__init__(message if line is None else f"{f'{source} ' if source else ''}line {line}: {message}")
         self.line = line
 
 

@@ -10,7 +10,9 @@ time however many clients the trace has.
 
 The config file is the single source of truth; only the output directory and
 the seed can be overridden from the command line, so experiments stay
-archivable.
+archivable. The parsers, and the metrics checks that need the trace, raise a
+plain ``ConfigError("key.path: problem")``; ``_in_file`` alone turns it into
+``<file>: key.path: problem (line N)``, with the file the key is in.
 """
 from __future__ import annotations
 
@@ -49,14 +51,19 @@ class _FileError(ConfigError):
     """A ConfigError whose message already names the file it comes from."""
 
 
-def _in_file(source, parse, *args):
-    """``parse(*args)``, each ConfigError of which names the file ``source`` once."""
+def _in_file(source, lines, parse, *args):
+    """``parse(*args)``, each ConfigError ``key.path: problem`` of which comes out as
+    ``<source>: key.path: problem (line N)``, N the line in the file's key-line map
+    ``lines`` of the deepest key on that path (no line if it has none)."""
     try:
         return parse(*args)
     except _FileError:
         raise
     except ConfigError as exc:
-        raise _FileError(f"{source}: {exc}") from None
+        path = str(exc).split(":", 1)[0]
+        while path and path not in lines:
+            path = path.rpartition(".")[0]
+        raise _FileError(f"{source}: {exc}" + (f" (line {lines[path]})" if path else "")) from None
 
 
 def load_yaml_with_lines(data: bytes | str, source="<config>"):
@@ -189,35 +196,26 @@ def _one_of(*choices):
     return convert
 
 
-def _anchored(message, lines) -> ConfigError:
-    """ConfigError for a message that starts with its full key path, pointing
-    at the YAML line of the deepest key on that path the file has."""
-    path = message.split(":", 1)[0]
-    while path and path not in lines:
-        path = path.rpartition(".")[0]
-    return ConfigError(f"{message} (line {lines[path]})" if path else message)
-
-
-def read_fields(doc, table, lines, where="", required=(), unknown="unknown key") -> dict:
+def read_fields(doc, table, where="", required=(), unknown="unknown key") -> dict:
     """Keyword arguments from a YAML mapping, driven by a table of key path
     (``topn.threshold``, relative to ``where``) -> (field name, converter).
     A path that is also a section (``predictor``) takes a scalar or a
     mapping; a null value leaves the field at its default. A key the table
     lacks (``unknown`` says why), a value its converter rejects or a missing
-    ``required`` key raises ConfigError naming the full key path and its line."""
+    ``required`` key raises ConfigError naming the full key path."""
     out = {}
     pending = [("", doc)]
     while pending:
         rel, node = pending.pop()
         if not isinstance(node, dict):
-            raise _anchored(f"{'.'.join(filter(None, (where, rel))) or 'config'}: "
-                            f"expected a mapping, got {node!r}", lines)
+            raise ConfigError(f"{'.'.join(filter(None, (where, rel))) or 'config'}: "
+                              f"expected a mapping, got {node!r}")
         for key, value in node.items():
             path = f"{rel}.{key}" if rel else str(key)
             full = f"{where}.{path}" if where else path
             section = any(p.startswith(path + ".") for p in table)
             if not section and path not in table:
-                raise _anchored(f"{full}: {unknown}", lines)
+                raise ConfigError(f"{full}: {unknown}")
             if value is None:
                 continue
             if section and (isinstance(value, dict) or path not in table):
@@ -227,10 +225,10 @@ def read_fields(doc, table, lines, where="", required=(), unknown="unknown key")
             try:
                 out[name] = convert(value)
             except (TypeError, ValueError, OverflowError) as exc:
-                raise _anchored(f"{full}: {exc}", lines) from None
+                raise ConfigError(f"{full}: {exc}") from None
     for path in required:
         if table[path][0] not in out:
-            raise _anchored(f"{f'{where}.' if where else ''}{path}: required key missing", lines)
+            raise ConfigError(f"{f'{where}.' if where else ''}{path}: required key missing")
     return out
 
 
@@ -376,6 +374,7 @@ class ExperimentConfig:
     window: tuple[float, float] | None = None
     plot: str | None = None
     dump_events: bool = False
+    origin: tuple[str, dict] = ("<config>", {})  # (file, key-line map) for errors the trace shows; no key sets it
 
 
 def point_dir_name(policy: PolicyConfig, topology: TopologySpec) -> str:
@@ -383,15 +382,14 @@ def point_dir_name(policy: PolicyConfig, topology: TopologySpec) -> str:
     return f"{policy.name}__{topology.name}"
 
 
-def parse_policy(doc, lines=None, where="", **defaults) -> PolicyConfig:
+def parse_policy(doc, where="", **defaults) -> PolicyConfig:
     """One policy mapping of an experiment file, validated, each key read by its
     settings (``POLICY_READS``); ``defaults`` holds fields the mapping does not set."""
-    lines = lines or {}
-    given = read_fields(doc or {}, POLICY_FIELDS, lines, where)
+    given = read_fields({} if doc is None else doc, POLICY_FIELDS, where)
     try:
         policy = PolicyConfig(**{**defaults, **given})
     except ConfigError as exc:
-        raise _anchored(f"{where}.{exc}" if where else str(exc), lines) from None
+        raise ConfigError(f"{where}.{exc}" if where else str(exc)) from None
     for setting, (decides, reads) in POLICY_READS.items():
         setting_field = POLICY_FIELDS[setting][0]
         chosen = getattr(policy, setting_field)
@@ -399,50 +397,56 @@ def parse_policy(doc, lines=None, where="", **defaults) -> PolicyConfig:
             if (field in given and field != setting_field
                     and (path in decides or path.split(".")[0] in decides)
                     and path not in reads.get(chosen, (path,))):
-                raise _anchored(f"{f'{where}.' if where else ''}{path}: not read when {setting} is {chosen!r}",
-                                lines)
+                raise ConfigError(f"{f'{where}.' if where else ''}{path}: not read when {setting} is {chosen!r}")
     return policy
 
 
-def parse_spec(doc, lines, where="") -> tuple[tuple[SyntheticSpec, int | None], ...]:
+def parse_spec(doc, grid: TopologySpec, where="") -> tuple[tuple[SyntheticSpec, int | None], ...]:
     """A synthetic spec mapping -> one (SyntheticSpec, seed or None) per
-    client; the timelines are generated later, when the run seed is known."""
+    client, each pattern's nodes on ``grid``, the sweep's smallest topology;
+    the timelines are generated later, when the run seed is known."""
     table = {**SPEC_FIELDS, "clients": ("clients", _list_of(lambda x: x, nonempty=True))}
-    defaults = read_fields(doc, table, lines, where, ("clients",))
+    defaults = read_fields(doc, table, where, ("clients",))
     clients = []
     for i, entry in enumerate(defaults.pop("clients")):
         at = f"{where}.clients[{i}]" if where else f"clients[{i}]"
         fields = {"weeks": 1, **defaults,
-                  **read_fields(entry, CLIENT_FIELDS, lines, at, ("client", "patterns"))}
-        fields["patterns"] = [SchedulePattern(**read_fields(pattern, PATTERN_FIELDS, lines,
-                                                            f"{at}.patterns[{j}]", tuple(PATTERN_FIELDS)))
+                  **read_fields(entry, CLIENT_FIELDS, at, ("client", "patterns"))}
+        fields["patterns"] = [SchedulePattern(**read_fields(pattern, PATTERN_FIELDS, f"{at}.patterns[{j}]",
+                                                            tuple(PATTERN_FIELDS)))
                               for j, pattern in enumerate(fields["patterns"])]
+        for j, pattern in enumerate(fields["patterns"]):
+            for k, (node, _) in enumerate(pattern.path):
+                if node not in range(grid.rows * grid.cols):
+                    raise ConfigError(f"{at}.patterns[{j}].path[{k}]: node {node} is not on topology "
+                                      f"{grid.name!r}, whose nodes are 0 to {grid.rows * grid.cols - 1}")
         if any(spec.client_id == fields["client_id"] for spec, _ in clients):
-            raise _anchored(f"{at}.client: duplicate client id {fields['client_id']!r}", lines)
+            raise ConfigError(f"{at}.client: duplicate client id {fields['client_id']!r}")
         seed = fields.pop("seed", None)
         clients.append((SyntheticSpec(**fields), seed))
     return tuple(clients)
 
 
-def parse_trace(trace, lines, config_dir: Path) -> TraceConfig:
-    """The ``trace:`` section, read through the field table of its source."""
+def parse_trace(trace, config_dir: Path, grid: TopologySpec) -> TraceConfig:
+    """The ``trace:`` section, read through the field table of its source;
+    a synthetic spec's nodes must be on ``grid``, the sweep's smallest topology."""
     source = trace.get("source") if isinstance(trace, dict) else None
     if source not in tuple(TRACE_FIELDS):  # by equality: a list or mapping source is unhashable
-        raise _anchored(f"trace.source: expected one of {tuple(TRACE_FIELDS)}, got {source!r}", lines)
+        raise ConfigError(f"trace.source: expected one of {tuple(TRACE_FIELDS)}, got {source!r}")
     table = TRACE_FIELDS[source]
-    fields = read_fields(trace, table, lines, "trace", [key for key in ("spec", "path") if key in table],
+    fields = read_fields(trace, table, "trace", [key for key in ("spec", "path") if key in table],
                          f"unknown key for source {source!r}")
     if "path" in fields:
         fields["path"] = config_dir / fields["path"]  # an absolute path stays as it is
     elif isinstance(fields["spec"], dict):
-        fields["spec"] = parse_spec(fields["spec"], lines, "trace.spec")
+        fields["spec"] = parse_spec(fields["spec"], grid, "trace.spec")
     else:
         spec_path = config_dir / fields["spec"]
         if not spec_path.is_file():
             problem = "path is not a file" if spec_path.exists() else "not found"
             raise DataError(f"synthetic spec {problem}: {spec_path}")
         spec_doc, spec_lines = load_yaml_with_lines(spec_path.read_bytes(), str(spec_path))
-        fields["spec"] = _in_file(spec_path, parse_spec, spec_doc, spec_lines)
+        fields["spec"] = _in_file(spec_path, spec_lines, parse_spec, spec_doc, grid)
     return TraceConfig(**{"tz_offset": GEOLIFE_TZ_OFFSET if source == "geolife" else 0.0, **fields})
 
 
@@ -450,43 +454,44 @@ def parse_experiment_config(data: bytes | str, source="<config>", config_dir=Pat
     """The experiment that the YAML ``data`` of file ``source`` declares; each
     ConfigError names that file, or the spec file it comes from."""
     doc, lines = load_yaml_with_lines(data, source)
-    return _in_file(source, _parse_document, doc, lines, config_dir)
+    return _in_file(source, lines, _parse_document, doc, config_dir, (source, lines))
 
 
-def _parse_document(doc, lines, config_dir: Path) -> ExperimentConfig:
+def _parse_document(doc, config_dir: Path, origin) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a mapping")
     doc = dict(doc)
-    trace = parse_trace(doc.pop("trace", None), lines, config_dir)
+    trace_doc = doc.pop("trace", None)
     single = "topologies" not in doc
     topo_docs = [doc.pop("topology", None)] if single else doc.pop("topologies")
     if not isinstance(topo_docs, list) or not topo_docs:
-        raise _anchored("topologies: sweep list must be non-empty", lines)
+        raise ConfigError("topologies: sweep list must be non-empty")
     topologies = []
     for i, td in enumerate(topo_docs):
         kind = "complex" if isinstance(td, dict) and td.get("kind") == "complex" else "grid"
         topologies.append(TopologySpec(**{"name": f"topo{i}", **read_fields(
-            td or {}, TOPOLOGY_FIELDS[kind], lines, "topology" if single else f"topologies[{i}]",
+            {} if td is None else td, TOPOLOGY_FIELDS[kind], "topology" if single else f"topologies[{i}]",
             unknown=f"unknown key for kind {kind!r}")}))
+    trace = parse_trace(trace_doc, config_dir, min(topologies, key=lambda topo: topo.rows * topo.cols))
     pol_docs = doc.pop("policies", None)
     if not isinstance(pol_docs, list) or not pol_docs:
-        raise _anchored("policies: sweep list must be non-empty", lines)
+        raise ConfigError("policies: sweep list must be non-empty")
     # the trace's local time zone drives every predictor's day/time buckets
-    policies = [parse_policy(pd, lines, f"policies[{i}]", name=f"policy{i}", tz_offset=trace.tz_offset)
+    policies = [parse_policy(pd, f"policies[{i}]", name=f"policy{i}", tz_offset=trace.tz_offset)
                 for i, pd in enumerate(pol_docs)]
     names = [p.name for p in policies]
     for i, name in enumerate(names):
         if names.index(name) < i:
-            raise _anchored(f"policies[{i}].name: names must be unique, and {name!r} "
-                            f"is also the name of policies[{names.index(name)}]", lines)
+            raise ConfigError(f"policies[{i}].name: names must be unique, and {name!r} "
+                              f"is also the name of policies[{names.index(name)}]")
     # a predictor, a PLMM and a learning short-pause window key their models by 16-bit node ids
     keyed = [p.name for p in policies if p.predictor != "baseline" or p.startup_mode == "plmm"
              or (p.startup_mode == "short_pause" and p.short_pause_mode != FIXED)]
     for i, topo in enumerate(topologies):
         if topo.rows * topo.cols > MAX_NODE_ID + 1 and keyed:
-            raise _anchored(f"{'topology' if single else f'topologies[{i}]'}.rows: {topo.rows} x {topo.cols} "
-                            f"nodes do not fit the 16-bit node ids of policy {keyed[0]!r}'s model "
-                            f"(at most {MAX_NODE_ID + 1})", lines)
+            raise ConfigError(f"{'topology' if single else f'topologies[{i}]'}.rows: {topo.rows} x {topo.cols} "
+                              f"nodes do not fit the 16-bit node ids of policy {keyed[0]!r}'s model "
+                              f"(at most {MAX_NODE_ID + 1})")
     points: dict[str, str] = {}  # output directory -> the point that writes it
     for i, topo in enumerate(topologies):
         for j, policy in enumerate(policies):
@@ -495,12 +500,12 @@ def _parse_document(doc, lines, config_dir: Path) -> ExperimentConfig:
             if name in points:
                 raise ConfigError(f"{points[name]} and {point} both write the directory {name!r}")
             points[name] = point
-    fields = read_fields(doc, EXPERIMENT_FIELDS, lines)
+    fields = read_fields(doc, EXPERIMENT_FIELDS)
     taken = {"results.csv": "the results table", "summary.json": "the summary",
              **{name: f"the directory of {point}" for name, point in points.items()}}
     if fields.get("plot") in taken:
-        raise _anchored(f"plot: {fields['plot']!r} would overwrite {taken[fields['plot']]}", lines)
-    return ExperimentConfig(trace=trace, topologies=topologies, policies=policies, **fields)
+        raise ConfigError(f"plot: {fields['plot']!r} would overwrite {taken[fields['plot']]}")
+    return ExperimentConfig(trace=trace, topologies=topologies, policies=policies, origin=origin, **fields)
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -564,6 +569,23 @@ def _run_point(topo, network, policy: PolicyConfig, timelines,
     return point_report(rows), (merge_event_logs(logs) if dump_events else None)
 
 
+def _check_metrics(cfg: ExperimentConfig, timelines):
+    """The metrics keys that only the trace can check."""
+    if cfg.window and not any(active_time(tl, cfg.window) > 0 for tl in timelines):
+        raise ConfigError(f"metrics.window: {list(cfg.window)} covers no active second of the trace")
+    clients = {tl.client_id: tl for tl in timelines}
+    for cid in cfg.series_clients:
+        if cid not in clients:
+            raise ConfigError(f"metrics.series_clients: no client {cid!r} in the trace")
+        tl = clients[cid]
+        # a bucket too small to move time, at the end where floats are farthest apart
+        series_step(max(tl.first_t, tl.last_t, key=abs), cfg.series_bucket)
+        span = tl.last_t - tl.first_t
+        if span / cfg.series_bucket > MAX_SERIES_POINTS:
+            raise ConfigError(f"metrics.series_bucket: {cfg.series_bucket!r} s over client {cid!r}'s "
+                              f"{span!r} s makes more than {MAX_SERIES_POINTS} points")
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[dict]:
     """Execute the sweep and write all artifacts; returns the result rows."""
     cfg.output.mkdir(parents=True, exist_ok=True)
@@ -571,19 +593,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
     for topo_spec in cfg.topologies:
         topo, network = topo_spec.build()
         timelines = load_traces(cfg, topo, topo_spec.name)
-        if cfg.window and not any(active_time(tl, cfg.window) > 0 for tl in timelines):
-            raise ConfigError(f"metrics.window: {list(cfg.window)} covers no active second of the trace")
-        clients = {tl.client_id: tl for tl in timelines}
-        for cid in cfg.series_clients:
-            if cid not in clients:
-                raise ConfigError(f"metrics.series_clients: no client {cid!r} in the trace")
-            tl = clients[cid]
-            # a bucket too small to move time, at the end where floats are farthest apart
-            series_step(max(tl.first_t, tl.last_t, key=abs), cfg.series_bucket)
-            span = tl.last_t - tl.first_t
-            if span / cfg.series_bucket > MAX_SERIES_POINTS:
-                raise ConfigError(f"metrics.series_bucket: {cfg.series_bucket!r} s over client {cid!r}'s "
-                                  f"{span!r} s makes more than {MAX_SERIES_POINTS} points")
+        _in_file(*cfg.origin, _check_metrics, cfg, timelines)
         for policy in cfg.policies:
             points.append((topo_spec, (topo, network, policy, timelines)))
     shared = (cfg.window, cfg.series_clients, cfg.series_bucket, cfg.dump_events)

@@ -39,6 +39,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -496,25 +497,27 @@ def csv_rows(fileobj):
 
 def read_visits_csv(fileobj) -> list[ClientTimeline]:
     """Timelines from a visits CSV (see ``csv_rows``). The rows are checked for
-    everything ``ClientTimeline.validate`` checks, and a fault names its line."""
+    everything ``ClientTimeline.validate`` checks, and a fault names its line,
+    after the file's name if the file object has one."""
+    fault = partial(TraceFormatError, source=getattr(fileobj, "name", None))
     lines = csv_rows(fileobj)
     _, header = next(lines, (1, None))
     if header != VISITS_HEADER:
-        raise TraceFormatError(f"unexpected visits header {header!r}", line=1)
+        raise fault(f"unexpected visits header {header!r}", line=1)
     by_client: dict[str, dict[int, list[tuple[int, NodeVisit]]]] = {}
     for lineno, row in lines:
         if not row:
             continue
         if len(row) != len(VISITS_HEADER):
-            raise TraceFormatError(f"expected {len(VISITS_HEADER)} fields, got {len(row)}", line=lineno)
+            raise fault(f"expected {len(VISITS_HEADER)} fields, got {len(row)}", line=lineno)
         try:
             cid, sid, node, arr, dep = row[0], int(row[1]), int(row[2]), float(row[3]), float(row[4])
         except ValueError as exc:
-            raise TraceFormatError(str(exc), line=lineno) from exc
+            raise fault(str(exc), line=lineno) from exc
         if not (math.isfinite(arr) and math.isfinite(dep)):
-            raise TraceFormatError(f"non-finite visit time: {row[3]}, {row[4]}", line=lineno)
+            raise fault(f"non-finite visit time: {row[3]}, {row[4]}", line=lineno)
         if dep < arr:
-            raise TraceFormatError(f"departure {dep!r} before arrival {arr!r}", line=lineno)
+            raise fault(f"departure {dep!r} before arrival {arr!r}", line=lineno)
         by_client.setdefault(cid, {}).setdefault(sid, []).append((lineno, NodeVisit(node, arr, dep)))
     timelines = []
     for cid in sorted(by_client):
@@ -523,14 +526,14 @@ def read_visits_csv(fileobj) -> list[ClientTimeline]:
             rows = by_client[cid][sid]
             for (_, a), (lineno, b) in zip(rows, rows[1:]):
                 if a.node == b.node:
-                    raise TraceFormatError(f"consecutive visits of session {sid} at node {b.node}", line=lineno)
+                    raise fault(f"consecutive visits of session {sid} at node {b.node}", line=lineno)
                 if a.departure != b.arrival:
-                    raise TraceFormatError(f"visit arrives at {b.arrival!r}, not when the previous visit "
-                                           f"of session {sid} departs at {a.departure!r}", line=lineno)
+                    raise fault(f"visit arrives at {b.arrival!r}, not when the previous visit "
+                                f"of session {sid} departs at {a.departure!r}", line=lineno)
             lineno, first = rows[0]
             if sessions and not first.arrival > sessions[-1][-1].departure:
-                raise TraceFormatError(f"session {sid} starts at {first.arrival!r}, not after the "
-                                       f"previous session ends at {sessions[-1][-1].departure!r}", line=lineno)
+                raise fault(f"session {sid} starts at {first.arrival!r}, not after the "
+                            f"previous session ends at {sessions[-1][-1].departure!r}", line=lineno)
             sessions.append([v for _, v in rows])
         timelines.append(ClientTimeline(cid, sessions, _pauses_between(cid, sessions)))
     if not timelines:

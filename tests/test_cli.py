@@ -222,13 +222,26 @@ class TestRun:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "metrics.series_clients: no client 'comuter' in the trace" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("metrics, message", [
+        ("series_clients: [d]", "metrics.series_clients: no client 'd' in the trace"),
+        ("window: [0, 10]", "metrics.window: [0.0, 10.0] covers no active second of the trace"),
+    ], ids=["series-client", "window"])
+    def test_metrics_checked_against_the_trace_name_the_file_and_line(self, tmp_path, capsys, metrics, message):
+        (tmp_path / "visits.csv").write_text("client_id,session_id,node_id,arrival_epoch_s,departure_epoch_s\n"
+                                             "c,0,0,1000.0,2000.0\n")
+        cfg = tmp_path / "metrics.yaml"
+        cfg.write_text(error_config(top=f"metrics:\n  {metrics}"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {cfg}: {message} (line 4)\n"
+
     def test_series_bucket_that_does_not_advance_is_a_config_error(self, tmp_path, capsys):
         # 1e-9 s is below half the float spacing at 1.2e9 s, so t + bucket == t
         cfg = tmp_path / "tiny.yaml"
         cfg.write_text(error_config(trace=spec_trace().replace("{clients:", "{anchor: 1200000000, clients:"),
                                     top="metrics: {series_clients: [c], series_bucket: 1.0e-9}"))
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith("config error: metrics.series_bucket: a step of 1e-09 s ")
+        assert capsys.readouterr().err == (f"config error: {cfg}: metrics.series_bucket: a step of 1e-09 s "
+                                           "does not advance past 1200028860.0 (line 3)\n")
 
     @pytest.mark.parametrize("first, last, end", [
         (1073741823.95, 1073741824.05, 1073741824.05),
@@ -246,7 +259,7 @@ class TestRun:
         monkeypatch.setattr(experiment, "run_simulation", lambda *args, **kwargs: calls.append(args))
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == \
-            f"config error: metrics.series_bucket: a step of 1e-07 s does not advance past {end!r}\n"
+            f"config error: {cfg}: metrics.series_bucket: a step of 1e-07 s does not advance past {end!r} (line 3)\n"
         assert calls == []  # before any client runs
 
     def test_series_bucket_with_too_many_points_is_a_config_error(self, tmp_path, capsys):
@@ -255,8 +268,8 @@ class TestRun:
         cfg.write_text(error_config(trace=spec_trace(pattern="days: [mon, tue], start: '08:00'"),
                                     top="metrics: {series_clients: [c], series_bucket: 0.05}"))
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith(
-            "config error: metrics.series_bucket: 0.05 s over client 'c''s 86460.0 s makes more than 1000000 points")
+        assert capsys.readouterr().err == (f"config error: {cfg}: metrics.series_bucket: 0.05 s over client 'c''s "
+                                           "86460.0 s makes more than 1000000 points (line 3)\n")
         assert not (tmp_path / "out" / "p__strip-2").exists()  # checked before any point runs
         # one minute over the same day is 1,441 points
         cfg.write_text(cfg.read_text().replace("series_bucket: 0.05", "series_bucket: 60"))
@@ -363,7 +376,7 @@ class TestRun:
         cfg = tmp_path / "visits.yaml"
         cfg.write_text(error_config())
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
-        assert capsys.readouterr().err == f"data error: line 3: {message}\n"
+        assert capsys.readouterr().err == f"data error: {tmp_path / 'visits.csv'} line 3: {message}\n"
 
     def test_zero_length_first_visit_runs_in_timeline_order(self, tmp_path):
         # the session starts before the next visit's arrival at the same time,
@@ -780,6 +793,8 @@ def spec_trace(client="weeks: 1", pattern="days: [mon], start: '08:00'"):
 
 
 SPEC_CLIENT = "trace.spec.clients[0]"
+# a one-topology experiment file whose topology (line 3) is the argument
+SINGLE_TOPOLOGY = "experiment: x\ntrace: {{source: visits, path: visits.csv}}\ntopology: {}\npolicies: [{{name: p}}]\n"
 
 
 class TestConfigErrors:
@@ -863,6 +878,14 @@ class TestConfigErrors:
         ({"top": "seed: &s [*s]"}, "seed[0]", 3),
         ({"top": "metrics: &m {window: *m}"}, "metrics.window", 3),
         ({"policy": "startup: {type: short_pause, min_samples: 5}"}, "policies[0].startup.min_samples", 10),
+        ({"policy": "predictor: baseline\n  - 0"}, "policies[1]", 11),
+        ({"policy": "predictor: baseline\n  - ''"}, "policies[1]", 11),
+        ({"policy": "predictor: baseline\n  - false"}, "policies[1]", 11),
+        ({"policy": "predictor: baseline\n  - []"}, "policies[1]", 11),
+        ({"topo": "cols: 2\n  - 0\n  - rows: 1"}, "topologies[1]", 7),
+        (SINGLE_TOPOLOGY.format("[]"), "topology", 3),
+        (SINGLE_TOPOLOGY.format("''"), "topology", 3),
+        ({"trace": spec_trace().replace("[[0, 60]]", "[[0, 60], [-1, 60]]")}, f"{SPEC_CLIENT}.patterns[0].path[1]", 2),
     ], ids=["k-word", "jobs-word", "eot-string", "k-float", "vomm-day-splits",
             "momm-time-splits", "bbox-three", "kind-unknown", "spec-wekks", "spec-weeks-word",
             "spec-start-8am", "spec-start-unquoted", "spec-start-25-90", "spec-day-fry",
@@ -880,10 +903,13 @@ class TestConfigErrors:
             "trace-source-list", "complex-transfer-delay", "grid-data-size", "grid-uplink-rate",
             "plmm-duration", "short-pause-factor", "no-startup-mode", "fixed-topn-threshold",
             "dynamic-topn-n", "baseline-k", "baseline-eot", "baseline-topn", "baseline-preload-buffer",
-            "alias-in-itself", "alias-in-a-mapping", "default-pause-min-samples"])
+            "alias-in-itself", "alias-in-a-mapping", "default-pause-min-samples", "policy-zero",
+            "policy-empty-string", "policy-false", "policy-list", "topology-entry-zero", "topology-list",
+            "topology-empty-string", "spec-node-negative"])
     def test_run_names_key_path_and_line(self, tmp_path, capsys, override, key_path, line):
+        """``override`` holds error_config's arguments, or the whole file."""
         cfg = tmp_path / "bad.yaml"
-        cfg.write_text(error_config(**override))
+        cfg.write_text(error_config(**override) if isinstance(override, dict) else override)
         code = main(["run", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
@@ -943,6 +969,41 @@ class TestConfigErrors:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"config error: {spec}: clients[0].weeks: key given twice (lines 3 and 4)\n"
         assert not (tmp_path / "out").exists()
+
+    def test_non_mapping_entry_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(error_config(policy="predictor: baseline\n  - 0"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {cfg}: policies[1]: expected a mapping, got 0 (line 11)\n"
+
+    def test_null_entry_takes_the_defaults(self):
+        cfg = parse_experiment_config("trace: {source: visits, path: v.csv}\ntopology:\npolicies: [null]\n")
+        assert [(t.name, t.rows, t.cols) for t in cfg.topologies] == [("topo0", 10, 10)]
+        assert [(p.name, p.predictor) for p in cfg.policies] == [("policy0", "baseline")]
+
+    def test_pattern_node_off_the_grid_names_the_experiment_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(error_config(trace=spec_trace().replace("[[0, 60]]", "[[0, 60], [7, 60]]")))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (f"config error: {cfg}: {SPEC_CLIENT}.patterns[0].path[1]: node 7 "
+                                           "is not on topology 'strip-2', whose nodes are 0 to 1 (line 2)\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_pattern_node_off_the_smallest_grid_names_the_spec_file(self, tmp_path, capsys):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text("clients:\n"
+                        "  - client: c\n"
+                        "    patterns:\n"
+                        "      - {days: [mon], start: '08:00', path: [[0, 60], [5, 60]]}\n")
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("trace: {source: synthetic, spec: spec.yaml}\n"
+                       "topologies: [{name: large, rows: 3, cols: 3}, {name: small, rows: 1, cols: 2}]\n"
+                       "policies: [{name: p}]\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (f"config error: {spec}: clients[0].patterns[0].path[1]: node 5 "
+                                           "is not on topology 'small', whose nodes are 0 to 1 (line 4)\n")
+        cfg.write_text(cfg.read_text().replace("rows: 1, cols: 2", "rows: 2, cols: 3"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
     def test_merged_keys_may_be_overridden(self):
         """A `<<` merge key brings a mapping's keys in; a key after it overrides one of them."""

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fogrep import simengine
 from fogrep.errors import ConfigError, EngineInvariantError
-from fogrep.metrics import covered_time, presence_time
+from fogrep.metrics import compute_report, covered_time, presence_time
 from fogrep.policies import PolicyConfig, Replicate, ReplicaPolicy
 from fogrep.simengine import (EventRecord, check_ledger, merge_event_logs, run,
                               snapshot_memory, write_event_log_csv)
@@ -393,6 +393,32 @@ class TestSweepProperties:
         for smaller, larger in zip(runs, runs[1:]):
             for (covered, presence), (covered_more, presence_more) in zip(smaller, larger):
                 assert covered <= covered_more and presence <= presence_more
+
+    @staticmethod
+    def rows(timelines, topo, network, config):
+        result = run(timelines, topo, network, config)
+        memory = snapshot_memory(result.policies)
+        return [(m.active_s, m.covered_s, m.presence_s, m.memory_bytes)
+                for m in (compute_report(result.ledger, tl, memory[tl.client_id]) for tl in timelines)]
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           make=st.sampled_from([make_micro_scenario, make_zero_stay_scenario, make_rescheduling_scenario]),
+           fomm=st.booleans())
+    def test_a_week_later_every_sum_is_the_same(self, seed, make, fomm):
+        # a predictor's day and time-of-day buckets repeat each week; the FOMM
+        # splits make other shifts (three days and five hours) change the sums
+        timelines, topo, network, config = make(random.Random(seed))
+        if fomm and config.predictor != "baseline":
+            config = dataclasses.replace(config, predictor="fomm", k=min(config.k, 2), day_splits=(1, 2, 7),
+                                         time_splits=(1, 4, 24))
+        week = 7 * 86400.0
+        later = [ClientTimeline(tl.client_id,
+                                [[NodeVisit(v.node, v.arrival + week, v.departure + week) for v in visits]
+                                 for visits in tl.sessions],
+                                [dataclasses.replace(p, start=p.start + week, end=p.end + week) for p in tl.pauses])
+                 for tl in timelines]
+        assert self.rows(later, topo, network, config) == self.rows(timelines, topo, network, config)
 
     @pytest.mark.xfail(strict=True, reason="D4")
     def test_longer_short_pause_window_covers_no_less(self):
