@@ -548,7 +548,7 @@ def load_traces(cfg: ExperimentConfig, topo: Topology, topo_name: str):
     if not path.is_file():
         raise DataError(f"visits path is not a file: {path}")
     with open(path, encoding="utf-8", newline="") as fh:
-        return read_visits_csv(fh)
+        return read_visits_csv(fh, topo.node_count)
 
 
 def _run_point(topo, network, policy: PolicyConfig, timelines,
@@ -587,8 +587,9 @@ def _check_metrics(cfg: ExperimentConfig, timelines):
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[dict]:
-    """Execute the sweep and write all artifacts; returns the result rows."""
-    cfg.output.mkdir(parents=True, exist_ok=True)
+    """Execute the sweep and write all artifacts; returns the result rows.
+    The output directory is made once every trace has loaded and passed
+    the metrics checks."""
     points = []
     for topo_spec in cfg.topologies:
         topo, network = topo_spec.build()
@@ -596,6 +597,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
         _in_file(*cfg.origin, _check_metrics, cfg, timelines)
         for policy in cfg.policies:
             points.append((topo_spec, (topo, network, policy, timelines)))
+    cfg.output.mkdir(parents=True, exist_ok=True)
     shared = (cfg.window, cfg.series_clients, cfg.series_bucket, cfg.dump_events)
     if cfg.jobs > 1 and len(points) > 1:
         import concurrent.futures  # here, not at the top: a serial run need not load it, logging or threading

@@ -2,13 +2,16 @@
 
 A model is a list of sub-models and a fuse rule. A sub-model has a fixed
 history length (order) and day-of-week and time-of-day splits; the buckets
-of all sub-models derive from the trip start time and are resolved once per
-trip. The only storage is one index per order: a history tuple maps to one
-record per trained (sub-model, day bucket, time bucket) context, so a
-prediction looks a history up once per order. A record holds the context's
-total count and a ``TargetRecord`` per target (a transition count plus stay
-statistics for the node the history ends at), node ids ascending and the
-end-of-trip pseudo-target ``EOT``, trained when enabled, last.
+of all sub-models derive from the trip start time. The local hour of the
+week fixes every bucket, so a model resolves them once per hour of the week
+it has seen and keeps them. The only storage is one index per order: a
+history tuple maps to one record per trained (sub-model, day bucket, time
+bucket) context, so a prediction looks a history up once per order. A record
+holds the context's total count and a ``TargetRecord`` per target (a
+transition count plus stay statistics for the node the history ends at),
+node ids ascending and the end-of-trip pseudo-target ``EOT``, trained when
+enabled, last. A completed trip trains as its node ids and the stays between
+them, which the policy tracks as the trip goes on (``train_session``).
 
 The three predictors of the paper differ only in which sub-models they train
 and how the answers are fused (``KINDS``):
@@ -27,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import ConfigError
 
@@ -80,21 +84,6 @@ class Context(dict):
     def __init__(self):
         self.total = 0
 
-    def add(self, target, stay=None):
-        """Count one transition; ``stay`` is None for the end of trip."""
-        rec = self.get(target)
-        if rec is None:
-            last = next(reversed(self), None)
-            rec = self[target] = TargetRecord()
-            if target != EOT and last is not None and (last == EOT or last > target):
-                for t in [t for t in self if t == EOT or t > target]:
-                    self[t] = self.pop(t)  # behind the new target, in order
-        self.total += 1
-        rec.count += 1
-        if stay is not None:
-            rec.stay_sum += stay
-            rec.stay_count += 1
-
 
 @dataclass(frozen=True)
 class SubModelSpec:
@@ -104,44 +93,59 @@ class SubModelSpec:
     weight: float
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     target: int  # node id, or EOT
     probability: float
     expected_stay: float | None = None
 
 
 def backoff(model: "MarkovPredictor", history, trip_start):
-    """The highest-order sub-model that knows the context answers alone."""
-    answers = model.answers(history, trip_start)
-    if not answers:
-        return None
-    _, ctx = answers[-1]
-    return [Prediction(t, rec.count / ctx.total, rec.mean_stay) for t, rec in ctx.items()]
+    """The highest-order sub-model that knows the context answers alone:
+    orders are looked up from the highest down, up to the first record."""
+    n = len(history)
+    for order, keyed in reversed(model._runs(trip_start)):
+        records = model.index[order].get(tuple(history[n - order:])) if order <= n else None
+        if records is not None:
+            for key, _ in reversed(keyed):
+                ctx = records.get(key)
+                if ctx is not None:
+                    total = ctx.total
+                    return [Prediction(t, rec.count / total, rec.mean_stay) for t, rec in ctx.items()]
+    return None
 
 
 def blend(model: "MarkovPredictor", history, trip_start):
     """Weighted sum of every answering sub-model's distribution, normalized
     once; stays fuse as weight-weighted averages over the sub-models that
-    report one."""
-    raw: dict[int, float] = {}
-    stay_num: dict[int, float] = {}
-    stay_den: dict[int, float] = {}
-    for w, ctx in model.answers(history, trip_start):
-        total = ctx.total
-        for t, rec in ctx.items():
-            raw[t] = raw.get(t, 0.0) + rec.count / total * w
-            if rec.stay_count:
-                stay_num[t] = stay_num.get(t, 0.0) + w * (rec.stay_sum / rec.stay_count)
-                stay_den[t] = stay_den.get(t, 0.0) + w
-    if not raw:
+    report one. Sub-models add in their order into one [share, stay
+    numerator, stay denominator] accumulator per target; the history is
+    looked up once per run of one order."""
+    acc: dict[int, list[float]] = {}
+    n = len(history)
+    for order, keyed in model._runs(trip_start):
+        records = model.index[order].get(tuple(history[n - order:])) if order <= n else None
+        if records is None:
+            continue
+        for key, w in keyed:
+            ctx = records.get(key)
+            if ctx is None:
+                continue
+            total = ctx.total
+            for t, rec in ctx.items():
+                a = acc.get(t)
+                if a is None:
+                    a = acc[t] = [0.0, 0.0, 0.0]
+                a[0] += rec.count / total * w
+                if rec.stay_count:
+                    a[1] += w * (rec.stay_sum / rec.stay_count)
+                    a[2] += w
+    if not acc:
         return None
     total = 0.0  # left to right: sum() compensates since Python 3.12
-    for share in raw.values():
-        total += share
-    return [Prediction(t, raw[t] / total,
-                       stay_num[t] / stay_den[t] if t in stay_den else None)
-            for t in sorted(raw, key=lambda t: (t == EOT, t))]
+    for a in acc.values():
+        total += a[0]
+    return [Prediction(t, a[0] / total, a[1] / a[2] if a[2] else None)
+            for t, a in sorted(acc.items(), key=lambda ta: (ta[0] == EOT, ta[0]))]
 
 
 # kind -> (orders trained for a maximum order k, whether sub-models split by
@@ -190,55 +194,56 @@ class MarkovPredictor:
         self.tz_offset = tz_offset
         # order -> history tuple -> (sub-model position, day, time) -> record
         self.index: dict[int, dict[tuple, dict[tuple, Context]]] = {s.order: {} for s in self.submodels}
-        self._trip = None  # (trip start, _runs of that trip)
+        self._runs_by_hour: dict[int, list] = {}
 
     def _runs(self, trip_start):
         """The sub-models of a trip starting at ``trip_start``, in sub-model
         order, as runs of one order: (order, [(record key, weight), ...]).
-        Resolved once per trip."""
-        if self._trip is None or self._trip[0] != trip_start:
+        Memoised by the trip's local hour of the week, which fixes every
+        day and time-of-day bucket."""
+        hour = int(trip_start + self.tz_offset) // 3600 % 168
+        runs = self._runs_by_hour.get(hour)
+        if runs is None:
             keyed = [(s.order, (i, *bucketize(trip_start, s.day_split, s.time_split, self.tz_offset)),
                       s.weight) for i, s in enumerate(self.submodels)]
-            self._trip = (trip_start, [(order, [(key, w) for _, key, w in run])
-                                       for order, run in groupby(keyed, itemgetter(0))])
-        return self._trip[1]
+            runs = self._runs_by_hour[hour] = [(order, [(key, w) for _, key, w in run])
+                                               for order, run in groupby(keyed, itemgetter(0))]
+        return runs
 
-    def train_session(self, visits, trip_start):
+    def train_session(self, nodes, stays, trip_start):
         """Enter every transition of a completed trip, plus an end-of-trip
-        transition when enabled. Buckets come from the trip start time."""
-        nodes = [v.node for v in visits]
+        transition when enabled: ``nodes`` are the trip's node ids and
+        ``stays[i]`` the seconds spent at ``nodes[i]`` before the move to
+        ``nodes[i + 1]``. Buckets come from the trip start time."""
         for order, keyed in self._runs(trip_start):
-            index, keys = self.index[order], [key for key, _ in keyed]
-            steps = [(tuple(nodes[i - order:i]), nodes[i], visits[i - 1].departure - visits[i - 1].arrival)
-                     for i in range(order, len(nodes))]
+            index = self.index[order]
+            steps = [(tuple(nodes[i - order:i]), nodes[i], stays[i - 1]) for i in range(order, len(nodes))]
             if self.eot and len(nodes) >= order:
                 steps.append((tuple(nodes[-order:]), EOT, None))
             for history, target, stay in steps:
-                records = index.setdefault(history, {})
-                for key in keys:
+                records = index.get(history)
+                if records is None:
+                    records = index[history] = {}
+                for key, _ in keyed:
                     ctx = records.get(key)
                     if ctx is None:
                         ctx = records[key] = Context()
-                    ctx.add(target, stay)
+                    rec = ctx.get(target)
+                    if rec is None:
+                        rec = ctx[target] = TargetRecord()
+                        if target != EOT and len(ctx) > 1:  # later targets move behind it, in order
+                            for t in [t for t in ctx if t == EOT or t > target]:
+                                ctx[t] = ctx.pop(t)
+                    ctx.total += 1
+                    rec.count += 1
+                    if stay is not None:
+                        rec.stay_sum += stay
+                        rec.stay_count += 1
 
     def predict(self, history, trip_start):
         """Fused next-target distribution, or None when no sub-model knows
         the context."""
         return self.fuse(self, history, trip_start)
-
-    def answers(self, history, trip_start) -> list[tuple[float, Context]]:
-        """(weight, record) of every sub-model that knows the context, in
-        sub-model order; the history is looked up once per run of one order."""
-        n = len(history)
-        out = []
-        for order, keyed in self._runs(trip_start):
-            records = self.index[order].get(tuple(history[n - order:])) if order <= n else None
-            if records is not None:
-                for key, w in keyed:
-                    ctx = records.get(key)
-                    if ctx is not None:
-                        out.append((w, ctx))
-        return out
 
     def memory_bytes(self) -> int:
         """The model's canonical size: per trained context 2 bytes per history

@@ -22,7 +22,6 @@ from .markov import EOT, KINDS, check_kind, dynamic_topn, make_model
 from .startup import (DEFAULT_MIN_SAMPLES, DEFAULT_PLMM_THRESHOLD,
                       DEFAULT_RETENTION_FACTOR, FIXED, RETENTION_MODES, Plmm,
                       ShortPause)
-from .traces import NodeVisit
 
 PREDICTORS = ("baseline", *KINDS)
 STARTUP_MODES = ("none", "short_pause", "plmm")
@@ -103,7 +102,9 @@ class ReplicaPolicy:
     and of each selected target, at its planned transfer start; a session end
     returns ``[Retain(node, until)]`` when the restart model keeps the copy,
     else ``[]``. Whether a wanted copy is present, on its way or retained is
-    the engine's concern (``fogrep.simengine``, where D4's mend goes).
+    the engine's concern (``fogrep.simengine``, where D4's mend goes). The
+    policy tracks the trip's node ids and the stay at each node it has left;
+    the predictor trains on them at the session end.
     """
 
     def __init__(self, config: PolicyConfig, transfer_estimate):
@@ -120,7 +121,8 @@ class ReplicaPolicy:
             self.restart = Plmm(config.plmm_threshold, config.retention_factor)
         self.trip_start: float | None = None
         self.trip_nodes: list[int] = []
-        self._trip_visits: list[list] = []  # [node, arrival, departure]
+        self.trip_stays: list[float] = []  # seconds at each trip node before the next
+        self._arrived: float | None = None  # arrival time at the trip's last node
         self.last_shutdown: tuple[int, float] | None = None
 
     # -- event handlers ------------------------------------------------------
@@ -131,24 +133,24 @@ class ReplicaPolicy:
             self.restart.record(shutdown_node, node, t - end_t)
         self.trip_start = t
         self.trip_nodes = [node]
-        self._trip_visits = [[node, t, None]]
+        self.trip_stays = []
+        self._arrived = t
         return self._arrival_actions(node, t)
 
     def on_arrival(self, node, t) -> list[PlacementAction]:
-        self._trip_visits[-1][2] = t
-        self._trip_visits.append([node, t, None])
+        self.trip_stays.append(t - self._arrived)
+        self._arrived = t
         self.trip_nodes.append(node)
         return self._arrival_actions(node, t)
 
     def on_session_end(self, node, t) -> list[PlacementAction]:
-        self._trip_visits[-1][2] = t
         until = None if self.restart is None else self.restart.until(node, t)
         if self.predictor is not None:
-            self.predictor.train_session([NodeVisit(*v) for v in self._trip_visits], self.trip_start)
+            self.predictor.train_session(self.trip_nodes, self.trip_stays, self.trip_start)
         self.last_shutdown = (node, t)
         self.trip_start = None
         self.trip_nodes = []
-        self._trip_visits = []
+        self.trip_stays = []
         return [Retain(node, until)] if until is not None and until > t else []
 
     # -- internals -----------------------------------------------------------

@@ -495,11 +495,13 @@ def csv_rows(fileobj):
         raise DataError(f"{getattr(fileobj, 'name', 'CSV')} line {reader.line_num}: {exc}") from None
 
 
-def read_visits_csv(fileobj) -> list[ClientTimeline]:
+def read_visits_csv(fileobj, node_count=None) -> list[ClientTimeline]:
     """Timelines from a visits CSV (see ``csv_rows``). The rows are checked for
-    everything ``ClientTimeline.validate`` checks, and a fault names its line,
-    after the file's name if the file object has one."""
-    fault = partial(TraceFormatError, source=getattr(fileobj, "name", None))
+    everything ``ClientTimeline.validate`` checks, and node ids against a
+    topology's ``node_count`` when given; a fault names its line, after the
+    file's name if the file object has one."""
+    source = getattr(fileobj, "name", None)
+    fault = partial(TraceFormatError, source=source)
     lines = csv_rows(fileobj)
     _, header = next(lines, (1, None))
     if header != VISITS_HEADER:
@@ -518,6 +520,8 @@ def read_visits_csv(fileobj) -> list[ClientTimeline]:
             raise fault(f"non-finite visit time: {row[3]}, {row[4]}", line=lineno)
         if dep < arr:
             raise fault(f"departure {dep!r} before arrival {arr!r}", line=lineno)
+        if node_count is not None and not 0 <= node < node_count:
+            raise fault(f"unknown node id {node}; the topology has ids 0 to {node_count - 1}", line=lineno)
         by_client.setdefault(cid, {}).setdefault(sid, []).append((lineno, NodeVisit(node, arr, dep)))
     timelines = []
     for cid in sorted(by_client):
@@ -537,5 +541,5 @@ def read_visits_csv(fileobj) -> list[ClientTimeline]:
             sessions.append([v for _, v in rows])
         timelines.append(ClientTimeline(cid, sessions, _pauses_between(cid, sessions)))
     if not timelines:
-        raise EmptyTraceError("visits file contains no rows")
+        raise EmptyTraceError(f"{f'{source}: ' if source else ''}visits file contains no rows")
     return timelines

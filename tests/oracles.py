@@ -605,6 +605,12 @@ class TableModel:
         }
 
 
+def train(model: MarkovPredictor, visits, trip_start):
+    """Train a ``fogrep.markov`` model on one trip given as its visits."""
+    model.train_session([v.node for v in visits], [v.departure - v.arrival for v in visits[:-1]],
+                        trip_start)
+
+
 def target_order(targets) -> list:
     """A table entry's (target, record) pairs, node ids ascending and end of trip last."""
     return sorted(targets.items(), key=lambda kv: (kv[0] == EOT, kv[0]))

@@ -18,7 +18,7 @@ from fogrep.traces import (ClientTimeline, NodeVisit, Pause, SchedulePattern,
                            SyntheticSpec, synth_generate)
 
 from oracles import (SubModel, TransitionTable, fold_report, from_tables,
-                     make_micro_scenario, per_second_metrics)
+                     make_micro_scenario, per_second_metrics, train)
 
 MONDAY_ANCHOR = 345600.0  # 1970-01-05
 WEEK = 7 * 86400.0
@@ -140,7 +140,7 @@ def test_criterion_4_periodic_trace_convergence():
                     top = dynamic_topn(preds, fixed_n=1)[0]
                     checked += 1
                     wrong += top != visits[i + 1].node
-            model.train_session(visits, trip_start)
+            train(model, visits, trip_start)
         assert checked > 0 and wrong == 0
 
 
@@ -254,8 +254,8 @@ def test_criterion_7_model_properties_on_1000_tables():
             momm = make_model("momm", 1)
             vomm = make_model("vomm", 1)
             for visits in sessions:
-                momm.train_session(visits, 0.0)
-                vomm.train_session(visits, 0.0)
+                train(momm, visits, 0.0)
+                train(vomm, visits, 0.0)
             for node in range(5):
                 assert momm.predict([node], 0.0) == vomm.predict([node], 0.0)
 

@@ -367,8 +367,10 @@ class TestRun:
         ("a,0,0,0.0,10.0,junk", "expected 5 fields, got 6"),
         ("a,0,0,0.0", "expected 5 fields, got 4"),
         ("a", "expected 5 fields, got 1"),
+        ("a,0,7,0.0,60.0", "unknown node id 7; the topology has ids 0 to 1"),
+        ("a,0,-1,0.0,60.0", "unknown node id -1; the topology has ids 0 to 1"),
     ], ids=["nan", "inf", "reversed", "session-before-previous", "session-at-previous-end", "gap",
-            "repeated-node", "extra-field", "missing-field", "one-field"])
+            "repeated-node", "extra-field", "missing-field", "one-field", "off-grid-node", "negative-node"])
     def test_impossible_visit_times_are_data_errors(self, tmp_path, capsys, row, message):
         (tmp_path / "visits.csv").write_text(
             "client_id,session_id,node_id,arrival_epoch_s,departure_epoch_s\n"
@@ -377,6 +379,14 @@ class TestRun:
         cfg.write_text(error_config())
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err == f"data error: {tmp_path / 'visits.csv'} line 3: {message}\n"
+
+    def test_header_only_visits_file_names_it_and_makes_no_output(self, tmp_path, capsys):
+        (tmp_path / "visits.csv").write_text("client_id,session_id,node_id,arrival_epoch_s,departure_epoch_s\n")
+        cfg = tmp_path / "visits.yaml"
+        cfg.write_text(error_config())
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"data error: {tmp_path / 'visits.csv'}: visits file contains no rows\n"
+        assert not (tmp_path / "out").exists()
 
     def test_zero_length_first_visit_runs_in_timeline_order(self, tmp_path):
         # the session starts before the next visit's arrival at the same time,

@@ -11,7 +11,7 @@ from fogrep.markov import (EOT, Prediction, SubModelSpec, TargetRecord,
 from fogrep.traces import NodeVisit
 
 from oracles import (SubModel, TransitionTable, from_tables, table_model,
-                     tables_of, target_order)
+                     tables_of, target_order, train)
 
 
 def ts(date_s, time_s="00:00:00"):
@@ -64,7 +64,7 @@ class TestBucketize:
 class TestTrainSession:
     def test_order1_counts_and_stays(self):
         m = make_model("momm", 1)
-        m.train_session(visits(("A", 0, 600), ("B", 600, 900)), trip_start=0.0)
+        train(m, visits(("A", 0, 600), ("B", 600, 900)), 0.0)
         table = contexts(m)
         rec = table.get(((A,), 0, 0))
         assert rec[B].count == 1 and rec[B].stay_sum == 600.0 and rec[B].stay_count == 1
@@ -74,21 +74,21 @@ class TestTrainSession:
 
     def test_single_visit_only_eot(self):
         m = make_model("momm", 1)
-        m.train_session(visits(("A", 0, 100)), trip_start=0.0)
+        train(m, visits(("A", 0, 100)), 0.0)
         table = contexts(m)
         assert len(table) == 1
         assert table.get(((A,), 0, 0))[EOT].count == 1
 
     def test_order2_two_visits_only_eot(self):
         m = make_model("momm", 2)
-        m.train_session(visits(("A", 0, 600), ("B", 600, 900)), trip_start=0.0)
+        train(m, visits(("A", 0, 600), ("B", 600, 900)), 0.0)
         table = contexts(m)
         assert len(table) == 1
         assert table.get(((A, B), 0, 0))[EOT].count == 1
 
     def test_eot_disabled_records_no_eot(self):
         m = make_model("momm", 1, eot=False)
-        m.train_session(visits(("A", 0, 600), ("B", 600, 900)), trip_start=0.0)
+        train(m, visits(("A", 0, 600), ("B", 600, 900)), 0.0)
         table = contexts(m)
         assert table.get(((B,), 0, 0)) is None
 
@@ -119,8 +119,8 @@ class TestMommPredict:
 
     def test_expected_stay_is_mean(self):
         m = make_model("momm", 1)
-        m.train_session(visits(("A", 0, 100), ("B", 100, 200)), 0.0)
-        m.train_session(visits(("A", 0, 300), ("B", 300, 400)), 0.0)
+        train(m, visits(("A", 0, 100), ("B", 100, 200)), 0.0)
+        train(m, visits(("A", 0, 300), ("B", 300, 400)), 0.0)
         preds = m.predict([A], 0.0)
         by_target = {p.target: p for p in preds}
         assert by_target[B].expected_stay == pytest.approx((100 + 300) / 2)
@@ -130,20 +130,20 @@ class TestVommPredict:
     def test_higher_order_wins(self):
         m = make_model("vomm", 2)
         # order-2 contexts come from sessions of length >= 3
-        m.train_session(visits(("A", 0, 100), ("B", 100, 200), ("C", 200, 300)), 0.0)
-        m.train_session(visits(("D", 0, 100), ("B", 100, 200), ("D", 200, 250)), 0.0)
+        train(m, visits(("A", 0, 100), ("B", 100, 200), ("C", 200, 300)), 0.0)
+        train(m, visits(("D", 0, 100), ("B", 100, 200), ("D", 200, 250)), 0.0)
         preds = m.predict([A, B], 0.0)
         assert {p.target: p.probability for p in preds if p.target != EOT} == {C: 1.0}
 
     def test_fallback_to_order1(self):
         m = make_model("vomm", 2)
-        m.train_session(visits(("A", 0, 100), ("B", 100, 200), ("C", 200, 300)), 0.0)
+        train(m, visits(("A", 0, 100), ("B", 100, 200), ("C", 200, 300)), 0.0)
         preds = m.predict([D, A], 0.0)  # order-2 context (D, A) unseen; order-1 (A,) known
         assert {p.target for p in preds} == {B}
 
     def test_all_orders_miss(self):
         m = make_model("vomm", 3)
-        m.train_session(visits(("A", 0, 100), ("B", 100, 200)), 0.0)
+        train(m, visits(("A", 0, 100), ("B", 100, 200)), 0.0)
         assert m.predict([C], 0.0) is None
 
     def test_untrained_is_none(self):
@@ -253,7 +253,7 @@ class TestMemoryAndPersistence:
 
     def test_single_entry_single_target(self):
         m = make_model("momm", 1, eot=False)
-        m.train_session(visits(("A", 0, 600), ("B", 600, 900)), 0.0)
+        train(m, visits(("A", 0, 600), ("B", 600, 900)), 0.0)
         # 2 bytes history + 4 bytes buckets + (4 + 4 + 8 + 4) per target
         assert m.memory_bytes() == 26
 
@@ -270,7 +270,7 @@ class TestMemoryAndPersistence:
             for v in session:
                 fixed.append(NodeVisit(v.node, t, t + 100.0))
                 t += 100.0
-            m.train_session(fixed, 0.0)
+            train(m, fixed, 0.0)
             size = m.memory_bytes()
             assert size >= prev
             prev = size
@@ -280,7 +280,7 @@ class TestMemoryAndPersistence:
         data sections, as the oracle writes them."""
         import struct
         m = make_model("vomm", 3)
-        m.train_session(visits(("A", 0, 600), ("B", 600, 900), ("C", 900, 1000)), 0.0)
+        train(m, visits(("A", 0, 600), ("B", 600, 900), ("C", 900, 1000)), 0.0)
         blob = tables_of(m).save_bytes()
         off = len(b"FGMK1\n")
         (hlen,) = struct.unpack_from("<I", blob, off)
@@ -386,7 +386,7 @@ class TestProperties:
         for node, stay in loop:
             day.append(NodeVisit(node, t, t + stay))
             t += stay
-        m.train_session(day, 0.0)
+        train(m, day, 0.0)
         history = []
         for i, v in enumerate(day[:-1]):
             history.append(v.node)
@@ -424,7 +424,7 @@ class TestOracleAgreement:
                 for node, stay in path:
                     trip.append(NodeVisit(node, t, t + stay))
                     t += stay
-                m.train_session(trip, start)
+                train(m, trip, start)
                 oracle.train_session(trip, start)
             got = tables_of(m)
             assert [sm.spec for sm in got.submodels] == [sm.spec for sm in oracle.submodels]
@@ -432,6 +432,52 @@ class TestOracleAgreement:
                 assert {c: list(t.items()) for c, t in sm.table.entries.items()} == \
                        {c: target_order(t) for c, t in want.table.entries.items()}
             assert m.memory_bytes() == oracle.memory_bytes()
+
+
+class TestHourOfWeekMemo:
+    """A model resolves a trip's buckets once per local hour of the week;
+    each case predicts every prefix, before and after training, as the
+    oracle does, which buckets every query afresh."""
+
+    def check(self, trips, tz_offset=0.0):
+        for kind, splits in (("vomm", ((1,), (1,))), ("fomm", ((1, 2, 7), (1, 4, 24)))):
+            m = make_model(kind, 2, *splits, tz_offset=tz_offset)
+            oracle = table_model(kind, 2, *splits, tz_offset=tz_offset)
+            for _ in range(2):
+                for nodes, start in trips:
+                    for i in range(1, len(nodes) + 1):
+                        assert repr(m.predict(nodes[:i], start)) == repr(oracle.predict(nodes[:i], start))
+                    trip = [NodeVisit(n, start + 60.0 * j, start + 60.0 * (j + 1)) for j, n in enumerate(nodes)]
+                    train(m, trip, start)
+                    oracle.train_session(trip, start)
+        return m
+
+    def test_same_hour_a_week_apart_shares_buckets(self):
+        monday_nine = ANCHOR + 9 * 3600.0
+        m = self.check([([A, B, C], monday_nine), ([A, B, D], monday_nine + 7 * 86400.0 + 3599.0)])
+        assert len(m._runs_by_hour) == 1
+
+    def test_next_hour_and_next_day_do_not(self):
+        monday_nine = ANCHOR + 9 * 3600.0
+        m = self.check([([A, B, C], monday_nine), ([A, B, D], monday_nine + 3600.0),
+                        ([A, B, C], monday_nine + 86400.0)])
+        assert len(m._runs_by_hour) == 3
+
+    def test_tz_offset_moves_the_weekday(self):
+        sunday_eight_pm = ANCHOR - 4 * 3600.0  # Monday 04:00 at UTC+8, Sunday 14:30 at UTC-5:30
+        for tz_offset in (8 * 3600.0, -5.5 * 3600.0):
+            self.check([([A, B, C], sunday_eight_pm), ([A, B, D], sunday_eight_pm + 86400.0),
+                        ([A, C], sunday_eight_pm + 6 * 86400.0)], tz_offset)
+        # one UTC hour, two local hours: 08:40 and 09:20 at UTC-5:30
+        self.check([([A, B, C], ANCHOR + 14 * 3600.0 + 600.0), ([A, B, D], ANCHOR + 14 * 3600.0 + 3000.0)],
+                   -5.5 * 3600.0)
+
+    def test_negative_times_floor_to_the_previous_day(self):
+        # -3600 s is Wednesday 23:00, the hour before the epoch's Thursday;
+        # -0.5 s truncates to 0, Thursday 00:00
+        self.check([([A, B, C], -3600.0), ([A, B, D], -0.5), ([A, C], -7 * 86400.0 - 3600.0),
+                    ([B, C], -86400.0 * 3.5)])
+        self.check([([A, B, C], -3600.0), ([A, B, D], 1800.0)], tz_offset=-7200.0)
 
 
 # Fixed training trips: (node, stay) paths with their start times.
@@ -463,7 +509,7 @@ def golden_model(kind):
         for node, stay in path:
             trip.append(NodeVisit(node, t, t + stay))
             t += stay
-        m.train_session(trip, start)
+        train(m, trip, start)
     return m
 
 

@@ -1,4 +1,9 @@
+import dataclasses
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogrep.errors import ConfigError
 from fogrep.experiment import parse_policy
@@ -7,6 +12,9 @@ from fogrep.policies import PolicyConfig, Replicate, ReplicaPolicy, Retain
 from fogrep.simengine import run
 from fogrep.topology import FixedDelay, build_grid
 from fogrep.traces import ClientTimeline, NodeVisit, Pause
+
+from oracles import (make_micro_scenario, make_rescheduling_scenario, table_model,
+                     tables_of, target_order)
 
 A, B, C, D = 0, 1, 2, 3
 
@@ -301,3 +309,39 @@ class TestCausality:
         full = drive(predictive(), 6)
         for steps in range(1, 6):
             assert drive(predictive(), steps) == full[:steps]
+
+
+class TestActions:
+    def test_replicate_never_equals_retain(self):
+        assert Replicate(1, 5.0) != Retain(1, 5.0) and Retain(1, 5.0) != Replicate(1, 5.0)
+        assert not Replicate(1, 5.0) == Retain(1, 5.0) and not Retain(1, 5.0) == Replicate(1, 5.0)
+
+
+class TestTrainingThroughTheEngine:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           make=st.sampled_from([make_micro_scenario, make_rescheduling_scenario]),
+           fomm=st.booleans(), tz_offset=st.sampled_from([0.0, 8 * 3600.0, -5.5 * 3600.0]))
+    def test_each_client_model_equals_the_oracle_trained_on_its_visits(self, seed, make, fomm, tz_offset):
+        """A policy trains its model from the trips it tracks: the model a run
+        leaves holds the tables, target order and size of the oracle trained
+        on the client's visits."""
+        timelines, topo, network, config = make(random.Random(seed))
+        if fomm:
+            predictor = dict(predictor="fomm", k=2, day_splits=(1, 2, 7), time_splits=(1, 4, 24))
+        else:
+            predictor = dict(predictor="vomm", k=config.k if config.predictor != "baseline" else 2)
+        config = dataclasses.replace(config, **predictor, tz_offset=tz_offset)
+        result = run(timelines, topo, network, config)
+        for tl in timelines:
+            model = result.policies[tl.client_id].predictor
+            oracle = table_model(config.predictor, config.k, config.day_splits, config.time_splits,
+                                 eot=config.eot, tz_offset=tz_offset)
+            for visits in tl.sessions:
+                oracle.train_session(visits, visits[0].arrival)
+            got = tables_of(model)
+            assert [sm.spec for sm in got.submodels] == [sm.spec for sm in oracle.submodels]
+            for sm, want in zip(got.submodels, oracle.submodels):
+                assert {c: list(t.items()) for c, t in sm.table.entries.items()} == \
+                       {c: target_order(t) for c, t in want.table.entries.items()}
+            assert model.memory_bytes() == oracle.memory_bytes()
