@@ -1,17 +1,16 @@
 """Online-trainable Markov predictors over node-visit sequences.
 
 A model is a list of sub-models and a fuse rule. A sub-model has a fixed
-history length (order) and day-of-week and time-of-day splits; the buckets
-of all sub-models derive from the trip start time. The local hour of the
-week fixes every bucket, so a model resolves them once per hour of the week
-it has seen and keeps them. The only storage is one index per order: a
-history tuple maps to one record per trained (sub-model, day bucket, time
-bucket) context, so a prediction looks a history up once per order. A record
-holds the context's total count and a ``TargetRecord`` per target (a
-transition count plus stay statistics for the node the history ends at),
-node ids ascending and the end-of-trip pseudo-target ``EOT``, trained when
-enabled, last. A completed trip trains as its node ids and the stays between
-them, which the policy tracks as the trip goes on (``train_session``).
+history length (order) and day-of-week and time-of-day splits; the trip
+start time's ``hour_of_week`` fixes the buckets of all sub-models, so a model
+resolves them once per hour of the week it has seen. The only storage is
+one index per order: a history tuple maps to one record per trained
+(sub-model, day bucket, time bucket) context, so a prediction looks a
+history up once per order. A record holds the context's total count and a
+``TargetRecord`` per target (a transition count plus stay statistics for
+the node the history ends at), node ids ascending and the end-of-trip
+pseudo-target ``EOT``, trained when enabled, last. A trip trains as its node
+ids and the stays between them, which the policy tracks (``train_session``).
 
 The three predictors of the paper differ only in which sub-models they train
 and how the answers are fused (``KINDS``):
@@ -47,20 +46,25 @@ TARGET_BYTES = 20
 MAX_NODE_ID = 0xFFFF
 
 
+def hour_of_week(t, tz_offset=0.0) -> int:
+    """Local wall-time hour of the week, 0 at the epoch's Thursday 00:00; it fixes every bucket."""
+    return int(t + tz_offset) // 3600 % 168
+
+
 def bucketize(t, day_split, time_split, tz_offset=0.0) -> tuple[int, int]:
     """Map a timestamp to (day bucket, time bucket) in local wall time.
 
     day_split 7 -> weekday (Mon=0); 2 -> 0 weekday / 1 weekend; 1 -> 0.
     time_split 24 -> hour; 4 -> six-hour range; 1 -> 0.
     """
-    wall = int(t + tz_offset)
+    how = hour_of_week(t, tz_offset)
     day = 0
     if day_split > 1:
-        weekday = ((wall // 86400) + 3) % 7  # epoch day 0 was a Thursday
+        weekday = (how // 24 + 3) % 7  # epoch day 0 was a Thursday
         day = weekday if day_split == 7 else (1 if weekday >= 5 else 0)
     tod = 0
     if time_split > 1:
-        hour = (wall % 86400) // 3600
+        hour = how % 24
         tod = hour if time_split == 24 else hour // 6
     return day, tod
 
@@ -109,8 +113,7 @@ def backoff(model: "MarkovPredictor", history, trip_start):
             for key, _ in reversed(keyed):
                 ctx = records.get(key)
                 if ctx is not None:
-                    total = ctx.total
-                    return [Prediction(t, rec.count / total, rec.mean_stay) for t, rec in ctx.items()]
+                    return [Prediction(t, rec.count / ctx.total, rec.mean_stay) for t, rec in ctx.items()]
     return None
 
 
@@ -199,9 +202,8 @@ class MarkovPredictor:
     def _runs(self, trip_start):
         """The sub-models of a trip starting at ``trip_start``, in sub-model
         order, as runs of one order: (order, [(record key, weight), ...]).
-        Memoised by the trip's local hour of the week, which fixes every
-        day and time-of-day bucket."""
-        hour = int(trip_start + self.tz_offset) // 3600 % 168
+        Memoised by the trip's ``hour_of_week``."""
+        hour = hour_of_week(trip_start, self.tz_offset)
         runs = self._runs_by_hour.get(hour)
         if runs is None:
             keyed = [(s.order, (i, *bucketize(trip_start, s.day_split, s.time_split, self.tz_offset)),

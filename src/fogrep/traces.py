@@ -495,11 +495,11 @@ def csv_rows(fileobj):
         raise DataError(f"{getattr(fileobj, 'name', 'CSV')} line {reader.line_num}: {exc}") from None
 
 
-def read_visits_csv(fileobj, node_count=None) -> list[ClientTimeline]:
+def read_visits_csv(fileobj, node_count) -> list[ClientTimeline]:
     """Timelines from a visits CSV (see ``csv_rows``). The rows are checked for
     everything ``ClientTimeline.validate`` checks, and node ids against a
-    topology's ``node_count`` when given; a fault names its line, after the
-    file's name if the file object has one."""
+    topology's ``node_count``; a fault names its line, after the file's name
+    if the file object has one."""
     source = getattr(fileobj, "name", None)
     fault = partial(TraceFormatError, source=source)
     lines = csv_rows(fileobj)
@@ -520,7 +520,7 @@ def read_visits_csv(fileobj, node_count=None) -> list[ClientTimeline]:
             raise fault(f"non-finite visit time: {row[3]}, {row[4]}", line=lineno)
         if dep < arr:
             raise fault(f"departure {dep!r} before arrival {arr!r}", line=lineno)
-        if node_count is not None and not 0 <= node < node_count:
+        if not 0 <= node < node_count:
             raise fault(f"unknown node id {node}; the topology has ids 0 to {node_count - 1}", line=lineno)
         by_client.setdefault(cid, {}).setdefault(sid, []).append((lineno, NodeVisit(node, arr, dep)))
     timelines = []

@@ -60,6 +60,10 @@ class TestBucketize:
         assert bucketize(t, 1, 24) == (0, 2)
         assert bucketize(t, 1, 24, tz_offset=8 * 3600) == (0, 10)
 
+    def test_negative_time_floors_to_the_previous_day(self):
+        assert bucketize(-3600.0, 7, 24) == (2, 23)  # Wednesday 23:00, before the epoch's Thursday
+        assert bucketize(-3600.0, 2, 4, tz_offset=3600.0) == (0, 0)
+
 
 class TestTrainSession:
     def test_order1_counts_and_stays(self):

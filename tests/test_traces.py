@@ -437,7 +437,7 @@ class TestVisitsCsv:
         with open(path, "w") as fh:
             write_visits_csv([tl], fh)
         with open(path) as fh:
-            loaded = read_visits_csv(fh)
+            loaded = read_visits_csv(fh, node_count=3)
         assert len(loaded) == 1
         assert loaded[0].sessions == tl.sessions
         assert loaded[0].pauses == tl.pauses
@@ -447,10 +447,10 @@ class TestVisitsCsv:
         path.write_text("a,b\n1,2\n")
         with open(path) as fh:
             with pytest.raises(TraceFormatError):
-                read_visits_csv(fh)
+                read_visits_csv(fh, node_count=3)
 
     def test_field_over_the_csv_limit_in_a_stream(self):
         # a stream without a file name still fails as a DataError naming the line
         text = "client_id,session_id,node_id,arrival_epoch_s,departure_epoch_s\n" + "x" * 200_000 + ",0,0,1.0,2.0\n"
         with pytest.raises(DataError, match=r"^CSV line 2: field larger than field limit"):
-            read_visits_csv(io.StringIO(text))
+            read_visits_csv(io.StringIO(text), node_count=1)
