@@ -13,7 +13,7 @@ pseudo-target ``EOT``, trained when enabled, last. A trip trains as its node
 ids and the stays between them, which the policy tracks (``train_session``).
 
 The three predictors of the paper differ only in which sub-models they train
-and how the answers are fused (``KINDS``):
+and how they fuse their answers into one ranked list (``KINDS``, ``rank``):
 
 * ``momm``: order ``k`` alone, by backoff over that one sub-model;
 * ``vomm``: orders ``1..k``, by backoff: the highest order that knows the
@@ -103,9 +103,14 @@ class Prediction(NamedTuple):
     expected_stay: float | None = None
 
 
+def rank(p: Prediction):
+    """Descending probability, ties by node id, end of trip last among ties."""
+    return -p.probability, p.target == EOT, p.target
+
+
 def backoff(model: "MarkovPredictor", history, trip_start):
-    """The highest-order sub-model that knows the context answers alone:
-    orders are looked up from the highest down, up to the first record."""
+    """The highest-order sub-model that knows the context answers alone,
+    ranked: orders are looked up from the highest down, up to the first record."""
     n = len(history)
     for order, keyed in reversed(model._runs(trip_start)):
         records = model.index[order].get(tuple(history[n - order:])) if order <= n else None
@@ -113,16 +118,17 @@ def backoff(model: "MarkovPredictor", history, trip_start):
             for key, _ in reversed(keyed):
                 ctx = records.get(key)
                 if ctx is not None:
-                    return [Prediction(t, rec.count / ctx.total, rec.mean_stay) for t, rec in ctx.items()]
+                    return sorted([Prediction(t, rec.count / ctx.total, rec.mean_stay)
+                                   for t, rec in ctx.items()], key=rank)
     return None
 
 
 def blend(model: "MarkovPredictor", history, trip_start):
     """Weighted sum of every answering sub-model's distribution, normalized
-    once; stays fuse as weight-weighted averages over the sub-models that
-    report one. Sub-models add in their order into one [share, stay
-    numerator, stay denominator] accumulator per target; the history is
-    looked up once per run of one order."""
+    once and ranked; stays fuse as weight-weighted averages over the
+    sub-models that report one. Sub-models add in their order into one
+    [share, stay numerator, stay denominator] accumulator per target; the
+    history is looked up once per run of one order."""
     acc: dict[int, list[float]] = {}
     n = len(history)
     for order, keyed in model._runs(trip_start):
@@ -147,8 +153,8 @@ def blend(model: "MarkovPredictor", history, trip_start):
     total = 0.0  # left to right: sum() compensates since Python 3.12
     for a in acc.values():
         total += a[0]
-    return [Prediction(t, a[0] / total, a[1] / a[2] if a[2] else None)
-            for t, a in sorted(acc.items(), key=lambda ta: (ta[0] == EOT, ta[0]))]
+    return sorted([Prediction(t, a[0] / total, a[1] / a[2] if a[2] else None)
+                   for t, a in acc.items()], key=rank)
 
 
 # kind -> (orders trained for a maximum order k, whether sub-models split by
@@ -243,8 +249,8 @@ class MarkovPredictor:
                         rec.stay_count += 1
 
     def predict(self, history, trip_start):
-        """Fused next-target distribution, or None when no sub-model knows
-        the context."""
+        """Fused next-target distribution, ranked by ``rank``, or None when
+        no sub-model knows the context."""
         return self.fuse(self, history, trip_start)
 
     def memory_bytes(self) -> int:
@@ -255,23 +261,14 @@ class MarkovPredictor:
                    for records in index.values() for ctx in records.values())
 
 
-def dynamic_topn(preds, threshold=None, fixed_n=None, include_eot=True) -> list[int]:
-    """Select targets by descending probability (ties by node id, end-of-trip
-    last among ties): either the shortest prefix whose cumulative probability
-    reaches ``threshold``, or exactly ``min(fixed_n, len(preds))`` targets.
-
-    With include_eot=False, end-of-trip mass does not count toward the
-    threshold but keeps its position in the ordering.
-    """
-    ordered = sorted(preds, key=lambda p: (-p.probability, p.target == EOT, p.target))
-    if fixed_n is not None:
-        return [p.target for p in ordered[:fixed_n]]
-    selected = []
+def dynamic_topn(ranked, threshold, include_eot=True) -> list[Prediction]:
+    """The shortest prefix of ``ranked`` predictions whose cumulative
+    probability reaches ``threshold``, or all of them. With include_eot=False,
+    end-of-trip mass does not count toward it but keeps its place."""
     cum = 0.0
-    for p in ordered:
-        selected.append(p.target)
+    for i, p in enumerate(ranked, 1):
         if include_eot or p.target != EOT:
             cum += p.probability
         if cum >= threshold:
-            break
-    return selected
+            return ranked[:i]
+    return ranked

@@ -99,12 +99,14 @@ class ReplicaPolicy:
     """Per-client decision state; driven by the simulation event loop.
 
     A session start or an arrival returns a ``Replicate`` of the current node
-    and of each selected target, at its planned transfer start; a session end
-    returns ``[Retain(node, until)]`` when the restart model keeps the copy,
-    else ``[]``. Whether a wanted copy is present, on its way or retained is
-    the engine's concern (``fogrep.simengine``, where D4's mend goes). The
-    policy tracks the trip's node ids and the stay at each node it has left;
-    the predictor trains on them at the session end.
+    and of each chosen target, planned from its prediction's expected stay:
+    the first ``n`` ranked predictions for a fixed top-N, ``dynamic_topn``'s
+    prefix for a dynamic one, and no target when end of trip ranks first. A
+    session end returns ``[Retain(node, until)]`` when the restart model
+    keeps the copy, else ``[]``. Whether a wanted copy is present, on its way
+    or retained is the engine's concern (``fogrep.simengine``, where D4's
+    mend goes). The policy tracks the trip's node ids and the stay at each
+    node it has left; the predictor trains on them at the session end.
     """
 
     def __init__(self, config: PolicyConfig, transfer_estimate):
@@ -161,16 +163,12 @@ class ReplicaPolicy:
         if not preds:
             return actions
         cfg = self.config
-        if cfg.topn_mode == "dynamic":
-            targets = dynamic_topn(preds, threshold=cfg.topn_threshold, include_eot=cfg.topn_include_eot)
-        else:
-            targets = dynamic_topn(preds, fixed_n=cfg.topn_n)
-        if cfg.eot and targets and targets[0] == EOT:
+        chosen = (dynamic_topn(preds, cfg.topn_threshold, cfg.topn_include_eot) if cfg.topn_mode == "dynamic"
+                  else preds[:cfg.topn_n])
+        if chosen[0].target == EOT:
             return actions  # a predicted trip end schedules nothing at all
-        stays = {p.target: p.expected_stay for p in preds}
-        for target in targets:
+        for target, _, stay in chosen:
             if target not in (node, EOT):
-                stay = stays[target]
                 at = t if stay is None else max(t, t + stay - self.transfer_estimate(target) - cfg.preload_buffer)
                 actions.append(Replicate(target, at))
         return actions

@@ -31,7 +31,6 @@ entry. Synthetic timelines and the visits CSV never load it.
 """
 from __future__ import annotations
 
-import calendar
 import csv
 import math
 import os
@@ -418,7 +417,8 @@ class SyntheticSpec:
 def _local(spec: SyntheticSpec, t: float) -> str:
     """Weekday and wall-clock time of ``t`` in the spec's week (``Monday 08:00:00``)."""
     day, clock = divmod(t - spec.anchor, 86400.0)
-    return f"{calendar.day_name[int(day) % 7]} {time.strftime('%H:%M:%S', time.gmtime(clock))}"
+    weekday = ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday", "Sunday")[int(day) % 7]
+    return f"{weekday} {time.strftime('%H:%M:%S', time.gmtime(clock))}"
 
 
 def synth_generate(spec: SyntheticSpec, noise_seed=None) -> ClientTimeline:

@@ -564,8 +564,10 @@ class TableModel:
 
     def predict(self, history, trip_start):
         """Fused next-target distribution, or None when no sub-model knows
-        the context."""
-        return self.fuse(self, history, trip_start)
+        the context; ranked by descending probability, ties by node id and
+        end of trip last among ties."""
+        preds = self.fuse(self, history, trip_start)
+        return preds and sorted(preds, key=lambda p: (-p.probability, p.target == EOT, p.target))
 
     def query(self, sm: SubModel, history, trip_start):
         k = sm.spec.order

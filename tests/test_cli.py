@@ -471,6 +471,15 @@ class TestIngest:
         assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
         assert (tmp_path / "visits.csv").read_text().startswith("client_id,session_id,")
 
+    def test_run_and_ingest_import_neither_calendar_nor_locale(self):
+        """Every module `fogrep run` and `fogrep ingest` load leaves out
+        `calendar` and the `locale` it imports."""
+        proc = run_python("import json, sys\n"
+                          "import fogrep.cli, fogrep.experiment\n"
+                          "print(json.dumps(sorted({'calendar', 'locale'} & set(sys.modules))))\n")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+
     def test_run_cache_is_keyed_by_the_ingest_inputs(self, tmp_path, monkeypatch):
         root = fake_geolife(tmp_path / "geolife")
         ingested = []

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogrep.markov import (EOT, Prediction, SubModelSpec, TargetRecord,
-                           bucketize, dynamic_topn, make_model)
+                           bucketize, dynamic_topn, make_model, rank)
 from fogrep.traces import NodeVisit
 
 from oracles import (SubModel, TransitionTable, from_tables, table_model,
@@ -191,7 +191,8 @@ class TestFommPredict:
         total = 1 / 6 + 4 / 6 + 1 / 6
         assert total != 1.0
         preds = fomm_from_tables([((1, 1, 1, 1.0), t1)]).predict([A], 0.0)
-        assert [p.probability for p in preds] == [1 / 6 / total, 4 / 6 / total, 1 / 6 / total]
+        assert [(p.target, p.probability) for p in preds] == [(C, 4 / 6 / total), (B, 1 / 6 / total),
+                                                              (D, 1 / 6 / total)]
 
     def test_untrained_is_none(self):
         assert make_model("fomm", 2, (1, 2), (1, 4)).predict([A], 0.0) is None
@@ -210,45 +211,58 @@ class TestFommPredict:
         assert len(m5.submodels) == 5 * 2 * 2
 
 
-def preds_of(dist):
-    return [Prediction(t, p) for t, p in dist.items()]
+def ranked(dist):
+    """{target: probability} as predictions ranked as a model ranks them."""
+    return sorted((Prediction(t, p) for t, p in dist.items()), key=rank)
+
+
+def topn(dist, threshold, include_eot=True):
+    return [p.target for p in dynamic_topn(ranked(dist), threshold, include_eot)]
 
 
 class TestDynamicTopN:
     def test_prefix_two(self):
         # prefix sums: 0.7, then 0.95 >= 0.9
-        sel = dynamic_topn(preds_of({B: 0.7, C: 0.25, D: 0.05}), threshold=0.9)
-        assert sel == [B, C]
+        assert topn({B: 0.7, C: 0.25, D: 0.05}, 0.9) == [B, C]
 
     def test_prefix_three(self):
         # prefix sums: 0.6, 0.85, then 1.0 >= 0.9
-        sel = dynamic_topn(preds_of({B: 0.6, C: 0.25, D: 0.15}), threshold=0.9)
-        assert sel == [B, C, D]
+        assert topn({B: 0.6, C: 0.25, D: 0.15}, 0.9) == [B, C, D]
 
     def test_certain_single(self):
-        assert dynamic_topn(preds_of({B: 1.0}), threshold=0.5) == [B]
+        assert topn({B: 1.0}, 0.5) == [B]
 
     def test_threshold_one_returns_all(self):
-        sel = dynamic_topn(preds_of({B: 0.5, C: 0.3, D: 0.2}), threshold=1.0)
-        assert sel == [B, C, D]
-
-    def test_fixed_n(self):
-        assert dynamic_topn(preds_of({B: 0.5, C: 0.3, D: 0.2}), fixed_n=2) == [B, C]
-        assert dynamic_topn(preds_of({B: 1.0}), fixed_n=5) == [B]
+        assert topn({B: 0.5, C: 0.3, D: 0.2}, 1.0) == [B, C, D]
 
     def test_tie_breaks(self):
-        sel = dynamic_topn(preds_of({D: 0.25, B: 0.25, EOT: 0.25, C: 0.25}), threshold=1.0)
-        assert sel == [B, C, D, EOT]
+        assert topn({D: 0.25, B: 0.25, EOT: 0.25, C: 0.25}, 1.0) == [B, C, D, EOT]
 
     def test_eot_excluded_from_threshold(self):
-        preds = preds_of({EOT: 0.6, B: 0.4})
-        assert dynamic_topn(preds, threshold=0.9) == [EOT, B]
+        assert topn({EOT: 0.6, B: 0.4}, 0.9) == [EOT, B]
         # without counting the end-of-trip mass, B alone cannot reach 0.9
-        assert dynamic_topn(preds, threshold=0.9, include_eot=False) == [EOT, B]
-        assert dynamic_topn(preds_of({EOT: 0.6, B: 0.4}), threshold=0.4,
-                            include_eot=False) == [EOT, B]
-        assert dynamic_topn(preds_of({B: 0.6, EOT: 0.4}), threshold=0.5,
-                            include_eot=False) == [B]
+        assert topn({EOT: 0.6, B: 0.4}, 0.9, include_eot=False) == [EOT, B]
+        assert topn({EOT: 0.6, B: 0.4}, 0.4, include_eot=False) == [EOT, B]
+        assert topn({B: 0.6, EOT: 0.4}, 0.5, include_eot=False) == [B]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(st.sampled_from([EOT, A, B, C, D]), st.integers(1, 6), min_size=1),
+           st.sampled_from([0.1, 0.5, 0.9, 0.99, 1.0]), st.booleans())
+    def test_the_cut_is_the_shortest_prefix_that_reaches_the_threshold(self, counts, threshold, include_eot):
+        total = sum(counts.values())
+        preds = ranked({t: n / total for t, n in counts.items()})
+        chosen = dynamic_topn(preds, threshold, include_eot)
+
+        def counted(prefix):
+            mass = 0.0  # left to right, as the cut adds
+            for p in prefix:
+                if include_eot or p.target != EOT:
+                    mass += p.probability
+            return mass
+
+        assert chosen == preds[:len(chosen)]
+        assert counted(chosen) >= threshold or chosen == preds
+        assert counted(chosen[:-1]) < threshold
 
 
 class TestMemoryAndPersistence:
@@ -436,6 +450,29 @@ class TestOracleAgreement:
                 assert {c: list(t.items()) for c, t in sm.table.entries.items()} == \
                        {c: target_order(t) for c, t in want.table.entries.items()}
             assert m.memory_bytes() == oracle.memory_bytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(TRIPS, st.integers(1, 3), st.booleans(), st.sampled_from([0.0, 8 * 3600.0]),
+           st.sampled_from(["vomm", "fomm"]))
+    def test_predictions_are_ranked(self, trips, k, eot, tz_offset, kind):
+        """A trained model's predictions are sorted by ``rank`` and are the
+        oracle's predictions ranked the same way."""
+        splits = ((1, 2, 7), (1, 4, 24)) if kind == "fomm" else ((1,), (1,))
+        m = make_model(kind, k, *splits, eot=eot, tz_offset=tz_offset)
+        oracle = table_model(kind, k, *splits, eot=eot, tz_offset=tz_offset)
+        for path, start in trips:
+            t, trip = start, []
+            for node, stay in path:
+                trip.append(NodeVisit(node, t, t + stay))
+                t += stay
+            train(m, trip, start)
+            oracle.train_session(trip, start)
+        for path, start in trips:
+            nodes = [node for node, _ in path]
+            for i in range(1, len(nodes) + 1):
+                preds = m.predict(nodes[:i], start)
+                assert preds == oracle.predict(nodes[:i], start)
+                assert preds is None or preds == sorted(preds, key=rank)
 
 
 class TestHourOfWeekMemo:

@@ -166,6 +166,16 @@ class TestPredictive:
         replicates = [a for a in actions if isinstance(a, Replicate) and a.node != A]
         assert len(replicates) == 1
 
+    def test_fixed_n_replicates_the_highest_ranked_targets(self):
+        # from A the client went on to D three times, B twice and C once
+        for n, want in ((2, [D, B]), (5, [D, B, C])):
+            policy = ReplicaPolicy(parse_policy({"predictor": {"type": "vomm", "k": 1},
+                                                 "topn": {"type": "fixed", "n": n}}), lambda node: 300.0)
+            for after in (D, D, D, B, B, C):
+                train_commute(policy, days=1, path=((A, 600.0), (after, 600.0)))
+            t0 = 1_000_000.0
+            assert policy.on_session_start(A, t0) == [Replicate(node, t0) for node in [A, *want]]
+
     def test_memory_grows_with_training(self):
         policy = predictive()
         assert policy.memory_bytes() == 0

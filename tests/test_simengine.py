@@ -6,7 +6,7 @@ import random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fogrep import simengine
@@ -394,6 +394,21 @@ class TestSweepProperties:
             for (covered, presence), (covered_more, presence_more) in zip(smaller, larger):
                 assert covered <= covered_more and presence <= presence_more
 
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           make=st.sampled_from([make_micro_scenario, make_rescheduling_scenario, make_zero_stay_scenario]))
+    def test_covered_and_presence_time_do_not_drop_as_fixed_top_n_grows(self, seed, make):
+        # without retention: a retained copy that is chosen again still
+        # expires (D4), which the pinned case below shows
+        timelines, topo, network, config = make(random.Random(seed))
+        assume(config.predictor != "baseline")
+        runs = [self.sums(timelines, topo, network,
+                          dataclasses.replace(config, startup_mode="none", topn_mode="fixed", topn_n=n))
+                for n in (1, 2, 3)]
+        for smaller, larger in zip(runs, runs[1:]):
+            for (covered, presence), (covered_more, presence_more) in zip(smaller, larger):
+                assert covered <= covered_more and presence <= presence_more
+
     @staticmethod
     def rows(timelines, topo, network, config):
         result = run(timelines, topo, network, config)
@@ -433,6 +448,17 @@ class TestSweepProperties:
                                   short_pause_mode="fixed", short_pause_duration=duration)
             covered[duration] = covered_time(run([tl], topo3(), FixedDelay(300.0), config).ledger, tl)
         assert covered[600.0] >= covered[60.0]
+
+    @pytest.mark.xfail(strict=True, reason="D4")
+    def test_top_2_covers_no_less_than_top_1_with_retention(self):
+        # vomm k=2 with a node-specific 300 s short pause and 30 s transfers:
+        # client c1 covers 3,330 s at top-1 and 3,300 s at top-2
+        timelines, topo, network, config = make_rescheduling_scenario(random.Random(973))
+        assert (config.predictor, config.k, config.startup_mode, config.short_pause_mode,
+                config.short_pause_duration, network.delay) == ("vomm", 2, "short_pause", "node_specific", 300.0, 30.0)
+        top1, top2 = (self.sums(timelines, topo, network, dataclasses.replace(config, topn_mode="fixed", topn_n=n))
+                      for n in (1, 2))
+        assert all(covered <= covered_more for (covered, _), (covered_more, _) in zip(top1, top2))
 
 
 class TestSnapshotMemory:
