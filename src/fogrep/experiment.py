@@ -601,7 +601,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
     shared = (cfg.window, cfg.series_clients, cfg.series_bucket, cfg.dump_events)
     if cfg.jobs > 1 and len(points) > 1:
         import concurrent.futures  # here, not at the top: a serial run need not load it, logging or threading
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(cfg.jobs, len(points))) as pool:
             futures = [pool.submit(_run_point, *args, *shared) for _, args in points]
             outcomes = [f.result() for f in futures]
     else:
@@ -685,8 +685,6 @@ def pareto_svg(rows, width=640, height=480) -> str:
     availability, minimal excess) drawn as a line."""
     pts = [(float(r["availability"]) * 100.0, float(r["excess_ratio"]) * 100.0,
             f"{r['policy']}/{r['topology']}") for r in rows]
-    if not pts:
-        return "<svg xmlns='http://www.w3.org/2000/svg'/>"
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     x0, x1 = min(xs), max(xs)

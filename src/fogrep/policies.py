@@ -99,7 +99,8 @@ class ReplicaPolicy:
     """Per-client decision state; driven by the simulation event loop.
 
     A session start or an arrival returns a ``Replicate`` of the current node
-    and of each chosen target, planned from its prediction's expected stay:
+    and of each chosen target, planned from its prediction's expected stay
+    and the network's transfer delay:
     the first ``n`` ranked predictions for a fixed top-N, ``dynamic_topn``'s
     prefix for a dynamic one, and no target when end of trip ranks first. A
     session end returns ``[Retain(node, until)]`` when the restart model
@@ -109,9 +110,9 @@ class ReplicaPolicy:
     node it has left; the predictor trains on them at the session end.
     """
 
-    def __init__(self, config: PolicyConfig, transfer_estimate):
+    def __init__(self, config: PolicyConfig, transfer_delay: float):
         self.config = config
-        self.transfer_estimate = transfer_estimate  # seconds to move the data set to a node
+        self.transfer_delay = transfer_delay  # seconds to move the data set to any node
         self.predictor = None if config.predictor == "baseline" else make_model(
             config.predictor, config.k, config.day_splits, config.time_splits,
             eot=config.eot, tz_offset=config.tz_offset)
@@ -150,9 +151,6 @@ class ReplicaPolicy:
         if self.predictor is not None:
             self.predictor.train_session(self.trip_nodes, self.trip_stays, self.trip_start)
         self.last_shutdown = (node, t)
-        self.trip_start = None
-        self.trip_nodes = []
-        self.trip_stays = []
         return [Retain(node, until)] if until is not None and until > t else []
 
     # -- internals -----------------------------------------------------------
@@ -169,7 +167,7 @@ class ReplicaPolicy:
             return actions  # a predicted trip end schedules nothing at all
         for target, _, stay in chosen:
             if target not in (node, EOT):
-                at = t if stay is None else max(t, t + stay - self.transfer_estimate(target) - cfg.preload_buffer)
+                at = t if stay is None else max(t, t + stay - self.transfer_delay - cfg.preload_buffer)
                 actions.append(Replicate(target, at))
         return actions
 

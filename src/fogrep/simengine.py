@@ -96,11 +96,11 @@ class _NodeState:
 class _ClientRun:
     """One client's event loop and the only owner of its replicas."""
 
-    def __init__(self, timeline, policy, ttime, ledger, record_log):
+    def __init__(self, timeline, policy, network, ledger, record_log):
         self.client = timeline.client_id
         self.timeline = timeline
         self.policy = policy
-        self._ttime = ttime
+        self._network = network
         self._ledger = ledger
         self.log: list[EventRecord] | None = [] if record_log else None
         self._states: dict[int, _NodeState] = {}
@@ -159,7 +159,8 @@ class _ClientRun:
             until = st.retained_until
             if event == TRANSFER_START:
                 st.status = _IN_FLIGHT
-                st.next = (at + self._ttime(node), TRANSFER_COMPLETE, next(self._order))
+                # transfer_time is looked up at each start, so a proxy of it counts transfers started
+                st.next = (at + transfer_time(node, self._network), TRANSFER_COMPLETE, next(self._order))
             elif event == RETENTION_EXPIRE or (until is not None and until <= at):
                 # an expiry, or a completion after the retention granted in flight
                 self._close(node, at)
@@ -184,11 +185,9 @@ class _ClientRun:
                 return  # a copy is there or on its way, or this start is planned already
             st.next = (at, TRANSFER_START, next(self._order))
         elif isinstance(action, Retain):
-            if st is None:
-                return
-            if action.until <= now or st.status == _PENDING:
-                self._close(node, now)
-                return
+            # the policy retains only the copy its visit started, and only until a later time
+            if st is None or st.status == _PENDING or action.until <= now:
+                raise EngineInvariantError(f"cannot retain node {node} until {action.until} at {now}")
             # an in-flight transfer is paid for: it finishes into the retention
             st.retained_until = action.until
             if st.status == _PRESENT:
@@ -201,10 +200,6 @@ def run(timelines, topology: Topology, network: FixedDelay, policy_config: Polic
         record_log=True) -> RunResult:
     """Simulate the timelines under one policy configuration, one client at a time."""
     node_ids = range(topology.node_count)
-
-    def ttime(dst) -> float:
-        return transfer_time(dst, network)
-
     runs: dict[str, _ClientRun] = {}
     ledger = {}
     for tl in sorted(timelines, key=lambda tl: tl.client_id):
@@ -216,7 +211,8 @@ def run(timelines, topology: Topology, network: FixedDelay, policy_config: Polic
             for v in visits:
                 if v.node not in node_ids:
                     raise ConfigError(f"client {tl.client_id}: unknown node id {v.node}")
-        runs[tl.client_id] = _ClientRun(tl, ReplicaPolicy(policy_config, ttime), ttime, ledger, record_log)
+        policy = ReplicaPolicy(policy_config, network.delay)
+        runs[tl.client_id] = _ClientRun(tl, policy, network, ledger, record_log)
     for client_run in runs.values():
         client_run.run()
     check_ledger(ledger)

@@ -25,9 +25,9 @@ the per-file columns are freed. Mapping adds one int64 node per point and a
 byte per point for the run boundaries. Visits and pauses are slotted records.
 
 Only GeoLife ingest uses numpy: ``parse_plt_rows``, ``_parse_columns``,
-``_clock_seconds``, ``Track.__getitem__``, ``sessionize`` and
-``map_to_node_visits`` import it when called, and ``load_geolife_dir`` on
-entry. Synthetic timelines and the visits CSV never load it.
+``_clock_seconds``, ``sessionize`` and ``map_to_node_visits`` import it
+when called, and ``load_geolife_dir`` on entry. Synthetic timelines and the
+visits CSV never load it.
 """
 from __future__ import annotations
 
@@ -65,8 +65,7 @@ class GeoPoint:
 @dataclass(frozen=True, eq=False)
 class Track:
     """GPS points as equal-length float64 columns: latitude, longitude and
-    epoch seconds. An integer index gives one GeoPoint; a slice or an index
-    array gives a Track."""
+    epoch seconds. A slice or an index array gives a Track."""
     lat: np.ndarray
     lon: np.ndarray
     t: np.ndarray
@@ -75,9 +74,6 @@ class Track:
         return len(self.t)
 
     def __getitem__(self, i):
-        import numpy as np
-        if isinstance(i, (int, np.integer)):
-            return GeoPoint(float(self.lat[i]), float(self.lon[i]), float(self.t[i]))
         return Track(self.lat[i], self.lon[i], self.t[i])
 
 
@@ -86,12 +82,8 @@ class Sessions:
     """A client's sessions, in time order, as one set of columns: session i
     is ``points[bounds[i]:bounds[i + 1]]``, and the last bound is
     ``len(points)``."""
-    client_id: str
     points: Track
     bounds: list[int]
-
-    def __len__(self) -> int:
-        return len(self.bounds) - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,7 +290,7 @@ def sessionize(point_groups, gap_threshold=DEFAULT_GAP_THRESHOLD, client_id="") 
     gaps = np.diff(t)
     cut = gaps > gap_threshold
     cut[joins] |= gaps[joins] > 0  # a later file continues a session only from its exact end
-    return Sessions(client_id, Track(lat, lon, t), [0, *(np.flatnonzero(cut) + 1).tolist(), len(t)])
+    return Sessions(Track(lat, lon, t), [0, *(np.flatnonzero(cut) + 1).tolist(), len(t)])
 
 
 def map_to_node_visits(sessions: Sessions, topo: Topology) -> list[list[NodeVisit]]:

@@ -43,7 +43,7 @@ from fogrep.simengine import (ARRIVAL, KIND_NAMES, RETENTION_EXPIRE, SESSION_END
                               SESSION_START, TRANSFER_COMPLETE, TRANSFER_START, EventRecord,
                               merge_event_logs)
 from fogrep.topology import FixedDelay, build_grid, transfer_time
-from fogrep.traces import ClientTimeline, NodeVisit, Pause, parse_plt_rows
+from fogrep.traces import ClientTimeline, GeoPoint, NodeVisit, Pause, parse_plt_rows
 
 _START, _ARRIVE, _END = "start", "arrive", "end"
 
@@ -55,7 +55,7 @@ def brute_force_run(timelines, topology, network, config: PolicyConfig) -> dict:
 
     ledger = {}
     for tl in timelines:
-        policy = ReplicaPolicy(config, ttime)
+        policy = ReplicaPolicy(config, network.delay)
         pending: dict[int, float] = {}
         inflight: dict[int, list] = {}   # node -> [complete_t, retained_until|None]
         present: dict[int, float] = {}   # node -> open_since
@@ -353,6 +353,11 @@ def brute_force_nearest(lat, lon, topo):
     return best_id
 
 
+def track_points(track) -> list[GeoPoint]:
+    """A Track's points, one GeoPoint each, in column order."""
+    return [GeoPoint(*p) for p in zip(track.lat.tolist(), track.lon.tolist(), track.t.tolist())]
+
+
 def _point_sessions(groups, gap_threshold):
     """Per-file GeoPoint lists -> sessions, by the rules of traces.sessionize."""
     groups = sorted((sorted(g, key=lambda p: p.t) for g in groups if g), key=lambda g: g[0].t)
@@ -375,7 +380,7 @@ def point_ingest(root, topo, gap_threshold) -> list[ClientTimeline]:
     """`fogrep ingest` of ``root/Data/<user>/Trajectory/*.plt``, one point at a time."""
     timelines = []
     for user in sorted(d for d in (Path(root) / "Data").iterdir() if d.is_dir()):
-        groups = [list(parse_plt_rows(f.read_bytes()))
+        groups = [track_points(parse_plt_rows(f.read_bytes()))
                   for f in sorted((user / "Trajectory").glob("*.plt"))]
         visit_sessions = []
         for points in _point_sessions(groups, gap_threshold):
@@ -810,7 +815,7 @@ def reference_run(timelines, topology, network, config: PolicyConfig):
     ledger = {}
     logs = []
     for tl in sorted(timelines, key=lambda tl: tl.client_id):
-        client_run = _ClientRun(tl, ReplicaPolicy(config, ttime), ttime, ledger, True)
+        client_run = _ClientRun(tl, ReplicaPolicy(config, network.delay), ttime, ledger, True)
         client_run.run()
         logs.append(client_run.log)
     return ledger, merge_event_logs(logs)

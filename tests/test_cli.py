@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import io
 import json
@@ -70,6 +71,16 @@ RESTART_EVENT_DIGESTS = {
     "node-specific__grid-4/events.csv": "8555f4ed53268c8008eb991f20ecbd3d7c0cf47d198aafe13db22b50f0f4d104",
     "plmm__grid-4/events.csv": "84ed765954fcce7f5b13b238987eb40685d131d1d7313730925af4320bf2097a",
 }
+
+VISITS_HEADER = "client_id,session_id,node_id,arrival_epoch_s,departure_epoch_s\n"
+# a one-point experiment over visits.csv, beside the config
+VISITS_RUN = ("experiment: x\ntrace: {source: visits, path: visits.csv}\n"
+              "topology: {rows: 1, cols: 2}\npolicies: [{name: p}]\n")
+# a one-point experiment whose synthetic starts the run seed jitters, with its event log
+JITTERED_RUN = ("experiment: s\n"
+                "trace: {source: synthetic, spec: {jitter: 600, clients: [{client: c, "
+                "patterns: [{days: [mon, tue], start: '08:00', path: [[0, 600], [1, 600]]}]}]}}\n"
+                "topology: {name: strip-2, rows: 1, cols: 2}\npolicies: [{name: p}]\ndump_events: true\n")
 
 PLT_HEADER = ("Geolife trajectory\nWGS 84\nAltitude is in Feet\nReserved 3\n"
               "0,2,255,My Track,0,0,2,8421376\n0\n")
@@ -416,6 +427,88 @@ class TestRun:
         assert (tmp_path / "serial" / "results.csv").read_bytes() == \
                (tmp_path / "par" / "results.csv").read_bytes()
 
+    def test_worker_pool_is_capped_at_the_point_count(self, tmp_path, monkeypatch):
+        """A pool starts all its workers at the first submit (the fork start
+        method), so --jobs beyond the sweep's points would fork idle processes."""
+        sizes = []
+
+        class InlinePool:  # records its size and runs each point here, starting no process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        assert main(["run", str(SMOKE_CONFIG), "--out", str(tmp_path / "out"), "--jobs", "500"]) == 0
+        assert sizes == [3]
+        assert (tmp_path / "out" / "results.csv").read_bytes() == GOLDEN_RESULTS.read_bytes()
+
+    @pytest.mark.parametrize("config, visits, code, message", [
+        ("- a\n- b\n", None, 2, "config error: {cfg}: config must be a mapping"),
+        (VISITS_RUN.replace("topology: {rows: 1, cols: 2}", "topologies: []"), None, 2,
+         "config error: {cfg}: topologies: sweep list must be non-empty (line 3)"),
+        (VISITS_RUN.replace("[{name: p}]", "[]"), None, 2,
+         "config error: {cfg}: policies: sweep list must be non-empty (line 4)"),
+        (VISITS_RUN.replace(", path: visits.csv", ""), None, 2,
+         "config error: {cfg}: trace.path: required key missing (line 2)"),
+        (VISITS_RUN, None, 3, "data error: visits file not found: {visits}"),
+        (VISITS_RUN.replace("{name: p}", "{name: p, predictor: vomm, topn: {type: foo}}"), None, 2,
+         "config error: {cfg}: policies[0].topn.type: unknown mode 'foo' (line 4)"),
+        (VISITS_RUN, "a,0,x,0.0,60.0\n", 3,
+         "data error: {visits} line 2: invalid literal for int() with base 10: 'x'"),
+    ], ids=["config-list", "topologies-empty", "policies-empty", "visits-without-path", "visits-file-missing",
+            "topn-type-unknown", "node-id-word"])
+    def test_input_error_names_its_key_or_file(self, tmp_path, capsys, config, visits, code, message):
+        cfg, visits_path = tmp_path / "run.yaml", tmp_path / "visits.csv"
+        cfg.write_text(config)
+        if visits is not None:
+            visits_path.write_text(VISITS_HEADER + visits)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == code
+        assert capsys.readouterr().err == message.format(cfg=cfg, visits=visits_path) + "\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_flag_overrides_the_config_seed(self, tmp_path):
+        def events(seed, *flags):
+            cfg = tmp_path / f"seed-{seed}.yaml"
+            cfg.write_text(JITTERED_RUN + f"seed: {seed}\n")
+            out = tmp_path / f"out-{seed}-{len(flags)}"
+            assert main(["run", str(cfg), "--out", str(out), *flags]) == 0
+            return json.loads((out / "summary.json").read_text())["s"]["seed"], \
+                (out / "p__strip-2" / "events.csv").read_bytes()
+
+        flagged, configured, other = events(1, "--seed", "5"), events(5), events(1)
+        assert flagged == configured and flagged[0] == 5
+        assert flagged[1] != other[1]  # the seed moves the jittered starts
+
+    def test_null_seed_keeps_the_default(self, tmp_path):
+        runs = []
+        for name, seed_line in (("null", "seed: ~\n"), ("absent", "")):
+            cfg = tmp_path / f"{name}.yaml"
+            cfg.write_text(JITTERED_RUN + seed_line)
+            assert main(["run", str(cfg), "--out", str(tmp_path / name)]) == 0
+            runs.append((json.loads((tmp_path / name / "summary.json").read_text())["s"]["seed"],
+                         (tmp_path / name / "p__strip-2" / "events.csv").read_bytes()))
+        assert runs[0] == runs[1] and runs[0][0] is None
+
+    def test_blank_visits_row_is_skipped(self, tmp_path):
+        rows = ["c,0,0,0.0,600.0", "c,0,1,600.0,900.0", "c,1,1,2000.0,2600.0"]
+        results = []
+        for name, text in (("blank", "\n".join([rows[0], "", *rows[1:]])), ("plain", "\n".join(rows))):
+            (tmp_path / f"{name}.csv").write_text(VISITS_HEADER + text + "\n")
+            (tmp_path / f"{name}.yaml").write_text(VISITS_RUN.replace("visits.csv", f"{name}.csv"))
+            assert main(["run", str(tmp_path / f"{name}.yaml"), "--out", str(tmp_path / name)]) == 0
+            results.append((tmp_path / name / "results.csv").read_bytes())
+        assert results[0] == results[1]
+
 
 class TestIngest:
     def test_ingest_and_run_from_cache(self, tmp_path, capsys):
@@ -672,6 +765,41 @@ class TestIngest:
         assert code == 3
         assert "GeoLife" in capsys.readouterr().err
 
+    def test_clients_selects_exactly_those_users(self, tmp_path):
+        root = fake_geolife(tmp_path / "geolife")
+        write_plt(root / "Data" / "002" / "Trajectory" / "20080103000000.plt",
+                  ["0.5,0.8,0,0,0,2008-01-03,10:00:00", "0.5,0.8,0,0,0,2008-01-03,10:10:00"])
+        assert main(["ingest", str(root), "--grid", "1x2", "--bbox", "0", "1", "0", "1",
+                     "--clients", "002", "000", "--out", str(tmp_path / "v.csv")]) == 0
+        rows = (tmp_path / "v.csv").read_text().splitlines()[1:]
+        assert sorted({row.split(",")[0] for row in rows}) == ["000", "002"]
+        cfg = tmp_path / "geo.yaml"
+        cfg.write_text(
+            "experiment: geo\n"
+            f"trace: {{source: geolife, path: {root}, clients: ['002', '000']}}\n"
+            "topology: {name: strip-2, rows: 1, cols: 2, bbox: [0, 1, 0, 1], transfer_delay: 30}\n"
+            "policies: [{name: baseline}]\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        report = (tmp_path / "out" / "baseline__strip-2" / "report.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in report[1:]] == ["000", "002", "ALL"]
+
+    def test_grid_that_is_not_rows_by_cols_is_a_config_error(self, tmp_path, capsys):
+        assert main(["ingest", str(tmp_path), "--grid", "3", "--out", str(tmp_path / "v.csv")]) == 2
+        assert capsys.readouterr().err == "config error: --grid: expected ROWSxCOLS, got '3'\n"
+
+    def test_root_without_user_directories_is_a_data_error(self, tmp_path, capsys):
+        (tmp_path / "geolife" / "Data").mkdir(parents=True)
+        assert main(["ingest", str(tmp_path / "geolife"), "--out", str(tmp_path / "v.csv")]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"data error: no GeoLife user directories under {tmp_path / 'geolife' / 'Data'}; "
+            "expected Data/<user>/Trajectory/*.plt")
+
+    def test_user_without_plt_files_is_a_data_error(self, tmp_path, capsys):
+        trajectory = tmp_path / "geolife" / "Data" / "000" / "Trajectory"
+        trajectory.mkdir(parents=True)
+        assert main(["ingest", str(tmp_path / "geolife"), "--out", str(tmp_path / "v.csv")]) == 3
+        assert capsys.readouterr().err == f"data error: no .plt files under {trajectory}\n"
+
     def test_ingest_of_a_file_is_a_data_error(self, tmp_path, capsys):
         plt = tmp_path / "20080101000000.plt"
         write_plt(plt, ["0.5,0.2,0,0,0,2008-01-01,08:00:00"])
@@ -758,6 +886,19 @@ class TestReport:
         bad.write_text(GOLDEN_RESULTS.read_text().replace(",0.5,", ",half,"))
         assert main(["report", str(bad)]) == 3
         assert capsys.readouterr().err == f"data error: {bad} line 2: could not convert string to float: 'half'\n"
+
+    def test_wrong_header_is_a_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "results.csv"
+        bad.write_text("a,b,c\n" + GOLDEN_RESULTS.read_text().split("\n", 1)[1])
+        assert main(["report", str(bad)]) == 3
+        assert capsys.readouterr().err == f"data error: {bad}: unexpected results header ['a', 'b', 'c']\n"
+
+    def test_row_with_a_ninth_field_is_a_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "results.csv"
+        header, first, *_ = GOLDEN_RESULTS.read_text().splitlines()
+        bad.write_text(f"{header}\n{first},extra\n")
+        assert main(["report", str(bad)]) == 3
+        assert capsys.readouterr().err == f"data error: {bad} line 2: more than 8 fields\n"
 
     def test_missing_results_file(self, tmp_path):
         assert main(["report", str(tmp_path / "none.csv")]) == 3

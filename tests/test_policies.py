@@ -48,14 +48,14 @@ BASELINE = PolicyConfig()
 
 
 def baseline():
-    return ReplicaPolicy(BASELINE, lambda node: 0.0)
+    return ReplicaPolicy(BASELINE, 0.0)
 
 
 def predictive(transfer=300.0, **kwargs):
     defaults = dict(predictor="vomm", k=2)
     defaults.update(kwargs)
     cfg = PolicyConfig(name="pred", **defaults)
-    return ReplicaPolicy(cfg, transfer_estimate=lambda node: transfer)
+    return ReplicaPolicy(cfg, transfer_delay=transfer)
 
 
 def train_commute(policy, days=2, path=COMMUTE, pause=80000.0):
@@ -78,7 +78,7 @@ class TestBaseline:
         # the handler wants A again at the restart; the engine has it retained,
         # so no transfer starts for it
         config = PolicyConfig(startup_mode="short_pause", short_pause_duration=600.0)
-        policy = ReplicaPolicy(config, lambda node: 0.0)
+        policy = ReplicaPolicy(config, 0.0)
         policy.on_session_start(A, 0.0)
         policy.on_session_end(A, 1000.0)
         assert policy.on_session_start(A, 1400.0) == [Replicate(A, 1400.0)]
@@ -170,7 +170,7 @@ class TestPredictive:
         # from A the client went on to D three times, B twice and C once
         for n, want in ((2, [D, B]), (5, [D, B, C])):
             policy = ReplicaPolicy(parse_policy({"predictor": {"type": "vomm", "k": 1},
-                                                 "topn": {"type": "fixed", "n": n}}), lambda node: 300.0)
+                                                 "topn": {"type": "fixed", "n": n}}), 300.0)
             for after in (D, D, D, B, B, C):
                 train_commute(policy, days=1, path=((A, 600.0), (after, 600.0)))
             t0 = 1_000_000.0
@@ -186,14 +186,14 @@ class TestPredictive:
 class TestSessionEnd:
     def test_short_pause_fixed_retains(self):
         policy = ReplicaPolicy(PolicyConfig(
-            startup_mode="short_pause", short_pause_mode="fixed", short_pause_duration=600.0), lambda node: 0.0)
+            startup_mode="short_pause", short_pause_mode="fixed", short_pause_duration=600.0), 0.0)
         policy.on_session_start(A, 0.0)
         actions = policy.on_session_end(A, 1000.0)
         assert actions == [Retain(A, 1600.0)]
 
     def test_plmm_mismatch_deletes(self):
         config = PolicyConfig(startup_mode="plmm")
-        policy = ReplicaPolicy(config, lambda node: 0.0)
+        policy = ReplicaPolicy(config, 0.0)
         # teach the pause model that shutting down at A restarts at B
         sessions = [[(A, 0, 1000)], [(B, 1400, 2400)], [(A, 2800, 3800)], [(B, 4200, 5200)]]
         for (session,) in sessions[:3]:
@@ -205,7 +205,7 @@ class TestSessionEnd:
         assert result.ledger[("c", A)] == [(300.0, 1000.0), (3100.0, 3800.0)]
 
     def test_plmm_match_retains_padded(self):
-        policy = ReplicaPolicy(PolicyConfig(startup_mode="plmm", plmm_threshold=1500.0), lambda node: 0.0)
+        policy = ReplicaPolicy(PolicyConfig(startup_mode="plmm", plmm_threshold=1500.0), 0.0)
         policy.on_session_start(A, 0.0)
         policy.on_session_end(A, 100.0)
         policy.on_session_start(A, 700.0)  # pause 600 at same node
@@ -232,11 +232,11 @@ class TestCombinationComposes:
                       eot=True, topn_mode="dynamic", topn_threshold=0.9)
         combo = ReplicaPolicy(PolicyConfig(name="combo", startup_mode="short_pause",
                                            short_pause_duration=600.0, **kwargs),
-                              transfer_estimate=lambda n: 300.0)
+                              transfer_delay=300.0)
         pure_pred = ReplicaPolicy(PolicyConfig(name="fomm", startup_mode="none", **kwargs),
-                                  transfer_estimate=lambda n: 300.0)
+                                  transfer_delay=300.0)
         pure_pause = ReplicaPolicy(PolicyConfig(name="pause", startup_mode="short_pause",
-                                                short_pause_duration=600.0), lambda n: 0.0)
+                                                short_pause_duration=600.0), 0.0)
         for policy in (combo, pure_pred):
             train_commute(policy, days=2)
         t0 = 50_000_000.0
@@ -292,7 +292,7 @@ class TestPolicyConfig:
         cfg = parse_policy({
             "predictor": {"type": "fomm", "k": 3, "day_splits": [1, 2, 7],
                           "time_splits": [1, 4, 24]}})
-        policy = ReplicaPolicy(cfg, lambda node: 0.0)
+        policy = ReplicaPolicy(cfg, 0.0)
         assert len(policy.predictor.submodels) == 3 * 3 * 3
 
 

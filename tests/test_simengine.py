@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from fogrep import simengine
 from fogrep.errors import ConfigError, EngineInvariantError
 from fogrep.metrics import compute_report, covered_time, presence_time
-from fogrep.policies import PolicyConfig, Replicate, ReplicaPolicy
+from fogrep.policies import PolicyConfig, Replicate, ReplicaPolicy, Retain
 from fogrep.simengine import (EventRecord, check_ledger, merge_event_logs, run,
                               snapshot_memory, write_event_log_csv)
 from fogrep.topology import FixedDelay, build_grid, transfer_time
@@ -51,7 +51,7 @@ def script(monkeypatch):
     actions = {}
 
     class Scripted:
-        def __init__(self, config, transfer_estimate):
+        def __init__(self, config, transfer_delay):
             pass
 
         def on_session_start(self, node, t):
@@ -208,6 +208,16 @@ class TestEngineInvariants:
         with pytest.raises(EngineInvariantError, match=r"unknown action namespace\(node=1\)"):
             run([timeline("c", [(A, 0, 500)])], topo3(), FixedDelay(300.0), BASELINE)
 
+    @pytest.mark.parametrize("retain", [Retain(B, 2000.0), Retain(C, 2000.0), Retain(A, 1000.0),
+                                        Retain(A, 900.0)],
+                             ids=["absent", "pending", "deadline-now", "deadline-past"])
+    def test_retain_the_engine_cannot_apply_is_an_invariant_error(self, script, retain):
+        # the policy retains only the copy its visit started, and only until a later time
+        script[0.0] = [Replicate(A, 0.0), Replicate(C, 1500.0)]  # C's transfer is still pending at 1000
+        script[1000.0] = [retain]
+        with pytest.raises(EngineInvariantError, match=f"cannot retain node {retain.node} until {retain.until}"):
+            run([timeline("c", [(A, 0, 1000)])], topo3(), FixedDelay(300.0), BASELINE)
+
     @pytest.mark.parametrize("intervals", [[(0.0, 10.0), (5.0, 20.0)], [(0.0, 10.0), (0.0, 10.0)],
                                            [(10.0, 20.0), (0.0, 5.0)], [(5.0, 5.0)]])
     def test_check_ledger_rejects_empty_or_overlapping_intervals(self, intervals):
@@ -261,10 +271,12 @@ class TestEngineBehavior:
         with pytest.raises(ConfigError, match="unknown node id 3"):
             run([tl], topo3(), FixedDelay(300.0), BASELINE)
 
-    def test_one_transfer_time_call_per_transfer_start(self, monkeypatch):
+    @pytest.mark.parametrize("config", [BASELINE, PolicyConfig(name="vomm", predictor="vomm", k=1)],
+                             ids=["baseline", "vomm"])
+    def test_one_transfer_time_call_per_transfer_start(self, monkeypatch, config):
         # perfbench counts transfers by proxying fogrep.simengine:transfer_time;
-        # the baseline policy makes no preload estimates, so every call is a
-        # transfer the engine starts
+        # a policy plans its preloads from the network's delay, so every call
+        # is a transfer the engine starts
         calls = []
 
         def counting(dst, model):
@@ -273,11 +285,12 @@ class TestEngineBehavior:
 
         monkeypatch.setattr(simengine, "transfer_time", counting)
         topo = build_grid(3, 3, UNIT_BBOX)
-        a = timeline("a", [(0, 0, 1000), (1, 1000, 1100), (4, 1100, 3000)], [(8, 5000, 6000)])
+        trip = [(0, 0, 1000), (1, 1000, 1100), (4, 1100, 3000)]
+        a = timeline("a", trip, [(8, 5000, 6000)], [(n, s + 86400, e + 86400) for n, s, e in trip])
         b = timeline("b", [(2, 0, 50), (5, 50, 4000)])
-        result = run([a, b], topo, FixedDelay(200.0), BASELINE)
+        result = run([a, b], topo, FixedDelay(200.0), config)
         starts = [e.node for e in result.event_log if e.kind == "TransferStart"]
-        assert len(starts) == 6
+        assert len(starts) == 9
         assert sorted(calls) == sorted(starts)
 
 
@@ -469,7 +482,7 @@ class TestSnapshotMemory:
 
     def test_untrained_predictive_zero(self):
         config = PolicyConfig(name="vomm", predictor="vomm", k=2)
-        policies = {"c": ReplicaPolicy(config, lambda node: 0.0)}
+        policies = {"c": ReplicaPolicy(config, 0.0)}
         assert snapshot_memory(policies) == {"c": 0}
 
     def test_average_and_max(self):

@@ -36,8 +36,7 @@ class TestRecordPause:
         assert fixed.memory_bytes() == 0
 
     def test_a_pause_that_is_not_positive_is_not_recorded(self):
-        policy = ReplicaPolicy(PolicyConfig(startup_mode="short_pause", short_pause_mode=LEARNED),
-                               lambda node: 0.0)
+        policy = ReplicaPolicy(PolicyConfig(startup_mode="short_pause", short_pause_mode=LEARNED), 0.0)
         policy.on_session_start(A, 0.0)
         policy.on_session_end(A, 100.0)
         policy.on_session_start(A, 100.0)  # starts when the last session ended
@@ -210,7 +209,7 @@ pause_lists = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
 @example(PolicyConfig(startup_mode="plmm"),  # count ties, won by the smaller id
          [(B, A, 100.0), (B, B, 100.0), (A, B, 100.0), (A, A, 100.0)], 0.0)
 def test_restart_models_match_the_reference(config, pauses, t):
-    model = ReplicaPolicy(config, lambda node: 0.0).restart
+    model = ReplicaPolicy(config, 0.0).restart
     for i in range(len(pauses) + 1):
         seen = pauses[:i]
         for node in (A, B, C):
