@@ -18,28 +18,29 @@ the files relative to the GeoLife root. A visits file is written through
 
 What a user's ingest holds: ``load_geolife_dir`` hands ``sessionize`` a
 generator that parses the user's files one at a time, so at most one file's
-text and row strings are alive beside the parsed columns. ``sessionize`` keeps
-a file's columns as parsed when the file is in time order and sorts a copy
-only of one that is not; joining the columns briefly holds them twice, then
-the per-file columns are freed. Mapping adds one int64 node per point and a
-byte per point for the run boundaries. Visits and pauses are slotted records.
+text, row strings and structured array (36 bytes a point: coordinates, date
+and time) are alive beside the parsed columns. ``sessionize`` keeps a file's
+columns as parsed when the file is in time order and sorts a copy only of one
+that is not; joining the columns briefly holds them twice, then the per-file
+columns are freed. Mapping adds one int64 node per point and a byte per point
+for the run boundaries. Visits and pauses are slotted records.
 
 Only GeoLife ingest uses numpy: ``parse_plt_rows``, ``_parse_columns``,
-``_clock_seconds``, ``sessionize`` and ``map_to_node_visits`` import it
-when called, and ``load_geolife_dir`` on entry. Synthetic timelines and the
-visits CSV never load it.
+``sessionize`` and ``map_to_node_visits`` import it when called, and
+``load_geolife_dir`` on entry. Synthetic timelines and the visits CSV never
+load it.
 """
 from __future__ import annotations
 
 import csv
 import math
 import os
+import re
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
 from functools import partial
-from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -144,7 +145,10 @@ _EPOCH_DAY = date(1970, 1, 1).toordinal()
 
 
 def _plt_midnight(date_s: str) -> int:
-    """Epoch seconds of a ``YYYY-MM-DD`` date's midnight; ValueError for an impossible date."""
+    """Epoch seconds of a ``YYYY-MM-DD`` date's midnight; ValueError for an impossible date
+    or a part that is not ASCII digits (``int()`` also reads signs, spaces, ``_`` and other scripts)."""
+    if not re.fullmatch("[0-9]+-[0-9]+-[0-9]+", date_s):
+        raise ValueError(f"invalid date {date_s!r}")
     y, mo, d = date_s.split("-")
     try:
         return (date(int(y), int(mo), int(d)).toordinal() - _EPOCH_DAY) * 86400
@@ -153,9 +157,12 @@ def _plt_midnight(date_s: str) -> int:
 
 
 def _plt_clock(time_s: str) -> int:
-    """Seconds past midnight of an ``HH:MM:SS`` time; ValueError for an impossible time."""
+    """Seconds past midnight of an ``HH:MM:SS`` time, zero-padded or not; ValueError for an
+    impossible time or a part that is not ASCII digits."""
+    if not re.fullmatch("[0-9]+:[0-9]+:[0-9]+", time_s):
+        raise ValueError(f"invalid time {time_s!r}")
     h, mi, s = (int(x) for x in time_s.split(":"))
-    if not (0 <= h < 24 and 0 <= mi < 60 and 0 <= s < 60):
+    if not (h < 24 and mi < 60 and s < 60):
         raise ValueError(f"invalid time {time_s!r}")
     return h * 3600 + mi * 60 + s
 
@@ -167,7 +174,6 @@ def parse_plt_rows(data: bytes | str) -> Track:
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
     lats, lons, times = [], [], []
-    midnights: dict[str, int] = {}
     for lineno, line in enumerate(data.splitlines()[PLT_HEADER_LINES:], start=PLT_HEADER_LINES + 1):
         line = line.strip()
         if not line:
@@ -176,12 +182,13 @@ def parse_plt_rows(data: bytes | str) -> Track:
         if len(parts) < 7:
             raise TraceFormatError(f"expected 7 fields, got {len(parts)}", line=lineno)
         try:
+            latlon = f"{parts[0]},{parts[1]}"
+            if "_" in latlon or not latlon.isascii():  # float() reads both
+                raise ValueError(f"invalid coordinates {latlon!r}")
             lat, lon = float(parts[0]), float(parts[1])
             if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
                 raise ValueError(f"coordinates out of range: {lat}, {lon}")
-            if parts[5] not in midnights:
-                midnights[parts[5]] = _plt_midnight(parts[5])
-            t = float(midnights[parts[5]] + _plt_clock(parts[6]))
+            t = float(_plt_midnight(parts[5]) + _plt_clock(parts[6]))
         except ValueError as exc:
             raise TraceFormatError(str(exc), line=lineno) from exc
         lats.append(lat)
@@ -192,40 +199,31 @@ def parse_plt_rows(data: bytes | str) -> Track:
     return Track(np.array(lats), np.array(lons), np.array(times))
 
 
-def _clock_seconds(times: list[str]) -> np.ndarray:
-    """_plt_clock over a column of zero-padded ``HH:MM:SS`` strings; a string
-    of any other shape raises ValueError, like an impossible time."""
-    import numpy as np
-    if set(map(len, times)) != {8}:
-        raise ValueError("times are not all HH:MM:SS")
-    # a non-ASCII character raises UnicodeEncodeError, a ValueError
-    chars = np.frombuffer("".join(times).encode("ascii"), np.uint8).reshape(-1, 8).astype(np.int64) - ord("0")
-    digits = chars[:, [0, 1, 3, 4, 6, 7]]
-    if not ((chars[:, [2, 5]] == ord(":") - ord("0")).all() and ((digits >= 0) & (digits <= 9)).all()):
-        raise ValueError("times are not all HH:MM:SS")
-    hms = digits[:, 0::2] * 10 + digits[:, 1::2]
-    if not (hms < (24, 60, 60)).all():
-        raise ValueError("impossible time")
-    return hms @ np.array([3600, 60, 1])
-
-
 def _parse_columns(text: str) -> Track:
-    """The data rows of a PLT text converted a column at a time. Raises
-    ValueError for any file that is not exactly seven fields per row with
-    in-range coordinates, a valid date and a zero-padded valid time."""
+    """The lines the row parser reads, read in one pass by numpy's text reader. ValueError for
+    a text the two could read apart (not ASCII, or with a NUL, which a date would store as
+    padding, or a unit separator, white space to numpy but not to ``float()``) and for a row
+    that is not in-range coordinates, a date and a zero-padded valid time."""
     import numpy as np
-    rows = [line for line in text.splitlines()[PLT_HEADER_LINES:] if line]
-    if set(map(str.count, rows, repeat(","))) != {6}:
-        raise ValueError("not seven fields per row")
-    fields = ",".join(rows).split(",")
-    lat = np.fromiter(map(float, fields[0::7]), float, len(rows))
-    lon = np.fromiter(map(float, fields[1::7]), float, len(rows))
-    if not (((lat >= -90.0) & (lat <= 90.0)).all() and ((lon >= -180.0) & (lon <= 180.0)).all()):
+    rows = text.splitlines()[PLT_HEADER_LINES:]
+    if not (text.isascii() and "\x00" not in text and "\x1f" not in text and any(rows)):
+        raise ValueError("not a text for the columnar reader")  # with no rows, numpy would warn
+    # the fields parse_plt reads; a date or time longer than its padded form sets its last byte
+    columns = [("lat", "f8"), ("lon", "f8"), ("date", "S11"), ("time", "S9")]
+    cols = np.loadtxt(rows, columns, comments=None, delimiter=",", usecols=(0, 1, 5, 6), ndmin=1)
+    lat, lon = cols["lat"].copy(), cols["lon"].copy()
+    if not ((np.abs(lat) <= 90.0).all() and (np.abs(lon) <= 180.0).all()):  # a NaN fails too
         raise ValueError("coordinates out of range")
-    t = _clock_seconds(fields[6::7])
-    dates = fields[5::7]
-    midnights = {d: _plt_midnight(d) for d in set(dates)}
-    t += np.fromiter(map(midnights.__getitem__, dates), np.int64, len(rows))
+    clock = cols.view(np.uint8).reshape(len(cols), -1)[:, 26:]  # the date's last byte, then the time
+    low, high = (np.frombuffer(b, np.uint8) for b in (b"\x0000:00:00\x00", b"\x0099:99:99\x00"))
+    digits = clock[:, 1:9] - np.uint8(ord("0"))
+    hms = digits[:, 0::3] * np.uint8(10) + digits[:, 1::3]
+    if not (((clock >= low) & (clock <= high)).all() and (hms < (24, 60, 60)).all()):
+        raise ValueError("a date is too long or a time is not a valid HH:MM:SS")
+    dates = cols["date"]
+    bounds = [0, *(np.flatnonzero(dates[1:] != dates[:-1]) + 1).tolist(), len(cols)]  # runs of one date
+    midnights = [_plt_midnight(dates[i].decode()) for i in bounds[:-1]]
+    t = hms @ np.array([3600, 60, 1]) + np.repeat(midnights, np.diff(bounds))
     return Track(lat, lon, t.astype(float))
 
 
@@ -234,7 +232,7 @@ def parse_plt(data: bytes | str) -> Track:
     ``lat,lon,0,altitude,days,date,time``. Points are returned in file order;
     out-of-order timestamps are retained for the sessionizer to sort.
 
-    The fields are converted a column at a time; a file that reader does not
+    The file is read by numpy's text reader; a file that reader does not
     accept is read again row by row, which names the first malformed line.
     """
     if isinstance(data, bytes):

@@ -4,6 +4,7 @@ import pickle
 import random
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -46,8 +47,17 @@ class TestParsePlt:
         assert track_points(points) == [GeoPoint(39.9, 116.4, epoch("2008-10-23", "02:53:04"))]
 
     def test_header_only_is_empty_trace(self):
-        with pytest.raises(EmptyTraceError):
+        with warnings.catch_warnings(), pytest.raises(EmptyTraceError):
+            warnings.simplefilter("error")
             parse_plt(plt_file([]))
+
+    @pytest.mark.parametrize("rows", [["", ""], ["", "  ", "\t"]], ids=["empty", "white-space"])
+    def test_blank_lines_after_the_header_are_an_empty_trace(self, rows):
+        """numpy's reader warns that it read no data; that warning must not escape."""
+        for data in (plt_file(rows), plt_file(rows).encode()):
+            with warnings.catch_warnings(), pytest.raises(EmptyTraceError):
+                warnings.simplefilter("error")
+                parse_plt(data)
 
     def test_decreasing_timestamps_retained(self):
         data = plt_file([
@@ -85,13 +95,22 @@ IMPOSSIBLE_FIELDS = [
     ("39.9,116.4,0,0,0,2008-10-40,02:53:04", "invalid date '2008-10-40'"),
     ("39.9,116.4,0,0,0,2008-10-23,25:00:00", "invalid time '25:00:00'"),
     ("39.9,116.4,0,0,0,2008-10-23,12:61:75", "invalid time '12:61:75'"),
+    # float() and int() read these, but a PLT number is ASCII digits with no underscore
+    ("3_9.9,116.4,0,0,0,2008-10-23,02:53:04", "invalid coordinates '3_9.9,116.4'"),
+    ("\u0663\u0669.\u0669,116.4,0,0,0,2008-10-23,02:53:04", "invalid coordinates '\u0663\u0669.\u0669,116.4'"),
+    ("39.9,116.4,0,0,0,2008-+10-+23,02:53:04", "invalid date '2008-+10-+23'"),
+    ("39.9,116.4,0,0,0,2008-10-23,-0:-0:-0", "invalid time '-0:-0:-0'"),
+    ("39.9,116.4,0,0,0,2008-10-2\u0663,02:53:04", "invalid date '2008-10-2\u0663'"),
+    ("39.9,116.4,0,0,0,2008-10-23,02:53:0\u0664", "invalid time '02:53:0\u0664'"),
 ]
 
 
 class TestExactFields:
     @pytest.mark.parametrize("parse", [parse_plt, parse_plt_rows], ids=["columns", "rows"])
     @pytest.mark.parametrize("row, message", IMPOSSIBLE_FIELDS,
-                             ids=["lat-95", "lat-nan", "day-40", "hour-25", "minute-61"])
+                             ids=["lat-95", "lat-nan", "day-40", "hour-25", "minute-61", "lat-underscore",
+                                  "lat-arabic-indic-digits", "date-signs", "time-signs", "date-arabic-indic-digit",
+                                  "time-arabic-indic-digit"])
     def test_impossible_field_names_its_line(self, parse, row, message):
         data = plt_file(["39.9,116.4,0,0,0,2008-10-23,02:53:03", row])
         with pytest.raises(TraceFormatError, match="^line 8: " + re.escape(message)) as err:
@@ -109,19 +128,32 @@ class TestExactFields:
         data = plt_file(["39.9,116.4,0,0,0,2008-02-29,23:59:59"])
         assert parse_plt(data).t.tolist() == [epoch("2008-02-29", "23:59:59")]
 
+    @pytest.mark.parametrize("parse", [parse_plt, parse_plt_rows], ids=["columns", "rows"])
+    def test_unpadded_time_and_date(self, parse):
+        data = plt_file(["39.9,116.4,0,0,0,2008-1-2,2:5:4"])
+        assert parse(data).t.tolist() == [epoch("2008-01-02", "02:05:04")]
+
 
 BAD_ROWS = ["not,a,row", "39.9,abc,0,0,0,2008-10-23,02:53:04", "39.9,116.4,0,0,0,2008/10/23,02:53:04",
             "39.9,116.4,0,0,0,2008-10-23,02:53", "0x1p3,116.4,0,0,0,2008-10-23,02:53:04",
             *(row for row, _ in IMPOSSIBLE_FIELDS)]
 
 
+# where numpy's reader and float() or str.splitlines could part: NUL, VT, FF,
+# FS to US, a lone CR, NEL and the line separator
+ODD_CHARACTERS = ["\x00", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\r", "\x85", "\u2028"]
+
+
 @st.composite
 def plt_texts(draw):
     """A PLT file and whether the columnar reader must accept it: LF or CRLF,
-    blank lines, at most one quirk the reader leaves to the row parser
-    (unpadded times, an eighth field, lines of spaces) and at most one
-    malformed row at a random position."""
-    quirk = draw(st.sampled_from([None, None, "unpadded", "extra field", "spaces"]))
+    blank lines, at most one quirk and at most one malformed row at a random
+    position. The reader accepts an eighth field; it may leave the other
+    quirks to the row parser: unpadded times, lines of spaces, and in one
+    field of one row an odd character or underscore, a non-ASCII digit, or
+    white space before or after it."""
+    quirk = draw(st.sampled_from([None, None, "unpadded", "extra field", "spaces",
+                                  "character", "underscore", "digit", "padded"]))
     rows = []
     for _ in range(draw(st.integers(1, 25))):
         lat = draw(st.floats(-90.0, 90.0))
@@ -135,15 +167,47 @@ def plt_texts(draw):
                     f"39744.12,{draw(st.dates()).isoformat()},{clock_s}{extra}")
         if draw(st.integers(0, 9)) == 0:
             rows.append("   " if quirk == "spaces" else "")
+    if quirk in ("character", "underscore", "digit", "padded"):
+        i = draw(st.integers(0, len(rows) - 1))
+        fields = rows[i].split(",")
+        j = draw(st.integers(0, len(fields) - 1))
+        field, digits = fields[j], [k for k, c in enumerate(fields[j]) if c.isdigit()]
+        if quirk == "digit":
+            if digits:
+                k = draw(st.sampled_from(digits))
+                zero = draw(st.sampled_from([0x660, 0x6f0, 0x966, 0xff10]))  # Arabic-Indic, Devanagari, full width
+                field = field[:k] + chr(zero + int(field[k])) + field[k + 1:]
+        elif quirk == "padded":
+            pad = draw(st.sampled_from([" ", "\t", "  ", "\xa0", "\u3000"]))
+            field = draw(st.sampled_from([pad + field, field + pad]))
+        else:
+            k = draw(st.integers(0, len(field)))
+            field = field[:k] + ("_" if quirk == "underscore" else draw(st.sampled_from(ODD_CHARACTERS))) + field[k:]
+        rows[i] = ",".join([*fields[:j], field, *fields[j + 1:]])
     malformed = draw(st.integers(0, 2)) == 0
     if malformed:
         rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(BAD_ROWS)))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
-    return (PLT_HEADER + "\n".join(rows) + "\n").replace("\n", newline), quirk is None and not malformed
+    text = (PLT_HEADER + "\n".join(rows) + "\n").replace("\n", newline)
+    return text, quirk in (None, "extra field") and not malformed
 
 
 def _columns(track):
     return [getattr(track, name).tobytes() for name in ("lat", "lon", "t")]
+
+
+def assert_readers_agree(data):
+    """parse_plt gives the row parser's columns, or raises its error for the same line."""
+    try:
+        expected = parse_plt_rows(data)
+    except DataError as exc:
+        with pytest.raises(type(exc)) as err:
+            parse_plt(data)
+        assert str(err.value) == str(exc)
+        assert getattr(err.value, "line", None) == getattr(exc, "line", None)
+        return None
+    assert _columns(parse_plt(data)) == _columns(expected)
+    return expected
 
 
 class TestColumnarParse:
@@ -152,17 +216,22 @@ class TestColumnarParse:
     def test_columns_match_row_parser(self, case):
         text, canonical = case
         for data in (text, text.encode()):
-            try:
-                expected = parse_plt_rows(data)
-            except DataError as exc:
-                with pytest.raises(type(exc)) as err:
-                    parse_plt(data)
-                assert str(err.value) == str(exc)
-                assert getattr(err.value, "line", None) == getattr(exc, "line", None)
-                continue
-            assert _columns(parse_plt(data)) == _columns(expected)
+            expected = assert_readers_agree(data)
             if canonical:  # the fast reader itself, not its row-by-row fallback
                 assert _columns(_parse_columns(text)) == _columns(expected)
+
+    @pytest.mark.parametrize("row", [
+        "1.5\x1f,116.4,0,0,0,2008-10-23,02:53:04",  # numpy reads 1.5, float() refuses it
+        "39.9,116.4,0,0,0,2008-10-23\x00,02:53:04",  # numpy stores the NUL as padding
+        "39.9,116.4,0,0\x0b,0,2008-10-23,02:53:04",  # splitlines ends the line at the VT
+        "39.9,\xa0116.4,0,0,0,2008-10-23,02:53:04",  # numpy and float() read 116.4; the row parser refuses it
+        "39.9,116.4,0,0,0,2008-10-0230,02:53:04",  # the date column keeps 2008-10-023
+        "39.9,116.4,0,0,0,2008-10-23,02:53:040",  # the row parser reads 02:53:40
+    ], ids=["unit-separator", "nul-after-date", "vertical-tab", "no-break-space", "long-date", "long-time"])
+    def test_text_numpy_reads_apart_reads_as_the_row_parser_reads(self, row):
+        text = plt_file(["39.9,116.4,0,0,0,2008-10-23,02:53:03", row])
+        for data in (text, text.encode()):
+            assert_readers_agree(data)
 
     @pytest.mark.parametrize("start, steps, dates", [
         ("2008-10-23 00:00:00", range(1, 6), 1), ("2008-12-31 23:00:00", range(1, 6), 2),
